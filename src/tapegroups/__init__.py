@@ -3,7 +3,7 @@
 Subpackages:
   tapevm      instrumented multi-tape abstraction (the cost model)
   spiral      square spiral enumeration of Z^2
-  oracle_groups  brute-force algebraic models used as differential ground truth
+  oracle_groups  independent algebraic models used as differential ground truth
   z2wrz2, z2wrf2, thompson_f  codecs plus two-tape generator programs
   framework   uniform representation interface, word problem, benchmarks
   cli         command-line front end

@@ -1,9 +1,15 @@
-"""Brute-force algebraic models of the three groups.
+"""Independent algebraic models of the three groups.
 
 These are the ground truth every differential test compares against, so they
 share no code with the normal-form machinery: wreath products are (lamp set,
 position) pairs updated by the defining formulas, and Thompson's group acts by
 exact dyadic piecewise-linear homeomorphisms of [0,1].
+
+For F the two sides of the check are computed differently.  `pl_mul_gen`
+composes the fixed maps of x0 and x1 onto the element, one generator at a
+time; `pl_eval_normalform` reads the map of a normal form off its tree-pair
+diagram in one pass, with no composition.  A program's output is accepted
+only when the two agree.
 
 Dyadic rationals are (odd-or-zero numerator, exponent) pairs meaning n / 2**e,
 with arbitrary-precision integers; breakpoint denominators grow with word
@@ -24,10 +30,8 @@ from .errors import NotInLanguage
 def dy(n: int, e: int = 0) -> Tuple[int, int]:
     if n == 0:
         return (0, 0)
-    while n % 2 == 0:
-        n //= 2
-        e -= 1
-    return (n, e)
+    k = (n & -n).bit_length() - 1  # trailing zero bits
+    return (n >> k, e - k)
 
 
 def dy_add(a, b):
@@ -210,20 +214,34 @@ PL_IDENTITY = DyadicPL(((DY0, DY0), (DY1, DY1)), _canonical=True)
 
 
 def pl_compose(f: DyadicPL, g: DyadicPL) -> DyadicPL:
-    """Canonical map x -> g(f(x)), exact arithmetic throughout."""
-    xs = [x for x, _ in f.pts]
-    finv = f.inverse()
-    xs.extend(finv(u) for u, _ in g.pts)
-    xs = _sorted_unique(xs)
-    pts = tuple((x, g(f(x))) for x in xs)
+    """Canonical map x -> g(f(x)), exact arithmetic throughout.
+
+    One sweep over the middle coordinate u = f(x): the breakpoints of the
+    composite lie over f's breakpoint values and g's breakpoints, taken in
+    increasing order; each is pulled back through the current piece of f and
+    pushed forward through the current piece of g.
+    """
+    fp, gp = f.pts, g.pts
+    i = j = 0  # current pieces: fp[i]..fp[i+1] and gp[j]..gp[j+1]
+    pts = [(DY0, DY0)]
+    while i + 2 < len(fp) or j + 2 < len(gp):
+        (x0, y0), (x1, y1) = fp[i], fp[i + 1]
+        (u0, v0), (u1, v1) = gp[j], gp[j + 1]
+        c = dy_cmp(y1, u1)
+        if c <= 0:
+            x, u = x1, y1
+            i += 1
+        else:
+            u = u1
+            x = dy_add(x0, dy_shift(dy_sub(u, y0), -_slope_exp(x0, y0, x1, y1)))
+        if c >= 0:
+            z = v1
+            j += 1
+        else:
+            z = dy_add(v0, dy_shift(dy_sub(u, u0), _slope_exp(u0, v0, u1, v1)))
+        pts.append((x, z))
+    pts.append((DY1, DY1))
     return DyadicPL(pts)
-
-
-def _sorted_unique(ds):
-    # decorate with an exact comparable integer key: n / 2**e scaled by 2**E
-    E = max(e for _, e in ds)
-    dec = sorted({(n << (E - e), (n, e)) for n, e in ds})
-    return [d for _, d in dec]
 
 
 def pl_generator(which: str, sign: int) -> DyadicPL:
@@ -279,24 +297,70 @@ def _parse_blocks(u: str):
     return blocks
 
 
-def pl_eval_normalform(u: str) -> DyadicPL:
-    """The PL map of the group element a normal-form string denotes.
+def _tree_leaves(exps) -> Tuple[list, int]:
+    """Leaves of the tree whose leaf exponents are `exps`, then zeros.
 
-    Composes the generator maps of x0^r0 x1^r1 ... xM^{+-} ... x0^{-s0}; the
-    first letter of the word is the outermost map.
+    The tree is a right spine; its hanging subtree j covers
+    [1 - 2**-j, 1 - 2**-(j+1)].  A leaf's exponent is the number of carets
+    whose leftmost leaf it is, so reading the exponents in order builds each
+    hanging subtree in preorder: split the current interval e times to the
+    left, keep the right halves on a stack, and take the next leaf from the
+    stack or, once it is empty, from the next hanging subtree.  A leaf is
+    (num, depth), the interval [num, num + 1] / 2**depth.  Returns the leaves
+    of the hanging subtrees and their count; the last leaf of the spine is
+    left to the caller.
     """
-    if u == "":
-        return PL_IDENTITY
+    leaves = []
+    stack = []
+    j = 0
+    for e in exps:
+        if stack:
+            num, d = stack.pop()
+        else:
+            num, d = (1 << (j + 1)) - 2, j + 1
+            j += 1
+        for _ in range(e):
+            num <<= 1
+            d += 1
+            stack.append((num + 1, d))
+        leaves.append((num, d))
+    leaves.extend(reversed(stack))
+    return leaves, j
+
+
+def _pad_leaves(leaves: list, j: int, count: int) -> list:
+    # more spine: single-leaf subtrees j, j+1, ..., then the last spine leaf
+    while len(leaves) < count - 1:
+        leaves.append(((1 << (j + 1)) - 2, j + 1))
+        j += 1
+    leaves.append(((1 << j) - 1, j))
+    return leaves
+
+
+def pl_eval_normalform(u: str) -> DyadicPL:
+    """The PL map of the group element a block string denotes.
+
+    The string a^r0 b^s0 # ... # a^rM b^sM is x0^r0 ... xM^rM xM^-sM ... x0^-s0
+    (the first letter is the outermost map), read off its tree-pair diagram
+    in one pass: r gives the leaf exponents of the range tree and s those of
+    the domain tree, and the map sends leaf k of the domain tree linearly
+    onto leaf k of the range tree.  A breakpoint is emitted only where the
+    slope changes, so the result is canonical as built.  Any a^r b^s blocks
+    are accepted, reduced normal form or not.
+    """
     blocks = _parse_blocks(u)
-    acc = PL_IDENTITY
-    for i, (r, _) in enumerate(blocks):
-        for _ in range(r):
-            acc = pl_compose(pl_letter(i, +1), acc)
-    for i in range(len(blocks) - 1, -1, -1):
-        s = blocks[i][1]
-        for _ in range(s):
-            acc = pl_compose(pl_letter(i, -1), acc)
-    return acc
+    dom, jd = _tree_leaves([s for _, s in blocks])
+    ran, jr = _tree_leaves([r for r, _ in blocks])
+    count = max(len(dom), len(ran)) + 1
+    pts = [(DY0, DY0)]
+    slope = None
+    for (xn, xd), (yn, yd) in zip(_pad_leaves(dom, jd, count), _pad_leaves(ran, jr, count)):
+        if xd - yd != slope:
+            if slope is not None:
+                pts.append((dy(xn, xd), dy(yn, yd)))
+            slope = xd - yd
+    pts.append((DY1, DY1))
+    return DyadicPL(pts, _canonical=True)
 
 
 def pl_mul_gen(elem: DyadicPL, gen: str) -> DyadicPL:

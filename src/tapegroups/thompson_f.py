@@ -16,12 +16,12 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Optional, Tuple
 
-from .errors import NoCaseMatched, NotInLanguage
+from .errors import BadWord, NoCaseMatched, NotInLanguage
 from .tapevm import StepReport, TapeSet, init_tapes, read_output
 from .tapeops import shift_suffix_left, shift_suffix_right
 from .tokens import BEGIN, BLANK, F_SIGMA
 
-GROUP = "thompson_f"
+GROUP = "thompson-f"
 GENERATORS = ("x0", "x0-", "x1", "x1-")
 IDENTITY_NF = ""
 
@@ -788,6 +788,8 @@ def compute_r(text: str) -> RResult:
 
 
 def apply_gen_report(text: str, gen: str) -> Tuple[str, StepReport]:
+    if gen not in GENERATORS:
+        raise BadWord(f"unknown generator {gen!r} for {GROUP}")
     if not validate(text):
         raise NotInLanguage(f"{text!r} is not a normal form")
     n = len(text)
@@ -799,10 +801,8 @@ def apply_gen_report(text: str, gen: str) -> Tuple[str, StepReport]:
         _program_x0(ts, +1)
     elif gen == "x0-":
         _program_x0(ts, -1)
-    elif gen == "x1-":
-        _program_x1_inv(ts)
     else:
-        raise KeyError(f"unknown generator {gen!r}")
+        _program_x1_inv(ts)
     return "".join(read_output(ts)), StepReport(n, ts.steps, gen, GROUP)
 
 

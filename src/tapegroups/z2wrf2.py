@@ -17,9 +17,9 @@ that empties a group collapses it.  All edits are constant-size suffix shifts.
 
 from __future__ import annotations
 
-from typing import Iterable, List, Tuple, Union
+from typing import Iterable, Iterator, List, Tuple, Union
 
-from .errors import NotInLanguage
+from .errors import BadWord, NotInLanguage
 from .oracle_groups import LampConfigF2
 from .tapevm import StepReport, TapeSet, init_tapes, read_output
 from .tapeops import shift_suffix_left, shift_suffix_right
@@ -216,25 +216,31 @@ def _expand_once(items: List[Item], axis: str) -> Tuple[List[Item], bool]:
     return new_items, changed
 
 
-def encode_iterations(config: LampConfigF2) -> List[str]:
-    """Token streams after each construction iteration, up to the fixpoint."""
+def _iterations(config: LampConfigF2) -> Iterator[List[Item]]:
+    """Item lists after each construction iteration, up to the fixpoint."""
     entries = [(w, True, w == config.pos) for w in sorted(config.lit)]
     if config.pos not in config.lit:
         entries.append((config.pos, False, True))
     items = _scan_line(entries, "a", True)
-    streams = [_render_items(items)]
+    yield items
     axis = "b"
     while True:
         items, changed = _expand_once(items, axis)
         if not changed:
-            break
-        streams.append(_render_items(items))
+            return
+        yield items
         axis = "a" if axis == "b" else "b"
-    return streams
+
+
+def encode_iterations(config: LampConfigF2) -> List[str]:
+    """Token streams after each construction iteration, up to the fixpoint."""
+    return [_render_items(items) for items in _iterations(config)]
 
 
 def encode(config: LampConfigF2) -> str:
-    return encode_iterations(config)[-1]
+    for items in _iterations(config):
+        pass  # keep only the fixpoint alive
+    return _render_items(items)
 
 
 # ---------------------------------------------------------------------------
@@ -722,14 +728,14 @@ def _program_move(ts: TapeSet, gen: str) -> None:
 
 
 def apply_gen_report(text: str, gen: str) -> Tuple[str, StepReport]:
+    if gen not in GENERATORS:
+        raise BadWord(f"unknown generator {gen!r} for {GROUP}")
     toks = tokenize_z2f2(text)
     ts = init_tapes(toks, 2, sigma=Z2F2_SIGMA)
     if gen == "c":
         _program_toggle(ts)
-    elif gen in ("a", "a-", "b", "b-"):
-        _program_move(ts, gen)
     else:
-        raise KeyError(f"unknown generator {gen!r}")
+        _program_move(ts, gen)
     out = render_z2f2(read_output(ts))
     return out, StepReport(len(toks), ts.steps, gen, GROUP)
 

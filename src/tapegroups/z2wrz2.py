@@ -17,7 +17,7 @@ from __future__ import annotations
 from typing import Tuple
 
 from . import spiral
-from .errors import NotInLanguage
+from .errors import BadWord, NotInLanguage
 from .oracle_groups import LampConfigZ2
 from .tapevm import StepReport, TapeSet, init_tapes, read_output
 from .tokens import BLANK, BEGIN, Z2Z2_SIGMA, render, tokenize_z2z2
@@ -284,14 +284,14 @@ def _program_move(ts: TapeSet, gen: str) -> None:
 
 
 def apply_gen_report(text: str, gen: str) -> Tuple[str, StepReport]:
+    if gen not in GENERATORS:
+        raise BadWord(f"unknown generator {gen!r} for {GROUP}")
     toks = tokenize_z2z2(text)
     ts = init_tapes(toks, 2, sigma=Z2Z2_SIGMA)
     if gen == "c":
         _program_toggle(ts)
-    elif gen in _GEN_DIR:
-        _program_move(ts, gen)
     else:
-        raise KeyError(f"unknown generator {gen!r}")
+        _program_move(ts, gen)
     out = render(read_output(ts))
     return out, StepReport(len(toks), ts.steps, gen, GROUP)
 

@@ -3,7 +3,8 @@ import random
 import pytest
 
 from tapegroups import thompson_f as tf
-from tapegroups.errors import NotInLanguage
+from tapegroups.errors import BadWord, NotInLanguage
+from tapegroups.framework import REPRESENTATIONS
 from tapegroups.oracle_groups import PL_IDENTITY, pl_eval_normalform, pl_mul_gen
 
 INV = {"x0": "x0-", "x0-": "x0", "x1": "x1-", "x1-": "x1"}
@@ -182,3 +183,17 @@ def test_total_on_garbage():
         else:
             with pytest.raises(NotInLanguage):
                 tf.apply_gen(text, "x0")
+
+
+def test_step_report_names_the_group_id():
+    _, report = tf.apply_gen_report("a", "x0")
+    assert report.group == "thompson-f" == REPRESENTATIONS["thompson-f"]().group_id
+
+
+def test_unknown_generator_raises_bad_word():
+    for gen in ("a", "x2", ""):
+        with pytest.raises(BadWord):
+            tf.apply_gen_report("a", gen)
+    # the generator is checked before the input is read
+    with pytest.raises(BadWord):
+        tf.apply_gen_report("?", "x9")

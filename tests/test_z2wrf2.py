@@ -1,7 +1,11 @@
 import random
 
+import pytest
+
 from tapegroups import z2wrf2 as z
-from tapegroups.oracle_groups import IDENTITY_F2, LampConfigF2, wreath_mul_gen
+from tapegroups.errors import BadWord
+from tapegroups.framework import REPRESENTATIONS
+from tapegroups.oracle_groups import IDENTITY_F2, LampConfigF2, f2_reduce, wreath_mul_gen
 from tapegroups.tokens import render_z2f2, tokenize_z2f2
 
 INV = {"a": "a-", "a-": "a", "b": "b-", "b-": "b", "c": "c"}
@@ -145,3 +149,27 @@ def test_total_on_invalid_inputs():
         text = render_z2f2(toks)
         for gen in z.GENERATORS:
             z.apply_gen(text, gen)  # any output, no exception
+
+
+def test_step_report_names_the_group_id():
+    _, report = z.apply_gen_report("B0", "c")
+    assert report.group == "z2wrf2" == REPRESENTATIONS["z2wrf2"]().group_id
+
+
+def test_unknown_generator_raises_bad_word():
+    for gen in ("x0", "d", ""):
+        with pytest.raises(BadWord):
+            z.apply_gen_report("B0", gen)
+    # the generator is checked before the input is read
+    with pytest.raises(BadWord):
+        z.apply_gen_report("?", "x9")
+
+
+def test_encode_renders_the_last_iteration():
+    rng = random.Random(43)
+    for _ in range(40):
+        lamps = frozenset(f2_reduce("".join(rng.choice("aAbB") for _ in range(rng.randint(0, 9))))
+                          for _ in range(rng.randint(0, 12)))
+        pos = f2_reduce("".join(rng.choice("aAbB") for _ in range(rng.randint(0, 9))))
+        cfg = LampConfigF2(lamps, pos)
+        assert z.encode(cfg) == z.encode_iterations(cfg)[-1]

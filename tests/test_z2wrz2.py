@@ -3,7 +3,8 @@ import random
 import pytest
 
 from tapegroups import spiral, z2wrz2 as z
-from tapegroups.errors import NotInLanguage
+from tapegroups.errors import BadWord, NotInLanguage
+from tapegroups.framework import REPRESENTATIONS
 from tapegroups.oracle_groups import IDENTITY_Z2, LampConfigZ2, wreath_mul_gen
 from tapegroups.tapevm import init_tapes
 from tapegroups.tokens import Z2Z2_SIGMA
@@ -128,3 +129,17 @@ def test_total_on_invalid_inputs():
         toks = [rng.choice(Z2Z2_SIGMA) for _ in range(rng.randint(0, 14))]
         for gen in z.GENERATORS:
             z.apply_gen("".join(toks), gen)  # halts on anything
+
+
+def test_step_report_names_the_group_id():
+    _, report = z.apply_gen_report("C0", "c")
+    assert report.group == "z2wrz2" == REPRESENTATIONS["z2wrz2"]().group_id
+
+
+def test_unknown_generator_raises_bad_word():
+    for gen in ("x0", "d", ""):
+        with pytest.raises(BadWord):
+            z.apply_gen_report("C0", gen)
+    # the generator is checked before the input is read
+    with pytest.raises(BadWord):
+        z.apply_gen_report("?", "x9")
