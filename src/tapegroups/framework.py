@@ -26,7 +26,6 @@ class Representation:
     group_id: str
     generators: Tuple[str, ...]
     inverse: Dict[str, str]
-    inverses_closed: bool
     identity_nf: str
     apply_report: ApplyFn
     validate: Callable[[str], bool]
@@ -35,7 +34,6 @@ class Representation:
     oracle_mul: Callable[[object, str], object]
     oracle_eq: Callable[[object, object], bool]
     sample_nf: Callable[[random.Random, int], str]
-    encode: Optional[Callable[[object], str]] = None
     coverage_reset: Optional[Callable[[], None]] = None
     coverage_read: Optional[Callable[[], Dict[str, int]]] = None
 
@@ -105,7 +103,6 @@ def representation_z2wrz2() -> Representation:
         group_id="z2wrz2",
         generators=z2wrz2.GENERATORS,
         inverse={"a": "a-", "a-": "a", "b": "b-", "b-": "b", "c": "c"},
-        inverses_closed=True,
         identity_nf=z2wrz2.IDENTITY_NF,
         apply_report=z2wrz2.apply_gen_report,
         validate=z2wrz2.validate,
@@ -114,7 +111,6 @@ def representation_z2wrz2() -> Representation:
         oracle_mul=og.wreath_mul_gen,
         oracle_eq=lambda x, y: x == y,
         sample_nf=_sample_z2wrz2,
-        encode=z2wrz2.encode,
     )
 
 
@@ -123,7 +119,6 @@ def representation_z2wrf2() -> Representation:
         group_id="z2wrf2",
         generators=z2wrf2.GENERATORS,
         inverse={"a": "a-", "a-": "a", "b": "b-", "b-": "b", "c": "c"},
-        inverses_closed=True,
         identity_nf=z2wrf2.IDENTITY_NF,
         apply_report=z2wrf2.apply_gen_report,
         validate=z2wrf2.validate,
@@ -132,7 +127,6 @@ def representation_z2wrf2() -> Representation:
         oracle_mul=og.wreath_mul_gen,
         oracle_eq=lambda x, y: x == y,
         sample_nf=_sample_z2wrf2,
-        encode=z2wrf2.encode,
     )
 
 
@@ -141,7 +135,6 @@ def representation_thompson_f() -> Representation:
         group_id="thompson-f",
         generators=thompson_f.GENERATORS,
         inverse={"x0": "x0-", "x0-": "x0", "x1": "x1-", "x1-": "x1"},
-        inverses_closed=True,
         identity_nf=thompson_f.IDENTITY_NF,
         apply_report=thompson_f.apply_gen_report,
         validate=thompson_f.validate,

@@ -12,48 +12,7 @@ from collections import deque
 from typing import Sequence
 
 from .tapevm import TapeSet
-from .tokens import BEGIN, BLANK
-
-
-def move_n(ts: TapeSet, t: int, n: int, direction: int) -> None:
-    if direction > 0:
-        for _ in range(n):
-            ts.move_right(t)
-    else:
-        for _ in range(n):
-            ts.move_left(t)
-
-
-def scan_right_until(ts: TapeSet, t: int, stop: frozenset) -> str:
-    """Move right one cell at a time; stop with the head on the first stop symbol."""
-    while True:
-        ts.move_right(t)
-        sym = ts.read(t)
-        if sym in stop:
-            return sym
-
-
-def read_here(ts: TapeSet, t: int) -> str:
-    return ts.read(t)
-
-
-def move_to_first_blank(ts: TapeSet, t: int) -> None:
-    """Leave the head on the first blank at or right of the current cell."""
-    while ts.read(t) != BLANK:
-        ts.move_right(t)
-
-
-def move_to_begin(ts: TapeSet, t: int) -> None:
-    while ts.read(t) != BEGIN:
-        ts.move_left(t)
-
-
-def write_tokens(ts: TapeSet, t: int, toks: Sequence[str]) -> None:
-    """Write toks starting at the head, leaving the head on the last written cell."""
-    for i, tok in enumerate(toks):
-        if i:
-            ts.move_right(t)
-        ts.write(t, tok)
+from .tokens import BLANK
 
 
 def shift_suffix_right(ts: TapeSet, t: int, insert: Sequence[str]) -> None:

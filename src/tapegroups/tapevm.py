@@ -133,9 +133,8 @@ def init_tapes(input_tokens: Sequence[str], k: int,
     Loading the input is free: step accounting starts at 0, matching a machine
     whose input is part of the initial configuration.
     """
-    for tok in input_tokens:
-        if tok == BEGIN or tok == BLANK:
-            raise InvalidInput("input may not contain tape markers")
+    if BEGIN in input_tokens or BLANK in input_tokens:
+        raise InvalidInput("input may not contain tape markers")
     ts = TapeSet(k, sigma=sigma, trace=trace)
     ts.tapes[0].cells = [BEGIN, *input_tokens]
     return ts
@@ -148,13 +147,11 @@ def read_output(ts: TapeSet) -> list[str]:
     (it happens after the machine halts).
     """
     cells = ts.tapes[0].cells
-    out: list[str] = []
-    for sym in cells[1:]:
-        if sym == BLANK:
-            break
-        out.append(sym)
-    if ts.sigma is not None:
-        for sym in out:
-            if sym not in ts.sigma:
-                raise OutputFault(f"symbol {sym!r} outside the declared alphabet")
+    try:
+        out = cells[1:cells.index(BLANK, 1)]
+    except ValueError:
+        out = cells[1:]
+    if ts.sigma is not None and not ts.sigma.issuperset(out):
+        bad = next(sym for sym in out if sym not in ts.sigma)
+        raise OutputFault(f"symbol {bad!r} outside the declared alphabet")
     return out

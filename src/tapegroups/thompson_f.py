@@ -50,27 +50,23 @@ class ExpSeq:
 
 
 IDENTITY_SEQ = ExpSeq((), ())
+_NOT_F = str.maketrans("", "", "".join(F_SIGMA))  # deletes the alphabet
 
 
 def parse(text: str) -> ExpSeq:
     if text == "":
         return IDENTITY_SEQ
-    for ch in text:
-        if ch not in "ab#":
-            raise NotInLanguage(f"symbol {ch!r} outside the alphabet")
+    outside = text.translate(_NOT_F)
+    if outside:
+        raise NotInLanguage(f"symbol {outside[0]!r} outside the alphabet")
     rs = []
     ss = []
     for block in text.split("#"):
-        i = 0
-        while i < len(block) and block[i] == "a":
-            i += 1
-        j = i
-        while j < len(block) and block[j] == "b":
-            j += 1
-        if j != len(block):
+        bs = block.lstrip("a")
+        if bs.strip("b"):
             raise NotInLanguage("block letters must be a-run then b-run")
-        rs.append(i)
-        ss.append(len(block) - i)
+        rs.append(len(block) - len(bs))
+        ss.append(len(bs))
     if rs[-1] == 0 and ss[-1] == 0:
         raise NotInLanguage("last block must be nonempty")
     if rs[-1] > 0 and ss[-1] > 0:
@@ -809,10 +805,3 @@ def apply_gen_report(text: str, gen: str) -> Tuple[str, StepReport]:
 def apply_gen(text: str, gen: str) -> str:
     return apply_gen_report(text, gen)[0]
 
-
-def apply_x0(text: str, sign: int) -> str:
-    return apply_gen(text, "x0" if sign > 0 else "x0-")
-
-
-def apply_x1_inv(text: str) -> str:
-    return apply_gen(text, "x1-")

@@ -81,6 +81,9 @@ def test_read_output_prefix_semantics():
     assert read_output(ts) == ["a", "#", "b"]
     ts.tapes[0].cells = [BEGIN, BLANK, "1"]
     assert read_output(ts) == []
+    # a tape with no blank is read to its end
+    ts.tapes[0].cells = [BEGIN, "0", "1"]
+    assert read_output(ts) == ["0", "1"]
 
 
 def test_read_output_alphabet_check():
@@ -88,6 +91,13 @@ def test_read_output_alphabet_check():
     ts.tapes[0].cells = [BEGIN, "0", "T", BLANK]
     with pytest.raises(OutputFault):
         read_output(ts)
+    # the first symbol outside the alphabet is named; what follows the first
+    # blank is not checked
+    ts.tapes[0].cells = [BEGIN, "0", "T", "1", "U", BLANK, "V"]
+    with pytest.raises(OutputFault, match="'T'"):
+        read_output(ts)
+    ts.tapes[0].cells = [BEGIN, "0", BLANK, "V"]
+    assert read_output(ts) == ["0"]
 
 
 def test_trace_lines():

@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -197,3 +198,52 @@ def test_unknown_generator_raises_bad_word():
     # the generator is checked before the input is read
     with pytest.raises(BadWord):
         tf.apply_gen_report("?", "x9")
+
+
+def ref_parse(text):
+    """The character-by-character parse that `tf.parse` replaced."""
+    if text == "":
+        return tf.IDENTITY_SEQ
+    for ch in text:
+        if ch not in "ab#":
+            raise NotInLanguage(f"symbol {ch!r} outside the alphabet")
+    rs = []
+    ss = []
+    for block in text.split("#"):
+        i = 0
+        while i < len(block) and block[i] == "a":
+            i += 1
+        j = i
+        while j < len(block) and block[j] == "b":
+            j += 1
+        if j != len(block):
+            raise NotInLanguage("block letters must be a-run then b-run")
+        rs.append(i)
+        ss.append(len(block) - i)
+    if rs[-1] == 0 and ss[-1] == 0:
+        raise NotInLanguage("last block must be nonempty")
+    if rs[-1] > 0 and ss[-1] > 0:
+        raise NotInLanguage("exactly one of the last block exponents may be nonzero")
+    for i in range(len(rs) - 1):
+        if rs[i] > 0 and ss[i] > 0 and rs[i + 1] + ss[i + 1] == 0:
+            raise NotInLanguage(f"block {i} has both signs but block {i+1} is empty")
+    return tf.ExpSeq(tuple(rs), tuple(ss))
+
+
+def _parse_outcome(fn, text):
+    try:
+        return fn(text)
+    except NotInLanguage as exc:
+        return (type(exc), str(exc))
+
+
+def test_parse_matches_reference_parse():
+    # every string over {a,b,#} up to length 7, then seeded longer strings
+    # with symbols from outside the alphabet
+    texts = ["".join(t) for k in range(8) for t in itertools.product("ab#", repeat=k)]
+    rng = random.Random(11)
+    texts += ["".join(rng.choice("aaabbb##c xé") for _ in range(rng.randint(1, 40)))
+              for _ in range(20000)]
+    texts.append(REPRESENTATIONS["thompson-f"]().sample_nf(random.Random(3), 1 << 12))
+    for text in texts:
+        assert _parse_outcome(tf.parse, text) == _parse_outcome(ref_parse, text), text
