@@ -3,8 +3,15 @@
 A TapeSet is k semi-infinite tapes.  Cell 0 of every tape holds the immovable
 start marker; unwritten cells read as blank.  Every primitive action (read one
 symbol, write one symbol, move one cell) costs exactly one step on the global
-counter.  Generator programs touch tapes only through these primitives, so the
-step counter is the cost model the linearity benchmarks certify.
+counter.  Generator programs touch tapes only through these primitives and
+through counted sweeps, so the step counter is the cost model the linearity
+benchmarks certify.
+
+A sweep is one machine state looping over a run of cells.  `scan_right` and
+`scan_left` are defined as the loop `while read(t) not in stop: move(t)`:
+they charge exactly that loop's steps (2d+1 for d moves), fault exactly where
+it would, and leave the head where it would stop, but find the stop cell with
+a list search in C instead of one method call per step.
 
 Finite control state of a program (region variables, ERASE flags, ...) lives in
 host variables and costs nothing, matching the state set of a real machine.
@@ -13,12 +20,24 @@ host variables and costs nothing, matching the state set of a real machine.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Collection, Iterable, Optional, Sequence
 
 from .errors import InvalidInput, OutputFault, TapeFault
 from .tokens import BEGIN, BLANK
 
-TraceFn = Callable[[str], None]
+# First window of a sweep's search; each further window doubles, so a sweep
+# that stops d cells away searches O(d) cells whatever the stop set.
+_WINDOW = 64
+
+
+def _first_in(cells: list, lo: int, hi: int, stop: Collection[str]) -> int:
+    """Smallest i in [lo, hi) with cells[i] in stop, or hi if there is none."""
+    for sym in stop:
+        try:
+            hi = cells.index(sym, lo, hi)
+        except ValueError:
+            pass
+    return hi
 
 
 class Tape:
@@ -51,16 +70,14 @@ class TapeSet:
     concurrently.
     """
 
-    __slots__ = ("tapes", "steps", "sigma", "_trace")
+    __slots__ = ("tapes", "steps", "sigma")
 
-    def __init__(self, k: int, sigma: Optional[Iterable[str]] = None,
-                 trace: Optional[TraceFn] = None) -> None:
+    def __init__(self, k: int, sigma: Optional[Iterable[str]] = None) -> None:
         if k < 1:
             raise InvalidInput("need at least one tape")
         self.tapes = [Tape() for _ in range(k)]
         self.steps = 0
         self.sigma = frozenset(sigma) if sigma is not None else None
-        self._trace = trace
 
     # -- primitive actions: each costs exactly one step --------------------
 
@@ -68,10 +85,7 @@ class TapeSet:
         tape = self.tapes[t]
         self.steps += 1
         h = tape.head
-        sym = tape.cells[h] if h < len(tape.cells) else BLANK
-        if self._trace is not None:
-            self._trace(f"{self.steps},{t},read,{sym},{h}")
-        return sym
+        return tape.cells[h] if h < len(tape.cells) else BLANK
 
     def write(self, t: int, sym: str) -> None:
         tape = self.tapes[t]
@@ -83,8 +97,6 @@ class TapeSet:
         if h >= len(cells):
             cells.extend([BLANK] * (h + 1 - len(cells)))
         cells[h] = sym
-        if self._trace is not None:
-            self._trace(f"{self.steps},{t},write,{sym},{h}")
 
     def move_left(self, t: int) -> None:
         tape = self.tapes[t]
@@ -92,42 +104,74 @@ class TapeSet:
             raise TapeFault("attempt to move left of the start marker")
         self.steps += 1
         tape.head -= 1
-        if self._trace is not None:
-            self._trace(f"{self.steps},{t},move_left,,{tape.head}")
 
     def move_right(self, t: int) -> None:
         tape = self.tapes[t]
         self.steps += 1
         tape.head += 1
-        if self._trace is not None:
-            self._trace(f"{self.steps},{t},move_right,,{tape.head}")
 
-    # -- dispatch form of the same primitives --------------------------------
+    # -- counted sweeps: each costs exactly the steps of its defining loop ----
 
-    def prim(self, t: int, action: str, sym: Optional[str] = None) -> Optional[str]:
-        """Apply one primitive action; returns the symbol for reads.
+    def scan_right(self, t: int, stop: Collection[str]) -> str:
+        """`while read(t) not in stop: move_right(t)`; returns the stop symbol.
 
-        action is one of 'read', 'write' (with sym), 'move_left', 'move_right'.
+        Charges 2d+1 steps for d moves.  A loop that would never halt (no stop
+        symbol ahead and BLANK not in stop) raises TapeFault before any step.
         """
-        if action == "read":
-            return self.read(t)
-        if action == "write":
-            if sym is None:
-                raise InvalidInput("write needs a symbol")
-            self.write(t, sym)
-            return None
-        if action == "move_left":
-            self.move_left(t)
-            return None
-        if action == "move_right":
-            self.move_right(t)
-            return None
-        raise InvalidInput(f"unknown primitive {action!r}")
+        tape = self.tapes[t]
+        cells = tape.cells
+        h = pos = tape.head
+        n = len(cells)
+        width = _WINDOW
+        while pos < n:
+            hi = min(n, pos + width)
+            pos = _first_in(cells, pos, hi, stop)
+            if pos < hi:
+                break
+            width *= 2
+        else:
+            if BLANK not in stop:
+                raise TapeFault("rightward scan never reaches a stop symbol")
+            pos = max(h, n)
+        self.steps += 2 * (pos - h) + 1
+        tape.head = pos
+        return cells[pos] if pos < n else BLANK
+
+    def scan_left(self, t: int, stop: Collection[str]) -> str:
+        """`while read(t) not in stop: move_left(t)`; returns the stop symbol.
+
+        Charges 2d+1 steps for d moves.  If no stop symbol lies at or left of
+        the head, the loop reads the start marker and faults moving off it:
+        the 2h+1 steps before that are charged and TapeFault is raised.
+        """
+        tape = self.tapes[t]
+        cells = tape.cells
+        h = tape.head
+        n = len(cells)
+        if h >= n and BLANK in stop:
+            self.steps += 1
+            return BLANK
+        hi = min(h + 1, n)  # cells at and beyond n read as blank
+        width = _WINDOW
+        while hi > 0:
+            lo = max(0, hi - width)
+            seg = cells[lo:hi]
+            seg.reverse()
+            j = _first_in(seg, 0, len(seg), stop)
+            if j < len(seg):
+                pos = hi - 1 - j
+                self.steps += 2 * (h - pos) + 1
+                tape.head = pos
+                return cells[pos]
+            hi = lo
+            width *= 2
+        self.steps += 2 * h + 1
+        tape.head = 0
+        raise TapeFault("attempt to move left of the start marker")
 
 
 def init_tapes(input_tokens: Sequence[str], k: int,
-               sigma: Optional[Iterable[str]] = None,
-               trace: Optional[TraceFn] = None) -> TapeSet:
+               sigma: Optional[Iterable[str]] = None) -> TapeSet:
     """Fresh TapeSet with tape 0 holding the input and heads on the start marker.
 
     Loading the input is free: step accounting starts at 0, matching a machine
@@ -135,7 +179,7 @@ def init_tapes(input_tokens: Sequence[str], k: int,
     """
     if BEGIN in input_tokens or BLANK in input_tokens:
         raise InvalidInput("input may not contain tape markers")
-    ts = TapeSet(k, sigma=sigma, trace=trace)
+    ts = TapeSet(k, sigma=sigma)
     ts.tapes[0].cells = [BEGIN, *input_tokens]
     return ts
 

@@ -12,6 +12,7 @@ reproduces the input, which bijectivity guarantees happens exactly once.
 
 from __future__ import annotations
 
+import re
 from collections import Counter
 from dataclasses import dataclass
 from typing import Optional, Tuple
@@ -52,6 +53,16 @@ class ExpSeq:
 IDENTITY_SEQ = ExpSeq((), ())
 _NOT_F = str.maketrans("", "", "".join(F_SIGMA))  # deletes the alphabet
 
+# The language, stated once as the cells where the automaton of `_scan_valid`
+# rejects.  Read left to right, the first match of _REJECT ends on the first
+# rejected cell: an a after a b of the same block, a # that closes an empty
+# block after a block with both signs, or any other symbol (a blank among
+# them, where the automaton stops to give its verdict).  A normal form has no
+# such cell and does not end in an empty or two-signed block.
+_REJECT = r"ba|ab+##|[^ab#]"
+_STOP = re.compile(_REJECT)
+_NOT_NF = re.compile(_REJECT + r"|#\Z|ab+\Z")
+
 
 def parse(text: str) -> ExpSeq:
     if text == "":
@@ -84,11 +95,7 @@ def serialize(seq: ExpSeq) -> str:
 
 
 def validate(text: str) -> bool:
-    try:
-        parse(text)
-    except NotInLanguage:
-        return False
-    return True
+    return _NOT_NF.search(text) is None
 
 
 @dataclass(frozen=True)
@@ -116,44 +123,36 @@ def r_by_definition(seq: ExpSeq) -> RResult:
 # tape-level helpers
 
 def _scan_valid(ts: TapeSet) -> bool:
-    """Linear membership check; leaves the head back on the start marker."""
-    has_a = has_b = in_b = False
-    prev_both = False
-    nonempty = False
-    while True:
-        ts.move_right(0)
-        sym = ts.read(0)
-        if sym == "a":
-            nonempty = True
-            if in_b:
-                return False
-            has_a = True
-        elif sym == "b":
-            nonempty = True
-            in_b = has_b = True
-        elif sym == "#":
-            nonempty = True
-            if prev_both and not (has_a or has_b):
-                return False
-            prev_both = has_a and has_b
-            has_a = has_b = in_b = False
-        elif sym == BLANK:
-            break
-        else:
-            return False
-    if nonempty:
-        if prev_both and not (has_a or has_b):
-            return False
-        if has_a == has_b:  # empty last block, or both exponents set
-            return False
-    while ts.read(0) != BEGIN:
-        ts.move_left(0)
+    """Linear membership check; leaves the head back on the start marker.
+
+    The automaton moves right and reads one cell at a time until the first
+    rejected cell (see _REJECT), 2 steps per cell.  On a blank it accepts or
+    rejects what it read; on acceptance it rewinds to the start marker.  The
+    stop cell is found with one search over the joined cells and the loop's
+    steps are charged for it.
+    """
+    tape = ts.tapes[0]
+    cells = tape.cells
+    h = tape.head
+    text = "".join(cells)  # cell i is text[i]: an F tape holds one character per cell
+    m = _STOP.search(text, h + 1)
+    p = m.end() - 1 if m else max(h + 1, len(text))
+    ts.steps += 2 * (p - h)
+    tape.head = p
+    if p < len(text) and text[p] != BLANK:
+        return False
+    if _NOT_NF.search(text, h + 1, p):
+        return False
+    _rewind(ts, 0)
     return True
 
 
+def _rewind(ts: TapeSet, t: int) -> None:
+    ts.scan_left(t, (BEGIN,))
+
+
 def _to_blank(ts: TapeSet) -> None:
-    while ts.read(0) != BLANK:
-        ts.move_right(0)
+    ts.scan_right(0, (BLANK,))
 
 
 def _compute_r(ts: TapeSet) -> bool:
@@ -211,8 +210,7 @@ def _compute_r(ts: TapeSet) -> bool:
 
 def _mark_hash_track(ts: TapeSet) -> None:
     """Overlay #^M on the b^R counter as convolution cells (b#, b_, _#)."""
-    while ts.read(1) != BEGIN:
-        ts.move_left(1)
+    _rewind(ts, 1)
     while True:
         ts.move_right(0)
         sym = ts.read(0)
@@ -222,10 +220,8 @@ def _mark_hash_track(ts: TapeSet) -> None:
             ts.write(1, "b#" if under == "b" else "_#")
         elif sym == BLANK:
             break
-    while ts.read(0) != BEGIN:
-        ts.move_left(0)
-    while ts.read(1) != BEGIN:
-        ts.move_left(1)
+    _rewind(ts, 0)
+    _rewind(ts, 1)
 
 
 def _compare_r_m(ts: TapeSet) -> str:
@@ -273,8 +269,7 @@ def _program_x0(ts: TapeSet, sign: int) -> None:
                 r0_pos = True
             else:
                 s0_pos = True
-    while ts.read(0) != BEGIN:
-        ts.move_left(0)
+    _rewind(ts, 0)
     if m_zero:
         block1_empty = None
 
@@ -285,8 +280,7 @@ def _program_x0(ts: TapeSet, sign: int) -> None:
             ts.write(0, BLANK)
         elif (not s0_pos) and r0_pos and block1_empty:
             # cancellation shifts every index down: drop one a and one separator
-            while ts.read(0) != "#":
-                ts.move_right(0)
+            ts.scan_right(0, ("#",))
             ts.move_right(0)
             shift_suffix_left(ts, 0, 2)
         else:
@@ -305,8 +299,7 @@ def _program_x0(ts: TapeSet, sign: int) -> None:
             ts.write(0, "a")
         else:
             # indices shift up: block 0 gains an a, an empty block is born
-            while ts.read(0) != "#":
-                ts.move_right(0)
+            ts.scan_right(0, ("#",))
             shift_suffix_right(ts, 0, ["a", "#"])
 
 
@@ -334,8 +327,7 @@ def _program_x1_inv(ts: TapeSet) -> None:
             s0_pos = True
         if sym == BLANK:
             break
-    while ts.read(0) != BEGIN:
-        ts.move_left(0)
+    _rewind(ts, 0)
     if not s0_pos:
         _x1_inv_case1(ts, m_zero)
     else:
@@ -372,14 +364,12 @@ def _x1_inv_case1(ts: TapeSet, m_zero: bool) -> None:
         elif depth == 2:
             block2_nonzero = True
             break
-    while ts.read(0) != BEGIN:
-        ts.move_left(0)
+    _rewind(ts, 0)
     if (not r1_pos) or s1_pos or block2_nonzero:
         if not _fire(ts, "1.2"):
             return
         # insert b at the start of block 1's b-run
-        while ts.read(0) != "#":
-            ts.move_right(0)
+        ts.scan_right(0, ("#",))
         ts.move_right(0)
         while ts.read(0) == "a":
             ts.move_right(0)
@@ -414,33 +404,18 @@ def _x1_inv_case1(ts: TapeSet, m_zero: bool) -> None:
 
 
 def _single_hash(ts: TapeSet) -> bool:
-    count = 0
-    while True:
-        ts.move_right(0)
-        sym = ts.read(0)
-        if sym == "#":
-            count += 1
-            if count == 2:
-                break
-        elif sym == BLANK:
-            break
-    while ts.read(0) != BEGIN:
-        ts.move_left(0)
-    return count < 2
+    found = _to_hash(ts, 2)
+    _rewind(ts, 0)
+    return not found
 
 
 def _to_hash(ts: TapeSet, n: int) -> bool:
     """Walk right from the current cell to the n-th # from here."""
-    seen = 0
-    while True:
+    for _ in range(n):
         ts.move_right(0)
-        sym = ts.read(0)
-        if sym == "#":
-            seen += 1
-            if seen == n:
-                return True
-        elif sym == BLANK:
+        if ts.scan_right(0, ("#", BLANK)) == BLANK:
             return False
+    return True
 
 
 def _x1_inv_case2(ts: TapeSet) -> None:
@@ -448,8 +423,7 @@ def _x1_inv_case2(ts: TapeSet) -> None:
     if case_flag:
         _mark_hash_track(ts)
         rel = _compare_r_m(ts)
-        while ts.read(1) != BEGIN:
-            ts.move_left(1)
+        _rewind(ts, 1)
         if rel == ">":
             if not _fire(ts, "2.1a"):
                 return
@@ -514,8 +488,7 @@ def _x1_inv_case2(ts: TapeSet) -> None:
             return
         return
     # not CASE: the insertion point sits inside the tail at index R
-    while ts.read(1) != BEGIN:
-        ts.move_left(1)
+    _rewind(ts, 1)
     while True:
         ts.move_right(0)
         sym = ts.read(0)
@@ -648,8 +621,7 @@ def _b_21b(ts: TapeSet) -> bool:
     _mark_hash_track(ts)
     if _compare_r_m(ts) == "<":
         return False
-    while ts.read(1) != BEGIN:
-        ts.move_left(1)
+    _rewind(ts, 1)
     _to_blank(ts)
     while True:
         ts.move_right(1)
@@ -665,13 +637,9 @@ def _b_21b(ts: TapeSet) -> bool:
 
 def _b_21c12(ts: TapeSet) -> bool:
     _to_blank(ts)
-    while True:  # rightmost b of the input
-        ts.move_left(0)
-        sym = ts.read(0)
-        if sym == "b":
-            break
-        if sym == BEGIN:
-            return False
+    ts.move_left(0)
+    if ts.scan_left(0, ("b", BEGIN)) == BEGIN:  # rightmost b of the input
+        return False
     ts.move_right(0)
     shift_suffix_left(ts, 0, 1)
     return True
@@ -679,8 +647,7 @@ def _b_21c12(ts: TapeSet) -> bool:
 
 def _walk_to_hash_after_r(ts: TapeSet, offset: int) -> bool:
     """Head to the (R+offset)-th separator, tape 2 holding plain b^R."""
-    while ts.read(1) != BEGIN:
-        ts.move_left(1)
+    _rewind(ts, 1)
     want_blank = offset > 0
     while True:
         ts.move_right(0)
@@ -749,9 +716,10 @@ _X1_BUILDERS = (
 
 def apply_x1(text: str) -> Tuple[str, int]:
     """Right multiplication by x1: try each case's inverse edit and accept the
-    candidate whose forward edit reproduces the input."""
-    if not validate(text):
-        raise NotInLanguage("input is not a normal form")
+    candidate whose forward edit reproduces the input.
+
+    text must be a normal form; apply_gen_report checks it before calling.
+    """
     steps = 0
     for _label, builder in _X1_BUILDERS:
         candidate, st = _run_edit(text, builder)

@@ -43,6 +43,7 @@ _STOP = frozenset(C_LEAF + B_LEAF + D_C + D_B + E_C)
 _TOGGLE = {"C0": "C1", "C1": "C0", "B0": "B1", "B1": "B0",
            "D0C": "D1C", "D1C": "D0C", "D0B": "D1B", "D1B": "D0B",
            "E0C": "E1C", "E1C": "E0C"}
+_TOGGLE_STOP = (*_TOGGLE, BLANK)
 _MARK = {"0": "C0", "1": "C1", "A0": "B0", "A1": "B1",
          "E0": "E0C", "E1": "E1C", "D0": "D0C", "D1": "D1C",
          "D0A": "D0B", "D1A": "D1B"}
@@ -399,14 +400,10 @@ def _scan_to_marker(ts: TapeSet):
 
 
 def _program_toggle(ts: TapeSet) -> None:
-    while True:
-        ts.move_right(0)
-        sym = ts.read(0)
-        if sym in _TOGGLE:
-            ts.write(0, _TOGGLE[sym])
-            return
-        if sym == BLANK:
-            return
+    ts.move_right(0)
+    sym = ts.scan_right(0, _TOGGLE_STOP)
+    if sym != BLANK:
+        ts.write(0, _TOGGLE[sym])
 
 
 def _mark_pivot(ts: TapeSet, sym: str) -> None:
@@ -578,16 +575,6 @@ def _sprout(ts: TapeSet, S: str, gen_axis: str, fwd: bool) -> None:
     shift_suffix_right(ts, 0, toks[1:])
 
 
-def _scan_left_to_c0(ts: TapeSet) -> None:
-    while ts.read(0) != "C0":
-        ts.move_left(0)
-
-
-def _scan_right_to_c0(ts: TapeSet) -> None:
-    while ts.read(0) != "C0":
-        ts.move_right(0)
-
-
 def _leaf_inline_fwd(ts: TapeSet, S: str) -> None:
     if S != "C0":
         ts.write(0, _UNMARK[S])
@@ -628,7 +615,7 @@ def _leaf_inline_fwd(ts: TapeSet, S: str) -> None:
     if s1 in ("(", "["):
         ts.move_left(0)
         _enter_fwd(ts, s1)
-        _scan_left_to_c0(ts)
+        ts.scan_left(0, ("C0",))
         ts.move_right(0)
         shift_suffix_left(ts, 0, 1)
         return
@@ -676,7 +663,7 @@ def _leaf_inline_bwd(ts: TapeSet, S: str) -> None:
     if s1 in (")", "]"):
         ts.move_right(0)
         _enter_bwd(ts, s1)
-        _scan_right_to_c0(ts)
+        ts.scan_right(0, ("C0",))
         ts.move_right(0)
         shift_suffix_left(ts, 0, 1)
         return

@@ -54,13 +54,10 @@ def test_boundary_faults():
 
 def test_step_monotonicity_exact():
     ts = init_tapes(["0", "1", "0"], 2)
-    n = 0
-    for action in ("read", "move_right", "read", "write", "move_left", "read"):
-        if action == "write":
-            ts.prim(0, "write", "1")
-        else:
-            ts.prim(0, action)
-        n += 1
+    actions = (lambda: ts.read(0), lambda: ts.move_right(0), lambda: ts.read(0),
+               lambda: ts.write(0, "1"), lambda: ts.move_left(0), lambda: ts.read(0))
+    for n, action in enumerate(actions, 1):
+        action()
         assert ts.steps == n
 
 
@@ -98,15 +95,6 @@ def test_read_output_alphabet_check():
         read_output(ts)
     ts.tapes[0].cells = [BEGIN, "0", BLANK, "V"]
     assert read_output(ts) == ["0"]
-
-
-def test_trace_lines():
-    lines = []
-    ts = init_tapes(["0"], 2, trace=lines.append)
-    ts.read(0)
-    ts.move_right(0)
-    assert lines[0].startswith("1,0,read,")
-    assert lines[1].startswith("2,0,move_right,")
 
 
 def test_shift_right_matches_manual():

@@ -247,3 +247,24 @@ def test_parse_matches_reference_parse():
     texts.append(REPRESENTATIONS["thompson-f"]().sample_nf(random.Random(3), 1 << 12))
     for text in texts:
         assert _parse_outcome(tf.parse, text) == _parse_outcome(ref_parse, text), text
+
+
+def _ref_validate(text):
+    try:
+        ref_parse(text)
+    except NotInLanguage:
+        return False
+    return True
+
+
+def test_validate_matches_reference_parse():
+    # every string over {a,b,#} up to length 10, then seeded strings with
+    # symbols from outside the alphabet
+    for k in range(11):
+        for t in itertools.product("ab#", repeat=k):
+            text = "".join(t)
+            assert tf.validate(text) == _ref_validate(text), text
+    rng = random.Random(12)
+    for _ in range(20000):
+        text = "".join(rng.choice("aaabbb###c\n xé") for _ in range(rng.randint(1, 30)))
+        assert tf.validate(text) == _ref_validate(text), text
