@@ -4,11 +4,15 @@ Model steps are the paper's cost and are deterministic, so any change to a
 count, or to an output, is a change in behaviour.  The committed ledger in
 `tests/data/step_ledger.json` covers every group x generator on seeded
 normal forms of 2^6, 2^10 and 2^14 symbols, the relators R1 and R2 of F and
-a few fixed words per group.  A refactor must leave it byte-identical; a
-change that moves a count regenerates it and says why in CHANGES.md.
+a few fixed words per group.  Its `walks` section reaches the short normal
+forms and the invalid inputs the large samples miss: every generator applied
+at every step of seeded walks from the identity, and, for the wreath
+products, whose raw programs halt on anything, to seeded random token
+strings.  A refactor must leave it byte-identical; a change that moves a
+count regenerates it and says why in CHANGES.md.
 
 Regenerate with `PYTHONPATH=src python tests/test_step_ledger.py`
-(about 2 s).
+(about 3 s).
 """
 
 import hashlib
@@ -17,6 +21,7 @@ import random
 from pathlib import Path
 
 from tapegroups import framework as fw
+from tapegroups.tokens import Z2F2_SIGMA, Z2Z2_SIGMA, render, render_z2f2
 
 LEDGER = Path(__file__).parent / "data" / "step_ledger.json"
 SIZES = (1 << 6, 1 << 10, 1 << 14)
@@ -24,6 +29,14 @@ SIZES = (1 << 6, 1 << 10, 1 << 14)
 R1 = ["x1", "x0-", "x0-", "x1-", "x0", "x0", "x1-", "x0-", "x1", "x0"]
 R2 = ["x1", "x0-", "x0-", "x0-", "x1-", "x0", "x0", "x0",
       "x1-", "x0-", "x0-", "x1", "x0", "x0"]
+
+
+# per group: (walks, steps per walk, random token strings, their max length)
+WALKS = {"z2wrz2": (40, 30, 1000, 30),
+         "z2wrf2": (30, 30, 5000, 14),
+         "thompson-f": (30, 30, 0, 0)}
+# alphabet and renderer for the random token strings
+RANDOM_TEXT = {"z2wrz2": (Z2Z2_SIGMA, render), "z2wrf2": (Z2F2_SIGMA, render_z2f2)}
 
 
 def _sha(text: str) -> str:
@@ -44,9 +57,48 @@ def _fixed_words(rep: fw.Representation):
     return words
 
 
+def _walk_entries(rep: fw.Representation, seed: int):
+    """(input, generator, steps, output) for every generator at every step of
+    the seeded walks, then at every seeded random token string."""
+    n_walks, length, n_random, max_tokens = WALKS[rep.group_id]
+    rng = random.Random(seed)
+    for _ in range(n_walks):
+        nf = rep.identity_nf
+        for _ in range(length):
+            outs = {}
+            for gen in rep.generators:
+                out, report = rep.apply_report(nf, gen)
+                outs[gen] = out
+                yield nf, gen, report.steps, out
+            nf = outs[rng.choice(rep.generators)]
+    if n_random:
+        sigma, render_tokens = RANDOM_TEXT[rep.group_id]
+        for _ in range(n_random):
+            # over a random part of the alphabet, so that long strings
+            # without a marker or without brackets occur too
+            pool = rng.sample(sigma, rng.randint(1, len(sigma)))
+            text = render_tokens([rng.choice(pool)
+                                  for _ in range(rng.randint(0, max_tokens))])
+            for gen in rep.generators:
+                out, report = rep.apply_report(text, gen)
+                yield text, gen, report.steps, out
+
+
+def _walks(rep: fw.Representation, seed: int) -> dict:
+    tally = {gen: [0, 0, hashlib.sha256()] for gen in rep.generators}
+    for text, gen, steps, out in _walk_entries(rep, seed):
+        row = tally[gen]
+        row[0] += 1
+        row[1] += steps
+        row[2].update(f"{text}\t{gen}\t{steps}\t{out}\n".encode())
+    return {gen: {"applications": n, "steps": steps, "sha256": h.hexdigest()}
+            for gen, (n, steps, h) in tally.items()}
+
+
 def build_ledger() -> dict:
     apply = {}
     fold = {}
+    walks = {}
     for group_id, make in fw.REPRESENTATIONS.items():
         rep = make()
         by_size = {}
@@ -64,7 +116,8 @@ def build_ledger() -> dict:
             nf, steps = fw.word_to_nf_report(rep, word)
             folds[name] = {"word": " ".join(word), "steps": steps, "nf": nf}
         fold[group_id] = folds
-    return {"apply": apply, "fold": fold}
+        walks[group_id] = _walks(rep, seed=1)
+    return {"apply": apply, "fold": fold, "walks": walks}
 
 
 def render_ledger(ledger: dict) -> str:
