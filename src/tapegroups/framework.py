@@ -32,7 +32,6 @@ class Representation:
     decode: Callable[[str], object]
     oracle_identity: object
     oracle_mul: Callable[[object, str], object]
-    oracle_eq: Callable[[object, object], bool]
     sample_nf: Callable[[random.Random, int], str]
     coverage_reset: Optional[Callable[[], None]] = None
     coverage_read: Optional[Callable[[], Dict[str, int]]] = None
@@ -109,7 +108,6 @@ def representation_z2wrz2() -> Representation:
         decode=z2wrz2.decode,
         oracle_identity=og.IDENTITY_Z2,
         oracle_mul=og.wreath_mul_gen,
-        oracle_eq=lambda x, y: x == y,
         sample_nf=_sample_z2wrz2,
     )
 
@@ -125,7 +123,6 @@ def representation_z2wrf2() -> Representation:
         decode=z2wrf2.decode,
         oracle_identity=og.IDENTITY_F2,
         oracle_mul=og.wreath_mul_gen,
-        oracle_eq=lambda x, y: x == y,
         sample_nf=_sample_z2wrf2,
     )
 
@@ -141,7 +138,6 @@ def representation_thompson_f() -> Representation:
         decode=og.pl_eval_normalform,
         oracle_identity=og.PL_IDENTITY,
         oracle_mul=og.pl_mul_gen,
-        oracle_eq=lambda x, y: x == y,
         sample_nf=_sample_thompson,
         coverage_reset=thompson_f.coverage_reset,
         coverage_read=lambda: dict(thompson_f.coverage),
@@ -225,7 +221,7 @@ def differential_fuzz(rep: Representation, trials: int, max_len: int,
             if not rep.validate(out):
                 failure = {"kind": "closure", "trial": trial, "word": list(word),
                            "nf": nf, "gen": gen, "got": out}
-            elif not rep.oracle_eq(rep.decode(out), elem2):
+            elif rep.decode(out) != elem2:
                 failure = {"kind": "psi-commutation", "trial": trial,
                            "word": list(word), "nf": nf, "gen": gen, "got": out}
             elif check_inverses and rep.apply(out, rep.inverse[gen]) != nf:

@@ -65,7 +65,6 @@ _Z2F2_CANON = {tok: tok for tok in Z2F2_SIGMA}
 _SPACED = {(p, t): p + " " for p in ("D0", "D1")
            for t in ("A0", "A1", "B0", "B1", "C0", "C1")}
 _SPACED.update({(p, t): p + " " for p in ("E0", "E1") for t in ("C0", "C1")})
-_NOT_F = str.maketrans("", "", "".join(F_SIGMA))
 
 
 def tokenize_z2z2(text: str) -> list[str]:
@@ -107,14 +106,6 @@ def render_z2f2(tokens: list[str]) -> str:
         return ""
     # each token but the last, with a space when it and its successor need one
     return "".join(map(_SPACED.get, zip(tokens, tokens[1:]), tokens)) + tokens[-1]
-
-
-def tokenize_f(text: str) -> list[str]:
-    """Tokenize ASCII text over {a,b,#}."""
-    bad = text.translate(_NOT_F)
-    if bad:
-        raise NotInLanguage(f"unknown symbol {bad[0]!r} at position {text.index(bad[0])}")
-    return list(text)
 
 
 def render(tokens: list[str]) -> str:

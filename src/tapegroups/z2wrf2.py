@@ -51,8 +51,14 @@ _UNMARK = {"D0C": "D0", "D1C": "D1", "D0B": "D0A", "D1B": "D1A",
            "E0C": "E0", "E1C": "E1", "C1": "1", "B0": "A0", "B1": "A1"}
 _COLLAPSE = {"E0": "C0", "E1": "C1", "D0": "C0", "D1": "C1",
              "D0A": "B0", "D1A": "B1"}
-_MARKED_OPEN = {"(": "(*", "[": "[*"}
-_MARKED_CLOSE = {")": ")*", "]": "]*"}
+_OPENS = ("(", "[")
+_CLOSES = (")", "]")
+_PARTNER = {"(": ")", ")": "(", "[": "]", "]": "["}
+# the unmarked pivots of a group, by either of its brackets
+_PIVOTS = {"(": D_PLAIN + D_A, ")": D_PLAIN + D_A, "[": E_PLAIN, "]": E_PLAIN}
+# per direction: the brackets that open a group ahead, those that close one,
+# and the end marker
+_WAY = {True: (_OPENS, _CLOSES, BLANK), False: (_CLOSES, _OPENS, BEGIN)}
 _SPROUT_D = {"C0": "D0", "C1": "D1", "B0": "D0A", "B1": "D1A"}
 _SPROUT_E = {"C0": "E0", "C1": "E1"}
 
@@ -383,20 +389,25 @@ def _scan_to_marker(ts: TapeSet):
     while True:
         ts.move_right(0)
         sym = ts.read(0)
-        if sym in ("(", "["):
+        if sym in _OPENS:
             ts.move_right(1)
             ts.write(1, sym)
-        elif sym in (")", "]"):
-            top = ts.read(1)
-            if (sym == ")" and top == "(") or (sym == "]" and top == "["):
-                ts.write(1, BLANK)
-                ts.move_left(1)
-            else:
+        elif sym in _CLOSES:
+            if not _pop(ts, sym, ts.read(1)):
                 return None, None
         elif sym in _STOP:
             return sym, ts.read(1)
         elif sym == BLANK:
             return None, None
+
+
+def _pop(ts: TapeSet, sym: str, top: str) -> bool:
+    """Pop the stack top if it is the partner of bracket sym, else stop."""
+    if top != _PARTNER[sym]:
+        return False
+    ts.write(1, BLANK)
+    ts.move_left(1)
+    return True
 
 
 def _program_toggle(ts: TapeSet) -> None:
@@ -425,111 +436,59 @@ def _mark_pivot(ts: TapeSet, sym: str) -> None:
         ts.write(0, _MARK[sym])
 
 
-def _enter_fwd(ts: TapeSet, open_sym: str) -> None:
-    """Head on an open bracket: mark the pivot of this group with the lamplighter."""
-    marked = _MARKED_OPEN[open_sym]
-    piv = D_PLAIN + D_A if open_sym == "(" else E_PLAIN
+def _enter(ts: TapeSet, bracket: str, fwd: bool) -> None:
+    """Head on the open (forward) or close (backward) bracket of a group: mark
+    the group's pivot with the lamplighter."""
+    marked = bracket + "*"
+    piv = _PIVOTS[bracket]
+    push, pop, end = _WAY[fwd]
+    move = ts.move_right if fwd else ts.move_left
     ts.move_right(1)
     ts.write(1, marked)
     while True:
-        ts.move_right(0)
+        move(0)
         sym = ts.read(0)
         if sym in piv:
             if ts.read(1) == marked:
                 _mark_pivot(ts, sym)
                 return
-        elif sym in ("(", "["):
+        elif sym in push:
             ts.move_right(1)
             ts.write(1, sym)
-        elif sym in (")", "]"):
+        elif sym in pop:
             top = ts.read(1)
-            if top == marked:
-                return  # no pivot found before our close: invalid input
-            if (sym == ")" and top == "(") or (sym == "]" and top == "["):
-                ts.write(1, BLANK)
-                ts.move_left(1)
-            else:
+            # our own partner before a pivot, or a mismatch: invalid input
+            if top == marked or not _pop(ts, sym, top):
                 return
-        elif sym == BLANK:
+        elif sym == end:
             return
 
 
-def _enter_bwd(ts: TapeSet, close_sym: str) -> None:
-    marked = _MARKED_CLOSE[close_sym]
-    piv = D_PLAIN + D_A if close_sym == ")" else E_PLAIN
-    ts.move_right(1)
+def _exit_group(ts: TapeSet, open_sym: str, fwd: bool) -> bool:
+    """Head on a group pivot, stack top our open bracket: move to our close
+    (forward) or our open (backward)."""
+    marked = open_sym + "*"
+    want = _PARTNER[open_sym] if fwd else open_sym
+    push, pop, end = _WAY[fwd]
+    move = ts.move_right if fwd else ts.move_left
     ts.write(1, marked)
     while True:
-        ts.move_left(0)
+        move(0)
         sym = ts.read(0)
-        if sym in piv:
-            if ts.read(1) == marked:
-                _mark_pivot(ts, sym)
-                return
-        elif sym in (")", "]"):
+        if sym in push:
             ts.move_right(1)
             ts.write(1, sym)
-        elif sym in ("(", "["):
+        elif sym in pop:
             top = ts.read(1)
             if top == marked:
-                return  # reached our open without a pivot: invalid
-            if (sym == "(" and top == ")") or (sym == "[" and top == "]"):
+                if fwd and sym != want:
+                    return False  # forward checks the kind before it pops
                 ts.write(1, BLANK)
                 ts.move_left(1)
-            else:
-                return
-        elif sym == BEGIN:
-            return
-
-
-def _exit_group_fwd(ts: TapeSet, open_sym: str) -> bool:
-    """Head on a group pivot, stack top our open bracket: move to our close."""
-    marked = _MARKED_OPEN[open_sym]
-    ts.write(1, marked)
-    while True:
-        ts.move_right(0)
-        sym = ts.read(0)
-        if sym in ("(", "["):
-            ts.move_right(1)
-            ts.write(1, sym)
-        elif sym in (")", "]"):
-            top = ts.read(1)
-            if top == marked:
-                if (sym == ")") != (open_sym == "("):
-                    return False
-                ts.write(1, BLANK)
-                ts.move_left(1)
-                return True
-            if (sym == ")" and top == "(") or (sym == "]" and top == "["):
-                ts.write(1, BLANK)
-                ts.move_left(1)
-            else:
+                return sym == want
+            if not _pop(ts, sym, top):
                 return False
-        elif sym == BLANK:
-            return False
-
-
-def _exit_group_bwd(ts: TapeSet, open_sym: str) -> bool:
-    marked = _MARKED_OPEN[open_sym]
-    ts.write(1, marked)
-    while True:
-        ts.move_left(0)
-        sym = ts.read(0)
-        if sym in (")", "]"):
-            ts.move_right(1)
-            ts.write(1, sym)
-        elif sym in ("(", "["):
-            top = ts.read(1)
-            if top == marked:
-                ts.write(1, BLANK)
-                ts.move_left(1)
-                return sym == open_sym
-            if (sym == "(" and top == ")") or (sym == "[" and top == "]"):
-                ts.write(1, BLANK)
-                ts.move_left(1)
-            else:
-                return False
-        elif sym == BEGIN:
+        elif sym == end:
             return False
 
 
@@ -550,17 +509,13 @@ def _move_and_land(ts: TapeSet, fwd: bool) -> None:
     if sym in _MARK:
         _mark_pivot(ts, sym)
         return
-    if fwd:
-        if sym in ("(", "["):
-            _enter_fwd(ts, sym)
-        elif sym in (")", "]") or sym == BLANK:
-            _insert_here(ts, "C0")
-    else:
-        if sym in (")", "]"):
-            _enter_bwd(ts, sym)
-        elif sym in ("(", "[") or sym == BEGIN:
+    push, pop, end = _WAY[fwd]
+    if sym in push:
+        _enter(ts, sym, fwd)
+    elif sym in pop or sym == end:
+        if not fwd:
             ts.move_right(0)
-            _insert_here(ts, "C0")
+        _insert_here(ts, "C0")
 
 
 def _sprout(ts: TapeSet, S: str, gen_axis: str, fwd: bool) -> None:
@@ -575,99 +530,63 @@ def _sprout(ts: TapeSet, S: str, gen_axis: str, fwd: bool) -> None:
     shift_suffix_right(ts, 0, toks[1:])
 
 
-def _leaf_inline_fwd(ts: TapeSet, S: str) -> None:
+def _leaf_inline(ts: TapeSet, S: str, fwd: bool) -> None:
+    """Move a leaf marker one item along its own line.  A plain C0 that leaves
+    the first (forward) or last (backward) item of its line takes the vacated
+    cell with it."""
     if S != "C0":
         ts.write(0, _UNMARK[S])
-        _move_and_land(ts, True)
+        _move_and_land(ts, fwd)
         return
-    ts.move_left(0)
+    push = _WAY[fwd][0]
+    ahead, back = (ts.move_right, ts.move_left) if fwd else (ts.move_left, ts.move_right)
+    back(0)
     T = ts.read(0)
-    ts.move_right(0)
-    if T not in ("(", "[", BEGIN):
-        ts.write(0, "0")
-        _move_and_land(ts, True)
+    ahead(0)
+    if T != BEGIN and T not in push:
+        # an inner cell becomes a plain 0; the last cell of the top line, the
+        # one backward alone finds a blank behind, is cut off
+        ts.write(0, BLANK if T == BLANK else "0")
+        _move_and_land(ts, fwd)
         return
-    # vacating the first item of its line: the freed cell must be trimmed
-    ts.move_right(0)
-    s1 = ts.read(0)
-    ts.move_right(0)
-    s2 = ts.read(0)
-    if (T == "[" and s1 in E_PLAIN and s2 == "]") or \
-       (T == "(" and s1 in _COLLAPSE and s1 not in E_PLAIN and s2 == ")"):
-        # the group held only the lamplighter: it dissolves into a leaf
-        collapsed = _COLLAPSE[s1]
-        ts.move_left(0)
-        ts.move_left(0)
-        ts.move_left(0)
-        ts.write(0, collapsed)
-        for _ in range(4):
-            ts.move_right(0)
-        shift_suffix_left(ts, 0, 3)
-        return
-    if s1 in _MARK:
-        ts.move_left(0)
-        ts.move_left(0)
-        _mark_pivot(ts, s1)
-        ts.move_right(0)
-        ts.move_right(0)
-        shift_suffix_left(ts, 0, 1)
-        return
-    if s1 in ("(", "["):
-        ts.move_left(0)
-        _enter_fwd(ts, s1)
-        ts.scan_left(0, ("C0",))
-        ts.move_right(0)
-        shift_suffix_left(ts, 0, 1)
-        return
-    # nothing to move onto: invalid input, halt
-
-
-def _leaf_inline_bwd(ts: TapeSet, S: str) -> None:
-    if S != "C0":
-        ts.write(0, _UNMARK[S])
-        _move_and_land(ts, False)
-        return
-    ts.move_right(0)
-    T = ts.read(0)
-    ts.move_left(0)
-    if T == BLANK:
-        ts.write(0, BLANK)
-        _move_and_land(ts, False)
-        return
-    if T not in (")", "]"):
-        ts.write(0, "0")
-        _move_and_land(ts, False)
-        return
-    # vacating the last item of its line
-    ts.move_left(0)
+    # vacating the first (forward) or last (backward) item of its line
+    ahead(0)
     s1 = ts.read(0)
     if s1 == BEGIN:
-        return  # malformed: a marked leaf cannot be the whole line
-    ts.move_left(0)
+        return  # malformed: backward, a leaf in cell 1 before a close bracket
+    ahead(0)
     s2 = ts.read(0)
-    if (T == "]" and s1 in E_PLAIN and s2 == "[") or \
-       (T == ")" and s1 in _COLLAPSE and s1 not in E_PLAIN and s2 == "("):
-        collapsed = _COLLAPSE[s1]
-        ts.write(0, collapsed)
+    # the two edits below rewrite the leftmost cell they change and delete
+    # the cells after it; only the moves that reach that cell differ
+    if s2 == _PARTNER.get(T) and s1 in _PIVOTS.get(T, ()):
+        # the group held only the lamplighter: it dissolves into a leaf
+        if fwd:
+            ts.move_left(0)
+            ts.move_left(0)
+            ts.move_left(0)
+        ts.write(0, _COLLAPSE[s1])
         for _ in range(4):
             ts.move_right(0)
         shift_suffix_left(ts, 0, 3)
         return
     if s1 in _MARK:
-        ts.move_right(0)
+        if fwd:
+            ts.move_left(0)
+            ts.move_left(0)
+        else:
+            ts.move_right(0)
         _mark_pivot(ts, s1)
         ts.move_right(0)
         ts.move_right(0)
         shift_suffix_left(ts, 0, 1)
         return
-    if s1 in (")", "]"):
-        ts.move_right(0)
-        _enter_bwd(ts, s1)
-        ts.scan_right(0, ("C0",))
+    if s1 in push:
+        back(0)
+        _enter(ts, s1, fwd)
+        (ts.scan_left if fwd else ts.scan_right)(0, ("C0",))
         ts.move_right(0)
         shift_suffix_left(ts, 0, 1)
-        return
-    # invalid input, halt
+    # else nothing to move onto: invalid input, halt
 
 
 def _program_move(ts: TapeSet, gen: str) -> None:
@@ -694,10 +613,7 @@ def _program_move(ts: TapeSet, gen: str) -> None:
             return
         line_axis = "b" if P == "(" else "a"
         if axis == line_axis:
-            if fwd:
-                _leaf_inline_fwd(ts, S)
-            else:
-                _leaf_inline_bwd(ts, S)
+            _leaf_inline(ts, S, fwd)
         else:
             _sprout(ts, S, axis, fwd)
         return
@@ -706,12 +622,8 @@ def _program_move(ts: TapeSet, gen: str) -> None:
         ts.write(0, "D0" if S == "E0C" else "D1")
     else:
         ts.write(0, _UNMARK[S])
-    if axis == own:
+    if axis == own or _exit_group(ts, P, fwd):
         _move_and_land(ts, fwd)
-    else:
-        ok = _exit_group_fwd(ts, P) if fwd else _exit_group_bwd(ts, P)
-        if ok:
-            _move_and_land(ts, fwd)
 
 
 def apply_gen_report(text: str, gen: str) -> Tuple[str, StepReport]:

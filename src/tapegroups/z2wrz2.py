@@ -28,9 +28,13 @@ IDENTITY_NF = "C0"
 
 _GEN_DIR = {"a": "+a", "a-": "-a", "b": "+b", "b-": "-b"}
 _C = ("C0", "C1")
+_END = (*_C, BLANK)  # where a scan for the lamplighter stops
 
 # region-scan order over the first nine cells of the spiral
 _FIRST_REGIONS = ("O", "L1", "L2", "D2", "L3", "D3", "L4", "D4", "D4")
+# from the second winding on: each side's sweep, with the region a full sweep
+# flips to on reaching the next side
+_SWEEPS = (("D1", "L2"), ("D2", "L3"), ("D3", "L4"), ("D4", None))
 
 
 # ---------------------------------------------------------------------------
@@ -83,35 +87,10 @@ def _scan_to_mark(ts: TapeSet) -> str | None:
     Leaves the tape-1 head on the C-token and the tape-2 head on the first
     blank after the unary turn counter.
     """
-    S = None
 
     def step1() -> str:
         ts.move_right(0)
         return ts.read(0)
-
-    def normalize() -> None:
-        while ts.read(1) != BLANK:
-            ts.move_right(1)
-
-    # cells 1..9
-    for region in _FIRST_REGIONS:
-        sym = step1()
-        S = region
-        if sym in _C:
-            normalize()
-            return S
-        if sym == BLANK:
-            return None
-    # cell 10: first corner of the second winding; first T on tape 2
-    sym = step1()
-    ts.move_right(1)
-    ts.write(1, "T")
-    S = "L1"
-    if sym in _C:
-        normalize()
-        return S
-    if sym == BLANK:
-        return None
 
     def sweep(region: str, flip_to: str | None) -> Tuple[str, str | None]:
         # one loop sub-phase: read the next cell while stepping tape 2 left,
@@ -119,46 +98,46 @@ def _scan_to_mark(ts: TapeSet) -> str | None:
         # to the blank; the final paired read sits on the next corner.
         sym = step1()
         ts.move_left(1)
-        if sym in _C or sym == BLANK:
+        if sym in _END:
             return region, sym
         while ts.read(1) != BEGIN:
             ts.move_left(1)
             sym = step1()
-            if sym in _C or sym == BLANK:
+            if sym in _END:
                 return region, sym
         while True:
             ts.move_right(1)
             at_blank = ts.read(1) == BLANK
             sym = step1()
             here = flip_to if (at_blank and flip_to) else region
-            if sym in _C or sym == BLANK:
+            if sym in _END:
                 return here, sym
             if at_blank:
                 return here, None
 
-    while True:
-        for region, flip_to in (("D1", "L2"), ("D2", "L3"), ("D3", "L4")):
-            S, stopped = sweep(region, flip_to)
-            if stopped in _C:
-                normalize()
-                return S
-            if stopped == BLANK:
-                return None
-        S, stopped = sweep("D4", None)
-        if stopped in _C:
-            normalize()
-            return S
-        if stopped == BLANK:
-            return None
-        # next corner: read it, extend the turn counter
-        sym = step1()
-        ts.write(1, "T")
-        S = "L1"
-        if sym in _C:
-            normalize()
-            return S
-        if sym == BLANK:
-            return None
+    def walk() -> Tuple[str, str]:
+        # the region and the C-token or blank the walk stops on
+        for region in _FIRST_REGIONS:  # cells 1..9
+            sym = step1()
+            if sym in _END:
+                return region, sym
+        sym = step1()  # cell 10: first corner of the second winding
+        ts.move_right(1)
+        while True:
+            ts.write(1, "T")  # one more turn on the counter
+            if sym in _END:
+                return "L1", sym
+            for region, flip_to in _SWEEPS:
+                S, stopped = sweep(region, flip_to)
+                if stopped is not None:
+                    return S, stopped
+            sym = step1()  # the next corner
+
+    S, sym = walk()
+    if sym == BLANK:
+        return None
+    ts.scan_right(1, (BLANK,))
+    return S
 
 
 def _sweep_pair(ts: TapeSet, mode: str, one_move) -> None:
@@ -186,58 +165,32 @@ def _sweep_pair(ts: TapeSet, mode: str, one_move) -> None:
                 return
 
 
-def _move_mark_right(ts: TapeSet, c_const) -> None:
-    """Move the C-mark right by 1 (c_const None) or by 8i + c_const."""
+def _move_mark(ts: TapeSet, c_const, fwd: bool) -> None:
+    """Move the C-mark right (fwd) or left by 1 (c_const None) or by
+    8i + c_const.  Moving left erases the tail the lamplighter frees."""
     old = ts.read(0)
-    ts.write(0, "0" if old == "C0" else "1")
-
-    def forward():
-        ts.move_right(0)
-        if ts.read(0) == BLANK:
-            ts.write(0, "0")
-
-    if c_const is None:
-        remainder = 1
-    else:
-        mode = "full" if c_const >= 9 else ("short" if c_const >= 5 else "bare")
-        base = {"full": 8, "short": 4, "bare": 0}[mode]
-        remainder = c_const - base
-        for _ in range(4):
-            _sweep_pair(ts, mode, forward)
-    for _ in range(remainder - 1):
-        forward()
-    ts.move_right(0)
-    sym = ts.read(0)
-    if sym in ("0", BLANK):
-        ts.write(0, "C0")
-    elif sym == "1":
-        ts.write(0, "C1")
-
-
-def _move_mark_left(ts: TapeSet, c_const) -> None:
-    """Move the C-mark left by 1 or by 8i + c_const, erasing a freed tail."""
-    old = ts.read(0)
-    if old == "C1":
-        erase = False
-    else:
+    erase = False
+    if not fwd and old != "C1":
         ts.move_right(0)
         erase = ts.read(0) == BLANK
         ts.move_left(0)
-    if erase:
-        ts.write(0, BLANK)
+    ts.write(0, BLANK if erase else ("0" if old == "C0" else "1"))
+
+    if fwd:
+        def one_move():
+            ts.move_right(0)
+            if ts.read(0) == BLANK:
+                ts.write(0, "0")
     else:
-        ts.write(0, "0" if old == "C0" else "1")
-
-    state = {"erase": erase}
-
-    def backward():
-        ts.move_left(0)
-        sym = ts.read(0)
-        if state["erase"]:
-            if sym == "0":
-                ts.write(0, BLANK)
-            elif sym == "1":
-                state["erase"] = False
+        def one_move():
+            nonlocal erase
+            ts.move_left(0)
+            sym = ts.read(0)
+            if erase:
+                if sym == "0":
+                    ts.write(0, BLANK)
+                elif sym == "1":
+                    erase = False
 
     if c_const is None:
         remainder = 1
@@ -246,29 +199,25 @@ def _move_mark_left(ts: TapeSet, c_const) -> None:
         base = {"full": 8, "short": 4, "bare": 0}[mode]
         remainder = c_const - base
         for _ in range(4):
-            _sweep_pair(ts, mode, backward)
+            _sweep_pair(ts, mode, one_move)
     for _ in range(remainder - 1):
-        backward()
-    ts.move_left(0)
+        one_move()
+    if fwd:
+        ts.move_right(0)
+    else:
+        ts.move_left(0)
     sym = ts.read(0)
-    if sym == "0":
+    if sym == "0" or (fwd and sym == BLANK):  # forward, a blank lands as C0
         ts.write(0, "C0")
     elif sym == "1":
         ts.write(0, "C1")
 
 
 def _program_toggle(ts: TapeSet) -> None:
-    while True:
-        ts.move_right(0)
-        sym = ts.read(0)
-        if sym == "C0":
-            ts.write(0, "C1")
-            return
-        if sym == "C1":
-            ts.write(0, "C0")
-            return
-        if sym == BLANK:
-            return
+    ts.move_right(0)
+    sym = ts.scan_right(0, _END)
+    if sym != BLANK:
+        ts.write(0, "C1" if sym == "C0" else "C0")
 
 
 def _program_move(ts: TapeSet, gen: str) -> None:
@@ -276,11 +225,7 @@ def _program_move(ts: TapeSet, gen: str) -> None:
     if S is None:
         return
     sign, kind = spiral.JUMPS[_GEN_DIR[gen]][S]
-    c_const = None if kind == "one" else kind
-    if sign > 0:
-        _move_mark_right(ts, c_const)
-    else:
-        _move_mark_left(ts, c_const)
+    _move_mark(ts, None if kind == "one" else kind, sign > 0)
 
 
 def apply_gen_report(text: str, gen: str) -> Tuple[str, StepReport]:

@@ -27,7 +27,8 @@ SMALL = ("a", "b", "#", BLANK, "x")
 # as well (134 s); raise it to repeat that.
 SMALL_LEN = 6
 # every stop set a program scans for, by direction
-RIGHT_STOPS = ((BLANK,), ("#",), ("#", BLANK), ("C0",), z2wrf2._TOGGLE_STOP)
+RIGHT_STOPS = ((BLANK,), ("#",), ("#", BLANK), ("C0",), ("C0", "C1", BLANK),
+               z2wrf2._TOGGLE_STOP)
 LEFT_STOPS = ((BEGIN,), ("b", BEGIN), ("C0",))
 NEVER = "never halts"
 
