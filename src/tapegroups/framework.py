@@ -15,7 +15,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from . import oracle_groups as og
 from . import spiral, thompson_f, z2wrf2, z2wrz2
-from .errors import BadWord
+from .errors import BadWord, NotInLanguage
 from .tapevm import StepReport
 
 ApplyFn = Callable[[str, str], Tuple[str, StepReport]]
@@ -29,7 +29,7 @@ class Representation:
     identity_nf: str
     apply_report: ApplyFn
     validate: Callable[[str], bool]
-    decode: Callable[[str], object]
+    decode: Callable[[str], object]  # raises NotInLanguage off the language
     oracle_identity: object
     oracle_mul: Callable[[object, str], object]
     sample_nf: Callable[[random.Random, int], str]
@@ -97,6 +97,14 @@ def _sample_thompson(rng: random.Random, target: int) -> str:
     return thompson_f.serialize(thompson_f.ExpSeq(tuple(rs), tuple(ss)))
 
 
+def _decode_thompson(nf: str) -> og.DyadicPL:
+    """The PL map of an F normal form.  pl_eval_normalform alone also maps
+    block strings that are not reduced, so membership is checked first."""
+    if not thompson_f.validate(nf):
+        raise NotInLanguage("not a normal form of thompson-f")
+    return og.pl_eval_normalform(nf)
+
+
 def representation_z2wrz2() -> Representation:
     return Representation(
         group_id="z2wrz2",
@@ -135,7 +143,7 @@ def representation_thompson_f() -> Representation:
         identity_nf=thompson_f.IDENTITY_NF,
         apply_report=thompson_f.apply_gen_report,
         validate=thompson_f.validate,
-        decode=og.pl_eval_normalform,
+        decode=_decode_thompson,
         oracle_identity=og.PL_IDENTITY,
         oracle_mul=og.pl_mul_gen,
         sample_nf=_sample_thompson,
@@ -199,8 +207,9 @@ class FuzzReport:
 def differential_fuzz(rep: Representation, trials: int, max_len: int,
                       seed: int, check_inverses: bool = True) -> FuzzReport:
     """Random walks from the identity; after every step the output must
-    validate, match the oracle through decode, and cancel with the inverse
-    generator.  Stops at the first counterexample."""
+    decode (the closure check: decode raises NotInLanguage on a non-member),
+    match the oracle, and cancel with the inverse generator.  Stops at the
+    first counterexample."""
     rng = random.Random(seed)
     if rep.coverage_reset:
         rep.coverage_reset()
@@ -218,16 +227,15 @@ def differential_fuzz(rep: Representation, trials: int, max_len: int,
             elem2 = rep.oracle_mul(elem, gen)
             checks += 1
             per_gen[gen] += 1
-            if not rep.validate(out):
-                failure = {"kind": "closure", "trial": trial, "word": list(word),
+            try:
+                kind = "psi-commutation" if rep.decode(out) != elem2 else None
+            except NotInLanguage:
+                kind = "closure"
+            if kind is None and check_inverses and rep.apply(out, rep.inverse[gen]) != nf:
+                kind = "inverse-pair"
+            if kind:
+                failure = {"kind": kind, "trial": trial, "word": list(word),
                            "nf": nf, "gen": gen, "got": out}
-            elif rep.decode(out) != elem2:
-                failure = {"kind": "psi-commutation", "trial": trial,
-                           "word": list(word), "nf": nf, "gen": gen, "got": out}
-            elif check_inverses and rep.apply(out, rep.inverse[gen]) != nf:
-                failure = {"kind": "inverse-pair", "trial": trial,
-                           "word": list(word), "nf": nf, "gen": gen, "got": out}
-            if failure:
                 break
             nf, elem = out, elem2
         if failure:

@@ -32,16 +32,6 @@ from .errors import NotInLanguage
 BEGIN = "⊞"  # immovable start marker at cell 0
 BLANK = "⊡"  # blank cell
 
-# Work symbols that only ever appear on auxiliary tapes.
-TURN = "T"          # unary turn counter
-MARK_LP = "(*"      # marked stack copies of the four brackets
-MARK_LB = "[*"
-MARK_RP = ")*"
-MARK_RB = "]*"
-CONV_B_HASH = "b#"  # convolution pairs (b-track, #-track)
-CONV_B_NONE = "b_"
-CONV_NONE_HASH = "_#"
-
 # Z2 wr Z2 alphabet.
 Z2Z2_SIGMA = ("0", "1", "C0", "C1")
 

@@ -8,6 +8,12 @@ iterations, into a bracketed group: '(' groups enumerate a vertical line
 around their pivot, '[' groups a horizontal one.  Superscripts mark the
 identity (A/B forms) and the lamplighter (C forms, B forms when both).
 
+The encoder builds the fixpoint of that construction once, as a tree whose
+level k holds the symbols nested in k groups.  Counting the top line as
+iteration 0, the stream after iteration k is the tree rendered with the
+levels below k expanded.  Encoder and decoder walk the nesting with explicit
+stacks, so no nesting depth is too deep for them.
+
 The generator programs scan tape 1 to the lamplighter marker with tape 2 as a
 bracket stack, then move the marker one position along the generator's axis:
 within a line this is a neighbouring item (entering sibling groups at their
@@ -17,7 +23,7 @@ that empties a group collapses it.  All edits are constant-size suffix shifts.
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, List, Tuple, Union
+from typing import List, Tuple, Union
 
 from .errors import BadWord, NotInLanguage
 from .oracle_groups import LampConfigF2
@@ -66,28 +72,23 @@ _INV = {"a": "A", "A": "a", "b": "B", "B": "b"}
 
 
 # ---------------------------------------------------------------------------
-# encoder: the iterative construction, recorded iteration by iteration
+# encoder: the construction tree, built once and cut at each iteration's depth
 
-class _Pending:
-    """An expandable symbol: its token plus the perpendicular suffixes below it."""
+class _Node:
+    """An expandable D/E symbol: its token, the perpendicular suffixes below it
+    and, once expanded, the items of its line (its own token is the pivot)."""
 
-    __slots__ = ("token", "axis", "entries")
+    __slots__ = ("token", "axis", "entries", "items")
 
     def __init__(self, token: str, axis: str, entries):
         self.token = token
         self.axis = axis            # axis of the expansion line ('b' for '(')
         self.entries = entries      # [(suffix, lamp, isz)]
+        self.items: List[Item] = []
 
 
-class _Group:
-    __slots__ = ("bracket", "items")
-
-    def __init__(self, bracket: str, items):
-        self.bracket = bracket
-        self.items = items
-
-
-Item = Union[str, _Pending, _Group]
+Item = Union[str, _Node]
+_BRACKETS = {"b": ("(", ")"), "a": ("[", "]")}
 
 
 def _split_run(word: str, axis: str) -> Tuple[int, str]:
@@ -146,7 +147,7 @@ def _cell_item(lamp: bool, isz: bool, perp, axis: str, at_top: bool, is_e: bool)
         else:
             tok = ("C" + bit) if isz else bit
     if perp:
-        return _Pending(tok, "b" if axis == "a" else "a", perp)
+        return _Node(tok, "b" if axis == "a" else "a", perp)
     return tok
 
 
@@ -186,72 +187,73 @@ def _scan_line(entries, axis: str, at_top: bool):
     return neg, pos
 
 
-def _render_items(items: Iterable[Item]) -> str:
-    out: List[str] = []
-
-    def walk(it: Item) -> None:
-        if isinstance(it, str):
-            out.append(it)
-        elif isinstance(it, _Pending):
-            out.append(it.token)
-        else:
-            out.append(it.bracket)
-            for sub in it.items:
-                walk(sub)
-            out.append(")" if it.bracket == "(" else "]")
-
-    for it in items:
-        walk(it)
-    return render_z2f2(out)
-
-
-def _expand_once(items: List[Item], axis: str) -> Tuple[List[Item], bool]:
-    changed = False
-    new_items: List[Item] = []
-    for it in items:
-        if isinstance(it, _Pending) and it.axis == axis:
-            changed = True
-            neg, pos = _scan_line(it.entries, axis, False)
-            bracket = "(" if axis == "b" else "["
-            new_items.append(_Group(bracket, neg + [it.token] + pos))
-        elif isinstance(it, _Group):
-            sub, ch = _expand_once(it.items, axis)
-            changed = changed or ch
-            new_items.append(_Group(it.bracket, sub))
-        else:
-            new_items.append(it)
-    return new_items, changed
-
-
-def _iterations(config: LampConfigF2) -> Iterator[List[Item]]:
-    """Item lists after each construction iteration, up to the fixpoint."""
+def _build(config: LampConfigF2) -> Tuple[List[Item], int]:
+    """The fixpoint tree and its number of levels.  Level k holds the nodes
+    inside k groups.  The axes alternate with the level, so each iteration of
+    the construction expands exactly the next level.  Each node is expanded
+    once."""
     entries = [(w, True, w == config.pos) for w in sorted(config.lit)]
     if config.pos not in config.lit:
         entries.append((config.pos, False, True))
-    items = _scan_line(entries, "a", True)
-    yield items
-    axis = "b"
-    while True:
-        items, changed = _expand_once(items, axis)
-        if not changed:
-            return
-        yield items
-        axis = "a" if axis == "b" else "b"
+    top = _scan_line(entries, "a", True)
+    level = [it for it in top if isinstance(it, _Node)]
+    levels = 0
+    while level:
+        levels += 1
+        below: List[_Node] = []
+        for node in level:
+            neg, pos = _scan_line(node.entries, node.axis, False)
+            node.items = neg + [node.token] + pos
+            node.entries = None
+            below += [it for it in node.items if isinstance(it, _Node)]
+        level = below
+    return top, levels
+
+
+def _render(top: List[Item], cut: int) -> str:
+    """The tree's token stream with the levels below `cut` expanded; a node on
+    level `cut` or deeper prints as its token."""
+    out: List[str] = []
+    stack = [(iter(top), "")]  # per open line: its remaining items, its close
+    while stack:
+        items, close = stack[-1]
+        for it in items:
+            if isinstance(it, str):
+                out.append(it)
+            elif len(stack) > cut:
+                out.append(it.token)
+            else:
+                opener, closer = _BRACKETS[it.axis]
+                out.append(opener)
+                stack.append((iter(it.items), closer))
+                break
+        else:
+            stack.pop()
+            if close:
+                out.append(close)
+    return render_z2f2(out)
 
 
 def encode_iterations(config: LampConfigF2) -> List[str]:
     """Token streams after each construction iteration, up to the fixpoint."""
-    return [_render_items(items) for items in _iterations(config)]
+    top, levels = _build(config)
+    return [_render(top, cut) for cut in range(levels + 1)]
 
 
 def encode(config: LampConfigF2) -> str:
-    for items in _iterations(config):
-        pass  # keep only the fixpoint alive
-    return _render_items(items)
+    return _render(*_build(config))
 
 
 # ---------------------------------------------------------------------------
 # decoder / validator
+
+class _Group:
+    __slots__ = ("bracket", "items")
+
+    def __init__(self, bracket: str, items):
+        self.bracket = bracket
+        self.items = items
+
 
 def _parse_groups(toks: List[str]):
     stack: List[Tuple[str, list]] = [("", [])]
@@ -307,37 +309,6 @@ def decode(text: str) -> LampConfigF2:
             if elem != "":
                 raise NotInLanguage("identity marker away from the anchor cell")
 
-    def walk_group(group: _Group, base: str, top_group: bool) -> None:
-        piv = _pivot_index(group)
-        pivot = group.items[piv]
-        letter = "b" if group.bracket == "(" else "a"
-        if pivot in D_C + D_A + D_B and not top_group:
-            raise NotInLanguage("top-level pivot class below the top level")
-        if pivot in E_C and top_group:
-            raise NotInLanguage("E-class pivot in a top-level group")
-        if len(group.items) < 2:
-            raise NotInLanguage("expanded group with an empty interior")
-        emit(pivot, base)
-        before = group.items[:piv]
-        after = group.items[piv + 1:]
-        if before and before[0] == "0":
-            raise NotInLanguage("untrimmed zero at the far end of a group side")
-        if after and after[-1] == "0":
-            raise NotInLanguage("untrimmed zero at the far end of a group side")
-        for seq, sign in ((before, -1), (after, +1)):
-            for n, it in enumerate(seq):
-                off = (len(seq) - n) if sign < 0 else (n + 1)
-                elem = base + (_INV[letter] if sign < 0 else letter) * off
-                if isinstance(it, _Group):
-                    want = "[" if group.bracket == "(" else "("
-                    if it.bracket != want:
-                        raise NotInLanguage("group nesting does not alternate")
-                    walk_group(it, elem, False)
-                elif it in ("0", "1") + C_LEAF:
-                    emit(it, elem)
-                else:
-                    raise NotInLanguage(f"token {it!r} not allowed inside a group")
-
     anchor_positions = []
     for i, it in enumerate(items):
         if isinstance(it, _Group):
@@ -357,13 +328,36 @@ def decode(text: str) -> LampConfigF2:
     if items[0] == "0" or items[-1] == "0":
         raise NotInLanguage("untrimmed zero at the end of the top line")
     a0 = anchor_positions[0]
-    for i, it in enumerate(items):
-        d = i - a0
-        elem = "a" * d if d >= 0 else "A" * (-d)
-        if isinstance(it, _Group):
-            walk_group(it, elem, True)
-        else:
-            emit(it, elem)
+    # depth first in token order: frames of an item, its element and the
+    # bracket of the group around it ('' on the top line)
+    stack = [(it, "a" * (i - a0) if i >= a0 else "A" * (a0 - i), "")
+             for i, it in reversed(list(enumerate(items)))]
+    while stack:
+        it, base, outer = stack.pop()
+        if not isinstance(it, _Group):
+            if outer and it not in ("0", "1") + C_LEAF:
+                raise NotInLanguage(f"token {it!r} not allowed inside a group")
+            emit(it, base)
+            continue
+        if it.bracket == outer:
+            raise NotInLanguage("group nesting does not alternate")
+        piv = _pivot_index(it)
+        pivot = it.items[piv]
+        if pivot in D_C + D_A + D_B and outer:
+            raise NotInLanguage("top-level pivot class below the top level")
+        if pivot in E_C and not outer:
+            raise NotInLanguage("E-class pivot in a top-level group")
+        if len(it.items) < 2:
+            raise NotInLanguage("expanded group with an empty interior")
+        emit(pivot, base)
+        if it.items[0] == "0" or it.items[-1] == "0":  # a pivot is never 0
+            raise NotInLanguage("untrimmed zero at the far end of a group side")
+        letter = "b" if it.bracket == "(" else "a"
+        back = _INV[letter]
+        for k in range(len(it.items) - 1, -1, -1):
+            if k != piv:
+                step = (letter * (k - piv)) if k > piv else back * (piv - k)
+                stack.append((it.items[k], base + step, it.bracket))
     if out["marker"] is None:
         raise NotInLanguage("no lamplighter marker")
     pos = out["pos"][0]
@@ -457,7 +451,9 @@ def _enter(ts: TapeSet, bracket: str, fwd: bool) -> None:
             ts.write(1, sym)
         elif sym in pop:
             top = ts.read(1)
-            # our own partner before a pivot, or a mismatch: invalid input
+            # our own partner before a pivot, or a mismatch: invalid input.
+            # Backward, the mismatch and the BEGIN exit below cannot fire: a
+            # backward run only crosses brackets _scan_to_marker has matched.
             if top == marked or not _pop(ts, sym, top):
                 return
         elif sym == end:
@@ -486,6 +482,8 @@ def _exit_group(ts: TapeSet, open_sym: str, fwd: bool) -> bool:
                 ts.write(1, BLANK)
                 ts.move_left(1)
                 return sym == want
+            # backward, this mismatch and the BEGIN exit below cannot fire: a
+            # backward run only crosses brackets _scan_to_marker has matched
             if not _pop(ts, sym, top):
                 return False
         elif sym == end:
@@ -608,8 +606,6 @@ def _program_move(ts: TapeSet, gen: str) -> None:
             return
     else:
         if S in B_LEAF and P != BEGIN:
-            return
-        if S in C_LEAF and P not in ("(", "[", BEGIN):
             return
         line_axis = "b" if P == "(" else "a"
         if axis == line_axis:

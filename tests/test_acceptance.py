@@ -10,6 +10,7 @@ import time
 
 from tapegroups import framework as fw
 from tapegroups import spiral, thompson_f, z2wrf2
+from tapegroups.errors import NotInLanguage
 from tapegroups.tapevm import StepReport
 
 SIZES = (64, 128, 256, 512, 1024, 2048, 4096, 8192, 16384)
@@ -36,8 +37,9 @@ def _verdict(num: int, ok: bool, text: str) -> None:
 def _walk_corpus(rep, per_gen: int, seed: int):
     """Seeded random walks until every generator has per_gen checked samples.
 
-    Each step checks validation, psi-commutation against the oracle, and the
-    inverse-pair cancellation (criteria 1 and 7 share the corpus).
+    Each step checks closure (decode raises NotInLanguage on a non-member),
+    psi-commutation against the oracle, and the inverse-pair cancellation
+    (criteria 1 and 7 share the corpus).
     """
     rng = random.Random(seed)
     tally = {g: 0 for g in rep.generators}
@@ -53,10 +55,12 @@ def _walk_corpus(rep, per_gen: int, seed: int):
             out = rep.apply(nf, gen)
             elem = rep.oracle_mul(elem, gen)
             tally[gen] += 1
-            if not rep.validate(out):
+            try:
+                decoded = rep.decode(out)
+            except NotInLanguage:  # decode is the closure check
                 failures.append(("closure", word, nf, gen, out))
                 break
-            if rep.decode(out) != elem:
+            if decoded != elem:
                 failures.append(("psi", word, nf, gen, out))
                 break
             if rep.apply(out, rep.inverse[gen]) != nf:

@@ -1,7 +1,9 @@
 import json
 
 from tapegroups import framework as fw
+from tapegroups import z2wrf2
 from tapegroups.cli import run
+from tapegroups.oracle_groups import IDENTITY_F2, wreath_mul_gen
 
 
 def test_mul_matches_library(capsys):
@@ -28,6 +30,15 @@ def test_normalize_and_wp(capsys):
     assert capsys.readouterr().out.strip() == "trivial"
     assert run(["wp", "--group", "z2wrz2", "--word", "c a c a-"]) == 0
     assert capsys.readouterr().out.strip() == "nontrivial"
+
+
+def test_mul_on_a_deeply_nested_form(capsys):
+    cfg = IDENTITY_F2
+    for gen in ["a", "c", "b", "c"] * 600:  # about 1200 nested groups
+        cfg = wreath_mul_gen(cfg, gen)
+    nf = z2wrf2.encode(cfg)
+    assert run(["mul", "--group", "z2wrf2", "--nf", nf, "--gen", "b"]) == 0
+    assert capsys.readouterr().out.splitlines()[0] == z2wrf2.apply_gen(nf, "b")
 
 
 def test_exit_codes(capsys):

@@ -3,8 +3,8 @@ import random
 import pytest
 
 from tapegroups import z2wrf2 as z
-from tapegroups.errors import BadWord
-from tapegroups.framework import REPRESENTATIONS
+from tapegroups.errors import BadWord, NotInLanguage
+from tapegroups.framework import REPRESENTATIONS, word_to_nf
 from tapegroups.oracle_groups import IDENTITY_F2, LampConfigF2, f2_reduce, wreath_mul_gen
 from tapegroups.tokens import render_z2f2, tokenize_z2f2
 
@@ -52,6 +52,20 @@ def test_decode_rejections():
     ]
     for s in bad:
         assert not z.validate(s), s
+
+
+def test_decode_reports_the_first_fault_in_token_order():
+    # each form has two faults; decode names the one that comes first
+    cases = {
+        "A0(E0D1[01])": "token 'E0' not allowed inside a group",
+        "A0(1D1[]1E1)": "group without a unique pivot",
+        "A0(1D1[E0]A0)": "expanded group with an empty interior",
+        "A0(1D10E01A0)": "token 'E0' not allowed inside a group",
+    }
+    for text, message in cases.items():
+        with pytest.raises(NotInLanguage) as err:
+            z.decode(text)
+        assert str(err.value) == message, text
 
 
 def test_fig3_decode_and_iteration_replay():
@@ -165,11 +179,126 @@ def test_unknown_generator_raises_bad_word():
         z.apply_gen_report("?", "x9")
 
 
+# -- the fixpoint encoder the construction tree replaced, kept as a reference --
+
+class RefGroup:
+    def __init__(self, bracket, items):
+        self.bracket = bracket
+        self.items = items
+
+
+def ref_render_items(items):
+    out = []
+
+    def walk(it):
+        if isinstance(it, str):
+            out.append(it)
+        elif isinstance(it, z._Node):
+            out.append(it.token)
+        else:
+            out.append(it.bracket)
+            for sub in it.items:
+                walk(sub)
+            out.append(")" if it.bracket == "(" else "]")
+
+    for it in items:
+        walk(it)
+    return render_z2f2(out)
+
+
+def ref_expand_once(items, axis):
+    changed = False
+    new_items = []
+    for it in items:
+        if isinstance(it, z._Node) and it.axis == axis:
+            changed = True
+            neg, pos = z._scan_line(it.entries, axis, False)
+            bracket = "(" if axis == "b" else "["
+            new_items.append(RefGroup(bracket, neg + [it.token] + pos))
+        elif isinstance(it, RefGroup):
+            sub, ch = ref_expand_once(it.items, axis)
+            changed = changed or ch
+            new_items.append(RefGroup(it.bracket, sub))
+        else:
+            new_items.append(it)
+    return new_items, changed
+
+
+def ref_iterations(config):
+    """Item lists after each construction iteration, up to the fixpoint."""
+    entries = [(w, True, w == config.pos) for w in sorted(config.lit)]
+    if config.pos not in config.lit:
+        entries.append((config.pos, False, True))
+    items = z._scan_line(entries, "a", True)
+    yield items
+    axis = "b"
+    while True:
+        items, changed = ref_expand_once(items, axis)
+        if not changed:
+            return
+        yield items
+        axis = "a" if axis == "b" else "b"
+
+
+def ref_encode_iterations(config):
+    return [ref_render_items(items) for items in ref_iterations(config)]
+
+
+def _random_configs(seed, count, max_word, max_lamps):
+    rng = random.Random(seed)
+    for _ in range(count):
+        lamps = frozenset(f2_reduce("".join(rng.choice("aAbB") for _ in range(rng.randint(0, max_word))))
+                          for _ in range(rng.randint(0, max_lamps)))
+        pos = f2_reduce("".join(rng.choice("aAbB") for _ in range(rng.randint(0, max_word))))
+        yield LampConfigF2(lamps, pos)
+
+
+def _check_against_reference(cfg):
+    want = ref_encode_iterations(cfg)
+    assert z.encode_iterations(cfg) == want, cfg
+    assert z.encode(cfg) == want[-1], cfg
+
+
 def test_encode_renders_the_last_iteration():
-    rng = random.Random(43)
-    for _ in range(40):
-        lamps = frozenset(f2_reduce("".join(rng.choice("aAbB") for _ in range(rng.randint(0, 9))))
-                          for _ in range(rng.randint(0, 12)))
-        pos = f2_reduce("".join(rng.choice("aAbB") for _ in range(rng.randint(0, 9))))
-        cfg = LampConfigF2(lamps, pos)
-        assert z.encode(cfg) == z.encode_iterations(cfg)[-1]
+    for cfg in _random_configs(43, 40, 9, 12):
+        _check_against_reference(cfg)
+
+
+def test_encode_matches_the_reference_on_sampled_forms():
+    rep = REPRESENTATIONS["z2wrf2"]()
+    for n in (64, 128, 256, 512, 1024, 2048, 4096):
+        for j in range(2):
+            nf = rep.sample_nf(random.Random((n << 4) + j), n)
+            cfg = z.decode(nf)
+            assert z.encode(cfg) == nf
+            _check_against_reference(cfg)
+    for cfg in _random_configs(44, 300, 14, 20):
+        _check_against_reference(cfg)
+
+
+# -- nesting deeper than the interpreter's recursion limit --------------------
+
+def _fold_cfg(word):
+    cfg = IDENTITY_F2
+    for gen in word:
+        cfg = wreath_mul_gen(cfg, gen)
+    return cfg
+
+
+def test_deep_folded_form_decodes_and_validates():
+    # 1200 alternating a/b steps, each lighting a lamp: about 1200 nested groups
+    word = ["a", "c", "b", "c"] * 600
+    rep = REPRESENTATIONS["z2wrf2"]()
+    nf = word_to_nf(rep, word)
+    assert len(tokenize_z2f2(nf)) == 3599
+    cfg = _fold_cfg(word)
+    assert z.validate(nf)
+    assert z.decode(nf) == cfg
+    assert z.encode(cfg) == nf
+
+
+def test_deep_zigzag_lamp_round_trips():
+    cfg = LampConfigF2(frozenset({"ab" * 1024}), "")  # 2048 letters, 2047 levels
+    nf = z.encode(cfg)
+    assert nf.count("(") + nf.count("[") == 2047
+    assert z.decode(nf) == cfg
