@@ -15,7 +15,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from . import oracle_groups as og
 from . import spiral, thompson_f, z2wrf2, z2wrz2
-from .errors import BadWord, NotInLanguage
+from .errors import NotInLanguage
 from .tapevm import StepReport
 
 ApplyFn = Callable[[str, str], Tuple[str, StepReport]]
@@ -33,8 +33,6 @@ class Representation:
     oracle_identity: object
     oracle_mul: Callable[[object, str], object]
     sample_nf: Callable[[random.Random, int], str]
-    coverage_reset: Optional[Callable[[], None]] = None
-    coverage_read: Optional[Callable[[], Dict[str, int]]] = None
 
     def apply(self, nf: str, gen: str) -> str:
         return self.apply_report(nf, gen)[0]
@@ -147,8 +145,6 @@ def representation_thompson_f() -> Representation:
         oracle_identity=og.PL_IDENTITY,
         oracle_mul=og.pl_mul_gen,
         sample_nf=_sample_thompson,
-        coverage_reset=thompson_f.coverage_reset,
-        coverage_read=lambda: dict(thompson_f.coverage),
     )
 
 
@@ -167,8 +163,6 @@ def word_to_nf_report(rep: Representation, word: Sequence[str]) -> Tuple[str, in
     nf = rep.identity_nf
     steps = 0
     for gen in word:
-        if gen not in rep.generators:
-            raise BadWord(f"unknown generator {gen!r} for {rep.group_id}")
         nf, report = rep.apply_report(nf, gen)
         steps += report.steps
     return nf, steps
@@ -209,13 +203,20 @@ def differential_fuzz(rep: Representation, trials: int, max_len: int,
     """Random walks from the identity; after every step the output must
     decode (the closure check: decode raises NotInLanguage on a non-member),
     match the oracle, and cancel with the inverse generator.  Stops at the
-    first counterexample."""
+    first counterexample.  case_coverage counts the case labels that the
+    reports of all these runs carry."""
     rng = random.Random(seed)
-    if rep.coverage_reset:
-        rep.coverage_reset()
     checks = 0
     per_gen = {g: 0 for g in rep.generators}
+    coverage: Dict[str, int] = {}
     failure = None
+
+    def apply(nf: str, gen: str) -> str:
+        out, report = rep.apply_report(nf, gen)
+        for case in report.cases:
+            coverage[case] = coverage.get(case, 0) + 1
+        return out
+
     for trial in range(trials):
         nf = rep.identity_nf
         elem = rep.oracle_identity
@@ -223,7 +224,7 @@ def differential_fuzz(rep: Representation, trials: int, max_len: int,
         for _ in range(rng.randint(1, max_len)):
             gen = rng.choice(rep.generators)
             word.append(gen)
-            out = rep.apply(nf, gen)
+            out = apply(nf, gen)
             elem2 = rep.oracle_mul(elem, gen)
             checks += 1
             per_gen[gen] += 1
@@ -231,7 +232,7 @@ def differential_fuzz(rep: Representation, trials: int, max_len: int,
                 kind = "psi-commutation" if rep.decode(out) != elem2 else None
             except NotInLanguage:
                 kind = "closure"
-            if kind is None and check_inverses and rep.apply(out, rep.inverse[gen]) != nf:
+            if kind is None and check_inverses and apply(out, rep.inverse[gen]) != nf:
                 kind = "inverse-pair"
             if kind:
                 failure = {"kind": kind, "trial": trial, "word": list(word),
@@ -240,7 +241,6 @@ def differential_fuzz(rep: Representation, trials: int, max_len: int,
             nf, elem = out, elem2
         if failure:
             break
-    coverage = rep.coverage_read() if rep.coverage_read else {}
     return FuzzReport(rep.group_id, trials, checks, per_gen, failure, coverage)
 
 

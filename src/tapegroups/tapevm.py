@@ -20,7 +20,7 @@ host variables and costs nothing, matching the state set of a real machine.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Collection, Iterable, Optional, Sequence
+from typing import Collection, Iterable, Optional, Sequence, Tuple
 
 from .errors import InvalidInput, OutputFault, TapeFault
 from .tokens import BEGIN, BLANK
@@ -55,12 +55,18 @@ class Tape:
 
 @dataclass(frozen=True)
 class StepReport:
-    """Evidence record for one generator-program run."""
+    """Evidence record for one generator-program run.
+
+    cases names the case-analysis branches the run took, in order; a program
+    without a case analysis reports none.  Thompson's F labels its x1^-1
+    branches (thompson_f.CASE_LABELS).
+    """
 
     input_len: int
     steps: int
     gen: str
     group: str
+    cases: Tuple[str, ...] = ()
 
 
 class TapeSet:

@@ -8,12 +8,15 @@ unary counter R accumulated on tape 2 (b-blocks push, block separators pop).
 Multiplication by x1 guesses the case: it runs each case's inverse edit,
 validates the candidate and recomputes the forward edit until the round trip
 reproduces the input, which bijectivity guarantees happens exactly once.
+
+Which branch of the case analysis fired is a return value: the x1^-1 program
+returns its label from CASE_LABELS, and apply_gen_report hands the labels of
+a run to its caller in StepReport.cases.  The module holds no mutable state.
 """
 
 from __future__ import annotations
 
 import re
-from collections import Counter
 from dataclasses import dataclass
 from typing import Optional, Tuple
 
@@ -29,14 +32,6 @@ IDENTITY_NF = ""
 CASE_LABELS = ("1.1", "1.2", "1.3a", "1.3b", "1.3c",
                "2.1a", "2.1b", "2.1c1", "2.1c2", "2.1c3",
                "2.2.1", "2.2.2a", "2.2.2b", "2.2.2c")
-
-coverage = Counter()
-_disabled_cases: frozenset = frozenset()  # test instrumentation (mutant planting)
-
-
-def coverage_reset() -> None:
-    coverage.clear()
-
 
 @dataclass(frozen=True)
 class ExpSeq:
@@ -305,15 +300,13 @@ def _program_x0(ts: TapeSet, sign: int) -> None:
 
 # ---------------------------------------------------------------------------
 # x1^-1 multiplication: the case analysis
+#
+# Each program returns the label (one of CASE_LABELS) of the branch whose edit
+# it made, or None when it halted before reaching one.
 
-def _fire(ts: TapeSet, label: str) -> bool:
-    coverage[label] += 1
-    return label not in _disabled_cases
-
-
-def _program_x1_inv(ts: TapeSet) -> None:
+def _program_x1_inv(ts: TapeSet) -> Optional[str]:
     if not _scan_valid(ts):
-        return
+        return None
     # block-0 shape decides between the two case families
     s0_pos = False
     m_zero = True
@@ -329,20 +322,17 @@ def _program_x1_inv(ts: TapeSet) -> None:
             break
     _rewind(ts, 0)
     if not s0_pos:
-        _x1_inv_case1(ts, m_zero)
-    else:
-        _x1_inv_case2(ts)
+        return _x1_inv_case1(ts, m_zero)
+    return _x1_inv_case2(ts)
 
 
-def _x1_inv_case1(ts: TapeSet, m_zero: bool) -> None:
+def _x1_inv_case1(ts: TapeSet, m_zero: bool) -> str:
     if m_zero:
-        if not _fire(ts, "1.1"):
-            return
         _to_blank(ts)
         ts.write(0, "#")
         ts.move_right(0)
         ts.write(0, "b")
-        return
+        return "1.1"
     # inspect block 1 and the head of block 2
     r1_pos = s1_pos = False
     block2_nonzero = False
@@ -366,15 +356,13 @@ def _x1_inv_case1(ts: TapeSet, m_zero: bool) -> None:
             break
     _rewind(ts, 0)
     if (not r1_pos) or s1_pos or block2_nonzero:
-        if not _fire(ts, "1.2"):
-            return
         # insert b at the start of block 1's b-run
         ts.scan_right(0, ("#",))
         ts.move_right(0)
         while ts.read(0) == "a":
             ts.move_right(0)
         shift_suffix_right(ts, 0, ["b"])
-        return
+        return "1.2"
     # 1.3: r1 > 0, s1 = 0, block 2 absent or empty
     has_second_hash = not _single_hash(ts)
     if not has_second_hash:
@@ -384,23 +372,17 @@ def _x1_inv_case1(ts: TapeSet, m_zero: bool) -> None:
         ts.move_left(0)
         second_last = ts.read(0)
         ts.move_right(0)
+        ts.write(0, BLANK)
         if second_last == "a":
-            if not _fire(ts, "1.3a"):
-                return
-            ts.write(0, BLANK)
-        else:
-            if not _fire(ts, "1.3b"):
-                return
-            ts.write(0, BLANK)
-            ts.move_left(0)
-            ts.write(0, BLANK)
-        return
-    if not _fire(ts, "1.3c"):
-        return
+            return "1.3a"
+        ts.move_left(0)
+        ts.write(0, BLANK)
+        return "1.3b"
     # drop the last a of block 1 together with the second separator
     _to_hash(ts, 2)
     ts.move_right(0)
     shift_suffix_left(ts, 0, 2)
+    return "1.3c"
 
 
 def _single_hash(ts: TapeSet) -> bool:
@@ -418,40 +400,63 @@ def _to_hash(ts: TapeSet, n: int) -> bool:
     return True
 
 
-def _x1_inv_case2(ts: TapeSet) -> None:
+def _write_hash_per_b(ts: TapeSet, last: str) -> None:
+    """At the end of tape 1, write # for each plain b cell of the counter
+    track on tape 2 (skipping b# cells), then `last`."""
+    _to_blank(ts)
+    while True:
+        ts.move_right(1)
+        cell = ts.read(1)
+        if cell == "b":
+            ts.write(0, "#")
+            ts.move_right(0)
+        elif cell != "b#":
+            break
+    ts.write(0, last)
+
+
+def _strip_tail(ts: TapeSet, last: str) -> bool:
+    """Erase the final symbol if it is `last`, then the run of # before it;
+    False if the final symbol is not `last` or no # precedes it."""
+    _to_blank(ts)
+    ts.move_left(0)
+    if ts.read(0) != last:
+        return False
+    ts.write(0, BLANK)
+    ts.move_left(0)
+    if ts.read(0) != "#":
+        return False
+    while ts.read(0) == "#":
+        ts.write(0, BLANK)
+        ts.move_left(0)
+    return True
+
+
+def _drop_b_after_a_run(ts: TapeSet) -> bool:
+    """From a separator, delete the b that ends the a-run after it; False if
+    that run is followed by anything else."""
+    ts.move_right(0)
+    while ts.read(0) == "a":
+        ts.move_right(0)
+    if ts.read(0) != "b":
+        return False
+    ts.move_right(0)
+    shift_suffix_left(ts, 0, 1)
+    return True
+
+
+def _x1_inv_case2(ts: TapeSet) -> Optional[str]:
     case_flag = _compute_r(ts)
     if case_flag:
         _mark_hash_track(ts)
         rel = _compare_r_m(ts)
         _rewind(ts, 1)
         if rel == ">":
-            if not _fire(ts, "2.1a"):
-                return
-            _to_blank(ts)
-            while True:
-                ts.move_right(1)
-                cell = ts.read(1)
-                if cell == "b":
-                    ts.write(0, "#")
-                    ts.move_right(0)
-                elif cell != "b#":
-                    break
-            ts.write(0, "b")
-            return
+            _write_hash_per_b(ts, "b")
+            return "2.1a"
         if rel == "=":
-            if not _fire(ts, "2.1b"):
-                return
-            _to_blank(ts)
-            ts.move_left(0)
-            if ts.read(0) != "a":
-                return  # not of the a-tail shape: invalid input
-            ts.write(0, BLANK)
-            ts.move_left(0)
-            if ts.read(0) == "#":
-                while ts.read(0) == "#":
-                    ts.write(0, BLANK)
-                    ts.move_left(0)
-            return
+            _strip_tail(ts, "a")  # done whether or not a # precedes the final a
+            return "2.1b"
         # rel == "<": find the (R+1)-th separator via the convolution track
         while True:
             ts.move_right(0)
@@ -461,32 +466,26 @@ def _x1_inv_case2(ts: TapeSet) -> None:
                 if ts.read(1) == "_#":
                     break
             elif sym == BLANK:
-                return
+                return None
         ts.move_left(0)
         t_prev = ts.read(0)
         ts.move_right(0)
         if t_prev == "#":
-            if not _fire(ts, "2.1c1"):
-                return
             shift_suffix_right(ts, 0, ["b"])
-            return
+            return "2.1c1"
         if t_prev != "a":
-            return
+            return None
         ts.move_right(0)
         s_next = ts.read(0)
         ts.move_left(0)
         if s_next == "a":
-            if not _fire(ts, "2.1c2"):
-                return
             shift_suffix_right(ts, 0, ["b"])
-            return
+            return "2.1c2"
         if s_next == "#":
-            if not _fire(ts, "2.1c3"):
-                return
             ts.move_right(0)
             shift_suffix_left(ts, 0, 2)
-            return
-        return
+            return "2.1c3"
+        return None
     # not CASE: the insertion point sits inside the tail at index R
     _rewind(ts, 1)
     while True:
@@ -500,45 +499,36 @@ def _x1_inv_case2(ts: TapeSet) -> None:
             if nxt == BLANK:
                 break  # this is the R-th separator
         elif sym == BLANK:
-            return
+            return None
     ts.move_right(0)
     s1 = ts.read(0)
     if s1 == "#":
-        if not _fire(ts, "2.2.2c"):
-            return
         shift_suffix_right(ts, 0, ["b"])
-        return
+        return "2.2.2c"
     if s1 == "b":
-        if not _fire(ts, "2.2.2a"):
-            return
         shift_suffix_right(ts, 0, ["b"])
-        return
+        return "2.2.2a"
     if s1 != "a":
-        return
+        return None
     while ts.read(0) == "a":
         ts.move_right(0)
     sym = ts.read(0)
     if sym == "b":
-        if not _fire(ts, "2.2.2a"):
-            return
         shift_suffix_right(ts, 0, ["b"])
-        return
+        return "2.2.2a"
     if sym != "#":
-        return
+        return None
     ts.move_right(0)
     s2 = ts.read(0)
     ts.move_left(0)
     if s2 in ("a", "b"):
-        if not _fire(ts, "2.2.2b"):
-            return
         shift_suffix_right(ts, 0, ["b"])
-        return
+        return "2.2.2b"
     if s2 == "#":
-        if not _fire(ts, "2.2.1"):
-            return
         ts.move_right(0)
         shift_suffix_left(ts, 0, 2)
-        return
+        return "2.2.1"
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -565,16 +555,7 @@ def _b_11(ts: TapeSet) -> bool:
 
 
 def _b_12(ts: TapeSet) -> bool:
-    if not _to_hash(ts, 1):
-        return False
-    ts.move_right(0)
-    while ts.read(0) == "a":
-        ts.move_right(0)
-    if ts.read(0) != "b":
-        return False
-    ts.move_right(0)
-    shift_suffix_left(ts, 0, 1)
-    return True
+    return _to_hash(ts, 1) and _drop_b_after_a_run(ts)
 
 
 def _b_13a(ts: TapeSet) -> bool:
@@ -599,18 +580,7 @@ def _b_13c(ts: TapeSet) -> bool:
 
 
 def _b_21a(ts: TapeSet) -> bool:
-    _to_blank(ts)
-    ts.move_left(0)
-    if ts.read(0) != "b":
-        return False
-    ts.write(0, BLANK)
-    ts.move_left(0)
-    if ts.read(0) != "#":
-        return False
-    while ts.read(0) == "#":
-        ts.write(0, BLANK)
-        ts.move_left(0)
-    return True
+    return _strip_tail(ts, "b")
 
 
 def _b_21b(ts: TapeSet) -> bool:
@@ -622,16 +592,7 @@ def _b_21b(ts: TapeSet) -> bool:
     if _compare_r_m(ts) == "<":
         return False
     _rewind(ts, 1)
-    _to_blank(ts)
-    while True:
-        ts.move_right(1)
-        cell = ts.read(1)
-        if cell == "b":
-            ts.write(0, "#")
-            ts.move_right(0)
-        elif cell != "b#":
-            break
-    ts.write(0, "a")
+    _write_hash_per_b(ts, "a")
     return True
 
 
@@ -681,16 +642,7 @@ def _b_222a(ts: TapeSet) -> bool:
     if not _scan_valid(ts):
         return False
     _compute_r(ts)
-    if not _walk_to_hash_after_r(ts, 0):
-        return False
-    ts.move_right(0)
-    while ts.read(0) == "a":
-        ts.move_right(0)
-    if ts.read(0) != "b":
-        return False
-    ts.move_right(0)
-    shift_suffix_left(ts, 0, 1)
-    return True
+    return _walk_to_hash_after_r(ts, 0) and _drop_b_after_a_run(ts)
 
 
 def _b_222bc(ts: TapeSet) -> bool:
@@ -707,36 +659,38 @@ def _b_222bc(ts: TapeSet) -> bool:
     return True
 
 
-_X1_BUILDERS = (
-    ("1.1", _b_11), ("1.2", _b_12), ("1.3a", _b_13a), ("1.3b", _b_13b),
-    ("1.3c", _b_13c), ("2.1a", _b_21a), ("2.1b", _b_21b), ("2.1c12", _b_21c12),
-    ("2.1c3/2.2.1", _b_21c3), ("2.2.2a", _b_222a), ("2.2.2bc", _b_222bc),
-)
+_X1_BUILDERS = (_b_11, _b_12, _b_13a, _b_13b, _b_13c, _b_21a, _b_21b, _b_21c12,
+                _b_21c3, _b_222a, _b_222bc)
 
 
-def apply_x1(text: str) -> Tuple[str, int]:
+def apply_x1(text: str) -> Tuple[str, int, Tuple[str, ...]]:
     """Right multiplication by x1: try each case's inverse edit and accept the
     candidate whose forward edit reproduces the input.
 
-    text must be a normal form; apply_gen_report checks it before calling.
+    Returns the output, the steps of every run and the case labels of the
+    candidate round trips in order, the accepting one last.  text must be a
+    normal form; apply_gen_report checks it before calling.
     """
     steps = 0
-    for _label, builder in _X1_BUILDERS:
+    cases = []
+    for builder in _X1_BUILDERS:
         candidate, st = _run_edit(text, builder)
         steps += st
         if candidate is None or not validate(candidate):
             continue
-        back, st2 = _apply_x1_inv_raw(candidate)
+        back, st2, label = _apply_x1_inv_raw(candidate)
         steps += st2
+        if label is not None:
+            cases.append(label)
         if back == text:
-            return candidate, steps
+            return candidate, steps, tuple(cases)
     raise NoCaseMatched(f"no multiplication case accepted {text!r}")
 
 
-def _apply_x1_inv_raw(text: str) -> Tuple[str, int]:
+def _apply_x1_inv_raw(text: str) -> Tuple[str, int, Optional[str]]:
     ts = init_tapes(list(text), 2, sigma=F_SIGMA)
-    _program_x1_inv(ts)
-    return "".join(read_output(ts)), ts.steps
+    label = _program_x1_inv(ts)
+    return "".join(read_output(ts)), ts.steps, label
 
 
 # ---------------------------------------------------------------------------
@@ -752,24 +706,24 @@ def compute_r(text: str) -> RResult:
 
 
 def apply_gen_report(text: str, gen: str) -> Tuple[str, StepReport]:
+    """Right-multiply a normal form by gen.  The report's cases are the labels
+    of the x1^-1 branches that ran: one for x1-, one per candidate round trip
+    for x1 (the accepting one last), none for x0 and x0-."""
     if gen not in GENERATORS:
         raise BadWord(f"unknown generator {gen!r} for {GROUP}")
     if not validate(text):
         raise NotInLanguage(f"{text!r} is not a normal form")
     n = len(text)
     if gen == "x1":
-        out, steps = apply_x1(text)
-        return out, StepReport(n, steps, gen, GROUP)
+        out, steps, cases = apply_x1(text)
+        return out, StepReport(n, steps, gen, GROUP, cases)
+    if gen == "x1-":
+        out, steps, label = _apply_x1_inv_raw(text)
+        return out, StepReport(n, steps, gen, GROUP, () if label is None else (label,))
     ts = init_tapes(list(text), 2, sigma=F_SIGMA)
-    if gen == "x0":
-        _program_x0(ts, +1)
-    elif gen == "x0-":
-        _program_x0(ts, -1)
-    else:
-        _program_x1_inv(ts)
+    _program_x0(ts, +1 if gen == "x0" else -1)
     return "".join(read_output(ts)), StepReport(n, ts.steps, gen, GROUP)
 
 
 def apply_gen(text: str, gen: str) -> str:
     return apply_gen_report(text, gen)[0]
-

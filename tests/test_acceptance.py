@@ -10,7 +10,7 @@ import time
 
 from tapegroups import framework as fw
 from tapegroups import spiral, thompson_f, z2wrf2
-from tapegroups.errors import NotInLanguage
+from tapegroups.errors import NoCaseMatched, NotInLanguage
 from tapegroups.tapevm import StepReport
 
 SIZES = (64, 128, 256, 512, 1024, 2048, 4096, 8192, 16384)
@@ -77,8 +77,6 @@ def test_criterion_1_and_7_psi_commutation_and_bijectivity():
                        (fw.representation_z2wrf2, 102),
                        (fw.representation_thompson_f, 103)):
         rep = make()
-        if rep.coverage_reset:
-            rep.coverage_reset()
         tally, failures = _walk_corpus(rep, per_gen=10_000, seed=seed)
         assert not failures, failures[:1]
         summaries.append(f"{rep.group_id}:{sum(tally.values())}")
@@ -127,11 +125,10 @@ def test_criterion_4_thompson_linear_coverage_relators():
     for gen in rep.generators:
         report = fw.linearity_bench(rep, gen, SIZES, samples_per_size=6, seed=13)
         assert report.verdict, (gen, report.to_json())
-    thompson_f.coverage_reset()
     fuzz = fw.differential_fuzz(rep, trials=220, max_len=40, seed=14)
     assert fuzz.passed, fuzz.failure
-    thin = {c: thompson_f.coverage.get(c, 0) for c in thompson_f.CASE_LABELS
-            if thompson_f.coverage.get(c, 0) < 10}
+    thin = {c: fuzz.case_coverage.get(c, 0) for c in thompson_f.CASE_LABELS
+            if fuzz.case_coverage.get(c, 0) < 10}
     assert not thin, thin
     ok = fw.word_problem(rep, R1) and fw.word_problem(rep, R2)
     _verdict(4, ok, "Thompson F: linear verdict for x0/x1 both signs; every "
@@ -173,7 +170,7 @@ def test_criterion_6_quasigeodesic_probes():
                       f"({ratios[10]:.1f} -> {ratios[100]:.1f})")
 
 
-def test_criterion_8_harness_self_test():
+def test_criterion_8_harness_self_test(f_case_deleted):
     rep = fw.representation_z2wrz2()
 
     def quadratic(nf, gen):
@@ -186,17 +183,15 @@ def test_criterion_8_harness_self_test():
     assert not bench.verdict
 
     repf = fw.representation_thompson_f()
-    thompson_f._disabled_cases = frozenset({"2.2.2b"})
-    try:
-        def shielded(nf, gen):
-            try:
-                return repf.apply_report(nf, gen)
-            except Exception:
-                return nf + "###", StepReport(len(nf), 1, gen, repf.group_id)
-        fuzz = fw.differential_fuzz(repf.with_apply(shielded), 400, 40, seed=42)
-    finally:
-        thompson_f._disabled_cases = frozenset()
-    assert not fuzz.passed and fuzz.failure["word"]
+
+    def shielded(nf, gen):
+        try:
+            return f_case_deleted(nf, gen)
+        except NoCaseMatched:
+            return nf + "###", StepReport(len(nf), 1, gen, repf.group_id)
+    fuzz = fw.differential_fuzz(repf.with_apply(shielded), 400, 40, seed=42)
+    assert not fuzz.passed and fuzz.failure["kind"] == "psi-commutation"
+    assert fuzz.failure["word"][-4:] == ["x0", "x0", "x0-", "x1-"]
     _verdict(8, True, "planted quadratic mutant flagged by the bench; planted "
                       "case deletion caught by fuzzing with witness word "
                       f"{' '.join(fuzz.failure['word'][-4:])!r}")

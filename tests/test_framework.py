@@ -4,8 +4,7 @@ import random
 import pytest
 
 from tapegroups import framework as fw
-from tapegroups import thompson_f
-from tapegroups.errors import BadWord
+from tapegroups.errors import BadWord, NoCaseMatched
 from tapegroups.tapevm import StepReport
 
 R1 = ["x1", "x0-", "x0-", "x1-", "x0", "x0", "x1-", "x0-", "x1", "x0"]
@@ -54,25 +53,28 @@ def test_fuzz_passes_all_groups():
 def test_fuzz_reports_thompson_coverage():
     rep = fw.representation_thompson_f()
     report = fw.differential_fuzz(rep, 60, 30, 7)
-    assert report.passed
-    assert sum(report.case_coverage.values()) > 0
+    assert report.passed and report.checks == 976
+    # one count per x1^-1 run: each x1- and every candidate round trip of x1
+    assert report.case_coverage == {
+        "1.1": 116, "1.2": 259, "1.3a": 32, "1.3b": 84, "1.3c": 116,
+        "2.1a": 228, "2.1b": 174, "2.1c1": 36, "2.1c2": 6, "2.1c3": 28,
+        "2.2.1": 58, "2.2.2a": 229, "2.2.2c": 141}
+    assert fw.differential_fuzz(fw.representation_z2wrz2(), 5, 10, 7).case_coverage == {}
 
 
-def test_fuzz_catches_planted_case_deletion():
+def test_fuzz_catches_planted_case_deletion(f_case_deleted):
     rep = fw.representation_thompson_f()
-    thompson_f._disabled_cases = frozenset({"2.2.2b"})
-    try:
-        def shielded(nf, gen):
-            try:
-                return rep.apply_report(nf, gen)
-            except Exception:
-                return nf + "###", StepReport(len(nf), 1, gen, rep.group_id)
-        report = fw.differential_fuzz(rep.with_apply(shielded), 200, 40, 11)
-    finally:
-        thompson_f._disabled_cases = frozenset()
+
+    def shielded(nf, gen):
+        try:
+            return f_case_deleted(nf, gen)
+        except NoCaseMatched:
+            return nf + "###", StepReport(len(nf), 1, gen, rep.group_id)
+    report = fw.differential_fuzz(rep.with_apply(shielded), 200, 40, 11)
     assert not report.passed
-    assert report.failure["kind"] in ("psi-commutation", "closure", "inverse-pair")
-    assert report.failure["word"]  # a concrete witness prefix
+    assert report.failure["kind"] == "psi-commutation"
+    word = report.failure["word"]  # a concrete witness prefix
+    assert len(word) == 37 and word[-4:] == ["x0", "x1-", "x0", "x1-"]
 
 
 def test_bench_verdict_true_and_json_schema():

@@ -4,7 +4,7 @@ import random
 import pytest
 
 from tapegroups import thompson_f as tf
-from tapegroups.errors import BadWord, NotInLanguage
+from tapegroups.errors import BadWord, NoCaseMatched, NotInLanguage
 from tapegroups.framework import REPRESENTATIONS
 from tapegroups.oracle_groups import PL_IDENTITY, pl_eval_normalform, pl_mul_gen
 
@@ -97,24 +97,59 @@ def test_invalid_input_raises_but_machine_halts():
 
 def test_oracle_differential_and_bijectivity():
     rng = random.Random(42)
-    tf.coverage_reset()
+    fired = set()
     checked = 0
     for _ in range(260):
         nf = ""
         elem = PL_IDENTITY
         for _ in range(rng.randint(1, 45)):
             gen = rng.choice(tf.GENERATORS)
-            out = tf.apply_gen(nf, gen)
+            out, report = tf.apply_gen_report(nf, gen)
             elem = pl_mul_gen(elem, gen)
             assert tf.validate(out)
             assert pl_eval_normalform(out) == elem, (nf, gen, out)
-            assert tf.apply_gen(out, INV[gen]) == nf, (nf, gen, out)
+            back, back_report = tf.apply_gen_report(out, INV[gen])
+            assert back == nf, (nf, gen, out)
+            fired.update(report.cases, back_report.cases)
             nf = out
             checked += 1
     assert checked > 4000
     # every branch of the case analysis must have fired
-    missing = [c for c in tf.CASE_LABELS if tf.coverage.get(c, 0) == 0]
+    missing = [c for c in tf.CASE_LABELS if c not in fired]
     assert not missing, missing
+
+
+# the shortest normal form on which x1- takes each branch
+CASE_WITNESSES = {
+    "1.1": "", "1.2": "#b", "1.3a": "#aa", "1.3b": "#a", "1.3c": "#a##a",
+    "2.1a": "b", "2.1b": "b##a", "2.1c1": "b###a", "2.1c2": "b##a#a",
+    "2.1c3": "b##a##a", "2.2.1": "b##a##b", "2.2.2a": "b##b",
+    "2.2.2b": "b##a#b", "2.2.2c": "b###b",
+}
+
+
+@pytest.mark.parametrize("label", tf.CASE_LABELS)
+def test_x1_inv_reports_its_branch(label):
+    nf = CASE_WITNESSES[label]
+    assert tf.apply_gen_report(nf, "x1-")[1].cases == (label,)
+    for gen in ("x0", "x0-"):
+        assert tf.apply_gen_report(nf, gen)[1].cases == ()
+
+
+def test_x1_accepts_the_round_trip_of_the_inverse_branch():
+    # x1's last label is the branch x1- takes on x1's output
+    rng = random.Random(17)
+    checked = 0
+    for _ in range(40):
+        nf = ""
+        for _ in range(rng.randint(1, 30)):
+            out, report = tf.apply_gen_report(nf, "x1")
+            back = tf.apply_gen_report(out, "x1-")[1]
+            assert len(back.cases) == 1 and report.cases[-1] == back.cases[0], (nf, out)
+            assert set(report.cases) <= set(tf.CASE_LABELS)
+            checked += 1
+            nf = tf.apply_gen(out, rng.choice(tf.GENERATORS))
+    assert checked > 400
 
 
 def test_r_lower_bound_when_tail_cases_fire():
@@ -147,29 +182,25 @@ def test_quasigeodesic_necessary_direction():
     assert worst < 6.0
 
 
-def test_case_deletion_is_detectable():
-    # planting a disabled case makes some multiplication silently wrong
+def test_case_deletion_is_detectable(f_case_deleted):
+    # planting a deleted case makes some multiplication silently wrong
     rng = random.Random(5)
-    tf._disabled_cases = frozenset({"2.2.2b"})
-    try:
-        broken = False
-        nf = ""
-        elem = PL_IDENTITY
-        for _ in range(4000):
-            gen = rng.choice(tf.GENERATORS)
-            try:
-                out = tf.apply_gen(nf, gen)
-            except Exception:
-                broken = True  # the mutilated guess-and-check cannot settle
-                break
-            elem = pl_mul_gen(elem, gen)
-            if not tf.validate(out) or pl_eval_normalform(out) != elem:
-                broken = True
-                break
-            nf = out
-        assert broken
-    finally:
-        tf._disabled_cases = frozenset()
+    broken_at = None
+    nf = ""
+    elem = PL_IDENTITY
+    for i in range(4000):
+        gen = rng.choice(tf.GENERATORS)
+        try:
+            out = f_case_deleted(nf, gen)[0]
+        except NoCaseMatched:
+            broken_at = i  # the mutilated guess-and-check cannot settle
+            break
+        elem = pl_mul_gen(elem, gen)
+        if not tf.validate(out) or pl_eval_normalform(out) != elem:
+            broken_at = i
+            break
+        nf = out
+    assert broken_at == 71
 
 
 def test_total_on_garbage():
