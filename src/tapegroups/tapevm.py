@@ -13,6 +13,13 @@ they charge exactly that loop's steps (2d+1 for d moves), fault exactly where
 it would, and leave the head where it would stop, but find the stop cell with
 a list search in C instead of one method call per step.
 
+The other counted sweeps live with the programs that run them, each charged
+at its defining loop's closed form: `tapeops`' suffix shifts, F's
+`_scan_valid`, and Z2 wr Z^2's region scan (`_scan_to_mark`, two tapes, the
+turn count in unary on tape 2) and mark move (`_move_mark`, four tape-2
+sweeps pacing a tape-1 run that pads or erases).  tests/test_sweeps.py keeps
+every defining loop as a reference oracle.
+
 Finite control state of a program (region variables, ERASE flags, ...) lives in
 host variables and costs nothing, matching the state set of a real machine.
 """

@@ -10,6 +10,23 @@ in unary on tape 2 (the region scan), then move the C-mark by the
 region-dependent jump.  Jumps of size 8i+c are realized by four tape-2 sweeps
 plus a constant remainder, so the program never holds the turn count in a host
 integer.  Moves left erase a trailing run freed by the departing lamplighter.
+
+Both loops are charged in closed form, as the counted sweeps of `tapevm` are:
+the host computes the state and step count the per-step loop would leave
+(the loops are kept as reference oracles in tests/test_sweeps.py).  The
+machine still keeps the turn count on tape 2: the region scan writes each
+winding's T and reads i off the tape-2 head.  Per primitive, with tape 1
+holding the input:
+
+- region scan stopping on cell p after j windings: on tape 1, p moves and p
+  reads (a counted scan); on tape 2, for p >= 10, j writes, one move per
+  cell of the sweeps plus one, and one read per cell of the sweeps, less one
+  if the walk stops while tape 2 moves left.  The sweeps cover the p-9-j
+  cells from cell 10 on that are not corners.
+- mark move by 8i+c: four tape-2 sweeps of 2i+2 moves and 2i+2 reads; on
+  tape 1, a move and a read for each of the 8i+c-1 cells crossed before the
+  landing cell, and a write for each blank padded with 0 (moving right) or
+  each trailing 0 erased before the first 1 (moving left).
 """
 
 from __future__ import annotations
@@ -17,10 +34,10 @@ from __future__ import annotations
 from typing import Tuple
 
 from . import spiral
-from .errors import BadWord, NotInLanguage
+from .errors import BadWord, NotInLanguage, TapeFault
 from .oracle_groups import LampConfigZ2
 from .tapevm import StepReport, TapeSet, init_tapes, read_output
-from .tokens import BLANK, BEGIN, Z2Z2_SIGMA, render, tokenize_z2z2
+from .tokens import BLANK, Z2Z2_SIGMA, render, tokenize_z2z2
 
 GROUP = "z2wrz2"
 GENERATORS = ("a", "a-", "b", "b-", "c")
@@ -35,6 +52,22 @@ _FIRST_REGIONS = ("O", "L1", "L2", "D2", "L3", "D3", "L4", "D4", "D4")
 # from the second winding on: each side's sweep, with the region a full sweep
 # flips to on reaching the next side
 _SWEEPS = (("D1", "L2"), ("D2", "L3"), ("D3", "L4"), ("D4", None))
+
+
+# Explicit linear bound: on n input tokens a generator program takes at most
+# STEP_BOUND[gen] = (alpha, beta) as alpha*n + beta steps.  The toggle scans to
+# the first C-token or the blank after the input, 2p steps for p <= n+1, and
+# writes once.  A move whose scan stops on the C-token at cell p <= n after j
+# windings takes at most 4p - 17 - j steps to scan (2p below cell 10), 2j + 3
+# to reach the counter's end, and 40j + 21 + 3c to move: 16j + 16 on tape 2,
+# 3 per cell crossed for the 8j + c - 1 cells before the landing cell, and 8
+# around them, where c is the generator's largest jump constant.  That sums
+# to 4p + 41j + 7 + 3c from cell 10 on and 2p + 24 + 3c before it; with no
+# C-token the scan alone takes 4(n+1) - 17 - j.  The ring start
+# 2 + 4(j+1)j <= p gives j <= (sqrt(n) - 1)/2, and 20.5 sqrt(n) <= n + 105.0625,
+# so every case is within 5n + 92 + 3c.
+STEP_BOUND = {"a": (5, 119), "a-": (5, 131), "b": (5, 125), "b-": (5, 137),
+              "c": (2, 2)}
 
 
 # ---------------------------------------------------------------------------
@@ -87,87 +120,79 @@ def _scan_to_mark(ts: TapeSet) -> str | None:
     Leaves the tape-1 head on the C-token and the tape-2 head on the first
     blank after the unary turn counter.
     """
-
-    def step1() -> str:
-        ts.move_right(0)
-        return ts.read(0)
-
-    def sweep(region: str, flip_to: str | None) -> Tuple[str, str | None]:
-        # one loop sub-phase: read the next cell while stepping tape 2 left,
-        # then keep reading while tape 2 sweeps left to the marker and right
-        # to the blank; the final paired read sits on the next corner.
-        sym = step1()
-        ts.move_left(1)
-        if sym in _END:
-            return region, sym
-        while ts.read(1) != BEGIN:
-            ts.move_left(1)
-            sym = step1()
-            if sym in _END:
-                return region, sym
-        while True:
-            ts.move_right(1)
-            at_blank = ts.read(1) == BLANK
-            sym = step1()
-            here = flip_to if (at_blank and flip_to) else region
-            if sym in _END:
-                return here, sym
-            if at_blank:
-                return here, None
-
-    def walk() -> Tuple[str, str]:
-        # the region and the C-token or blank the walk stops on
-        for region in _FIRST_REGIONS:  # cells 1..9
-            sym = step1()
-            if sym in _END:
-                return region, sym
-        sym = step1()  # cell 10: first corner of the second winding
-        ts.move_right(1)
-        while True:
-            ts.write(1, "T")  # one more turn on the counter
-            if sym in _END:
-                return "L1", sym
-            for region, flip_to in _SWEEPS:
-                S, stopped = sweep(region, flip_to)
-                if stopped is not None:
-                    return S, stopped
-            sym = step1()  # the next corner
-
-    S, sym = walk()
+    # tape 1's share of the walk: one move and one read per cell up to the stop
+    ts.move_right(0)
+    sym = ts.scan_right(0, _END)
+    p = ts.tapes[0].head
+    region = _FIRST_REGIONS[p - 1] if p < 10 else _wind(ts, p)
     if sym == BLANK:
         return None
     ts.scan_right(1, (BLANK,))
-    return S
+    return region
 
 
-def _sweep_pair(ts: TapeSet, mode: str, one_move) -> None:
-    """One tape-2 sweep pairing 2i+2 (full), 2i+1 (short) or 2i (bare) tape-1
-    moves with tape-2 head motion; starts and ends on the first tape-2 blank."""
-    if mode == "full":
-        ts.move_left(1)
-        one_move()
+def _wind(ts: TapeSet, p: int) -> str:
+    """Tape 2's share of the walk from cell 10, the first corner of the second
+    winding, to the stop cell p >= 10.  Returns the region of cell p.
+
+    Winding i starts on a corner, where tape 2 gains its i-th T.  Its four
+    sweeps then pair 2i+1, 2i+2, 2i+2 and 2i+2 tape-1 cells with tape-2 head
+    motion: a sweep starting with the tape-2 head on cell h pairs h cells
+    with moves left to the marker and i+1 with moves right to the blank.
+    Each paired cell costs one tape-2 move and one tape-2 read, except the
+    sweep's first cell, whose move has no read, and the marker read that
+    ends the leftward part.  So a whole sweep charges 2 tape-2 steps per cell
+    and a walk that stops partway into the leftward part one step less.
+    """
+    t2 = ts.tapes[1]
+    ts.move_right(1)
+    corner = 10
+    while True:
+        ts.write(1, "T")
+        i = t2.head  # the turn count: the head is on the counter's last T
+        if p < corner + 8 * i + 8:
+            break
+        ts.steps += 2 * (8 * i + 7)  # the four sweeps, ending on the blank
+        t2.head = i + 1
+        corner += 8 * i + 8
+    d = p - corner  # cells walked since the corner
+    if d == 0:
+        return "L1"
+    if d <= 2 * i + 1:
+        k, m, h = 0, d, i  # sweep, the cell's place in it, tape-2 head at its start
     else:
-        ts.move_left(1)
-    while ts.read(1) != BEGIN:
-        ts.move_left(1)
-        one_move()
-    if mode == "bare":
-        ts.move_right(1)
-        while ts.read(1) != BLANK:
-            ts.move_right(1)
-            one_move()
-    else:
-        while True:
-            ts.move_right(1)
-            at_blank = ts.read(1) == BLANK
-            one_move()
-            if at_blank:
-                return
+        k, m = divmod(d - 2 * i - 2, 2 * i + 2)
+        k, m, h = k + 1, m + 1, i + 1
+    ts.steps += 2 * (d - m)  # the winding's earlier sweeps
+    region, flip_to = _SWEEPS[k]
+    if m <= h:  # met while tape 2 moves left
+        ts.steps += 2 * m - 1
+        t2.head = h - m
+        return region
+    ts.steps += 2 * m
+    t2.head = m - h
+    return flip_to if t2.head == i + 1 and flip_to else region
 
 
 def _move_mark(ts: TapeSet, c_const, fwd: bool) -> None:
     """Move the C-mark right (fwd) or left by 1 (c_const None) or by
-    8i + c_const.  Moving left erases the tail the lamplighter frees."""
+    8i + c_const.  Moving left erases the tail the lamplighter frees.
+
+    A jump runs four tape-2 sweeps from the blank after T^i to the marker and
+    back, 2i+2 moves and 2i+2 reads each, whose head motion paces the tape-1
+    moves; tape 1 crosses the 8i+c_const-1 cells before the landing cell in
+    the sweeps and a constant remainder.
+
+    A jump lands on a spiral neighbour, index 1 or more, so a move left never
+    reaches the start marker.  A state where it would, which no region scan
+    leaves, is refused before any step, where the loop would fault partway.
+    """
+    run = 0
+    if c_const is not None:
+        i = ts.tapes[1].head - 1  # the turn count: T^i lies left of the head
+        run = 8 * i + c_const - 1
+    if not fwd and run >= ts.tapes[0].head:
+        raise TapeFault("attempt to move left of the start marker")
     old = ts.read(0)
     erase = False
     if not fwd and old != "C1":
@@ -175,42 +200,51 @@ def _move_mark(ts: TapeSet, c_const, fwd: bool) -> None:
         erase = ts.read(0) == BLANK
         ts.move_left(0)
     ts.write(0, BLANK if erase else ("0" if old == "C0" else "1"))
-
+    if c_const is not None:
+        ts.steps += 4 * (4 * i + 4)
     if fwd:
-        def one_move():
-            ts.move_right(0)
-            if ts.read(0) == BLANK:
-                ts.write(0, "0")
-    else:
-        def one_move():
-            nonlocal erase
-            ts.move_left(0)
-            sym = ts.read(0)
-            if erase:
-                if sym == "0":
-                    ts.write(0, BLANK)
-                elif sym == "1":
-                    erase = False
-
-    if c_const is None:
-        remainder = 1
-    else:
-        mode = "full" if c_const >= 9 else ("short" if c_const >= 5 else "bare")
-        base = {"full": 8, "short": 4, "bare": 0}[mode]
-        remainder = c_const - base
-        for _ in range(4):
-            _sweep_pair(ts, mode, one_move)
-    for _ in range(remainder - 1):
-        one_move()
-    if fwd:
+        _pad_run(ts, run)
         ts.move_right(0)
     else:
+        _erase_run(ts, run, erase)
         ts.move_left(0)
     sym = ts.read(0)
     if sym == "0" or (fwd and sym == BLANK):  # forward, a blank lands as C0
         ts.write(0, "C0")
     elif sym == "1":
         ts.write(0, "C1")
+
+
+def _pad_run(ts: TapeSet, run: int) -> None:
+    """Move tape 1 right over `run` cells, writing 0 on each blank.
+
+    Each cell costs a move and a read, and a blank a write: tape 1 holds no
+    blank before its end, so the blanks are the cells past it.
+    """
+    tape = ts.tapes[0]
+    tape.head += run
+    pad = max(0, tape.head + 1 - len(tape.cells))
+    tape.cells.extend(["0"] * pad)
+    ts.steps += 2 * run + pad
+
+
+def _erase_run(ts: TapeSet, run: int, erase: bool) -> None:
+    """Move tape 1 left over `run` cells, all right of the start marker;
+    while erasing, blank each 0 up to the first 1, which ends the erasing.
+
+    Each cell costs a move and a read, and an erased 0 a write.  Left of the
+    C-token tape 1 holds only 0 and 1.
+    """
+    tape = ts.tapes[0]
+    h = tape.head
+    tape.head = h - run
+    ts.steps += 2 * run
+    if erase:
+        tail = tape.cells[h - run:h]
+        tail.reverse()
+        zeros = tail.index("1") if "1" in tail else run
+        tape.cells[h - zeros:h] = [BLANK] * zeros
+        ts.steps += zeros
 
 
 def _program_toggle(ts: TapeSet) -> None:

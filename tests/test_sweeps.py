@@ -1,10 +1,15 @@
 """Counted sweeps against the per-primitive loops that define them.
 
-Each sweep (`TapeSet.scan_right`, `TapeSet.scan_left`, the two suffix shifts
-and F's `_scan_valid`) must leave exactly the state its defining loop leaves:
+Each sweep (`TapeSet.scan_right`, `TapeSet.scan_left`, the two suffix shifts,
+F's `_scan_valid` and Z2 wr Z^2's region scan and mark move) must leave
+exactly the state its defining loop leaves:
 the same return value, step count, head and cells, and for a fault the same
-exception type after the same number of steps.  The loops below are the
-replaced implementations, kept as reference oracles.
+exception type after the same number of steps.  One fault is the exception:
+Z2 wr Z^2's mark move refuses a move left past the start marker before any
+step, where its loop faults partway through the run.  No region scan leaves
+such a state, and matching the loop's partial charge would add code for
+it alone, so there the two agree on the fault's type only.  The loops below
+are the replaced implementations, kept as reference oracles.
 """
 
 import itertools
@@ -13,13 +18,15 @@ from collections import deque
 
 import pytest
 
+from tapegroups import spiral
 from tapegroups import thompson_f as tf
 from tapegroups import z2wrf2
+from tapegroups import z2wrz2 as zz
 from tapegroups.errors import InvalidInput, TapeFault
 from tapegroups.framework import REPRESENTATIONS
 from tapegroups.tapeops import shift_suffix_left, shift_suffix_right
-from tapegroups.tapevm import TapeSet
-from tapegroups.tokens import BEGIN, BLANK, Z2F2_SIGMA
+from tapegroups.tapevm import TapeSet, init_tapes
+from tapegroups.tokens import BEGIN, BLANK, Z2F2_SIGMA, Z2Z2_SIGMA
 
 SMALL = ("a", "b", "#", BLANK, "x")
 # Tapes over SMALL are enumerated up to this length with every head and stop
@@ -286,3 +293,258 @@ def test_scan_valid_matches_loop_on_normal_forms():
             want = run(loop_scan_valid, cells, 0)
             assert run(tf._scan_valid, cells, 0) == want
             assert want[0] == tf.validate(text)
+
+
+# -- Z2 wr Z^2's region scan and mark move -----------------------------------
+
+def loop_scan_to_mark(ts):
+    def step1():
+        ts.move_right(0)
+        return ts.read(0)
+
+    def sweep(region, flip_to):
+        sym = step1()
+        ts.move_left(1)
+        if sym in zz._END:
+            return region, sym
+        while ts.read(1) != BEGIN:
+            ts.move_left(1)
+            sym = step1()
+            if sym in zz._END:
+                return region, sym
+        while True:
+            ts.move_right(1)
+            at_blank = ts.read(1) == BLANK
+            sym = step1()
+            here = flip_to if (at_blank and flip_to) else region
+            if sym in zz._END:
+                return here, sym
+            if at_blank:
+                return here, None
+
+    def walk():
+        for region in zz._FIRST_REGIONS:
+            sym = step1()
+            if sym in zz._END:
+                return region, sym
+        sym = step1()
+        ts.move_right(1)
+        while True:
+            ts.write(1, "T")
+            if sym in zz._END:
+                return "L1", sym
+            for region, flip_to in zz._SWEEPS:
+                S, stopped = sweep(region, flip_to)
+                if stopped is not None:
+                    return S, stopped
+            sym = step1()
+
+    S, sym = walk()
+    if sym == BLANK:
+        return None
+    ts.scan_right(1, (BLANK,))
+    return S
+
+
+def loop_sweep_pair(ts, mode, one_move):
+    if mode == "full":
+        ts.move_left(1)
+        one_move()
+    else:
+        ts.move_left(1)
+    while ts.read(1) != BEGIN:
+        ts.move_left(1)
+        one_move()
+    if mode == "bare":
+        ts.move_right(1)
+        while ts.read(1) != BLANK:
+            ts.move_right(1)
+            one_move()
+    else:
+        while True:
+            ts.move_right(1)
+            at_blank = ts.read(1) == BLANK
+            one_move()
+            if at_blank:
+                return
+
+
+def loop_move_mark(ts, c_const, fwd):
+    old = ts.read(0)
+    erase = False
+    if not fwd and old != "C1":
+        ts.move_right(0)
+        erase = ts.read(0) == BLANK
+        ts.move_left(0)
+    ts.write(0, BLANK if erase else ("0" if old == "C0" else "1"))
+
+    if fwd:
+        def one_move():
+            ts.move_right(0)
+            if ts.read(0) == BLANK:
+                ts.write(0, "0")
+    else:
+        def one_move():
+            nonlocal erase
+            ts.move_left(0)
+            sym = ts.read(0)
+            if erase:
+                if sym == "0":
+                    ts.write(0, BLANK)
+                elif sym == "1":
+                    erase = False
+
+    if c_const is None:
+        remainder = 1
+    else:
+        mode = "full" if c_const >= 9 else ("short" if c_const >= 5 else "bare")
+        base = {"full": 8, "short": 4, "bare": 0}[mode]
+        remainder = c_const - base
+        for _ in range(4):
+            loop_sweep_pair(ts, mode, one_move)
+    for _ in range(remainder - 1):
+        one_move()
+    if fwd:
+        ts.move_right(0)
+    else:
+        ts.move_left(0)
+    sym = ts.read(0)
+    if sym == "0" or (fwd and sym == BLANK):
+        ts.write(0, "C0")
+    elif sym == "1":
+        ts.write(0, "C1")
+
+
+def state(ts, out):
+    return out, ts.steps, [(t.head, t.cells) for t in ts.tapes]
+
+
+def run_z2(fn, toks, *args):
+    """Run fn on the 2-tape set a Z2 wr Z^2 program starts from."""
+    ts = init_tapes(toks, 2, sigma=Z2Z2_SIGMA)
+    try:
+        out = fn(ts, *args)
+    except TapeFault as exc:
+        out = type(exc)
+    return state(ts, out)
+
+
+def jump(gen, region):
+    sign, kind = spiral.JUMPS[zz._GEN_DIR[gen]][region]
+    return (None if kind == "one" else kind), sign > 0
+
+
+def check_moves_from(toks, scanned, region):
+    """Every generator's mark move on tape-1 cells toks, from the state a scan
+    that stopped on toks' first C-token left: closed form against the loop."""
+    for gen in zz._GEN_DIR:
+        results = []
+        for move in (loop_move_mark, zz._move_mark):
+            ts = TapeSet(2, sigma=Z2Z2_SIGMA)
+            ts.steps = scanned.steps
+            for tape, old in zip(ts.tapes, scanned.tapes):
+                tape.head = old.head
+                tape.cells = list(old.cells)
+            ts.tapes[0].cells = [BEGIN, *toks]
+            try:
+                out = move(ts, *jump(gen, region))
+            except TapeFault as exc:
+                out = type(exc)
+            results.append(state(ts, out))
+        assert results[0] == results[1], (toks, gen, region)
+
+
+def test_z2wrz2_programs_match_loops_on_every_short_token_string():
+    def loop_program(ts, gen):
+        if gen == "c":  # the toggle's one sweep is scan_right, checked above
+            return zz._program_toggle(ts)
+        region = loop_scan_to_mark(ts)
+        if region is not None:
+            loop_move_mark(ts, *jump(gen, region))
+
+    def program(ts, gen):
+        return zz._program_toggle(ts) if gen == "c" else zz._program_move(ts, gen)
+
+    for n in range(8):
+        for toks in itertools.product(Z2Z2_SIGMA, repeat=n):
+            toks = list(toks)
+            want = run_z2(loop_scan_to_mark, toks)
+            assert run_z2(zz._scan_to_mark, toks) == want, toks
+            for gen in zz.GENERATORS:
+                want = run_z2(loop_program, toks, gen)
+                assert run_z2(program, toks, gen) == want, (toks, gen)
+
+
+def ring_marks(r):
+    """The ring's start, its four corners, and the cells next to each."""
+    s = spiral._ring_start(r)
+    return sorted({s + d + e for d in (0, 2 * r - 1, 4 * r - 1, 6 * r - 1, 8 * r - 1)
+                   for e in (-1, 0, 1)})
+
+
+def long_tape(rng, k, kind):
+    """Tape-1 cells whose first C-token is cell k."""
+    bits = list(f"{rng.getrandbits(k):0{k}b}")[1:]  # k-1 random bits
+    if kind == "tail":  # random tokens after the mark, other C-tokens among them
+        return bits + [rng.choice(zz._C)] + [
+            rng.choice(Z2Z2_SIGMA) for _ in range(rng.randint(1, 40))]
+    if kind == "last":  # a move right pads past the end
+        return bits + [rng.choice(zz._C)]
+    # a move left from a final C0 erases the zeros it crosses: all of them,
+    # or those up to a 1 somewhere in the jump's reach
+    zeros = ["0"] * (k - 1)
+    if kind == "zeros-1" and k > 1:
+        r = spiral._ring_of_index(k)
+        zeros[rng.randrange(max(0, k - 8 * r - 16), k - 1)] = "1"
+    return zeros + ["C0"]
+
+
+def test_z2wrz2_scan_and_move_match_loops_on_ring_corners():
+    # rings 1-70; a normal form of 2^14 tokens reaches about ring 64.  One
+    # loop scan per mark; the moves then run from its state on a tape of a
+    # seeded kind with its first C-token on the same mark
+    rng = random.Random(11)
+    for r in range(1, 71):
+        for k in ring_marks(r):
+            toks = long_tape(rng, k, "tail")
+            scanned = init_tapes(toks, 2, sigma=Z2Z2_SIGMA)
+            region = loop_scan_to_mark(scanned)
+            assert run_z2(zz._scan_to_mark, toks) == state(scanned, region), k
+            kind = rng.choice(("tail", "last", "zeros", "zeros-1"))
+            check_moves_from(long_tape(rng, k, kind), scanned, region)
+
+
+def test_z2wrz2_move_left_near_the_start_marker():
+    # a jump lands on a spiral neighbour, so no scan leaves the mark closer to
+    # cell 0 than its jump reaches.  In such a state the loop faults partway
+    # through its run and the closed form refuses before any step: the two
+    # agree on the fault's type, not on its steps.  Every state whose move
+    # stays on the tape must match the loop exactly
+    rng = random.Random(13)
+    seen = {True: 0, False: 0}
+    for n in range(1, 14):
+        for kind in ("zeros", "bits", "tail"):
+            toks = (["0"] * (n - 1) if kind == "zeros" else
+                    [rng.choice("01") for _ in range(n - 1)])
+            toks.append(rng.choice(zz._C))
+            if kind == "tail":
+                toks += [rng.choice(Z2Z2_SIGMA) for _ in range(3)]
+            for i in range(3):
+                for c_const in (None, 1, 3, 5, 7):
+                    results = []
+                    for move in (loop_move_mark, zz._move_mark):
+                        ts = init_tapes(toks, 2, sigma=Z2Z2_SIGMA)
+                        ts.tapes[0].head = n
+                        ts.tapes[1].cells = [BEGIN] + ["T"] * i
+                        ts.tapes[1].head = i + 1
+                        start = state(ts, TapeFault)
+                        try:
+                            out = move(ts, c_const, False)
+                        except TapeFault as exc:
+                            out = type(exc)
+                        results.append(state(ts, out))
+                    want, got = results
+                    fault = want[0] is TapeFault
+                    seen[fault] += 1
+                    assert got == (start if fault else want), (toks, i, c_const)
+    assert seen[True] and seen[False], seen

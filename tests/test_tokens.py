@@ -156,3 +156,31 @@ def test_long_whitespace_run_is_linear():
     text = "D0" + " " * 100_000 + "x"
     with pytest.raises(NotInLanguage, match=r"unknown symbol 'x' at position 100002"):
         tokenize_z2f2(text)
+
+
+def test_every_short_string_over_the_z2z2_characters():
+    # the whole-text match must accept exactly the token strings: near
+    # misses (two C's in a row, a C at the end, a bad symbol or whitespace
+    # anywhere) must fail as the reference does
+    for k in range(7):
+        for chars in itertools.product("01C \n2", repeat=k):
+            text = "".join(chars)
+            got = outcome(tokenize_z2z2, text)
+            assert got == outcome(ref_tokenize_z2z2, text), text
+            if isinstance(got, list):
+                assert_canonical(got, Z2Z2_SIGMA)
+
+
+def test_long_texts_match_reference():
+    # one lamplighter, the shape of every normal form, and then several
+    rng = random.Random(6)
+    for n in (1 << 10, 1 << 14):
+        bits = [rng.choice("01") for _ in range(n)]
+        for cs in ([0], [1], [n // 2], [n - 1], [0, 1, 5, n - 1],
+                   sorted(rng.sample(range(n), 40))):
+            text = "".join("C" * (k in cs) + b for k, b in enumerate(bits))
+            toks = tokenize_z2z2(text)
+            assert toks == ref_tokenize_z2z2(text)
+            assert_canonical(toks, Z2Z2_SIGMA)
+            for bad in (text + "C", text[:-1] + "2" + text[-1:], "C" + text, " " + text):
+                assert outcome(tokenize_z2z2, bad) == outcome(ref_tokenize_z2z2, bad)

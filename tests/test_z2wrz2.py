@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -6,8 +7,10 @@ from tapegroups import spiral, z2wrz2 as z
 from tapegroups.errors import BadWord, NotInLanguage
 from tapegroups.framework import REPRESENTATIONS
 from tapegroups.oracle_groups import IDENTITY_Z2, LampConfigZ2, wreath_mul_gen
-from tapegroups.tapevm import init_tapes
+from tapegroups.tapevm import TapeSet, init_tapes
 from tapegroups.tokens import Z2Z2_SIGMA
+
+from test_step_ledger import SIZES, _walk_entries
 
 INV = {"a": "a-", "a-": "a", "b": "b-", "b-": "b", "c": "c"}
 
@@ -143,3 +146,71 @@ def test_unknown_generator_raises_bad_word():
     # the generator is checked before the input is read
     with pytest.raises(BadWord):
         z.apply_gen_report("?", "x9")
+
+
+# -- host work and the explicit step bound -------------------------------------
+
+def test_host_work_grows_like_the_square_root_of_the_input(monkeypatch):
+    # the region scan and the mark move are charged in closed form: a move
+    # makes O(1) primitive calls per winding, O(sqrt n) in all.  Per-step
+    # loops would make O(n), about 16x from 2^10 to 2^14 tokens
+    calls = [0]
+    for name in ("read", "write", "move_left", "move_right"):
+        def counted(self, *args, _prim=getattr(TapeSet, name)):
+            calls[0] += 1
+            return _prim(self, *args)
+        monkeypatch.setattr(TapeSet, name, counted)
+    rep = REPRESENTATIONS["z2wrz2"]()
+    per_size = {}
+    for n in (1 << 10, 1 << 14):
+        calls[0] = 0
+        for seed in range(3):
+            nf = rep.sample_nf(random.Random(seed), n)
+            for gen in ("a", "a-", "b", "b-"):
+                z.apply_gen_report(nf, gen)
+        per_size[n] = calls[0]
+    assert per_size[1 << 14] <= 6 * per_size[1 << 10], per_size
+
+
+def within_bound(text, gen):
+    out, report = z.apply_gen_report(text, gen)
+    alpha, beta = z.STEP_BOUND[gen]
+    assert report.steps <= alpha * report.input_len + beta, (text, gen, report.steps)
+    return report
+
+
+def test_step_bound_on_every_normal_form_up_to_12_tokens():
+    count = 0
+    for length in range(1, 13):
+        for bits in itertools.product("01", repeat=length - 1):
+            for c in range(length):
+                for mark in ("C0", "C1"):
+                    toks = [*bits[:c], mark, *bits[c:]]
+                    if toks[-1] == "0":
+                        continue
+                    count += 1
+                    for gen in z.GENERATORS:
+                        within_bound("".join(toks), gen)
+    assert count == 49_152
+
+
+def test_step_bound_on_the_ledger_inputs():
+    rep = REPRESENTATIONS["z2wrz2"]()
+    for n in SIZES:
+        nf = rep.sample_nf(random.Random(n), n)
+        for gen in z.GENERATORS:
+            within_bound(nf, gen)
+    for text, gen, _, _ in _walk_entries(rep, seed=1):
+        within_bound(text, gen)
+
+
+def test_step_bound_is_tight_on_the_lamplighter_at_the_end():
+    # the scan crosses every token: steps reach at least alpha/2 per token
+    rng = random.Random(3)
+    for e in range(6, 15):
+        n = 1 << e
+        bits = "".join(rng.choice("01") for _ in range(n - 1))
+        for text in (bits + "C0", "0" * (n - 1) + "C0"):
+            for gen in z.GENERATORS:
+                report = within_bound(text, gen)
+                assert report.steps >= z.STEP_BOUND[gen][0] / 2 * n, (n, gen)
