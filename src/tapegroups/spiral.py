@@ -8,8 +8,11 @@ The plane splits into nine regions: the origin O, four corner rays L1..L4 and
 four open sectors D1..D4.  Right multiplication of a spiral index by a lattice
 step is a closed-form jump whose size depends only on (region, turn count);
 the +a formulas follow the case analysis of the two-tape multiplier, the other
-three directions use the derived table below (exhaustively cross-checked
-against the walker in the tests).
+three directions use the derived table below, proved in the tests: within a
+region, spiral_index of a point and of its neighbour are polynomials of
+degree at most 2 in the ring and the offset along the side, so each entry is
+a polynomial identity, checked exactly on a few rings and offsets per region
+once the formula pieces are fixed, and point by point on the small rings.
 """
 
 from __future__ import annotations
@@ -27,7 +30,7 @@ DIRS = {"+a": (1, 0), "-a": (-1, 0), "+b": (0, 1), "-b": (0, -1)}
 # Jump table: region -> (sign, kind) where kind is an int c meaning a move of
 # sign * (8i + c) for turn count i, or the string "one" for a single step.
 # Only the +a column is given by the source case analysis; the rest were
-# conjectured from the walker on k <= 10**6 and frozen here.
+# found with the walker and are proved in tests/test_spiral.py.
 JUMPS = {
     "+a": {O: (+1, "one"), L1: (+1, 9), D1: (+1, 9), L2: (+1, 9),
            D2: (-1, "one"), L3: (-1, "one"), D3: (-1, 5), L4: (+1, "one"), D4: (+1, "one")},
@@ -123,7 +126,7 @@ def turn_count(k: int) -> int:
 
 
 def neighbor_index(k: int, direction: str) -> int:
-    """Index of spiral_point(k) + direction, via the frozen jump table."""
+    """Index of spiral_point(k) + direction, via the jump table."""
     sign, kind = JUMPS[direction][classify(spiral_point(k))]
     if kind == "one":
         k2 = k + sign

@@ -56,9 +56,6 @@ class Tape:
         self.cells: list[str] = [BEGIN]
         self.head = 0
 
-    def snapshot(self) -> list[str]:
-        return list(self.cells)
-
 
 @dataclass(frozen=True)
 class StepReport:

@@ -534,11 +534,12 @@ def _x1_inv_case2(ts: TapeSet) -> Optional[str]:
 # ---------------------------------------------------------------------------
 # x1 multiplication: guess and check
 
-def _run_edit(text: str, edit) -> Tuple[Optional[str], int]:
+def _run(text: str, program) -> Tuple[str, int, object]:
+    """Run program on a fresh 2-tape machine holding text: the output, the
+    steps and the program's return value."""
     ts = init_tapes(list(text), 2, sigma=F_SIGMA)
-    ok = edit(ts)
-    out = "".join(read_output(ts))
-    return (out if ok else None), ts.steps
+    result = program(ts)
+    return "".join(read_output(ts)), ts.steps, result
 
 
 def _b_11(ts: TapeSet) -> bool:
@@ -674,23 +675,17 @@ def apply_x1(text: str) -> Tuple[str, int, Tuple[str, ...]]:
     steps = 0
     cases = []
     for builder in _X1_BUILDERS:
-        candidate, st = _run_edit(text, builder)
+        candidate, st, ok = _run(text, builder)
         steps += st
-        if candidate is None or not validate(candidate):
+        if not ok or not validate(candidate):
             continue
-        back, st2, label = _apply_x1_inv_raw(candidate)
+        back, st2, label = _run(candidate, _program_x1_inv)
         steps += st2
         if label is not None:
             cases.append(label)
         if back == text:
             return candidate, steps, tuple(cases)
     raise NoCaseMatched(f"no multiplication case accepted {text!r}")
-
-
-def _apply_x1_inv_raw(text: str) -> Tuple[str, int, Optional[str]]:
-    ts = init_tapes(list(text), 2, sigma=F_SIGMA)
-    label = _program_x1_inv(ts)
-    return "".join(read_output(ts)), ts.steps, label
 
 
 # ---------------------------------------------------------------------------
@@ -718,11 +713,10 @@ def apply_gen_report(text: str, gen: str) -> Tuple[str, StepReport]:
         out, steps, cases = apply_x1(text)
         return out, StepReport(n, steps, gen, GROUP, cases)
     if gen == "x1-":
-        out, steps, label = _apply_x1_inv_raw(text)
+        out, steps, label = _run(text, _program_x1_inv)
         return out, StepReport(n, steps, gen, GROUP, () if label is None else (label,))
-    ts = init_tapes(list(text), 2, sigma=F_SIGMA)
-    _program_x0(ts, +1 if gen == "x0" else -1)
-    return "".join(read_output(ts)), StepReport(n, ts.steps, gen, GROUP)
+    out, steps, _ = _run(text, lambda ts: _program_x0(ts, 1 if gen == "x0" else -1))
+    return out, StepReport(n, steps, gen, GROUP)
 
 
 def apply_gen(text: str, gen: str) -> str:

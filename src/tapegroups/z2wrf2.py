@@ -19,11 +19,16 @@ bracket stack, then move the marker one position along the generator's axis:
 within a line this is a neighbouring item (entering sibling groups at their
 pivot), off the marker's axis it sprouts a fresh two-token group, and a move
 that empties a group collapses it.  All edits are constant-size suffix shifts.
+
+Every bracket-stack run, the scan to the marker as well as entering and
+leaving a group, is one `_walk`.  Each cell it crosses costs a tape-1 move and
+a tape-1 read; a push costs a tape-2 move and write; a closing bracket costs a
+tape-2 read, plus a write and a move when it pops.
 """
 
 from __future__ import annotations
 
-from typing import List, Tuple, Union
+from typing import List, Optional, Tuple, Union
 
 from .errors import BadWord, NotInLanguage
 from .oracle_groups import LampConfigF2
@@ -377,31 +382,38 @@ def validate(text: str) -> bool:
 # ---------------------------------------------------------------------------
 # tape programs
 
+def _walk(ts: TapeSet, fwd: bool, stop) -> Tuple[str, Optional[str]]:
+    """Move the tape-1 head one cell at a time, forward or backward, keeping
+    the bracket stack on tape 2: push a bracket that opens a group ahead, pop
+    a closing one whose partner is the stack top.  Returns (sym, None) on a symbol in stop or on the end
+    marker, and (bracket, top) on a closing bracket whose partner is not the
+    stack top; a marked top such as '(*' is no bracket's partner."""
+    push, pop, end = _WAY[fwd]
+    move = ts.move_right if fwd else ts.move_left
+    read = ts.read
+    while True:
+        move(0)
+        sym = read(0)
+        if sym in push:
+            ts.move_right(1)
+            ts.write(1, sym)
+        elif sym in pop:
+            top = read(1)
+            if top != _PARTNER[sym]:
+                return sym, top
+            ts.write(1, BLANK)
+            ts.move_left(1)
+        elif sym in stop or sym == end:
+            return sym, None
+
+
 def _scan_to_marker(ts: TapeSet):
     """First iteration: right scan to the lamplighter marker, bracket stack on
     tape 2.  Returns (marker, stack top) or (None, None) on invalid input."""
-    while True:
-        ts.move_right(0)
-        sym = ts.read(0)
-        if sym in _OPENS:
-            ts.move_right(1)
-            ts.write(1, sym)
-        elif sym in _CLOSES:
-            if not _pop(ts, sym, ts.read(1)):
-                return None, None
-        elif sym in _STOP:
-            return sym, ts.read(1)
-        elif sym == BLANK:
-            return None, None
-
-
-def _pop(ts: TapeSet, sym: str, top: str) -> bool:
-    """Pop the stack top if it is the partner of bracket sym, else stop."""
-    if top != _PARTNER[sym]:
-        return False
-    ts.write(1, BLANK)
-    ts.move_left(1)
-    return True
+    sym, _ = _walk(ts, True, _STOP)
+    if sym in _STOP:
+        return sym, ts.read(1)
+    return None, None
 
 
 def _program_toggle(ts: TapeSet) -> None:
@@ -435,28 +447,17 @@ def _enter(ts: TapeSet, bracket: str, fwd: bool) -> None:
     the group's pivot with the lamplighter."""
     marked = bracket + "*"
     piv = _PIVOTS[bracket]
-    push, pop, end = _WAY[fwd]
-    move = ts.move_right if fwd else ts.move_left
     ts.move_right(1)
     ts.write(1, marked)
     while True:
-        move(0)
-        sym = ts.read(0)
-        if sym in piv:
-            if ts.read(1) == marked:
-                _mark_pivot(ts, sym)
-                return
-        elif sym in push:
-            ts.move_right(1)
-            ts.write(1, sym)
-        elif sym in pop:
-            top = ts.read(1)
-            # our own partner before a pivot, or a mismatch: invalid input.
-            # Backward, the mismatch and the BEGIN exit below cannot fire: a
-            # backward run only crosses brackets _scan_to_marker has matched.
-            if top == marked or not _pop(ts, sym, top):
-                return
-        elif sym == end:
+        sym, _ = _walk(ts, fwd, piv)
+        # our own partner before a pivot, a mismatch or the end: invalid
+        # input.  Backward, the mismatch and the BEGIN exit cannot fire: a
+        # backward run only crosses brackets _scan_to_marker has matched.
+        if sym not in piv:
+            return
+        if ts.read(1) == marked:  # a pivot deeper down is not ours
+            _mark_pivot(ts, sym)
             return
 
 
@@ -465,29 +466,15 @@ def _exit_group(ts: TapeSet, open_sym: str, fwd: bool) -> bool:
     (forward) or our open (backward)."""
     marked = open_sym + "*"
     want = _PARTNER[open_sym] if fwd else open_sym
-    push, pop, end = _WAY[fwd]
-    move = ts.move_right if fwd else ts.move_left
     ts.write(1, marked)
-    while True:
-        move(0)
-        sym = ts.read(0)
-        if sym in push:
-            ts.move_right(1)
-            ts.write(1, sym)
-        elif sym in pop:
-            top = ts.read(1)
-            if top == marked:
-                if fwd and sym != want:
-                    return False  # forward checks the kind before it pops
-                ts.write(1, BLANK)
-                ts.move_left(1)
-                return sym == want
-            # backward, this mismatch and the BEGIN exit below cannot fire: a
-            # backward run only crosses brackets _scan_to_marker has matched
-            if not _pop(ts, sym, top):
-                return False
-        elif sym == end:
-            return False
+    # backward, a mismatch and the BEGIN exit cannot fire: a backward run only
+    # crosses brackets _scan_to_marker has matched
+    sym, top = _walk(ts, fwd, ())
+    if top != marked or (fwd and sym != want):
+        return False  # forward checks the kind before it pops
+    ts.write(1, BLANK)
+    ts.move_left(1)
+    return sym == want
 
 
 def _insert_here(ts: TapeSet, tok: str) -> None:

@@ -63,11 +63,11 @@ def test_step_monotonicity_exact():
 
 def test_tape_isolation():
     ts = init_tapes(["0", "1"], 3)
-    before = [t.snapshot() for t in ts.tapes]
+    before = [list(t.cells) for t in ts.tapes]
     ts.move_right(1)
     ts.write(1, "T")
-    assert ts.tapes[0].snapshot() == before[0]
-    assert ts.tapes[2].snapshot() == before[2]
+    assert list(ts.tapes[0].cells) == before[0]
+    assert list(ts.tapes[2].cells) == before[2]
 
 
 def test_read_output_prefix_semantics():

@@ -92,7 +92,7 @@ def test_invalid_input_raises_but_machine_halts():
     with pytest.raises(NotInLanguage):
         tf.apply_gen("ab", "x1-")
     # the underlying machine itself is total: it halts without editing
-    assert tf._apply_x1_inv_raw("ab")[0] == "ab"
+    assert tf._run("ab", tf._program_x1_inv)[0] == "ab"
 
 
 def test_oracle_differential_and_bijectivity():
@@ -134,6 +134,16 @@ def test_x1_inv_reports_its_branch(label):
     assert tf.apply_gen_report(nf, "x1-")[1].cases == (label,)
     for gen in ("x0", "x0-"):
         assert tf.apply_gen_report(nf, gen)[1].cases == ()
+
+
+def test_x1_inv_labels_every_short_normal_form():
+    # every normal form of at most 10 symbols reaches a labelled edit: none of
+    # them leaves _x1_inv_case2 by one of its `return None` exits
+    forms = [text for k in range(11) for t in itertools.product("ab#", repeat=k)
+             if tf.validate(text := "".join(t))]
+    assert len(forms) == 11641
+    for nf in forms:
+        assert len(tf.apply_gen_report(nf, "x1-")[1].cases) == 1, nf
 
 
 def test_x1_accepts_the_round_trip_of_the_inverse_branch():
@@ -208,7 +218,7 @@ def test_total_on_garbage():
     rng = random.Random(0)
     for _ in range(400):
         text = "".join(rng.choice("ab#") for _ in range(rng.randint(0, 12)))
-        tf._apply_x1_inv_raw(text)
+        tf._run(text, tf._program_x1_inv)
         if tf.validate(text):
             for gen in ("x0", "x0-", "x1-", "x1"):
                 assert tf.validate(tf.apply_gen(text, gen))

@@ -1,12 +1,15 @@
+import dis
 import random
+import sys
 
 import pytest
 
 from tapegroups import z2wrf2 as z
 from tapegroups.errors import BadWord, NotInLanguage
-from tapegroups.framework import REPRESENTATIONS, word_to_nf
+from tapegroups.framework import REPRESENTATIONS, representation_z2wrf2, word_to_nf
 from tapegroups.oracle_groups import IDENTITY_F2, LampConfigF2, f2_reduce, wreath_mul_gen
 from tapegroups.tokens import render_z2f2, tokenize_z2f2
+from test_step_ledger import _walk_entries
 
 INV = {"a": "a-", "a-": "a", "b": "b-", "b-": "b", "c": "c"}
 
@@ -302,3 +305,35 @@ def test_deep_zigzag_lamp_round_trips():
     nf = z.encode(cfg)
     assert nf.count("(") + nf.count("[") == 2047
     assert z.decode(nf) == cfg
+
+
+TAPE_PROGRAMS = (z._walk, z._scan_to_marker, z._enter, z._exit_group, z._leaf_inline,
+                 z._move_and_land, z._mark_pivot, z._sprout, z._program_move,
+                 z._program_toggle, z._insert_here)
+
+
+def test_ledger_walks_run_every_line_of_the_tape_programs():
+    # the golden ledger vouches for a refactor of these programs only as far
+    # as its walks section runs them: every line must be reached
+    hit = {fn.__code__: set() for fn in TAPE_PROGRAMS}
+
+    def trace(frame, event, arg):
+        lines = hit.get(frame.f_code)
+        if lines is None:
+            return None
+
+        def local(frame, event, arg):
+            lines.add(frame.f_lineno)
+            return local
+        return local(frame, event, arg)
+
+    old = sys.gettrace()
+    sys.settrace(trace)
+    try:
+        for _ in _walk_entries(representation_z2wrf2(), 1):
+            pass
+    finally:
+        sys.settrace(old)
+    for fn in TAPE_PROGRAMS:
+        lines = {line for _, line in dis.findlinestarts(fn.__code__) if line is not None}
+        assert lines <= hit[fn.__code__], (fn.__name__, sorted(lines - hit[fn.__code__]))
