@@ -8,8 +8,11 @@ a few fixed words per group.  Its `walks` section reaches the short normal
 forms and the invalid inputs the large samples miss: every generator applied
 at every step of seeded walks from the identity, and, for the wreath
 products, whose raw programs halt on anything, to seeded random token
-strings.  A refactor must leave it byte-identical; a change that moves a
-count regenerates it and says why in CHANGES.md.
+strings.  Its `codec` section pins each group's decoder: every distinct
+input and output text of those walks, in first-seen order, with its verdict,
+either the NotInLanguage message or a canonical rendering of the element.
+A refactor must leave it byte-identical; a change that moves a count
+regenerates it and says why in CHANGES.md.
 
 Regenerate with `PYTHONPATH=src python tests/test_step_ledger.py`
 (about 3 s).
@@ -21,6 +24,8 @@ import random
 from pathlib import Path
 
 from tapegroups import framework as fw
+from tapegroups.errors import NotInLanguage
+from tapegroups.oracle_groups import LampConfigF2, LampConfigZ2
 from tapegroups.tokens import Z2F2_SIGMA, Z2Z2_SIGMA, render, render_z2f2
 
 LEDGER = Path(__file__).parent / "data" / "step_ledger.json"
@@ -84,9 +89,9 @@ def _walk_entries(rep: fw.Representation, seed: int):
                 yield text, gen, report.steps, out
 
 
-def _walks(rep: fw.Representation, seed: int) -> dict:
+def _walks(rep: fw.Representation, entries) -> dict:
     tally = {gen: [0, 0, hashlib.sha256()] for gen in rep.generators}
-    for text, gen, steps, out in _walk_entries(rep, seed):
+    for text, gen, steps, out in entries:
         row = tally[gen]
         row[0] += 1
         row[1] += steps
@@ -95,10 +100,36 @@ def _walks(rep: fw.Representation, seed: int) -> dict:
             for gen, (n, steps, h) in tally.items()}
 
 
+def _verdict(rep: fw.Representation, text: str) -> str:
+    """The decoder's message on a non-member, else the element: sorted lamps
+    and position for the wreath products (frozenset order varies with the
+    string hash seed), the map's repr for F."""
+    try:
+        elem = rep.decode(text)
+    except NotInLanguage as exc:
+        return f"NotInLanguage: {exc}"
+    if isinstance(elem, (LampConfigZ2, LampConfigF2)):
+        return f"lamps={sorted(elem.lit)} pos={elem.pos!r}"
+    return repr(elem)
+
+
+def _codec(rep: fw.Representation, entries) -> dict:
+    texts = dict.fromkeys(t for text, _gen, _steps, out in entries
+                          for t in (text, out))
+    decoded = 0
+    h = hashlib.sha256()
+    for text in texts:
+        verdict = _verdict(rep, text)
+        decoded += not verdict.startswith("NotInLanguage: ")
+        h.update(f"{text}\t{verdict}\n".encode())
+    return {"texts": len(texts), "decoded": decoded, "sha256": h.hexdigest()}
+
+
 def build_ledger() -> dict:
     apply = {}
     fold = {}
     walks = {}
+    codec = {}
     for group_id, make in fw.REPRESENTATIONS.items():
         rep = make()
         by_size = {}
@@ -116,8 +147,10 @@ def build_ledger() -> dict:
             nf, steps = fw.word_to_nf_report(rep, word)
             folds[name] = {"word": " ".join(word), "steps": steps, "nf": nf}
         fold[group_id] = folds
-        walks[group_id] = _walks(rep, seed=1)
-    return {"apply": apply, "fold": fold, "walks": walks}
+        entries = list(_walk_entries(rep, seed=1))
+        walks[group_id] = _walks(rep, entries)
+        codec[group_id] = _codec(rep, entries)
+    return {"apply": apply, "codec": codec, "fold": fold, "walks": walks}
 
 
 def render_ledger(ledger: dict) -> str:
