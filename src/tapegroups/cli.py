@@ -1,9 +1,11 @@
 """Command-line front end.
 
 Subcommands: normalize, mul, wp, fuzz, bench, probe, demo-nonqg.  Every
-subcommand takes --group {z2wrz2, z2wrf2, thompson-f}; generator words are
-whitespace-separated tokens a a- b b- c / x0 x0- x1 x1-.  Exit codes: 0 ok,
-1 bad input (not in the language / bad word), 2 internal fault, 64 usage.
+subcommand but demo-nonqg, whose table is of Z2 wr Z^2, takes --group {z2wrz2,
+z2wrf2, thompson-f}; normalize and mul also take --format {text, json}.
+Generator words are whitespace-separated tokens a a- b b- c / x0 x0- x1 x1-.
+Exit codes: 0 ok, 1 bad input (not in the language / bad word), 2 internal
+fault, 64 usage.
 """
 
 from __future__ import annotations
@@ -31,15 +33,16 @@ def _build_parser() -> _Parser:
 
     def common(sp):
         sp.add_argument("--group", required=True, choices=sorted(fw.REPRESENTATIONS))
-        sp.add_argument("--format", choices=("text", "json"), default="text")
         sp.add_argument("--out", default=None, help="write the report to a file")
 
     sp = sub.add_parser("normalize", help="normal form of a generator word")
     common(sp)
+    sp.add_argument("--format", choices=("text", "json"), default="text")
     sp.add_argument("--word", required=True, help="whitespace-separated generators")
 
     sp = sub.add_parser("mul", help="right-multiply a normal form by one generator")
     common(sp)
+    sp.add_argument("--format", choices=("text", "json"), default="text")
     sp.add_argument("--nf", required=True)
     sp.add_argument("--gen", required=True)
 
@@ -66,8 +69,8 @@ def _build_parser() -> _Parser:
     sp.add_argument("--max-walk", type=int, default=2000)
     sp.add_argument("--seed", type=int, default=42)
 
-    sp = sub.add_parser("demo-nonqg", help="divergence table for the spiral form")
-    common(sp)
+    sp = sub.add_parser("demo-nonqg", help="divergence table for the spiral form of Z2 wr Z^2")
+    sp.add_argument("--out", default=None, help="write the table to a file")
     sp.add_argument("--ks", default="5,10,20,50,100")
     return p
 
@@ -82,7 +85,7 @@ def _emit(args, payload_text: str) -> None:
 
 def run(argv: Optional[Sequence[str]] = None) -> int:
     args = _build_parser().parse_args(argv)
-    rep = fw.REPRESENTATIONS[args.group]()
+    rep = fw.REPRESENTATIONS[args.group]() if args.command != "demo-nonqg" else None
     try:
         if args.command == "normalize":
             nf = fw.word_to_nf(rep, args.word.split())

@@ -445,7 +445,10 @@ def _drop_b_after_a_run(ts: TapeSet) -> bool:
     return True
 
 
-def _x1_inv_case2(ts: TapeSet) -> Optional[str]:
+def _x1_inv_case2(ts: TapeSet) -> str:
+    """The s0 > 0 family on a normal form.  Every path ends in a labelled
+    edit: where a read could meet a blank or another symbol, a comment says
+    why a normal form cannot."""
     case_flag = _compute_r(ts)
     if case_flag:
         _mark_hash_track(ts)
@@ -457,49 +460,43 @@ def _x1_inv_case2(ts: TapeSet) -> Optional[str]:
         if rel == "=":
             _strip_tail(ts, "a")  # done whether or not a # precedes the final a
             return "2.1b"
-        # rel == "<": find the (R+1)-th separator via the convolution track
+        # rel == "<": find the (R+1)-th separator via the convolution track;
+        # R < M, so cell R+1 of the track is _# and the loop stops before a blank
         while True:
             ts.move_right(0)
-            sym = ts.read(0)
-            if sym == "#":
+            if ts.read(0) == "#":
                 ts.move_right(1)
                 if ts.read(1) == "_#":
                     break
-            elif sym == BLANK:
-                return None
         ts.move_left(0)
         t_prev = ts.read(0)
         ts.move_right(0)
         if t_prev == "#":
             shift_suffix_right(ts, 0, ["b"])
             return "2.1c1"
-        if t_prev != "a":
-            return None
+        # CASE (R > j_n): block R has no b, so t_prev is a
         ts.move_right(0)
         s_next = ts.read(0)
         ts.move_left(0)
         if s_next == "a":
             shift_suffix_right(ts, 0, ["b"])
             return "2.1c2"
-        if s_next == "#":
-            ts.move_right(0)
-            shift_suffix_left(ts, 0, 2)
-            return "2.1c3"
-        return None
+        # block R+1 has no b and track cell R+1 is _#, so s_next is #
+        ts.move_right(0)
+        shift_suffix_left(ts, 0, 2)
+        return "2.1c3"
     # not CASE: the insertion point sits inside the tail at index R
+    # (R <= j_n <= M), so the R-th separator exists and the loop stops at it
     _rewind(ts, 1)
     while True:
         ts.move_right(0)
-        sym = ts.read(0)
-        if sym == "#":
+        if ts.read(0) == "#":
             ts.move_right(1)
             ts.move_right(1)
             nxt = ts.read(1)
             ts.move_left(1)
             if nxt == BLANK:
                 break  # this is the R-th separator
-        elif sym == BLANK:
-            return None
     ts.move_right(0)
     s1 = ts.read(0)
     if s1 == "#":
@@ -508,27 +505,24 @@ def _x1_inv_case2(ts: TapeSet) -> Optional[str]:
     if s1 == "b":
         shift_suffix_right(ts, 0, ["b"])
         return "2.2.2a"
-    if s1 != "a":
-        return None
+    # a blank here would end the form in an empty block: s1 is a
     while ts.read(0) == "a":
         ts.move_right(0)
     sym = ts.read(0)
     if sym == "b":
         shift_suffix_right(ts, 0, ["b"])
         return "2.2.2a"
-    if sym != "#":
-        return None
+    # not CASE: a b follows the R-th separator, so the a-run ends in # here
     ts.move_right(0)
     s2 = ts.read(0)
     ts.move_left(0)
     if s2 in ("a", "b"):
         shift_suffix_right(ts, 0, ["b"])
         return "2.2.2b"
-    if s2 == "#":
-        ts.move_right(0)
-        shift_suffix_left(ts, 0, 2)
-        return "2.2.1"
-    return None
+    # a blank here would end the form in an empty block: s2 is #
+    ts.move_right(0)
+    shift_suffix_left(ts, 0, 2)
+    return "2.2.1"
 
 
 # ---------------------------------------------------------------------------

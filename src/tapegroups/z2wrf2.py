@@ -7,6 +7,9 @@ whose perpendicular subtree holds a lamp or the lamplighter becomes a D-symbol
 iterations, into a bracketed group: '(' groups enumerate a vertical line
 around their pivot, '[' groups a horizontal one.  Superscripts mark the
 identity (A/B forms) and the lamplighter (C forms, B forms when both).
+The table `_CELL` is that cell grammar: a cell's token is fixed by its line,
+whether it holds the lamplighter, whether a perpendicular subtree hangs off
+it, and its lamp bit.
 
 The encoder builds the fixpoint of that construction once, as a tree whose
 level k holds the symbols nested in k groups.  Counting the top line as
@@ -50,7 +53,11 @@ C_LEAF = ("C0", "C1")
 B_LEAF = ("B0", "B1")
 A_LEAF = ("A0", "A1")
 
+# the tokens that carry the lamplighter marker, those whose lamp is lit, and
+# those allowed as leaves inside a group
 _STOP = frozenset(C_LEAF + B_LEAF + D_C + D_B + E_C)
+_LIT = frozenset(("1", "C1", "A1", "B1", "D1", "D1A", "D1B", "D1C", "E1", "E1C"))
+_LEAF = frozenset(("0", "1") + C_LEAF)
 _TOGGLE = {"C0": "C1", "C1": "C0", "B0": "B1", "B1": "B0",
            "D0C": "D1C", "D1C": "D0C", "D0B": "D1B", "D1B": "D0B",
            "E0C": "E1C", "E1C": "E0C"}
@@ -111,85 +118,43 @@ def _split_run(word: str, axis: str) -> Tuple[int, str]:
     return 0, word
 
 
-def _line_cells(entries, axis: str):
+# a cell's token by its line, as format strings over the lamp bit: plain,
+# with the lamplighter, with a perpendicular subtree, with both
+_CELL = {"top": ("{}", "C{}", "D{}", "D{}C"),
+         "identity": ("A{}", "B{}", "D{}A", "D{}B"),
+         "a": ("{}", "C{}", "D{}", "E{}C"),
+         "b": ("{}", "C{}", "E{}", "E{}C")}
+_NO_CELL = (False, False, ())
+
+
+def _scan_line(entries, axis: str, pivot: Optional[str]) -> List[Item]:
+    """The items of the line along `axis` holding the suffixes `entries`: the
+    top line when `pivot` is None, else the line through a node whose token
+    `pivot` takes cell 0.  A cell whose suffixes go on past it becomes a node
+    holding them."""
     cells: dict = {}
     for word, lamp, isz in entries:
         j, rest = _split_run(word, axis)
         cell = cells.setdefault(j, [False, False, []])
-        if rest == "":
+        if rest:
+            cell[2].append((rest, lamp, isz))
+        else:
             cell[0] = cell[0] or lamp
             cell[1] = cell[1] or isz
+    across = "b" if axis == "a" else "a"
+    items: List[Item] = []
+    for j in range(min(0, *cells), max(0, *cells) + 1):
+        if pivot is not None:
+            if j == 0:
+                items.append(pivot)
+                continue
+            row = axis
         else:
-            cell[2].append((rest, lamp, isz))
-    return cells
-
-
-def _cell_item(lamp: bool, isz: bool, perp, axis: str, at_top: bool, is_e: bool) -> Item:
-    bit = "1" if lamp else "0"
-    if at_top:
-        if perp:
-            if is_e:
-                tok = ("D" + bit + "B") if isz else ("D" + bit + "A")
-            elif isz:
-                tok = "D" + bit + "C"
-            else:
-                tok = "D" + bit
-        else:
-            if is_e:
-                tok = ("B" + bit) if isz else ("A" + bit)
-            elif isz:
-                tok = "C" + bit
-            else:
-                tok = bit
-    elif axis == "a":
-        if perp:
-            tok = ("E" + bit + "C") if isz else ("D" + bit)
-        else:
-            tok = ("C" + bit) if isz else bit
-    else:
-        if perp:
-            tok = ("E" + bit + "C") if isz else ("E" + bit)
-        else:
-            tok = ("C" + bit) if isz else bit
-    if perp:
-        return _Node(tok, "b" if axis == "a" else "a", perp)
-    return tok
-
-
-def _scan_line(entries, axis: str, at_top: bool):
-    cells = _line_cells(entries, axis)
-    if at_top:
-        lo = min(0, min(cells))
-        hi = max(0, max(cells))
-        items: List[Item] = []
-        for j in range(lo, hi + 1):
-            if j in cells:
-                lamp, isz, perp = cells[j]
-                items.append(_cell_item(lamp, isz, perp, axis, True, j == 0))
-            elif j == 0:
-                items.append(_cell_item(False, False, [], axis, True, True))
-            else:
-                items.append("0")
-        return items
-    neg: List[Item] = []
-    pos: List[Item] = []
-    neg_keys = [j for j in cells if j < 0]
-    pos_keys = [j for j in cells if j > 0]
-    if neg_keys:
-        for j in range(min(neg_keys), 0):
-            if j in cells:
-                lamp, isz, perp = cells[j]
-                neg.append(_cell_item(lamp, isz, perp, axis, False, False))
-            else:
-                neg.append("0")
-    if pos_keys:
-        for j in range(1, max(pos_keys) + 1):
-            if j in cells:
-                lamp, isz, perp = cells[j]
-                pos.append(_cell_item(lamp, isz, perp, axis, False, False))
-            else:
-                pos.append("0")
-    return neg, pos
+            row = "top" if j else "identity"
+        lamp, isz, perp = cells.get(j, _NO_CELL)
+        tok = _CELL[row][isz + 2 * bool(perp)].format("1" if lamp else "0")
+        items.append(_Node(tok, across, perp) if perp else tok)
+    return items
 
 
 def _build(config: LampConfigF2) -> Tuple[List[Item], int]:
@@ -200,15 +165,14 @@ def _build(config: LampConfigF2) -> Tuple[List[Item], int]:
     entries = [(w, True, w == config.pos) for w in sorted(config.lit)]
     if config.pos not in config.lit:
         entries.append((config.pos, False, True))
-    top = _scan_line(entries, "a", True)
+    top = _scan_line(entries, "a", None)
     level = [it for it in top if isinstance(it, _Node)]
     levels = 0
     while level:
         levels += 1
         below: List[_Node] = []
         for node in level:
-            neg, pos = _scan_line(node.entries, node.axis, False)
-            node.items = neg + [node.token] + pos
+            node.items = _scan_line(node.entries, node.axis, node.token)
             node.entries = None
             below += [it for it in node.items if isinstance(it, _Node)]
         level = below
@@ -299,21 +263,6 @@ def decode(text: str) -> LampConfigF2:
     items = _parse_groups(toks)
     if not items:
         raise NotInLanguage("empty string is not a normal form (identity is 'B0')")
-    out = {"lamps": set(), "pos": [], "marker": None, "anchor": 0}
-
-    def emit(tok: str, elem: str) -> None:
-        if tok in ("1", "C1", "A1", "B1", "D1", "D1A", "D1B", "D1C", "E1", "E1C"):
-            out["lamps"].add(elem)
-        if tok in C_LEAF + B_LEAF + D_C + D_B + E_C:
-            if out["marker"] is not None:
-                raise NotInLanguage("more than one lamplighter marker")
-            out["marker"] = tok
-            out["pos"].append(elem)
-        if tok in A_LEAF + B_LEAF + D_A + D_B:
-            out["anchor"] += 1
-            if elem != "":
-                raise NotInLanguage("identity marker away from the anchor cell")
-
     anchor_positions = []
     for i, it in enumerate(items):
         if isinstance(it, _Group):
@@ -324,7 +273,7 @@ def decode(text: str) -> LampConfigF2:
                 anchor_positions.append(i)
         elif it in A_LEAF + B_LEAF:
             anchor_positions.append(i)
-        elif it in ("0", "1") + C_LEAF:
+        elif it in _LEAF:
             pass
         else:
             raise NotInLanguage(f"token {it!r} not allowed at the top level")
@@ -333,28 +282,45 @@ def decode(text: str) -> LampConfigF2:
     if items[0] == "0" or items[-1] == "0":
         raise NotInLanguage("untrimmed zero at the end of the top line")
     a0 = anchor_positions[0]
+    # Two checks are subsumed here.  The element "" belongs to the anchor
+    # item a0 alone: top-level items carry a^k or A^k, and every other item of
+    # a group appends a non-empty run of the group's letter (nesting
+    # alternates, so no run cancels).  Identity-class tokens (A, B, D^A, D^B)
+    # occur only at a0: the anchor is unique, and inside a group such leaves
+    # and pivots are rejected below.  So no identity marker sits away from the
+    # anchor cell, and a marker at the identity is of class B (B or D^B).
+    lamps = set()
+    pos: Optional[str] = None
     # depth first in token order: frames of an item, its element and the
     # bracket of the group around it ('' on the top line)
     stack = [(it, "a" * (i - a0) if i >= a0 else "A" * (a0 - i), "")
              for i, it in reversed(list(enumerate(items)))]
     while stack:
         it, base, outer = stack.pop()
-        if not isinstance(it, _Group):
-            if outer and it not in ("0", "1") + C_LEAF:
+        group = isinstance(it, _Group)
+        if group:
+            if it.bracket == outer:
+                raise NotInLanguage("group nesting does not alternate")
+            piv = _pivot_index(it)
+            tok = it.items[piv]
+            if tok in D_C + D_A + D_B and outer:
+                raise NotInLanguage("top-level pivot class below the top level")
+            if tok in E_C and not outer:
+                raise NotInLanguage("E-class pivot in a top-level group")
+            if len(it.items) < 2:
+                raise NotInLanguage("expanded group with an empty interior")
+        else:
+            if outer and it not in _LEAF:
                 raise NotInLanguage(f"token {it!r} not allowed inside a group")
-            emit(it, base)
+            tok = it
+        if tok in _LIT:
+            lamps.add(base)
+        if tok in _STOP:
+            if pos is not None:
+                raise NotInLanguage("more than one lamplighter marker")
+            pos = base
+        if not group:
             continue
-        if it.bracket == outer:
-            raise NotInLanguage("group nesting does not alternate")
-        piv = _pivot_index(it)
-        pivot = it.items[piv]
-        if pivot in D_C + D_A + D_B and outer:
-            raise NotInLanguage("top-level pivot class below the top level")
-        if pivot in E_C and not outer:
-            raise NotInLanguage("E-class pivot in a top-level group")
-        if len(it.items) < 2:
-            raise NotInLanguage("expanded group with an empty interior")
-        emit(pivot, base)
         if it.items[0] == "0" or it.items[-1] == "0":  # a pivot is never 0
             raise NotInLanguage("untrimmed zero at the far end of a group side")
         letter = "b" if it.bracket == "(" else "a"
@@ -363,12 +329,9 @@ def decode(text: str) -> LampConfigF2:
             if k != piv:
                 step = (letter * (k - piv)) if k > piv else back * (piv - k)
                 stack.append((it.items[k], base + step, it.bracket))
-    if out["marker"] is None:
+    if pos is None:
         raise NotInLanguage("no lamplighter marker")
-    pos = out["pos"][0]
-    if (pos == "") != (out["marker"] in B_LEAF + D_B):
-        raise NotInLanguage("B-class markers must coincide with lamplighter at the identity")
-    return LampConfigF2(frozenset(out["lamps"]), pos)
+    return LampConfigF2(frozenset(lamps), pos)
 
 
 def validate(text: str) -> bool:

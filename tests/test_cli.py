@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from tapegroups import framework as fw
 from tapegroups import z2wrf2
 from tapegroups.cli import run
@@ -69,7 +71,11 @@ def test_bench_and_probe_json(capsys, tmp_path):
 
 
 def test_demo_nonqg(capsys):
-    assert run(["demo-nonqg", "--group", "z2wrz2", "--ks", "5,50"]) == 0
+    assert run(["demo-nonqg", "--ks", "5,50"]) == 0
     lines = capsys.readouterr().out.splitlines()
     assert lines[0].startswith("k")
     assert len(lines) == 3
+    # the table is of Z2 wr Z^2 alone, so the subcommand takes no group
+    with pytest.raises(SystemExit) as exc:
+        run(["demo-nonqg", "--group", "thompson-f", "--ks", "5,50"])
+    assert exc.value.code == 64

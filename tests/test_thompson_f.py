@@ -137,8 +137,8 @@ def test_x1_inv_reports_its_branch(label):
 
 
 def test_x1_inv_labels_every_short_normal_form():
-    # every normal form of at most 10 symbols reaches a labelled edit: none of
-    # them leaves _x1_inv_case2 by one of its `return None` exits
+    # every normal form of at most 10 symbols reaches exactly one labelled
+    # edit; _x1_inv_case2 has no exit that skips its edit
     forms = [text for k in range(11) for t in itertools.product("ab#", repeat=k)
              if tf.validate(text := "".join(t))]
     assert len(forms) == 11641

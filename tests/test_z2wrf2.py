@@ -215,9 +215,8 @@ def ref_expand_once(items, axis):
     for it in items:
         if isinstance(it, z._Node) and it.axis == axis:
             changed = True
-            neg, pos = z._scan_line(it.entries, axis, False)
             bracket = "(" if axis == "b" else "["
-            new_items.append(RefGroup(bracket, neg + [it.token] + pos))
+            new_items.append(RefGroup(bracket, z._scan_line(it.entries, axis, it.token)))
         elif isinstance(it, RefGroup):
             sub, ch = ref_expand_once(it.items, axis)
             changed = changed or ch
@@ -232,7 +231,7 @@ def ref_iterations(config):
     entries = [(w, True, w == config.pos) for w in sorted(config.lit)]
     if config.pos not in config.lit:
         entries.append((config.pos, False, True))
-    items = z._scan_line(entries, "a", True)
+    items = z._scan_line(entries, "a", None)
     yield items
     axis = "b"
     while True:
