@@ -15,10 +15,11 @@ a list search in C instead of one method call per step.
 
 The other counted sweeps live with the programs that run them, each charged
 at its defining loop's closed form: `tapeops`' suffix shifts, F's
-`_scan_valid`, and Z2 wr Z^2's region scan (`_scan_to_mark`, two tapes, the
+`_scan_valid`, Z2 wr Z^2's region scan (`_scan_to_mark`, two tapes, the
 turn count in unary on tape 2) and mark move (`_move_mark`, four tape-2
-sweeps pacing a tape-1 run that pads or erases).  tests/test_sweeps.py keeps
-every defining loop as a reference oracle.
+sweeps pacing a tape-1 run that pads or erases), and Z2 wr F2's bracket-stack
+walk (`_walk`, tape 2 a stack of the open groups it has entered).
+tests/test_sweeps.py keeps every defining loop as a reference oracle.
 
 Finite control state of a program (region variables, ERASE flags, ...) lives in
 host variables and costs nothing, matching the state set of a real machine.

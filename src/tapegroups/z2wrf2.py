@@ -26,7 +26,8 @@ that empties a group collapses it.  All edits are constant-size suffix shifts.
 Every bracket-stack run, the scan to the marker as well as entering and
 leaving a group, is one `_walk`.  Each cell it crosses costs a tape-1 move and
 a tape-1 read; a push costs a tape-2 move and write; a closing bracket costs a
-tape-2 read, plus a write and a move when it pops.
+tape-2 read, plus a write and a move when it pops.  `_walk` is a counted
+sweep (see `tapevm`): it charges that split in closed form at its exit.
 """
 
 from __future__ import annotations
@@ -72,11 +73,18 @@ _COLLAPSE = {"E0": "C0", "E1": "C1", "D0": "C0", "D1": "C1",
 _OPENS = ("(", "[")
 _CLOSES = (")", "]")
 _PARTNER = {"(": ")", ")": "(", "[": "]", "]": "["}
+# by a group's open bracket, the pivots its items are searched for first; a
+# group without one pivots on its one E^C
+_PLAIN_PIVOTS = {"(": frozenset(D_PLAIN + D_A + D_B + D_C), "[": frozenset(E_PLAIN)}
 # the unmarked pivots of a group, by either of its brackets
 _PIVOTS = {"(": D_PLAIN + D_A, ")": D_PLAIN + D_A, "[": E_PLAIN, "]": E_PLAIN}
 # per direction: the brackets that open a group ahead, those that close one,
 # and the end marker
 _WAY = {True: (_OPENS, _CLOSES, BLANK), False: (_CLOSES, _OPENS, BEGIN)}
+# per direction, what a walk does on each bracket: push one that opens a
+# group ahead (None), pop one that closes a group if the top is its partner
+_BRACKET = {True: {"(": None, "[": None, ")": "(", "]": "["},
+            False: {")": None, "]": None, "(": ")", "[": "]"}}
 _SPROUT_D = {"C0": "D0", "C1": "D1", "B0": "D0A", "B1": "D1A"}
 _SPROUT_E = {"C0": "E0", "C1": "E1"}
 
@@ -217,11 +225,12 @@ def encode(config: LampConfigF2) -> str:
 # decoder / validator
 
 class _Group:
-    __slots__ = ("bracket", "items")
+    __slots__ = ("bracket", "items", "pivot")
 
     def __init__(self, bracket: str, items):
         self.bracket = bracket
         self.items = items
+        self.pivot = 0  # the index of its pivot, once _pivot_index found it
 
 
 def _parse_groups(toks: List[str]):
@@ -244,15 +253,19 @@ def _parse_groups(toks: List[str]):
 
 
 def _pivot_index(group: _Group) -> int:
-    plain = D_PLAIN + D_A + D_B + D_C if group.bracket == "(" else E_PLAIN
-    plain_hits = [i for i, it in enumerate(group.items)
-                  if isinstance(it, str) and it in plain]
+    """The index of the group's one plain pivot, else of its one E^C pivot."""
+    plain = _PLAIN_PIVOTS[group.bracket]
+    plain_hits = []
+    ec_hits = []
+    for i, it in enumerate(group.items):
+        if it in plain:
+            plain_hits.append(i)
+        elif it in E_C:
+            ec_hits.append(i)
     if len(plain_hits) == 1:
         return plain_hits[0]
-    if len(plain_hits) > 1:
+    if plain_hits:
         raise NotInLanguage("group with more than one pivot")
-    ec_hits = [i for i, it in enumerate(group.items)
-               if isinstance(it, str) and it in E_C]
     if len(ec_hits) == 1:
         return ec_hits[0]
     raise NotInLanguage("group without a unique pivot")
@@ -268,8 +281,8 @@ def decode(text: str) -> LampConfigF2:
         if isinstance(it, _Group):
             if it.bracket != "(":
                 raise NotInLanguage("top-level groups must be vertical expansions")
-            piv = it.items[_pivot_index(it)]
-            if piv in D_A + D_B:
+            it.pivot = _pivot_index(it)
+            if it.items[it.pivot] in D_A + D_B:
                 anchor_positions.append(i)
         elif it in A_LEAF + B_LEAF:
             anchor_positions.append(i)
@@ -301,7 +314,9 @@ def decode(text: str) -> LampConfigF2:
         if group:
             if it.bracket == outer:
                 raise NotInLanguage("group nesting does not alternate")
-            piv = _pivot_index(it)
+            if outer:  # the anchor loop found a top-level group's pivot
+                it.pivot = _pivot_index(it)
+            piv = it.pivot
             tok = it.items[piv]
             if tok in D_C + D_A + D_B and outer:
                 raise NotInLanguage("top-level pivot class below the top level")
@@ -348,26 +363,64 @@ def validate(text: str) -> bool:
 def _walk(ts: TapeSet, fwd: bool, stop) -> Tuple[str, Optional[str]]:
     """Move the tape-1 head one cell at a time, forward or backward, keeping
     the bracket stack on tape 2: push a bracket that opens a group ahead, pop
-    a closing one whose partner is the stack top.  Returns (sym, None) on a symbol in stop or on the end
-    marker, and (bracket, top) on a closing bracket whose partner is not the
-    stack top; a marked top such as '(*' is no bracket's partner."""
-    push, pop, end = _WAY[fwd]
-    move = ts.move_right if fwd else ts.move_left
-    read = ts.read
-    while True:
-        move(0)
-        sym = read(0)
-        if sym in push:
-            ts.move_right(1)
-            ts.write(1, sym)
-        elif sym in pop:
-            top = read(1)
-            if top != _PARTNER[sym]:
-                return sym, top
-            ts.write(1, BLANK)
-            ts.move_left(1)
-        elif sym in stop or sym == end:
-            return sym, None
+    a closing one whose partner is the stack top.  Returns (sym, None) on a
+    symbol in stop or on the end marker, and (bracket, top) on a closing
+    bracket whose partner is not the stack top; a marked top such as '(*' is
+    no bracket's partner.
+
+    A counted sweep: it runs its defining loop
+
+        while True:
+            move(0); sym = read(0)
+            if sym in push: move_right(1); write(1, sym)
+            elif sym in pop:
+                top = read(1)
+                if top != partner(sym): return sym, top
+                write(1, BLANK); move_left(1)
+            elif sym in stop or sym == end: return sym, None
+
+    on the tape lists and charges its steps at exit.  Both heads start on
+    written cells, as every caller's do; a backward walk starts past the start
+    marker, on a bracket or a pivot, and stops on the marker at the latest.
+    """
+    end = BLANK if fwd else BEGIN
+    bracket = _BRACKET[fwd]
+    halt = {*stop, end}
+    tape, stack = ts.tapes[0], ts.tapes[1]
+    cells, stack_cells = tape.cells, stack.cells
+    h0, t0 = tape.head, stack.head
+    n, m = len(cells), len(stack_cells)
+    t = t0
+    pops = 0
+    for h in range(h0 + 1, n) if fwd else range(h0 - 1, -1, -1):
+        sym = cells[h]
+        if sym in bracket:
+            partner = bracket[sym]
+            if partner is None:  # push
+                t += 1
+                if t < m:
+                    stack_cells[t] = sym
+                else:
+                    stack_cells.append(sym)
+                    m += 1
+            else:
+                top = stack_cells[t]
+                if top != partner:
+                    break
+                stack_cells[t] = BLANK
+                t -= 1
+                pops += 1
+        elif sym in halt:
+            break
+    else:  # forward: the blank past the end
+        h, sym = n, BLANK
+    mismatch = bracket.get(sym) is not None
+    pushes = t - t0 + pops
+    # 2 per cell crossed, 2 per push, 1 per closing bracket read, 2 per pop
+    ts.steps += 2 * abs(h - h0) + 2 * pushes + (pops + mismatch) + 2 * pops
+    tape.head = h
+    stack.head = t
+    return sym, (top if mismatch else None)
 
 
 def _scan_to_marker(ts: TapeSet):

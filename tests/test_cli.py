@@ -50,6 +50,15 @@ def test_exit_codes(capsys):
     capsys.readouterr()
 
 
+def test_internal_fault_exits_2(capsys, monkeypatch):
+    def fault(rep, word):
+        raise RuntimeError("planted")
+
+    monkeypatch.setattr(fw, "word_problem", fault)
+    assert run(["wp", "--group", "z2wrf2", "--word", "a b"]) == 2
+    assert capsys.readouterr().err == "internal fault: planted\n"
+
+
 def test_fuzz_json_report(capsys):
     assert run(["fuzz", "--group", "z2wrz2", "--trials", "10",
                 "--max-len", "15", "--seed", "1"]) == 0

@@ -77,6 +77,24 @@ def test_fuzz_catches_planted_case_deletion(f_case_deleted):
     assert len(word) == 37 and word[-4:] == ["x0", "x1-", "x0", "x1-"]
 
 
+def test_fuzz_reports_a_closure_failure():
+    # a planted generator whose output is no normal form: B0B0 has two
+    # identity anchors
+    rep = fw.representation_z2wrf2()
+
+    def escapes(nf, gen):
+        out, report = rep.apply_report(nf, gen)
+        return ("B0B0" if gen == "c" else out), report
+
+    report = fw.differential_fuzz(rep.with_apply(escapes), 5, 10, 0)
+    assert not report.passed
+    failure = report.failure
+    assert failure["kind"] == "closure"
+    assert failure["word"] == ["b-", "a", "b", "c"]
+    assert failure["nf"] == fw.word_to_nf(rep, ["b-", "a", "b"]) == "([E0(D0 C0)]D0A)"
+    assert failure["gen"] == "c" and failure["got"] == "B0B0"
+
+
 def test_bench_verdict_true_and_json_schema():
     rep = fw.representation_z2wrz2()
     report = fw.linearity_bench(rep, "b-", [64, 128, 256, 512, 1024], 3, seed=5)

@@ -1,8 +1,8 @@
 """Counted sweeps against the per-primitive loops that define them.
 
 Each sweep (`TapeSet.scan_right`, `TapeSet.scan_left`, the two suffix shifts,
-F's `_scan_valid` and Z2 wr Z^2's region scan and mark move) must leave
-exactly the state its defining loop leaves:
+F's `_scan_valid`, Z2 wr Z^2's region scan and mark move and Z2 wr F2's
+bracket-stack walk) must leave exactly the state its defining loop leaves:
 the same return value, step count, head and cells, and for a fault the same
 exception type after the same number of steps.  One fault is the exception:
 Z2 wr Z^2's mark move refuses a move left past the start marker before any
@@ -14,11 +14,11 @@ are the replaced implementations, kept as reference oracles.
 
 import itertools
 import random
-from collections import deque
+from collections import Counter, deque
 
 import pytest
 
-from tapegroups import spiral
+from tapegroups import spiral, tapeops
 from tapegroups import thompson_f as tf
 from tapegroups import z2wrf2
 from tapegroups import z2wrz2 as zz
@@ -27,6 +27,7 @@ from tapegroups.framework import REPRESENTATIONS
 from tapegroups.tapeops import shift_suffix_left, shift_suffix_right
 from tapegroups.tapevm import TapeSet, init_tapes
 from tapegroups.tokens import BEGIN, BLANK, Z2F2_SIGMA, Z2Z2_SIGMA
+from test_step_ledger import LEDGER, build_ledger, render_ledger
 
 SMALL = ("a", "b", "#", BLANK, "x")
 # Tapes over SMALL are enumerated up to this length with every head and stop
@@ -548,3 +549,117 @@ def test_z2wrz2_move_left_near_the_start_marker():
                     seen[fault] += 1
                     assert got == (start if fault else want), (toks, i, c_const)
     assert seen[True] and seen[False], seen
+
+
+# -- Z2 wr F2's bracket-stack walk -------------------------------------------
+
+def loop_walk(ts, fwd, stop):
+    push, pop, end = z2wrf2._WAY[fwd]
+    move = ts.move_right if fwd else ts.move_left
+    read = ts.read
+    while True:
+        move(0)
+        sym = read(0)
+        if sym in push:
+            ts.move_right(1)
+            ts.write(1, sym)
+        elif sym in pop:
+            top = read(1)
+            if top != z2wrf2._PARTNER[sym]:
+                return sym, top
+            ts.write(1, BLANK)
+            ts.move_left(1)
+        elif sym in stop or sym == end:
+            return sym, None
+
+
+# every stop set the walk's callers pass
+WALK_STOPS = (z2wrf2._STOP, *dict.fromkeys(z2wrf2._PIVOTS.values()), ())
+# tape-2 stacks a walk starts from, head on the top, some with blank cells
+# that pops left above it: empty, plain tops for either direction, marked
+# tops alone and over a plain cell
+WALK_STACKS = (((), ()), (("(",), ()), (("]",), (BLANK,)), (("(*",), ()),
+               (("[*",), ()), (("[", ")*"), (BLANK, BLANK)))
+
+
+def run_walk(fn, toks, head, stack, tail, fwd, stop):
+    ts = init_tapes(toks, 2, sigma=Z2F2_SIGMA)
+    ts.tapes[0].head = head
+    ts.tapes[1].cells = [BEGIN, *stack, *tail]
+    ts.tapes[1].head = len(stack)
+    return state(ts, fn(ts, fwd, stop))
+
+
+def check_walks(toks, heads, stacks=WALK_STACKS, stops=WALK_STOPS):
+    """Every walk from these tape-1 heads (backward only past the start
+    marker, as its callers walk), stacks and stop sets against the loop."""
+    for head in heads:
+        for fwd in (True, False) if head else (True,):
+            for stack, tail in stacks:
+                for stop in stops:
+                    args = (toks, head, stack, tail, fwd, stop)
+                    assert run_walk(z2wrf2._walk, *args) == run_walk(loop_walk, *args), args
+
+
+def test_walk_matches_loop_on_every_short_token_string():
+    # brackets, a pivot, a marker and a plain cell: the stop, end and
+    # mismatch exits all fire, forward and backward
+    exits = set()
+    for n in range(5):
+        for toks in itertools.product(("(", ")", "[", "]", "D0", "C0", "0"), repeat=n):
+            toks = list(toks)
+            check_walks(toks, range(n + 1))
+            for fwd, head in ((True, 0), (False, n)):
+                ts = init_tapes(toks, 2)
+                ts.tapes[0].head = head
+                if fwd or head:
+                    sym, top = z2wrf2._walk(ts, fwd, z2wrf2._STOP)
+                    exits.add((fwd, "mismatch" if top else sym))
+    assert exits == {(True, "mismatch"), (True, "C0"), (True, BLANK),
+                     (False, "mismatch"), (False, "C0"), (False, BEGIN)}
+
+
+def test_walk_matches_loop_on_the_ledger_tapes():
+    # the 2^14 Z2 wr F2 input of the golden ledger and its five products:
+    # the full scans from either end, and seeded walks from brackets and pivots
+    rep = REPRESENTATIONS["z2wrf2"]()
+    nf = rep.sample_nf(random.Random(1 << 14), 1 << 14)
+    rng = random.Random(17)
+    for text in (nf, *(rep.apply(nf, gen) for gen in rep.generators)):
+        toks = z2wrf2.tokenize_z2f2(text)
+        check_walks(toks, (0, len(toks)), stacks=[((), ())])
+        starts = [i for i, tok in enumerate(toks, 1)
+                  if tok in z2wrf2._PARTNER or tok in z2wrf2._PIVOTS["("] + z2wrf2._PIVOTS["["]]
+        check_walks(toks, rng.sample(starts, 8), stacks=rng.sample(WALK_STACKS, 3))
+
+
+# -- the golden ledger under the defining loops --------------------------------
+
+# every counted sweep, as bound where the programs call it, and its loop
+COUNTED_SWEEPS = (
+    (TapeSet, "scan_right", loop_scan_right),
+    (TapeSet, "scan_left", loop_scan_left),
+    (tapeops, "shift_suffix_right", loop_shift_right),
+    (tapeops, "shift_suffix_left", loop_shift_left),
+    (tf, "shift_suffix_right", loop_shift_right),
+    (tf, "shift_suffix_left", loop_shift_left),
+    (z2wrf2, "shift_suffix_right", loop_shift_right),
+    (z2wrf2, "shift_suffix_left", loop_shift_left),
+    (tf, "_scan_valid", loop_scan_valid),
+    (zz, "_scan_to_mark", loop_scan_to_mark),
+    (zz, "_move_mark", loop_move_mark),
+    (z2wrf2, "_walk", loop_walk),
+)
+
+
+def test_ledger_is_unchanged_under_the_defining_loops(monkeypatch):
+    # the closed forms compose: whole programs built from the loops give the
+    # same counts and outputs, and the ledger runs every one of the loops
+    calls = Counter()
+    for owner, name, loop in COUNTED_SWEEPS:
+        def counted(*args, loop=loop, name=name):
+            calls[name] += 1
+            return loop(*args)
+        monkeypatch.setattr(owner, name, counted)
+    assert render_ledger(build_ledger()) == LEDGER.read_text()
+    assert set(calls) == {name for _, name, _ in COUNTED_SWEEPS}, calls

@@ -71,6 +71,19 @@ def test_decode_reports_the_first_fault_in_token_order():
         assert str(err.value) == message, text
 
 
+def test_decode_messages_the_walk_corpus_misses():
+    # neither tier-1 nor the ledger's codec section reaches these three
+    cases = {
+        "(D0A(D0C0)1)": "group nesting does not alternate",
+        "(D0A[E0(D0C1)])": "top-level pivot class below the top level",
+        "(D0A[E0C0])": "untrimmed zero at the far end of a group side",
+    }
+    for text, message in cases.items():
+        with pytest.raises(NotInLanguage) as err:
+            z.decode(text)
+        assert str(err.value) == message, text
+
+
 def test_fig3_decode_and_iteration_replay():
     cfg = z.decode(FIG3_ITERATIONS[-1])
     assert cfg.pos == "baB"
