@@ -265,8 +265,6 @@ def _program_x0(ts: TapeSet, sign: int) -> None:
             else:
                 s0_pos = True
     _rewind(ts, 0)
-    if m_zero:
-        block1_empty = None
 
     if sign < 0:
         if (not s0_pos) and r0_pos and m_zero:
@@ -364,8 +362,9 @@ def _x1_inv_case1(ts: TapeSet, m_zero: bool) -> str:
         shift_suffix_right(ts, 0, ["b"])
         return "1.2"
     # 1.3: r1 > 0, s1 = 0, block 2 absent or empty
-    has_second_hash = not _single_hash(ts)
-    if not has_second_hash:
+    second_hash = _to_hash(ts, 2)
+    _rewind(ts, 0)
+    if not second_hash:
         # gamma empty: is r1 > 1?
         _to_blank(ts)
         ts.move_left(0)
@@ -385,12 +384,6 @@ def _x1_inv_case1(ts: TapeSet, m_zero: bool) -> str:
     return "1.3c"
 
 
-def _single_hash(ts: TapeSet) -> bool:
-    found = _to_hash(ts, 2)
-    _rewind(ts, 0)
-    return not found
-
-
 def _to_hash(ts: TapeSet, n: int) -> bool:
     """Walk right from the current cell to the n-th # from here."""
     for _ in range(n):
@@ -398,6 +391,20 @@ def _to_hash(ts: TapeSet, n: int) -> bool:
         if ts.scan_right(0, ("#", BLANK)) == BLANK:
             return False
     return True
+
+
+def _walk_to_hash(ts: TapeSet, cell: str) -> bool:
+    """Walk tape 1 right to the first # at which tape 2, moved one cell right
+    per #, reads `cell`; False if tape 1 reaches a blank first."""
+    while True:
+        ts.move_right(0)
+        sym = ts.read(0)
+        if sym == "#":
+            ts.move_right(1)
+            if ts.read(1) == cell:
+                return True
+        elif sym == BLANK:
+            return False
 
 
 def _write_hash_per_b(ts: TapeSet, last: str) -> None:
@@ -461,13 +468,8 @@ def _x1_inv_case2(ts: TapeSet) -> str:
             _strip_tail(ts, "a")  # done whether or not a # precedes the final a
             return "2.1b"
         # rel == "<": find the (R+1)-th separator via the convolution track;
-        # R < M, so cell R+1 of the track is _# and the loop stops before a blank
-        while True:
-            ts.move_right(0)
-            if ts.read(0) == "#":
-                ts.move_right(1)
-                if ts.read(1) == "_#":
-                    break
+        # R < M, so cell R+1 of the track is _# and the walk stops before a blank
+        _walk_to_hash(ts, "_#")
         ts.move_left(0)
         t_prev = ts.read(0)
         ts.move_right(0)
@@ -536,6 +538,9 @@ def _run(text: str, program) -> Tuple[str, int, object]:
     return "".join(read_output(ts)), ts.steps, result
 
 
+# The builders run only inside apply_x1, whose input is a normal form: the
+# _scan_valid that three of them run always accepts, and stays for its charge.
+
 def _b_11(ts: TapeSet) -> bool:
     _to_blank(ts)
     ts.move_left(0)
@@ -579,8 +584,7 @@ def _b_21a(ts: TapeSet) -> bool:
 
 
 def _b_21b(ts: TapeSet) -> bool:
-    if not _scan_valid(ts):
-        return False
+    _scan_valid(ts)
     if not _compute_r(ts):
         return False
     _mark_hash_track(ts)
@@ -601,61 +605,40 @@ def _b_21c12(ts: TapeSet) -> bool:
     return True
 
 
-def _walk_to_hash_after_r(ts: TapeSet, offset: int) -> bool:
-    """Head to the (R+offset)-th separator, tape 2 holding plain b^R."""
-    _rewind(ts, 1)
-    want_blank = offset > 0
-    while True:
-        ts.move_right(0)
-        sym = ts.read(0)
-        if sym == "#":
-            ts.move_right(1)
-            cell = ts.read(1)
-            if want_blank and cell == BLANK:
-                return True
-            if not want_blank:
-                ts.move_right(1)
-                nxt = ts.read(1)
-                ts.move_left(1)
-                if cell == "b" and nxt == BLANK:
-                    return True
-        elif sym == BLANK:
-            return False
-
-
 def _b_21c3(ts: TapeSet) -> bool:
-    if not _scan_valid(ts):
-        return False
+    _scan_valid(ts)
     _compute_r(ts)
-    if not _walk_to_hash_after_r(ts, 1):
+    _rewind(ts, 1)
+    if not _walk_to_hash(ts, BLANK):  # the (R+1)-th separator
         return False
     shift_suffix_right(ts, 0, ["a", "#"])
     return True
 
 
 def _b_222a(ts: TapeSet) -> bool:
-    if not _scan_valid(ts):
-        return False
+    # Undoes 2.2.2a/b/c: their preimage has j_t < R <= j_(t+1) (r_by_definition)
+    # and the edit adds a b to block R alone (s_R + 1 if R = j_(t+1), else a new
+    # j = R), so R on the product stops at step t with the same value: drop that b.
+    _scan_valid(ts)
     _compute_r(ts)
-    return _walk_to_hash_after_r(ts, 0) and _drop_b_after_a_run(ts)
-
-
-def _b_222bc(ts: TapeSet) -> bool:
-    if not _scan_valid(ts):
-        return False
-    _compute_r(ts)
-    if not _walk_to_hash_after_r(ts, 1):
-        return False
-    ts.move_left(0)
-    if ts.read(0) != "b":
-        return False
-    ts.move_right(0)
-    shift_suffix_left(ts, 0, 1)
-    return True
+    _rewind(ts, 1)
+    while True:  # to the R-th separator: tape 2 reads b there, a blank after
+        ts.move_right(0)
+        sym = ts.read(0)
+        if sym == "#":
+            ts.move_right(1)
+            cell = ts.read(1)
+            ts.move_right(1)
+            nxt = ts.read(1)
+            ts.move_left(1)
+            if cell == "b" and nxt == BLANK:
+                return _drop_b_after_a_run(ts)
+        elif sym == BLANK:
+            return False
 
 
 _X1_BUILDERS = (_b_11, _b_12, _b_13a, _b_13b, _b_13c, _b_21a, _b_21b, _b_21c12,
-                _b_21c3, _b_222a, _b_222bc)
+                _b_21c3, _b_222a)
 
 
 def apply_x1(text: str) -> Tuple[str, int, Tuple[str, ...]]:
@@ -665,6 +648,14 @@ def apply_x1(text: str) -> Tuple[str, int, Tuple[str, ...]]:
     Returns the output, the steps of every run and the case labels of the
     candidate round trips in order, the accepting one last.  text must be a
     normal form; apply_gen_report checks it before calling.
+
+    The edit of each x1^-1 label is undone by one builder: 1.1 by _b_11, 1.2
+    by _b_12, 1.3a by _b_13a, 1.3b by _b_13b, 1.3c by _b_13c, 2.1a by _b_21a,
+    2.1b by _b_21b, 2.1c1 and 2.1c2 by _b_21c12, 2.1c3 and 2.2.1 by _b_21c3,
+    and 2.2.2a, 2.2.2b and 2.2.2c by _b_222a.  So some builder accepts every
+    normal form, and the NoCaseMatched raise is a guard that none reaches.
+    x1^-1 is injective, so any candidate that round-trips is the preimage,
+    and an earlier builder may accept it first.
     """
     steps = 0
     cases = []
@@ -675,8 +666,7 @@ def apply_x1(text: str) -> Tuple[str, int, Tuple[str, ...]]:
             continue
         back, st2, label = _run(candidate, _program_x1_inv)
         steps += st2
-        if label is not None:
-            cases.append(label)
+        cases.append(label)  # candidate is a normal form, so x1^-1 labels it
         if back == text:
             return candidate, steps, tuple(cases)
     raise NoCaseMatched(f"no multiplication case accepted {text!r}")
@@ -708,7 +698,7 @@ def apply_gen_report(text: str, gen: str) -> Tuple[str, StepReport]:
         return out, StepReport(n, steps, gen, GROUP, cases)
     if gen == "x1-":
         out, steps, label = _run(text, _program_x1_inv)
-        return out, StepReport(n, steps, gen, GROUP, () if label is None else (label,))
+        return out, StepReport(n, steps, gen, GROUP, (label,))
     out, steps, _ = _run(text, lambda ts: _program_x0(ts, 1 if gen == "x0" else -1))
     return out, StepReport(n, steps, gen, GROUP)
 

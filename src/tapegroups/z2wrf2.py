@@ -56,18 +56,16 @@ A_LEAF = ("A0", "A1")
 
 # the tokens that carry the lamplighter marker, those whose lamp is lit, and
 # those allowed as leaves inside a group
-_STOP = frozenset(C_LEAF + B_LEAF + D_C + D_B + E_C)
+_MARKED = C_LEAF + B_LEAF + D_C + D_B + E_C
+_STOP = frozenset(_MARKED)
 _LIT = frozenset(("1", "C1", "A1", "B1", "D1", "D1A", "D1B", "D1C", "E1", "E1C"))
 _LEAF = frozenset(("0", "1") + C_LEAF)
-_TOGGLE = {"C0": "C1", "C1": "C0", "B0": "B1", "B1": "B0",
-           "D0C": "D1C", "D1C": "D0C", "D0B": "D1B", "D1B": "D0B",
-           "E0C": "E1C", "E1C": "E0C"}
+_TOGGLE = {m: m.translate(str.maketrans("01", "10")) for m in _MARKED}
 _TOGGLE_STOP = (*_TOGGLE, BLANK)
 _MARK = {"0": "C0", "1": "C1", "A0": "B0", "A1": "B1",
          "E0": "E0C", "E1": "E1C", "D0": "D0C", "D1": "D1C",
          "D0A": "D0B", "D1A": "D1B"}
-_UNMARK = {"D0C": "D0", "D1C": "D1", "D0B": "D0A", "D1B": "D1A",
-           "E0C": "E0", "E1C": "E1", "C1": "1", "B0": "A0", "B1": "A1"}
+_UNMARK = {m: t for t, m in _MARK.items()}
 _COLLAPSE = {"E0": "C0", "E1": "C1", "D0": "C0", "D1": "C1",
              "D0A": "B0", "D1A": "B1"}
 _OPENS = ("(", "[")

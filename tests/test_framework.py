@@ -77,22 +77,31 @@ def test_fuzz_catches_planted_case_deletion(f_case_deleted):
     assert len(word) == 37 and word[-4:] == ["x0", "x1-", "x0", "x1-"]
 
 
+# per group: the generator planted to output a non-normal form, that output,
+# and the word and normal form the failure names
+CLOSURE_PLANTS = (
+    # B0B0 has two identity anchors
+    (fw.representation_z2wrf2, "c", "B0B0", ["b-", "a", "b", "c"], "([E0(D0 C0)]D0A)"),
+    # ab ends in a block with both signs
+    (fw.representation_thompson_f, "x0", "ab", ["x1-", "x0"], "#b"),
+)
+
+
 def test_fuzz_reports_a_closure_failure():
-    # a planted generator whose output is no normal form: B0B0 has two
-    # identity anchors
-    rep = fw.representation_z2wrf2()
+    for representation, planted, got, word, nf in CLOSURE_PLANTS:
+        rep = representation()
 
-    def escapes(nf, gen):
-        out, report = rep.apply_report(nf, gen)
-        return ("B0B0" if gen == "c" else out), report
+        def escapes(text, gen):
+            out, report = rep.apply_report(text, gen)
+            return (got if gen == planted else out), report
 
-    report = fw.differential_fuzz(rep.with_apply(escapes), 5, 10, 0)
-    assert not report.passed
-    failure = report.failure
-    assert failure["kind"] == "closure"
-    assert failure["word"] == ["b-", "a", "b", "c"]
-    assert failure["nf"] == fw.word_to_nf(rep, ["b-", "a", "b"]) == "([E0(D0 C0)]D0A)"
-    assert failure["gen"] == "c" and failure["got"] == "B0B0"
+        report = fw.differential_fuzz(rep.with_apply(escapes), 5, 10, 0)
+        assert not report.passed
+        failure = report.failure
+        assert failure["kind"] == "closure"
+        assert failure["word"] == word
+        assert failure["nf"] == fw.word_to_nf(rep, word[:-1]) == nf
+        assert failure["gen"] == planted and failure["got"] == got
 
 
 def test_bench_verdict_true_and_json_schema():

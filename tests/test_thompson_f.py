@@ -1,14 +1,24 @@
+import dis
 import itertools
+import linecache
 import random
+import sys
 
 import pytest
 
 from tapegroups import thompson_f as tf
 from tapegroups.errors import BadWord, NoCaseMatched, NotInLanguage
-from tapegroups.framework import REPRESENTATIONS
+from tapegroups.framework import REPRESENTATIONS, representation_thompson_f
 from tapegroups.oracle_groups import PL_IDENTITY, pl_eval_normalform, pl_mul_gen
+from test_step_ledger import _walk_entries
 
 INV = {"x0": "x0-", "x0-": "x0", "x1": "x1-", "x1-": "x1"}
+
+
+def _short_forms(most):
+    """Every normal form of at most `most` symbols."""
+    return [text for k in range(most + 1) for t in itertools.product("ab#", repeat=k)
+            if tf.validate(text := "".join(t))]
 
 
 def test_parse_examples():
@@ -34,9 +44,10 @@ def test_compute_r_examples():
 
 
 def test_compute_r_against_definition():
+    # every normal form of at most 10 symbols, then seeded longer ones
     rng = random.Random(4)
-    for _ in range(600):
-        nf = tf.serialize(_random_seq(rng, 30))
+    texts = _short_forms(10) + [tf.serialize(_random_seq(rng, 30)) for _ in range(600)]
+    for nf in texts:
         seq = tf.parse(nf)
         if not seq.s or seq.s[0] == 0:
             continue
@@ -138,12 +149,14 @@ def test_x1_inv_reports_its_branch(label):
 
 def test_x1_inv_labels_every_short_normal_form():
     # every normal form of at most 10 symbols reaches exactly one labelled
-    # edit; _x1_inv_case2 has no exit that skips its edit
-    forms = [text for k in range(11) for t in itertools.product("ab#", repeat=k)
-             if tf.validate(text := "".join(t))]
+    # edit, _x1_inv_case2 having no exit that skips its edit, and x1 finds
+    # the preimage back
+    forms = _short_forms(10)
     assert len(forms) == 11641
     for nf in forms:
-        assert len(tf.apply_gen_report(nf, "x1-")[1].cases) == 1, nf
+        out, report = tf.apply_gen_report(nf, "x1-")
+        assert len(report.cases) == 1, nf
+        assert tf.apply_gen(out, "x1") == nf
 
 
 def test_x1_accepts_the_round_trip_of_the_inverse_branch():
@@ -213,18 +226,85 @@ def test_case_deletion_is_detectable(f_case_deleted):
     assert broken_at == 71
 
 
+# the raw machines, which halt on any input
+RAW_PROGRAMS = (tf._program_x1_inv, lambda ts: tf._program_x0(ts, 1),
+                lambda ts: tf._program_x0(ts, -1))
+
+
+def _garbage():
+    rng = random.Random(0)
+    return ["".join(rng.choice("ab#") for _ in range(rng.randint(0, 12)))
+            for _ in range(400)]
+
+
 def test_total_on_garbage():
     # the machines halt on anything; the library surface raises on non-members
-    rng = random.Random(0)
-    for _ in range(400):
-        text = "".join(rng.choice("ab#") for _ in range(rng.randint(0, 12)))
-        tf._run(text, tf._program_x1_inv)
+    for text in _garbage():
+        for program in RAW_PROGRAMS:
+            tf._run(text, program)
         if tf.validate(text):
             for gen in ("x0", "x0-", "x1-", "x1"):
                 assert tf.validate(tf.apply_gen(text, gen))
         else:
             with pytest.raises(NotInLanguage):
                 tf.apply_gen(text, "x0")
+
+
+F_PROGRAMS = (tf._scan_valid, tf._rewind, tf._to_blank, tf._compute_r,
+              tf._mark_hash_track, tf._compare_r_m, tf._program_x0,
+              tf._program_x1_inv, tf._x1_inv_case1, tf._x1_inv_case2, tf._to_hash,
+              tf._walk_to_hash, tf._write_hash_per_b, tf._strip_tail,
+              tf._drop_b_after_a_run, tf._run, *tf._X1_BUILDERS, tf.apply_x1)
+
+# loop guards no normal form reaches: each keeps a raw builder or walk from
+# running forever or faulting, and apply_x1 from returning no product
+UNRUN_GUARDS = sorted([
+    ("_b_21c12", "return False"),
+    ("_b_21c3", "return False"),
+    ("_b_222a", "return False"),
+    ("_walk_to_hash", "return False"),
+    ("apply_x1", 'raise NoCaseMatched(f"no multiplication case accepted {text!r}")'),
+])
+
+
+def test_walks_short_forms_and_garbage_run_every_line_but_the_guards():
+    # the ledger's walks, every generator on every normal form of at most 7
+    # symbols, and the raw machines on garbage reach every line of F's tape
+    # programs but the guards
+    hit = {fn.__code__: set() for fn in F_PROGRAMS}
+
+    def trace(frame, event, arg):
+        lines = hit.get(frame.f_code)
+        if lines is None:
+            return None
+
+        def local(frame, event, arg):
+            lines.add(frame.f_lineno)
+            return local
+        return local(frame, event, arg)
+
+    forms = _short_forms(7)
+    garbage = _garbage()
+    old = sys.gettrace()
+    sys.settrace(trace)
+    try:
+        for _ in _walk_entries(representation_thompson_f(), 1):
+            pass
+        for nf in forms:
+            for gen in tf.GENERATORS:
+                tf.apply_gen(nf, gen)
+        for text in garbage:
+            for program in RAW_PROGRAMS:
+                tf._run(text, program)
+    finally:
+        sys.settrace(old)
+    unrun = []
+    for fn in F_PROGRAMS:
+        code = fn.__code__
+        lines = {line for _, line in dis.findlinestarts(code) if line is not None}
+        unrun += [(fn.__name__, linecache.getline(code.co_filename, line).strip())
+                  for line in lines - hit[code]]
+    assert sorted(unrun) == UNRUN_GUARDS
 
 
 def test_step_report_names_the_group_id():
