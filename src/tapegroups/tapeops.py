@@ -4,7 +4,8 @@ Each shift is defined by a loop over TapeSet primitives, given in its
 docstring: a single pass with a k-cell host buffer (finite state, k <= 3 in
 all callers).  The host builds the loop's end state with one slice assignment
 and charges the loop's closed-form step count, so the cost is exactly that of
-running the loop; only the host time differs.
+running the loop; only the host time differs.  Cells are byte codes, so the
+end state is found with `find` of the blank code and moved as one slice.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from typing import Sequence
 
 from .errors import InvalidInput, TapeFault
 from .tapevm import TapeSet
-from .tokens import BLANK
+from .tokens import encode
 
 
 def shift_suffix_right(ts: TapeSet, t: int, insert: Sequence[str]) -> None:
@@ -40,20 +41,12 @@ def shift_suffix_right(ts: TapeSet, t: int, insert: Sequence[str]) -> None:
     if h == 0:
         ts.steps += 1  # the read before the write
         raise TapeFault("attempt to overwrite the start marker")
-    seq = [*insert, *cells[h:]]
-    m = 1
-    while True:
-        try:
-            m = seq.index(BLANK, m)
-        except ValueError:
-            m = len(seq)  # the blanks past the end of the tape
-            break
-        run = seq[m:m + k]
-        if run.count(BLANK) == len(run):
-            break
-        m += 1
+    seq = encode(insert) + cells[h:]
+    # k blank codes; the padding stands for the blanks past the end of the tape
+    blanks = bytes(k)
+    m = (seq + blanks).find(blanks, 1)
     if h > len(cells):
-        cells.extend([BLANK] * (h - len(cells)))
+        cells.extend(bytes(h - len(cells)))
     cells[h:h + m] = seq[:m]
     ts.steps += 3 * m - 1
     tape.head = h + m - 1
@@ -84,16 +77,15 @@ def shift_suffix_left(ts: TapeSet, t: int, k: int) -> None:
             raise TapeFault("attempt to move left of the start marker")
         raise TapeFault("attempt to overwrite the start marker")
     n = len(cells)
-    try:
-        pos = cells.index(BLANK, h)
-    except ValueError:
+    pos = cells.find(0, h)  # the first blank
+    if pos < 0:
         pos = max(h, n)
     J = pos - h + 1
     vals = cells[h:pos + 1]
-    vals += [BLANK] * (J - len(vals))
+    vals += bytes(J - len(vals))
     end = pos - k + 1
     if end > n:
-        cells.extend([BLANK] * (end - n))
+        cells.extend(bytes(end - n))
     cells[h - k:end] = vals
     ts.steps += (J - 1) * (2 * k + 3) + k + 2
     tape.head = pos - k

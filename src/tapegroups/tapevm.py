@@ -7,11 +7,21 @@ counter.  Generator programs touch tapes only through these primitives and
 through counted sweeps, so the step counter is the cost model the linearity
 benchmarks certify.
 
+A tape is a `bytearray` of cells that hold byte codes, not the tokens
+themselves (`tokens.CODE`).  Programs still read and write symbols: `read`
+decodes the cell under the head and `write` encodes, and `Tape.symbols` is
+the decoded view of a whole tape.  `init_tapes` and `read_output` are the
+only ways in and out: one encode of the input, and one check of the output
+against the alphabet, each a pass in C.
+
 A sweep is one machine state looping over a run of cells.  `scan_right` and
 `scan_left` are defined as the loop `while read(t) not in stop: move(t)`:
 they charge exactly that loop's steps (2d+1 for d moves), fault exactly where
 it would, and leave the head where it would stop, but find the stop cell with
-a list search in C instead of one method call per step.
+a byte search in C instead of one method call per step: `find` or one
+compiled byte-class search rightward, `rfind` leftward (in doubling windows
+for more than one stop symbol).  Either way a sweep that stops d cells away
+searches O(d) cells.
 
 The other counted sweeps live with the programs that run them, each charged
 at its defining loop's closed form: `tapeops`' suffix shifts, F's
@@ -27,35 +37,42 @@ host variables and costs nothing, matching the state set of a real machine.
 
 from __future__ import annotations
 
+import functools
+import re
 from dataclasses import dataclass
 from typing import Collection, Iterable, Optional, Sequence, Tuple
 
 from .errors import InvalidInput, OutputFault, TapeFault
-from .tokens import BEGIN, BLANK
+from .tokens import BEGIN, BLANK, CODE, SYMBOL, codes_of, decode, encode
 
-# First window of a sweep's search; each further window doubles, so a sweep
-# that stops d cells away searches O(d) cells whatever the stop set.
+# First window of a leftward sweep's search for several symbols; each further
+# window doubles, so a sweep that stops d cells away searches O(d) cells.
 _WINDOW = 64
+_START = bytes((CODE[BEGIN],))  # a fresh tape's cells
 
 
-def _first_in(cells: list, lo: int, hi: int, stop: Collection[str]) -> int:
-    """Smallest i in [lo, hi) with cells[i] in stop, or hi if there is none."""
-    for sym in stop:
-        try:
-            hi = cells.index(sym, lo, hi)
-        except ValueError:
-            pass
-    return hi
+@functools.cache
+def _search(stop: Collection[str]):
+    """How to find a stop set's cells: (its code, None) for one symbol, which
+    `find` and `rfind` take, or (None, one compiled byte-class search)."""
+    codes = codes_of(stop)
+    if len(codes) == 1:
+        return codes[0], None
+    return None, re.compile(b"[%s]" % re.escape(codes) if codes else b"(?!)").search
 
 
 class Tape:
-    """One semi-infinite tape: growable cell list plus a head index."""
+    """One semi-infinite tape: growable byte-coded cells plus a head index."""
 
     __slots__ = ("cells", "head")
 
     def __init__(self) -> None:
-        self.cells: list[str] = [BEGIN]
+        self.cells = bytearray(_START)
         self.head = 0
+
+    def symbols(self) -> list[str]:
+        """The cells decoded, one symbol per cell."""
+        return decode(self.cells)
 
 
 @dataclass(frozen=True)
@@ -88,26 +105,35 @@ class TapeSet:
             raise InvalidInput("need at least one tape")
         self.tapes = [Tape() for _ in range(k)]
         self.steps = 0
-        self.sigma = frozenset(sigma) if sigma is not None else None
+        # the codes of the output alphabet
+        self.sigma = codes_of(tuple(sigma)) if sigma is not None else None
 
     # -- primitive actions: each costs exactly one step --------------------
 
     def read(self, t: int) -> str:
         tape = self.tapes[t]
         self.steps += 1
-        h = tape.head
-        return tape.cells[h] if h < len(tape.cells) else BLANK
+        try:
+            return SYMBOL[tape.cells[tape.head]]
+        except IndexError:  # past the last written cell; a head is never negative
+            return BLANK
 
     def write(self, t: int, sym: str) -> None:
         tape = self.tapes[t]
         h = tape.head
         if h == 0:
             raise TapeFault("attempt to overwrite the start marker")
+        try:
+            code = CODE[sym]
+        except KeyError:
+            raise InvalidInput(f"symbol {sym!r} has no tape code") from None
         self.steps += 1
         cells = tape.cells
-        if h >= len(cells):
-            cells.extend([BLANK] * (h + 1 - len(cells)))
-        cells[h] = sym
+        if h < len(cells):
+            cells[h] = code
+        else:
+            cells.extend(bytes(h - len(cells)))
+            cells.append(code)
 
     def move_left(self, t: int) -> None:
         tape = self.tapes[t]
@@ -131,22 +157,21 @@ class TapeSet:
         """
         tape = self.tapes[t]
         cells = tape.cells
-        h = pos = tape.head
-        n = len(cells)
-        width = _WINDOW
-        while pos < n:
-            hi = min(n, pos + width)
-            pos = _first_in(cells, pos, hi, stop)
-            if pos < hi:
-                break
-            width *= 2
+        h = tape.head
+        code, search = _search(stop)
+        if search is None:
+            pos = cells.find(code, h)
         else:
+            m = search(cells, h)
+            pos = m.start() if m else -1
+        n = len(cells)
+        if pos < 0:
             if BLANK not in stop:
                 raise TapeFault("rightward scan never reaches a stop symbol")
             pos = max(h, n)
         self.steps += 2 * (pos - h) + 1
         tape.head = pos
-        return cells[pos] if pos < n else BLANK
+        return SYMBOL[cells[pos]] if pos < n else BLANK
 
     def scan_left(self, t: int, stop: Collection[str]) -> str:
         """`while read(t) not in stop: move_left(t)`; returns the stop symbol.
@@ -163,50 +188,57 @@ class TapeSet:
             self.steps += 1
             return BLANK
         hi = min(h + 1, n)  # cells at and beyond n read as blank
-        width = _WINDOW
-        while hi > 0:
-            lo = max(0, hi - width)
-            seg = cells[lo:hi]
-            seg.reverse()
-            j = _first_in(seg, 0, len(seg), stop)
-            if j < len(seg):
-                pos = hi - 1 - j
-                self.steps += 2 * (h - pos) + 1
-                tape.head = pos
-                return cells[pos]
-            hi = lo
-            width *= 2
-        self.steps += 2 * h + 1
-        tape.head = 0
-        raise TapeFault("attempt to move left of the start marker")
+        code, _ = _search(stop)
+        if code is not None:  # rfind of one code runs leftward from hi
+            pos = cells.rfind(code, 0, hi)
+        else:
+            pos = -1
+            codes = codes_of(stop)
+            width = _WINDOW
+            while pos < 0 and hi > 0:
+                lo = max(0, hi - width)
+                pos = max([cells.rfind(c, lo, hi) for c in codes], default=-1)
+                hi = lo
+                width *= 2
+        if pos < 0:
+            self.steps += 2 * h + 1
+            tape.head = 0
+            raise TapeFault("attempt to move left of the start marker")
+        self.steps += 2 * (h - pos) + 1
+        tape.head = pos
+        return SYMBOL[cells[pos]]
 
 
 def init_tapes(input_tokens: Sequence[str], k: int,
                sigma: Optional[Iterable[str]] = None) -> TapeSet:
     """Fresh TapeSet with tape 0 holding the input and heads on the start marker.
 
-    Loading the input is free: step accounting starts at 0, matching a machine
-    whose input is part of the initial configuration.
+    The input is a str of one-character tokens or a token sequence; a symbol
+    with no code or a tape marker raises InvalidInput.  Loading the input is
+    free: step accounting starts at 0, matching a machine whose input is part
+    of the initial configuration.
     """
-    if BEGIN in input_tokens or BLANK in input_tokens:
+    cells = encode(input_tokens)
+    if CODE[BEGIN] in cells or CODE[BLANK] in cells:
         raise InvalidInput("input may not contain tape markers")
     ts = TapeSet(k, sigma=sigma)
-    ts.tapes[0].cells = [BEGIN, *input_tokens]
+    ts.tapes[0].cells += cells
     return ts
 
 
-def read_output(ts: TapeSet) -> list[str]:
-    """Output of a halted program: tape-1 prefix between the marker and the first blank.
+def read_output(ts: TapeSet) -> bytes:
+    """Output of a halted program: the codes of the tape-1 prefix between the
+    marker and the first blank.
 
     Content beyond the first blank is ignored.  Reading the output is free
-    (it happens after the machine halts).
+    (it happens after the machine halts).  With an alphabet declared, a
+    symbol outside it raises OutputFault naming the first such symbol.
     """
     cells = ts.tapes[0].cells
-    try:
-        out = cells[1:cells.index(BLANK, 1)]
-    except ValueError:
-        out = cells[1:]
-    if ts.sigma is not None and not ts.sigma.issuperset(out):
-        bad = next(sym for sym in out if sym not in ts.sigma)
-        raise OutputFault(f"symbol {bad!r} outside the declared alphabet")
+    end = cells.find(CODE[BLANK], 1)
+    out = bytes(cells[1:end if end >= 0 else len(cells)])
+    if ts.sigma is not None:
+        bad = out.translate(None, ts.sigma)
+        if bad:
+            raise OutputFault(f"symbol {SYMBOL[bad[0]]!r} outside the declared alphabet")
     return out

@@ -23,7 +23,7 @@ from typing import Optional, Tuple
 from .errors import BadWord, NoCaseMatched, NotInLanguage
 from .tapevm import StepReport, TapeSet, init_tapes, read_output
 from .tapeops import shift_suffix_left, shift_suffix_right
-from .tokens import BEGIN, BLANK, F_SIGMA
+from .tokens import BEGIN, BLANK, CODE, F_SIGMA
 
 GROUP = "thompson-f"
 GENERATORS = ("x0", "x0-", "x1", "x1-")
@@ -53,10 +53,17 @@ _NOT_F = str.maketrans("", "", "".join(F_SIGMA))  # deletes the alphabet
 # rejected cell: an a after a b of the same block, a # that closes an empty
 # block after a block with both signs, or any other symbol (a blank among
 # them, where the automaton stops to give its verdict).  A normal form has no
-# such cell and does not end in an empty or two-signed block.
+# such cell and does not end in an empty or two-signed block (the test of
+# _NF below checks the two statements against each other and against parse).
 _REJECT = r"ba|ab+##|[^ab#]"
-_STOP = re.compile(_REJECT)
-_NOT_NF = re.compile(_REJECT + r"|#\Z|ab+\Z")
+_STOP = re.compile(_REJECT.encode())  # on tape codes: F's symbols are ASCII
+# The same language as one pattern: blocks a^r#, b^s# or a^r b^s# (r, s > 0)
+# with a nonempty block after the last, then a last block of one sign.  Every
+# repeat is possessive, so a failing match never backtracks into the blocks
+# it has read: a plain form of it takes exponential time on a long near-miss.
+_NF = r"(?:(?:a*+#|b*+#|a++b++#(?=[ab]))*+(?:a++|b++))?"
+_IS_NF = re.compile(_NF).fullmatch
+_IS_NF_CODES = re.compile(_NF.encode()).fullmatch
 
 
 def parse(text: str) -> ExpSeq:
@@ -90,7 +97,7 @@ def serialize(seq: ExpSeq) -> str:
 
 
 def validate(text: str) -> bool:
-    return _NOT_NF.search(text) is None
+    return _IS_NF(text) is not None
 
 
 @dataclass(frozen=True)
@@ -123,23 +130,28 @@ def _scan_valid(ts: TapeSet) -> bool:
     The automaton moves right and reads one cell at a time until the first
     rejected cell (see _REJECT), 2 steps per cell.  On a blank it accepts or
     rejects what it read; on acceptance it rewinds to the start marker.  The
-    stop cell is found with one search over the joined cells and the loop's
-    steps are charged for it.
+    host tries one full match of _NF on the codes before the first blank: on
+    a match the automaton reads up to that blank and accepts.  Only a
+    rejected tape is searched with _STOP, to find the cell where the
+    automaton stops.  Either way the loop's steps are charged for it.
     """
     tape = ts.tapes[0]
     cells = tape.cells
     h = tape.head
-    text = "".join(cells)  # cell i is text[i]: an F tape holds one character per cell
-    m = _STOP.search(text, h + 1)
-    p = m.end() - 1 if m else max(h + 1, len(text))
+    n = len(cells)
+    end = cells.find(CODE[BLANK], h + 1)
+    if end < 0:
+        end = max(h + 1, n)
+    if _IS_NF_CODES(cells, h + 1, end):
+        ts.steps += 2 * (end - h)
+        tape.head = end
+        _rewind(ts, 0)
+        return True
+    m = _STOP.search(cells, h + 1)
+    p = m.end() - 1 if m else max(h + 1, n)
     ts.steps += 2 * (p - h)
     tape.head = p
-    if p < len(text) and text[p] != BLANK:
-        return False
-    if _NOT_NF.search(text, h + 1, p):
-        return False
-    _rewind(ts, 0)
-    return True
+    return False
 
 
 def _rewind(ts: TapeSet, t: int) -> None:
@@ -533,9 +545,9 @@ def _x1_inv_case2(ts: TapeSet) -> str:
 def _run(text: str, program) -> Tuple[str, int, object]:
     """Run program on a fresh 2-tape machine holding text: the output, the
     steps and the program's return value."""
-    ts = init_tapes(list(text), 2, sigma=F_SIGMA)
+    ts = init_tapes(text, 2, sigma=F_SIGMA)
     result = program(ts)
-    return "".join(read_output(ts)), ts.steps, result
+    return read_output(ts).decode("ascii"), ts.steps, result
 
 
 # The builders run only inside apply_x1, whose input is a normal form: the
@@ -677,11 +689,9 @@ def apply_x1(text: str) -> Tuple[str, int, Tuple[str, ...]]:
 
 def compute_r(text: str) -> RResult:
     """Run the counter subroutine and read R off the second tape."""
-    ts = init_tapes(list(text), 2, sigma=F_SIGMA)
+    ts = init_tapes(text, 2, sigma=F_SIGMA)
     case_flag = _compute_r(ts)
-    cells = ts.tapes[1].cells
-    r = sum(1 for c in cells if c == "b")
-    return RResult(r, case_flag)
+    return RResult(ts.tapes[1].symbols().count("b"), case_flag)
 
 
 def apply_gen_report(text: str, gen: str) -> Tuple[str, StepReport]:

@@ -1,7 +1,15 @@
-"""Global token alphabet and ASCII tokenizers.
+"""Global token alphabet, tape codes and ASCII tokenizers.
 
-One enumeration of string tokens serves every group: tape cells hold these
-tokens directly.  External text uses the ASCII renderings below.
+One enumeration of string tokens serves every group.  A tape cell holds a
+token's byte code, not the token itself: `CODE` maps each symbol to its byte
+and `SYMBOL` maps each byte back.  BLANK is code 0, so `bytes(k)` is k blank
+cells, and BEGIN is code 1.  Every other one-character ASCII symbol is its
+own ordinal, so F's text and Z2 wr Z^2's bits encode with `str.encode`.  Each
+multi-character token and work symbol has a fixed code of 128 or more.
+`render_codes` turns an output tape back into text without a per-cell step:
+one replace per multi-character token of the alphabet, after one search that
+spaces the Z2 wr F2 token pairs bare concatenation would munch.  External
+text uses the ASCII renderings below.
 
 A Z2 wr Z^2 text is checked whole by one full match of a pattern whose
 language is exactly the token strings: lamp bits, then runs that each start
@@ -31,9 +39,11 @@ per-cell string.
 
 from __future__ import annotations
 
+import functools
 import re
+from typing import Collection, Iterable, Sequence
 
-from .errors import NotInLanguage
+from .errors import InvalidInput, NotInLanguage
 
 # Tape markers.  Unicode so they can never collide with the ASCII alphabets.
 BEGIN = "⊞"  # immovable start marker at cell 0
@@ -52,6 +62,16 @@ Z2F2_SIGMA = (
 # Thompson's F alphabet.
 F_SIGMA = ("a", "b", "#")
 
+# Work symbols the programs write on tape 2: Z2 wr F2's marked stack tops and
+# F's convolution cells of the b^R counter over the #^M track.
+WORK_SYMBOLS = ("(*", "[*", ")*", "]*", "b#", "_#", "b_")
+
+# The tape code table.  Codes 2-127 are the one-character ASCII symbols.
+CODE = {BLANK: 0, BEGIN: 1, **{chr(c): c for c in range(2, 128)}}
+CODE.update((tok, code) for code, tok in enumerate(
+    dict.fromkeys(t for t in Z2F2_SIGMA + WORK_SYMBOLS if len(t) > 1), 128))
+SYMBOL = tuple(map({code: sym for sym, code in CODE.items()}.get, range(256)))
+
 _Z2Z2_TOKEN = re.compile(r"C?[01]")
 # the same language as (C?[01])*, with repeats of one character class, which
 # the regex engine runs in C without a per-repeat frame
@@ -59,12 +79,65 @@ _Z2Z2_TEXT = re.compile(r"[01]*(?:C[01]+)*")
 _LAMPLIGHTER = {tok[1]: tok for tok in Z2Z2_SIGMA[2:]}  # bit -> C0, C1
 _Z2F2_TOKEN = re.compile(r"D[01][ABC]?|E[01]C?|[ABC][01]|[01()\[\]]")
 _Z2F2_CANON = {tok: tok for tok in Z2F2_SIGMA}
+
+
+def encode(symbols: Iterable[str]) -> bytes:
+    """Tape codes of a str of one-character symbols or of a token sequence.
+
+    An ASCII str is encoded in C; anything else is mapped through CODE.
+    Raises InvalidInput on a symbol with no code.
+    """
+    if isinstance(symbols, str) and symbols.isascii():
+        codes = symbols.encode("ascii")
+        if 0 not in codes and 1 not in codes:  # NUL and SOH have no code
+            return codes
+    try:
+        return bytes(map(CODE.__getitem__, symbols))
+    except KeyError as exc:
+        raise InvalidInput(f"symbol {exc.args[0]!r} has no tape code") from None
+
+
 # the token pairs a space must separate: plain D0/D1 before an A/B/C token and
 # plain E0/E1 before a C token, which bare concatenation would munch into
-# D0A, E0C, ...
-_SPACED = {(p, t): p + " " for p in ("D0", "D1")
-           for t in ("A0", "A1", "B0", "B1", "C0", "C1")}
-_SPACED.update({(p, t): p + " " for p in ("E0", "E1") for t in ("C0", "C1")})
+# D0A, E0C, ...  On codes, one branch per first token: every branch starts
+# with a literal, so the regex engine finds the candidates in C.
+_AFTER_D = ("A0", "A1", "B0", "B1", "C0", "C1")
+_SPACED = re.compile(b"|".join(
+    b"%s(?=[%s])" % (re.escape(encode((p,))), re.escape(encode(after)))
+    for p, after in (("D0", _AFTER_D), ("D1", _AFTER_D), ("E0", _AFTER_D[4:]),
+                     ("E1", _AFTER_D[4:]))))
+# per alphabet: the search that spaces such pairs, if it has them, and each
+# multi-character token's code and text
+_RENDER = {sigma: (_SPACED if "D0" in sigma else None,
+                   tuple((encode((t,)), t.encode()) for t in sigma if len(t) > 1))
+           for sigma in (Z2Z2_SIGMA, Z2F2_SIGMA, F_SIGMA)}
+
+
+def _space_after(m: re.Match) -> bytes:
+    return m[0] + b" "
+
+
+@functools.cache
+def codes_of(symbols: Collection[str]) -> bytes:
+    """encode, remembered, for the constant stop sets and alphabets the
+    programs pass (a tuple or frozenset)."""
+    return encode(symbols)
+
+
+def decode(codes: Iterable[int]) -> list[str]:
+    """The symbols of tape codes, one per cell."""
+    return list(map(SYMBOL.__getitem__, codes))
+
+
+def render_codes(codes: bytes, sigma: Sequence[str]) -> str:
+    """ASCII rendering of the codes of tokens of sigma, one of the three group
+    alphabets: render_z2f2 of the tokens for Z2 wr F2, render for the others."""
+    spaced, texts = _RENDER[sigma]
+    if spaced is not None:
+        codes = spaced.sub(_space_after, codes)
+    for code, text in texts:
+        codes = codes.replace(code, text)
+    return codes.decode("ascii")
 
 
 def tokenize_z2z2(text: str) -> list[str]:
@@ -106,10 +179,7 @@ def tokenize_z2f2(text: str) -> list[str]:
 
 def render_z2f2(tokens: list[str]) -> str:
     """ASCII rendering of alphabet tokens that re-tokenizes to exactly them."""
-    if not tokens:
-        return ""
-    # each token but the last, with a space when it and its successor need one
-    return "".join(map(_SPACED.get, zip(tokens, tokens[1:]), tokens)) + tokens[-1]
+    return render_codes(encode(tokens), Z2F2_SIGMA)
 
 
 def render(tokens: list[str]) -> str:

@@ -32,13 +32,15 @@ sweep (see `tapevm`): it charges that split in closed form at its exit.
 
 from __future__ import annotations
 
+import functools
 from typing import List, Optional, Tuple, Union
 
 from .errors import BadWord, NotInLanguage
 from .oracle_groups import LampConfigF2
 from .tapevm import StepReport, TapeSet, init_tapes, read_output
 from .tapeops import shift_suffix_left, shift_suffix_right
-from .tokens import BEGIN, BLANK, Z2F2_SIGMA, render_z2f2, tokenize_z2f2
+from .tokens import (BEGIN, BLANK, CODE, SYMBOL, Z2F2_SIGMA, codes_of, render_codes,
+                     render_z2f2, tokenize_z2f2)
 
 GROUP = "z2wrf2"
 GENERATORS = ("a", "a-", "b", "b-", "c")
@@ -79,10 +81,11 @@ _PIVOTS = {"(": D_PLAIN + D_A, ")": D_PLAIN + D_A, "[": E_PLAIN, "]": E_PLAIN}
 # per direction: the brackets that open a group ahead, those that close one,
 # and the end marker
 _WAY = {True: (_OPENS, _CLOSES, BLANK), False: (_CLOSES, _OPENS, BEGIN)}
-# per direction, what a walk does on each bracket: push one that opens a
-# group ahead (None), pop one that closes a group if the top is its partner
-_BRACKET = {True: {"(": None, "[": None, ")": "(", "]": "["},
-            False: {")": None, "]": None, "(": ")", "[": "]"}}
+# per direction, what a walk does on each bracket's code: push one that opens
+# a group ahead (None), pop one that closes a group if the top is its partner
+_BRACKET = {fwd: {CODE[b]: None if p is None else CODE[p] for b, p in way.items()}
+            for fwd, way in ((True, {"(": None, "[": None, ")": "(", "]": "["}),
+                             (False, {")": None, "]": None, "(": ")", "[": "]"}))}
 _SPROUT_D = {"C0": "D0", "C1": "D1", "B0": "D0A", "B1": "D1A"}
 _SPROUT_E = {"C0": "E0", "C1": "E1"}
 
@@ -377,21 +380,24 @@ def _walk(ts: TapeSet, fwd: bool, stop) -> Tuple[str, Optional[str]]:
                 write(1, BLANK); move_left(1)
             elif sym in stop or sym == end: return sym, None
 
-    on the tape lists and charges its steps at exit.  Both heads start on
+    on the tapes' codes and charges its steps at exit.  Both heads start on
     written cells, as every caller's do; a backward walk starts past the start
     marker, on a bracket or a pivot, and stops on the marker at the latest.
     """
-    end = BLANK if fwd else BEGIN
+    blank = CODE[BLANK]
     bracket = _BRACKET[fwd]
-    halt = {*stop, end}
+    halt = _halts(stop, fwd)
     tape, stack = ts.tapes[0], ts.tapes[1]
     cells, stack_cells = tape.cells, stack.cells
     h0, t0 = tape.head, stack.head
     n, m = len(cells), len(stack_cells)
     t = t0
     pops = 0
-    for h in range(h0 + 1, n) if fwd else range(h0 - 1, -1, -1):
-        sym = cells[h]
+    if fwd:
+        run = enumerate(cells[h0 + 1:], h0 + 1)
+    else:
+        run = zip(range(h0 - 1, -1, -1), reversed(cells[:h0]))
+    for h, sym in run:
         if sym in bracket:
             partner = bracket[sym]
             if partner is None:  # push
@@ -405,20 +411,26 @@ def _walk(ts: TapeSet, fwd: bool, stop) -> Tuple[str, Optional[str]]:
                 top = stack_cells[t]
                 if top != partner:
                     break
-                stack_cells[t] = BLANK
+                stack_cells[t] = blank
                 t -= 1
                 pops += 1
         elif sym in halt:
             break
     else:  # forward: the blank past the end
-        h, sym = n, BLANK
+        h, sym = n, blank
     mismatch = bracket.get(sym) is not None
     pushes = t - t0 + pops
     # 2 per cell crossed, 2 per push, 1 per closing bracket read, 2 per pop
     ts.steps += 2 * abs(h - h0) + 2 * pushes + (pops + mismatch) + 2 * pops
     tape.head = h
     stack.head = t
-    return sym, (top if mismatch else None)
+    return SYMBOL[sym], (SYMBOL[top] if mismatch else None)
+
+
+@functools.cache
+def _halts(stop, fwd: bool) -> frozenset:
+    """The codes a walk stops on: those of stop and of its end marker."""
+    return frozenset((*codes_of(stop), CODE[BLANK if fwd else BEGIN]))
 
 
 def _scan_to_marker(ts: TapeSet):
@@ -632,7 +644,7 @@ def apply_gen_report(text: str, gen: str) -> Tuple[str, StepReport]:
         _program_toggle(ts)
     else:
         _program_move(ts, gen)
-    out = render_z2f2(read_output(ts))
+    out = render_codes(read_output(ts), Z2F2_SIGMA)
     return out, StepReport(len(toks), ts.steps, gen, GROUP)
 
 

@@ -37,7 +37,7 @@ from . import spiral
 from .errors import BadWord, NotInLanguage, TapeFault
 from .oracle_groups import LampConfigZ2
 from .tapevm import StepReport, TapeSet, init_tapes, read_output
-from .tokens import BLANK, Z2Z2_SIGMA, render, tokenize_z2z2
+from .tokens import BLANK, Z2Z2_SIGMA, render, render_codes, tokenize_z2z2
 
 GROUP = "z2wrz2"
 GENERATORS = ("a", "a-", "b", "b-", "c")
@@ -224,7 +224,7 @@ def _pad_run(ts: TapeSet, run: int) -> None:
     tape = ts.tapes[0]
     tape.head += run
     pad = max(0, tape.head + 1 - len(tape.cells))
-    tape.cells.extend(["0"] * pad)
+    tape.cells.extend(b"0" * pad)  # "0" is coded by its ASCII byte
     ts.steps += 2 * run + pad
 
 
@@ -240,10 +240,9 @@ def _erase_run(ts: TapeSet, run: int, erase: bool) -> None:
     tape.head = h - run
     ts.steps += 2 * run
     if erase:
-        tail = tape.cells[h - run:h]
-        tail.reverse()
-        zeros = tail.index("1") if "1" in tail else run
-        tape.cells[h - zeros:h] = [BLANK] * zeros
+        one = tape.cells.rfind(b"1", h - run, h)  # "1" is coded by its ASCII byte
+        zeros = h - 1 - one if one >= 0 else run
+        tape.cells[h - zeros:h] = bytes(zeros)
         ts.steps += zeros
 
 
@@ -271,7 +270,7 @@ def apply_gen_report(text: str, gen: str) -> Tuple[str, StepReport]:
         _program_toggle(ts)
     else:
         _program_move(ts, gen)
-    out = render(read_output(ts))
+    out = render_codes(read_output(ts), Z2Z2_SIGMA)
     return out, StepReport(len(toks), ts.steps, gen, GROUP)
 
 

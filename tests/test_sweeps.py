@@ -26,7 +26,7 @@ from tapegroups.errors import InvalidInput, TapeFault
 from tapegroups.framework import REPRESENTATIONS
 from tapegroups.tapeops import shift_suffix_left, shift_suffix_right
 from tapegroups.tapevm import TapeSet, init_tapes
-from tapegroups.tokens import BEGIN, BLANK, Z2F2_SIGMA, Z2Z2_SIGMA
+from tapegroups.tokens import BEGIN, BLANK, Z2F2_SIGMA, Z2Z2_SIGMA, encode
 from test_step_ledger import LEDGER, build_ledger, render_ledger
 
 SMALL = ("a", "b", "#", BLANK, "x")
@@ -121,17 +121,22 @@ def loop_scan_valid(ts):
 
 # -- harness -----------------------------------------------------------------
 
+def load(tape, symbols):
+    """Set a tape's cells to the codes of symbols, the start marker first."""
+    tape.cells = bytearray(encode(symbols))
+
+
 def run(fn, cells, head, *args):
     """Run fn on a one-tape set; the final state, or the fault and its steps."""
     ts = TapeSet(1)
     tape = ts.tapes[0]
-    tape.cells = [BEGIN, *cells]
+    load(tape, [BEGIN, *cells])
     tape.head = head
     try:
         out = fn(ts, *args)
     except TapeFault as exc:
         out = type(exc)
-    return out, ts.steps, tape.head, tape.cells
+    return out, ts.steps, tape.head, tape.symbols()
 
 
 def check_scan_right(cells, h, stop):
@@ -187,7 +192,7 @@ def test_scans_match_loops_on_long_tapes():
 
 def test_scan_right_that_never_halts_faults():
     ts = TapeSet(1)
-    ts.tapes[0].cells = [BEGIN, "a", "b"]
+    load(ts.tapes[0], [BEGIN, "a", "b"])
     with pytest.raises(TapeFault):
         ts.scan_right(0, ("#",))
     assert ts.steps == 0 and ts.tapes[0].head == 0
@@ -198,7 +203,7 @@ def test_scan_right_that_never_halts_faults():
 
 def test_scan_left_off_the_start_marker_faults_after_the_loop_steps():
     ts = TapeSet(1)
-    ts.tapes[0].cells = [BEGIN, "a", "b"]
+    load(ts.tapes[0], [BEGIN, "a", "b"])
     ts.tapes[0].head = 2
     with pytest.raises(TapeFault):
         ts.scan_left(0, ("#",))
@@ -207,7 +212,7 @@ def test_scan_left_off_the_start_marker_faults_after_the_loop_steps():
 
 def test_scans_charge_2d_plus_1():
     ts = TapeSet(2)
-    ts.tapes[0].cells = [BEGIN] + ["a"] * 1000
+    load(ts.tapes[0], [BEGIN] + ["a"] * 1000)
     assert ts.scan_right(0, (BLANK,)) == BLANK
     assert ts.steps == 2 * 1001 + 1 and ts.tapes[0].head == 1001
     assert ts.scan_left(0, (BEGIN,)) == BEGIN
@@ -264,12 +269,12 @@ def test_shift_closed_form_counts():
     for J in range(1, 30):
         for k in (1, 2, 3):
             ts = TapeSet(1)
-            ts.tapes[0].cells = [BEGIN] + ["a"] * 5 + ["b"] * (J - 1)
+            load(ts.tapes[0], [BEGIN] + ["a"] * 5 + ["b"] * (J - 1))
             ts.tapes[0].head = 6
             shift_suffix_left(ts, 0, k)
             assert ts.steps == (J - 1) * (2 * k + 3) + k + 2
             ts = TapeSet(1)
-            ts.tapes[0].cells = [BEGIN] + ["b"] * J
+            load(ts.tapes[0], [BEGIN] + ["b"] * J)
             ts.tapes[0].head = 1
             shift_suffix_right(ts, 0, ["y"] * k)
             assert ts.steps == 3 * (J + k) - 1
@@ -289,7 +294,10 @@ def test_scan_valid_matches_loop_on_normal_forms():
     rng = random.Random(4)
     for n in (8, 64, 512, 4096):
         nf = rep.sample_nf(rng, n)
-        for text in (nf, nf + "#", nf[:-1] + "a", "ab##" + nf, nf.replace("#", "x", 1)):
+        last = nf.rfind("#") + 1
+        two_signed = nf + "b" if nf.endswith("a") else nf[:last] + "a" + nf[last:]
+        for text in (nf, nf + "#", nf[:-1] + "a", "ab##" + nf, nf.replace("#", "x", 1),
+                     two_signed):
             cells = list(text)
             want = run(loop_scan_valid, cells, 0)
             assert run(tf._scan_valid, cells, 0) == want
@@ -417,7 +425,7 @@ def loop_move_mark(ts, c_const, fwd):
 
 
 def state(ts, out):
-    return out, ts.steps, [(t.head, t.cells) for t in ts.tapes]
+    return out, ts.steps, [(t.head, t.symbols()) for t in ts.tapes]
 
 
 def run_z2(fn, toks, *args):
@@ -445,8 +453,8 @@ def check_moves_from(toks, scanned, region):
             ts.steps = scanned.steps
             for tape, old in zip(ts.tapes, scanned.tapes):
                 tape.head = old.head
-                tape.cells = list(old.cells)
-            ts.tapes[0].cells = [BEGIN, *toks]
+                tape.cells = bytearray(old.cells)
+            load(ts.tapes[0], [BEGIN, *toks])
             try:
                 out = move(ts, *jump(gen, region))
             except TapeFault as exc:
@@ -536,7 +544,7 @@ def test_z2wrz2_move_left_near_the_start_marker():
                     for move in (loop_move_mark, zz._move_mark):
                         ts = init_tapes(toks, 2, sigma=Z2Z2_SIGMA)
                         ts.tapes[0].head = n
-                        ts.tapes[1].cells = [BEGIN] + ["T"] * i
+                        load(ts.tapes[1], [BEGIN] + ["T"] * i)
                         ts.tapes[1].head = i + 1
                         start = state(ts, TapeFault)
                         try:
@@ -585,7 +593,7 @@ WALK_STACKS = (((), ()), (("(",), ()), (("]",), (BLANK,)), (("(*",), ()),
 def run_walk(fn, toks, head, stack, tail, fwd, stop):
     ts = init_tapes(toks, 2, sigma=Z2F2_SIGMA)
     ts.tapes[0].head = head
-    ts.tapes[1].cells = [BEGIN, *stack, *tail]
+    load(ts.tapes[1], [BEGIN, *stack, *tail])
     ts.tapes[1].head = len(stack)
     return state(ts, fn(ts, fwd, stop))
 

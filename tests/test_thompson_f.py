@@ -2,7 +2,9 @@ import dis
 import itertools
 import linecache
 import random
+import re
 import sys
+import time
 
 import pytest
 
@@ -389,3 +391,44 @@ def test_validate_matches_reference_parse():
     for _ in range(20000):
         text = "".join(rng.choice("aaabbb###c\n xé") for _ in range(rng.randint(1, 30)))
         assert tf.validate(text) == _ref_validate(text), text
+
+
+# the language as the automaton of `_scan_valid` states it: a rejected cell,
+# or a form that ends in an empty or two-signed block
+NOT_NF = re.compile(tf._REJECT + r"|#\Z|ab+\Z")
+
+
+def test_full_match_reject_cells_and_parse_state_one_language():
+    # every string over {a,b,#,x} up to 7 symbols and over {a,b,#} up to 10
+    def strings(alphabet, most):
+        for k in range(most + 1):
+            for t in itertools.product(alphabet, repeat=k):
+                yield "".join(t)
+
+    def parses(text):
+        try:
+            tf.parse(text)
+        except NotInLanguage:
+            return False
+        return True
+
+    for text in itertools.chain(strings("ab#x", 7), strings("ab#", 10)):
+        full = tf._IS_NF(text) is not None
+        assert full == (NOT_NF.search(text) is None) == parses(text), text
+        assert (tf._IS_NF_CODES(text.encode()) is not None) == full, text
+
+
+def test_validate_rejects_a_long_near_miss_without_backtracking():
+    # a mul-large-shaped form of 2^14 symbols whose last block is made
+    # two-signed fails only at its end; a full match that backtracked into
+    # the blocks it read would not return in any useful time
+    nf = REPRESENTATIONS["thompson-f"]().sample_nf(random.Random(14), 1 << 14)
+    assert tf.validate(nf)
+    last = nf.rfind("#") + 1
+    bad = nf + "b" if nf.endswith("a") else nf[:last] + "a" + nf[last:]
+    t0 = time.perf_counter()
+    assert not tf.validate(bad)
+    assert time.perf_counter() - t0 < 5
+    with pytest.raises(NotInLanguage):
+        tf.parse(bad)
+    assert tf._run(bad, tf._scan_valid)[2] is False

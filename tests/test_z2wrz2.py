@@ -70,7 +70,7 @@ def test_scan_tracks_region_and_turns():
         ts = init_tapes(toks, 2, sigma=Z2Z2_SIGMA)
         region = z._scan_to_mark(ts)
         assert region == spiral.classify(spiral.spiral_point(k)), k
-        i = sum(1 for c in ts.tapes[1].cells if c == "T")
+        i = ts.tapes[1].symbols().count("T")
         assert i == spiral.turn_count(k), (k, i)
 
 
