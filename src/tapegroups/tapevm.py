@@ -7,21 +7,16 @@ counter.  Generator programs touch tapes only through these primitives and
 through counted sweeps, so the step counter is the cost model the linearity
 benchmarks certify.
 
-A tape is a `bytearray` of cells that hold byte codes, not the tokens
-themselves (`tokens.CODE`).  Programs still read and write symbols: `read`
-decodes the cell under the head and `write` encodes, and `Tape.symbols` is
-the decoded view of a whole tape.  `init_tapes` and `read_output` are the
-only ways in and out: one encode of the input, and one check of the output
-against the alphabet, each a pass in C.
+A tape is a `bytearray` of byte codes, not the tokens themselves
+(`tokens.CODE`); `read` and `write` still take symbols.  `init_tapes` and
+`read_output` are the only ways in and out.
 
 A sweep is one machine state looping over a run of cells.  `scan_right` and
 `scan_left` are defined as the loop `while read(t) not in stop: move(t)`:
 they charge exactly that loop's steps (2d+1 for d moves), fault exactly where
 it would, and leave the head where it would stop, but find the stop cell with
-a byte search in C instead of one method call per step: `find` or one
-compiled byte-class search rightward, `rfind` leftward (in doubling windows
-for more than one stop symbol).  Either way a sweep that stops d cells away
-searches O(d) cells.
+a byte search in C instead of one method call per step.  A sweep that stops
+d cells away searches O(d) cells.
 
 The other counted sweeps live with the programs that run them, each charged
 at its defining loop's closed form: `tapeops`' suffix shifts, F's

@@ -6,10 +6,7 @@ and `SYMBOL` maps each byte back.  BLANK is code 0, so `bytes(k)` is k blank
 cells, and BEGIN is code 1.  Every other one-character ASCII symbol is its
 own ordinal, so F's text and Z2 wr Z^2's bits encode with `str.encode`.  Each
 multi-character token and work symbol has a fixed code of 128 or more.
-`render_codes` turns an output tape back into text without a per-cell step:
-one replace per multi-character token of the alphabet, after one search that
-spaces the Z2 wr F2 token pairs bare concatenation would munch.  External
-text uses the ASCII renderings below.
+External text uses the ASCII renderings below; the renderers also take codes.
 
 A Z2 wr Z^2 text is checked whole by one full match of a pattern whose
 language is exactly the token strings: lamp bits, then runs that each start
@@ -41,7 +38,7 @@ from __future__ import annotations
 
 import functools
 import re
-from typing import Collection, Iterable, Sequence
+from typing import Collection, Iterable
 
 from .errors import InvalidInput, NotInLanguage
 
@@ -106,11 +103,9 @@ _SPACED = re.compile(b"|".join(
     b"%s(?=[%s])" % (re.escape(encode((p,))), re.escape(encode(after)))
     for p, after in (("D0", _AFTER_D), ("D1", _AFTER_D), ("E0", _AFTER_D[4:]),
                      ("E1", _AFTER_D[4:]))))
-# per alphabet: the search that spaces such pairs, if it has them, and each
-# multi-character token's code and text
-_RENDER = {sigma: (_SPACED if "D0" in sigma else None,
-                   tuple((encode((t,)), t.encode()) for t in sigma if len(t) > 1))
-           for sigma in (Z2Z2_SIGMA, Z2F2_SIGMA, F_SIGMA)}
+# the code and text of each multi-character token of Z2 wr Z^2 and Z2 wr F2
+_TEXTS_Z2Z2 = tuple((encode((t,)), t.encode()) for t in Z2Z2_SIGMA[2:])
+_TEXTS_Z2F2 = tuple((encode((t,)), t.encode()) for t in Z2F2_SIGMA if len(t) > 1)
 
 
 def _space_after(m: re.Match) -> bytes:
@@ -129,12 +124,7 @@ def decode(codes: Iterable[int]) -> list[str]:
     return list(map(SYMBOL.__getitem__, codes))
 
 
-def render_codes(codes: bytes, sigma: Sequence[str]) -> str:
-    """ASCII rendering of the codes of tokens of sigma, one of the three group
-    alphabets: render_z2f2 of the tokens for Z2 wr F2, render for the others."""
-    spaced, texts = _RENDER[sigma]
-    if spaced is not None:
-        codes = spaced.sub(_space_after, codes)
+def _render_codes(codes: bytes, texts) -> str:
     for code, text in texts:
         codes = codes.replace(code, text)
     return codes.decode("ascii")
@@ -177,11 +167,16 @@ def tokenize_z2f2(text: str) -> list[str]:
     return list(map(_Z2F2_CANON.__getitem__, found))
 
 
-def render_z2f2(tokens: list[str]) -> str:
-    """ASCII rendering of alphabet tokens that re-tokenizes to exactly them."""
-    return render_codes(encode(tokens), Z2F2_SIGMA)
+def render_z2f2(tokens) -> str:
+    """ASCII rendering of alphabet tokens, or of their codes as bytes, that
+    re-tokenizes to exactly them."""
+    codes = tokens if isinstance(tokens, bytes) else encode(tokens)
+    return _render_codes(_SPACED.sub(_space_after, codes), _TEXTS_Z2F2)
 
 
-def render(tokens: list[str]) -> str:
-    """ASCII rendering of a token sequence (inverse of the tokenizers)."""
+def render(tokens) -> str:
+    """ASCII rendering of a token sequence, or of the codes as bytes of one
+    over Z2 wr Z^2's or F's alphabet (inverse of the tokenizers)."""
+    if isinstance(tokens, bytes):
+        return _render_codes(tokens, _TEXTS_Z2Z2)
     return "".join(tokens)

@@ -39,8 +39,8 @@ from .errors import BadWord, NotInLanguage
 from .oracle_groups import LampConfigF2
 from .tapevm import StepReport, TapeSet, init_tapes, read_output
 from .tapeops import shift_suffix_left, shift_suffix_right
-from .tokens import (BEGIN, BLANK, CODE, SYMBOL, Z2F2_SIGMA, codes_of, render_codes,
-                     render_z2f2, tokenize_z2f2)
+from .tokens import (BEGIN, BLANK, CODE, SYMBOL, Z2F2_SIGMA, codes_of, render_z2f2,
+                     tokenize_z2f2)
 
 GROUP = "z2wrf2"
 GENERATORS = ("a", "a-", "b", "b-", "c")
@@ -393,31 +393,34 @@ def _walk(ts: TapeSet, fwd: bool, stop) -> Tuple[str, Optional[str]]:
     n, m = len(cells), len(stack_cells)
     t = t0
     pops = 0
-    if fwd:
-        run = enumerate(cells[h0 + 1:], h0 + 1)
+    if fwd:  # a view of the cells ahead: slicing it copies none
+        view = memoryview(cells)[h0 + 1:]
+        run = enumerate(view, h0 + 1)
     else:
-        run = zip(range(h0 - 1, -1, -1), reversed(cells[:h0]))
-    for h, sym in run:
-        if sym in bracket:
-            partner = bracket[sym]
-            if partner is None:  # push
-                t += 1
-                if t < m:
-                    stack_cells[t] = sym
+        view = memoryview(cells)[h0 - 1::-1]
+        run = zip(range(h0 - 1, -1, -1), view)
+    with view:
+        for h, sym in run:
+            if sym in bracket:
+                partner = bracket[sym]
+                if partner is None:  # push
+                    t += 1
+                    if t < m:
+                        stack_cells[t] = sym
+                    else:
+                        stack_cells.append(sym)
+                        m += 1
                 else:
-                    stack_cells.append(sym)
-                    m += 1
-            else:
-                top = stack_cells[t]
-                if top != partner:
-                    break
-                stack_cells[t] = blank
-                t -= 1
-                pops += 1
-        elif sym in halt:
-            break
-    else:  # forward: the blank past the end
-        h, sym = n, blank
+                    top = stack_cells[t]
+                    if top != partner:
+                        break
+                    stack_cells[t] = blank
+                    t -= 1
+                    pops += 1
+            elif sym in halt:
+                break
+        else:  # forward: the blank past the end
+            h, sym = n, blank
     mismatch = bracket.get(sym) is not None
     pushes = t - t0 + pops
     # 2 per cell crossed, 2 per push, 1 per closing bracket read, 2 per pop
@@ -644,7 +647,7 @@ def apply_gen_report(text: str, gen: str) -> Tuple[str, StepReport]:
         _program_toggle(ts)
     else:
         _program_move(ts, gen)
-    out = render_codes(read_output(ts), Z2F2_SIGMA)
+    out = render_z2f2(read_output(ts))
     return out, StepReport(len(toks), ts.steps, gen, GROUP)
 
 

@@ -37,7 +37,7 @@ from . import spiral
 from .errors import BadWord, NotInLanguage, TapeFault
 from .oracle_groups import LampConfigZ2
 from .tapevm import StepReport, TapeSet, init_tapes, read_output
-from .tokens import BLANK, Z2Z2_SIGMA, render, render_codes, tokenize_z2z2
+from .tokens import BLANK, Z2Z2_SIGMA, render, tokenize_z2z2
 
 GROUP = "z2wrz2"
 GENERATORS = ("a", "a-", "b", "b-", "c")
@@ -270,7 +270,7 @@ def apply_gen_report(text: str, gen: str) -> Tuple[str, StepReport]:
         _program_toggle(ts)
     else:
         _program_move(ts, gen)
-    out = render_codes(read_output(ts), Z2Z2_SIGMA)
+    out = render(read_output(ts))
     return out, StepReport(len(toks), ts.steps, gen, GROUP)
 
 

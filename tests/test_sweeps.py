@@ -14,6 +14,7 @@ are the replaced implementations, kept as reference oracles.
 
 import itertools
 import random
+import time
 from collections import Counter, deque
 
 import pytest
@@ -26,7 +27,7 @@ from tapegroups.errors import InvalidInput, TapeFault
 from tapegroups.framework import REPRESENTATIONS
 from tapegroups.tapeops import shift_suffix_left, shift_suffix_right
 from tapegroups.tapevm import TapeSet, init_tapes
-from tapegroups.tokens import BEGIN, BLANK, Z2F2_SIGMA, Z2Z2_SIGMA, encode
+from tapegroups.tokens import BEGIN, BLANK, SYMBOL, Z2F2_SIGMA, Z2Z2_SIGMA, encode
 from test_step_ledger import LEDGER, build_ledger, render_ledger
 
 SMALL = ("a", "b", "#", BLANK, "x")
@@ -639,6 +640,32 @@ def test_walk_matches_loop_on_the_ledger_tapes():
         starts = [i for i, tok in enumerate(toks, 1)
                   if tok in z2wrf2._PARTNER or tok in z2wrf2._PIVOTS["("] + z2wrf2._PIVOTS["["]]
         check_walks(toks, rng.sample(starts, 8), stacks=rng.sample(WALK_STACKS, 3))
+
+
+def test_walk_host_time_does_not_grow_with_the_tape():
+    # a walk that stops two cells away reads those cells and no others: its
+    # host time is the same beside 2^22 cells as beside 64, where a copy of
+    # the rest of the tape per walk would make it some hundred times longer
+    def best_of_5(n, fwd):
+        ts = init_tapes([], 2)
+        tape = ts.tapes[0]
+        if fwd:
+            tape.cells += encode(["0", "C0"]) + b"0" * n
+        else:
+            tape.cells += b"0" * n + encode(["C0", "0", "0"])
+        head = 0 if fwd else len(tape.cells) - 1
+        times = []
+        for _ in range(5):
+            t0 = time.perf_counter()
+            for _ in range(200):
+                tape.head = head
+                z2wrf2._walk(ts, fwd, z2wrf2._STOP)
+            times.append(time.perf_counter() - t0)
+        assert SYMBOL[tape.cells[tape.head]] == "C0"
+        return min(times)
+
+    for fwd in (True, False):
+        assert best_of_5(1 << 22, fwd) < 4 * best_of_5(64, fwd) + 0.005, fwd
 
 
 # -- the golden ledger under the defining loops --------------------------------

@@ -3,9 +3,8 @@ import pytest
 from tapegroups.errors import InvalidInput, OutputFault, TapeFault
 from tapegroups.tapevm import TapeSet, init_tapes, read_output
 from tapegroups.tapeops import shift_suffix_left, shift_suffix_right
-from tapegroups.tokens import (BEGIN, BLANK, CODE, F_SIGMA, SYMBOL, WORK_SYMBOLS,
-                               Z2F2_SIGMA, Z2Z2_SIGMA, decode, encode, render_codes,
-                               render_z2f2)
+from tapegroups.tokens import (BEGIN, BLANK, CODE, SYMBOL, WORK_SYMBOLS,
+                               Z2F2_SIGMA, Z2Z2_SIGMA, decode, encode, render, render_z2f2)
 
 
 def load(tape, symbols):
@@ -68,12 +67,12 @@ def test_code_table():
     assert encode("ab#") == encode(["a", "b", "#"]) == b"ab#"
 
 
-def test_render_codes_matches_the_token_renderers():
+def test_renderers_take_tokens_or_their_codes():
     toks = ["D0", "C0", "(", "E0", "C1", ")", "D1", "A1", "E1C", "0", "D0A", "1"]
-    assert render_codes(encode(toks), Z2F2_SIGMA) == render_z2f2(toks)
+    assert render_z2f2(encode(toks)) == render_z2f2(toks)
     assert render_z2f2(toks) == "D0 C0(E0 C1)D1 A1E1C0D0A1"
-    assert render_codes(encode(["0", "C1", "1"]), Z2Z2_SIGMA) == "0C11"
-    assert render_codes(encode("ab#"), F_SIGMA) == "ab#"
+    assert render(encode(["0", "C1", "1"])) == render(["0", "C1", "1"]) == "0C11"
+    assert render(encode("ab#")) == render(list("ab#")) == "ab#"
 
 
 def test_read_at_marker_and_step_count():

@@ -1,13 +1,14 @@
 """Record the end-to-end benchmark figures of a change in BENCH_<pr>.json.
 
-    python3 tools/bench_record.py --pr N --seconds 30 --seeds 1-4 \\
+    python3 tools/bench_record.py --pr N --seeds 1-4 \\
         --seeds mul-large:101-110 --baseline ../parent-checkout
 
 Runs `perfbench/run.py --trace 0` on each of the three workloads, once per
-seed, from the root of this checkout.  `--seeds` takes a range (`1-4`) or a
-list (`1,3,5`) for every workload, or `WORKLOAD:SEEDS` for one of them.  With
-`--baseline`, the same seeds also run from that checkout (the parent commit,
-say), and the two sides alternate which one runs first.
+seed and for BENCHMARK.json's `run_seconds`, from the root of this checkout.
+`--seeds` takes a range (`1-4`) or a list (`1,3,5`) for every workload, or
+`WORKLOAD:SEEDS` for one of them.  With `--baseline`, the same seeds also
+run from that checkout (the parent commit, say), and the two sides alternate
+which one runs first.
 
 The file holds, per workload and side, every run's end-to-end metrics and
 each metric's median and quartiles.  With a baseline it also holds, per
@@ -55,7 +56,7 @@ def revision(checkout: Path) -> str:
     return r.stdout.strip() or "unknown"
 
 
-def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
+def run_once(checkout: Path, workload: str, seed: int, seconds: int) -> dict:
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload,
            "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"]
     r = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True)
@@ -82,21 +83,20 @@ def main(argv=None) -> int:
     p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     p.add_argument("--pr", type=int, required=True)
     p.add_argument("--seeds", action="append", required=True)
-    p.add_argument("--seconds", type=float, default=30.0)
     p.add_argument("--baseline", type=Path)
-    p.add_argument("--out", type=Path)
     args = p.parse_args(argv)
     seeds = parse_seeds(args.seeds)
     sides = {"change": ROOT}
     if args.baseline is not None:
         sides["baseline"] = args.baseline.resolve()
-    better = {m["name"]: m["better"]
-              for m in json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]}
+    bench = json.loads((ROOT / "BENCHMARK.json").read_text())
+    seconds = bench["run_seconds"]
+    better = {m["name"]: m["better"] for m in bench["end_to_end"]}
     record = {
         "pr": args.pr,
         "machine": {"nproc": os.cpu_count(), "python": platform.python_version(),
                     "platform": platform.platform()},
-        "seconds": args.seconds,
+        "seconds": seconds,
         "revisions": {side: revision(path) for side, path in sides.items()},
         "workloads": {},
     }
@@ -105,7 +105,7 @@ def main(argv=None) -> int:
         for i, seed in enumerate(wl_seeds):
             order = list(sides) if i % 2 == 0 else list(reversed(sides))
             for side in order:
-                runs[side].append(run_once(sides[side], workload, seed, args.seconds))
+                runs[side].append(run_once(sides[side], workload, seed, seconds))
                 print(workload, seed, side, runs[side][-1]["metrics"], flush=True)
         entry = {"seeds": wl_seeds}
         for side, side_runs in runs.items():
@@ -117,7 +117,7 @@ def main(argv=None) -> int:
                           for c, b in zip(runs["change"], runs["baseline"]))
                 for name, sense in better.items()}
         record["workloads"][workload] = entry
-    out = args.out or ROOT / f"BENCH_{args.pr}.json"
+    out = ROOT / f"BENCH_{args.pr}.json"
     out.write_text(json.dumps(record, indent=1) + "\n")
     print(f"wrote {out}")
     return 0
