@@ -86,6 +86,10 @@ _WAY = {True: (_OPENS, _CLOSES, BLANK), False: (_CLOSES, _OPENS, BEGIN)}
 _BRACKET = {fwd: {CODE[b]: None if p is None else CODE[p] for b, p in way.items()}
             for fwd, way in ((True, {"(": None, "[": None, ")": "(", "]": "["}),
                              (False, {")": None, "]": None, "(": ")", "[": "]"}))}
+# a walk copies the rest of tape 1 up to this many cells, which costs less
+# than a memoryview; a longer rest is viewed, so a walk that stops d cells
+# away reads O(d) cells
+_COPY_MAX = 4096
 _SPROUT_D = {"C0": "D0", "C1": "D1", "B0": "D0A", "B1": "D1A"}
 _SPROUT_E = {"C0": "E0", "C1": "E1"}
 
@@ -393,34 +397,34 @@ def _walk(ts: TapeSet, fwd: bool, stop) -> Tuple[str, Optional[str]]:
     n, m = len(cells), len(stack_cells)
     t = t0
     pops = 0
-    if fwd:  # a view of the cells ahead: slicing it copies none
-        view = memoryview(cells)[h0 + 1:]
-        run = enumerate(view, h0 + 1)
+    if fwd:
+        rest = cells[h0 + 1:] if n - h0 <= _COPY_MAX else memoryview(cells)[h0 + 1:]
+        run = enumerate(rest, h0 + 1)
     else:
-        view = memoryview(cells)[h0 - 1::-1]
-        run = zip(range(h0 - 1, -1, -1), view)
-    with view:
-        for h, sym in run:
-            if sym in bracket:
-                partner = bracket[sym]
-                if partner is None:  # push
-                    t += 1
-                    if t < m:
-                        stack_cells[t] = sym
-                    else:
-                        stack_cells.append(sym)
-                        m += 1
+        rest = cells[h0 - 1::-1] if h0 <= _COPY_MAX else memoryview(cells)[h0 - 1::-1]
+        run = zip(range(h0 - 1, -1, -1), rest)
+    for h, sym in run:
+        if sym in bracket:
+            partner = bracket[sym]
+            if partner is None:  # push
+                t += 1
+                if t < m:
+                    stack_cells[t] = sym
                 else:
-                    top = stack_cells[t]
-                    if top != partner:
-                        break
-                    stack_cells[t] = blank
-                    t -= 1
-                    pops += 1
-            elif sym in halt:
-                break
-        else:  # forward: the blank past the end
-            h, sym = n, blank
+                    stack_cells.append(sym)
+                    m += 1
+            else:
+                top = stack_cells[t]
+                if top != partner:
+                    break
+                stack_cells[t] = blank
+                t -= 1
+                pops += 1
+        elif sym in halt:
+            break
+    else:  # forward: the blank past the end
+        h, sym = n, blank
+    del run, rest  # frees a view, so that tape 1 can grow again
     mismatch = bracket.get(sym) is not None
     pushes = t - t0 + pops
     # 2 per cell crossed, 2 per push, 1 per closing bracket read, 2 per pop
