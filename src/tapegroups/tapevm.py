@@ -20,11 +20,16 @@ d cells away searches O(d) cells.
 
 The other counted sweeps live with the programs that run them, each charged
 at its defining loop's closed form: `tapeops`' suffix shifts, F's
-`_scan_valid`, Z2 wr Z^2's region scan (`_scan_to_mark`, two tapes, the
-turn count in unary on tape 2) and mark move (`_move_mark`, four tape-2
-sweeps pacing a tape-1 run that pads or erases), and Z2 wr F2's bracket-stack
-walk (`_walk`, tape 2 a stack of the open groups it has entered).
-tests/test_sweeps.py keeps every defining loop as a reference oracle.
+`_scan_valid` and counter walks (`_compute_r`'s push/pop walk, clear and
+copy back, `_mark_hash_track`, `_compare_r_m`, the walks to a separator
+`_walk_to_hash`, `_walk_to_rth_hash` and `_walk_to_last_b`,
+`_write_hash_per_b`, `_strip_tail`'s # run, and the block flags
+`_x0_flags`, `_x1_inv_flags` and `_case1_flags`), Z2 wr Z^2's region scan
+(`_scan_to_mark`, two tapes, the turn count in unary on tape 2) and mark
+move (`_move_mark`, four tape-2 sweeps pacing a tape-1 run that pads or
+erases), and Z2 wr F2's bracket-stack walk (`_walk`, tape 2 a stack of the
+open groups it has entered).  tests/test_sweeps.py keeps every defining loop
+as a reference oracle.
 
 Finite control state of a program (region variables, ERASE flags, ...) lives in
 host variables and costs nothing, matching the state set of a real machine.

@@ -18,12 +18,13 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from itertools import islice
 from typing import Optional, Tuple
 
-from .errors import BadWord, NoCaseMatched, NotInLanguage
+from .errors import BadWord, NoCaseMatched, NotInLanguage, TapeFault
 from .tapevm import StepReport, TapeSet, init_tapes, read_output
 from .tapeops import shift_suffix_left, shift_suffix_right
-from .tokens import BEGIN, BLANK, CODE, F_SIGMA
+from .tokens import BEGIN, BLANK, CODE, F_SIGMA, codes_of
 
 GROUP = "thompson-f"
 GENERATORS = ("x0", "x0-", "x1", "x1-")
@@ -64,6 +65,19 @@ _STOP = re.compile(_REJECT.encode())  # on tape codes: F's symbols are ASCII
 _NF = r"(?:(?:a*+#|b*+#|a++b++#(?=[ab]))*+(?:a++|b++))?"
 _IS_NF = re.compile(_NF).fullmatch
 _IS_NF_CODES = re.compile(_NF.encode()).fullmatch
+
+# What the counted sweeps search for on tape codes
+_A, _B, _H = b"ab#"
+_SEP = re.compile(b"[#\0]").search  # the end of a block
+_HASHES = re.compile(b"#").finditer
+_BLOCK = re.compile(b"[ab]*+(#*+)").match  # a run of a and b, then of #
+_NOT_BH = re.compile(b"[^%s]" % codes_of(("b#",))).search
+_NOT_B_OR_BH = re.compile(b"[^b%s]" % codes_of(("b#",))).search
+_LAST_B = re.compile(b"b(?:\0|\\Z)").search  # b, then a blank
+_TRACK = bytes(CODE["b#"] if c == _B else CODE["_#"] for c in range(256))
+_RELATION = {_B: ">", CODE["_#"]: "<"}
+# scan_right with it passes an a-run, and the start marker before one
+_NOT_A = frozenset(CODE) - {"a", BEGIN}
 
 
 def parse(text: str) -> ExpSeq:
@@ -138,17 +152,14 @@ def _scan_valid(ts: TapeSet) -> bool:
     tape = ts.tapes[0]
     cells = tape.cells
     h = tape.head
-    n = len(cells)
-    end = cells.find(CODE[BLANK], h + 1)
-    if end < 0:
-        end = max(h + 1, n)
+    end = _first_blank(cells, h + 1)
     if _IS_NF_CODES(cells, h + 1, end):
         ts.steps += 2 * (end - h)
         tape.head = end
         _rewind(ts, 0)
         return True
     m = _STOP.search(cells, h + 1)
-    p = m.end() - 1 if m else max(h + 1, n)
+    p = m.end() - 1 if m else max(h + 1, len(cells))
     ts.steps += 2 * (p - h)
     tape.head = p
     return False
@@ -162,120 +173,119 @@ def _to_blank(ts: TapeSet) -> None:
     ts.scan_right(0, (BLANK,))
 
 
+def _first(search, cells: bytearray, p: int) -> int:
+    """The first cell at or after p that search matches; past the last
+    written cell, a blank (every search here matches a blank)."""
+    m = search(cells, p)
+    return m.start() if m else max(p, len(cells))
+
+
+def _first_blank(cells: bytearray, p: int) -> int:
+    i = cells.find(0, p)
+    return i if i >= 0 else max(p, len(cells))
+
+
+def _code(cells: bytearray, i: int) -> int:
+    return cells[i] if i < len(cells) else 0  # past the end: a blank
+
+
+# The counted sweeps below are each charged their defining loop's steps
+# (tests/test_sweeps.py keeps the loops), with the tape cells searched in C.
+# No tape holds the start marker past cell 0.
+
 def _compute_r(ts: TapeSet) -> bool:
     """The push/pop subroutine: leaves b^R on tape 2 (head on its last cell),
-    tape-1 head on the start marker; returns the CASE flag."""
-    ts.move_right(0)
-    ts.move_right(1)
-    ts.write(1, "b")
-    stop1 = False
+    tape-1 head on the start marker; returns the CASE flag.  Tape 2 starts
+    blank with its head on the marker, as every caller has it.
+
+    After 3 steps that start the counter, the push/pop walk reads tape 1 one
+    block (a run of a and b, then of #) per host iteration: 3 steps per a, 5
+    per b (a push) and 5 per # (a pop).  It stops when the counter drains, 1
+    step, or on any other symbol, 2 steps, which sets CASE; otherwise the
+    scan to b or blank decides CASE.  The clear costs 3 steps per b and 1,
+    and the copy back left 2 per cell, 2 more per b and 1.
+    """
+    t1 = ts.tapes[0]
+    cells, n = t1.cells, len(t1.cells)
+    p = t1.head + 1
+    g = 1  # the counter
+    steps = 3
     while True:
-        if ts.read(1) == BEGIN:
-            break  # the counter drained: the insertion point lies inside the tail
-        sym = ts.read(0)
-        if sym == "a":
-            ts.move_right(0)
-        elif sym == "b":
-            ts.move_right(1)
-            ts.write(1, "b")
-            ts.move_right(0)
-        elif sym == "#":
-            ts.write(1, BLANK)
-            ts.move_left(1)
-            ts.move_right(0)
-        else:
-            stop1 = True
+        q, r = _BLOCK(cells, p).span(1) if p <= n else (p, p)
+        nb = cells.count(_B, p, q)
+        g += nb
+        j = r - q if r - q < g else g  # the pops
+        steps += 3 * (q - p) + 2 * nb + 5 * j
+        g -= j
+        p = q + j
+        if g == 0 or j == 0:
             break
-    if stop1:
-        case_flag = True
-    else:
-        while True:
-            sym = ts.read(0)
-            if sym == "b":
-                case_flag = False
-                break
-            if sym == BLANK:
-                case_flag = True
-                break
-            ts.move_right(0)
-    while ts.read(1) == "b":
-        ts.write(1, BLANK)
-        ts.move_left(1)
-    if case_flag:
-        ts.move_right(1)
-        ts.write(1, "b")
-    while True:
-        sym = ts.read(0)
-        if sym == BEGIN:
-            break
-        if sym == "b":
-            ts.move_right(1)
-            ts.write(1, "b")
-        ts.move_left(0)
+    ts.steps += steps + (2 if g else 1) + 3 * g + 1  # the walk's end, the clear
+    t1.head = p
+    case_flag = g > 0 or ts.scan_right(0, (BLANK, "b")) == BLANK
+    p = t1.head
+    # the b's written back: one per b of tape 1 up to p, and one for CASE;
+    # at least one more than the walk pushed, so they cover every cell it wrote
+    k = case_flag + cells.count(_B, 1, p + 1)
+    ts.steps += 2 * k + 2 * p + 1
+    t1.head = 0
+    t2 = ts.tapes[1]
+    t2.cells[1:] = b"b" * k
+    t2.head = k
     return case_flag
 
 
 def _mark_hash_track(ts: TapeSet) -> None:
-    """Overlay #^M on the b^R counter as convolution cells (b#, b_, _#)."""
+    """Overlay #^M on the b^R counter as convolution cells (b#, b_, _#).
+
+    Between the rewinds, tape 1 walks right to its first blank, 2 steps per
+    cell, and tape 2 marks one cell per # passed, 3 steps more: b as b#,
+    anything else as _#."""
     _rewind(ts, 1)
-    while True:
-        ts.move_right(0)
-        sym = ts.read(0)
-        if sym == "#":
-            ts.move_right(1)
-            under = ts.read(1)
-            ts.write(1, "b#" if under == "b" else "_#")
-        elif sym == BLANK:
-            break
+    t1, t2 = ts.tapes
+    h = t1.head
+    e = _first_blank(t1.cells, h + 1)
+    k = t1.cells.count(_H, h + 1, e)
+    t2.cells[1:k + 1] = t2.cells[1:k + 1].ljust(k, b"\0").translate(_TRACK)
+    ts.steps += 2 * (e - h) + 3 * k
+    t1.head, t2.head = e, k
     _rewind(ts, 0)
     _rewind(ts, 1)
 
 
 def _compare_r_m(ts: TapeSet) -> str:
-    """After _mark_hash_track: '>', '=', or '<' comparing R with M."""
-    while True:
-        ts.move_right(1)
-        sym = ts.read(1)
-        if sym == "b#":
-            continue
-        if sym == "b":
-            return ">"
-        if sym == "_#":
-            return "<"
-        return "="
+    """After _mark_hash_track: '>', '=', or '<' comparing R with M.  Tape 2
+    moves right to its first cell that is not b#, 2 steps per cell read."""
+    tape = ts.tapes[1]
+    h = tape.head
+    q = _first(_NOT_BH, tape.cells, h + 1)
+    ts.steps += 2 * (q - h)
+    tape.head = q
+    return _RELATION.get(_code(tape.cells, q), "=")
 
 
 # ---------------------------------------------------------------------------
 # x0 multiplication: one scan plus one local edit
 
+def _x0_flags(ts: TapeSet) -> Tuple[bool, bool, bool, bool]:
+    """One pass right to the first blank or second #, 2 steps per cell:
+    whether block 0 has an a, anything else, whether it is the only block,
+    and whether block 1 is empty with a # closing it."""
+    tape = ts.tapes[0]
+    cells, h = tape.cells, tape.head
+    q1 = _first(_SEP, cells, h + 1)  # where block 0 ends, then block 1
+    q2 = _first(_SEP, cells, q1 + 1)
+    m_zero = _code(cells, q1) != _H
+    tape.head = q1 if m_zero else q2
+    ts.steps += 2 * (tape.head - h)
+    return (cells.find(_A, h + 1, q1) >= 0, cells.count(_A, h + 1, q1) < q1 - h - 1,
+            m_zero, not m_zero and q2 == q1 + 1 and _code(cells, q2) == _H)
+
+
 def _program_x0(ts: TapeSet, sign: int) -> None:
     if not _scan_valid(ts):
         return
-    # one pass of block-0 flags
-    r0_pos = s0_pos = False
-    m_zero = True
-    block1_empty: Optional[bool] = None
-    depth = 0
-    while True:
-        ts.move_right(0)
-        sym = ts.read(0)
-        if sym == BLANK:
-            break
-        if sym == "#":
-            depth += 1
-            if depth == 1:
-                m_zero = False
-            elif depth == 2 and block1_empty is None:
-                block1_empty = True
-            if depth >= 2:
-                break
-        elif depth == 1 and block1_empty is None:
-            block1_empty = False
-        elif depth == 0:
-            if sym == "a":
-                r0_pos = True
-            else:
-                s0_pos = True
+    r0_pos, s0_pos, m_zero, block1_empty = _x0_flags(ts)
     _rewind(ts, 0)
 
     if sign < 0:
@@ -290,13 +300,11 @@ def _program_x0(ts: TapeSet, sign: int) -> None:
             shift_suffix_left(ts, 0, 2)
         else:
             # thicken the x0 tail: insert b right after block 0's a-run
-            while ts.read(0) in (BEGIN, "a"):
-                ts.move_right(0)
+            ts.scan_right(0, _NOT_A)
             shift_suffix_right(ts, 0, ["b"])
     else:
         if s0_pos:
-            while ts.read(0) in (BEGIN, "a"):
-                ts.move_right(0)
+            ts.scan_right(0, _NOT_A)
             ts.move_right(0)
             shift_suffix_left(ts, 0, 1)
         elif m_zero:
@@ -318,22 +326,37 @@ def _program_x1_inv(ts: TapeSet) -> Optional[str]:
     if not _scan_valid(ts):
         return None
     # block-0 shape decides between the two case families
-    s0_pos = False
-    m_zero = True
-    while True:
-        ts.move_right(0)
-        sym = ts.read(0)
-        if sym == "#":
-            m_zero = False
-            break
-        if sym == "b":
-            s0_pos = True
-        if sym == BLANK:
-            break
+    s0_pos, m_zero = _x1_inv_flags(ts)
     _rewind(ts, 0)
     if not s0_pos:
         return _x1_inv_case1(ts, m_zero)
     return _x1_inv_case2(ts)
+
+
+def _x1_inv_flags(ts: TapeSet) -> Tuple[bool, bool]:
+    """One pass right to the first # or blank, 2 steps per cell: whether
+    block 0 has a b, and whether it is the only block."""
+    tape = ts.tapes[0]
+    cells, h = tape.cells, tape.head
+    tape.head = q1 = _first(_SEP, cells, h + 1)
+    ts.steps += 2 * (q1 - h)
+    return cells.find(_B, h + 1, q1) >= 0, _code(cells, q1) != _H
+
+
+def _case1_flags(ts: TapeSet) -> Tuple[bool, bool, bool]:
+    """One pass right to the first blank, third # or cell of block 2, 2 steps
+    per cell: whether block 1 has an a, anything else, and whether block 2
+    has a cell."""
+    tape = ts.tapes[0]
+    cells, h = tape.cells, tape.head
+    q1 = _first(_SEP, cells, h + 1)  # where block 0 ends, then block 1
+    q2 = _first(_SEP, cells, q1 + 1)
+    in1, in2 = _code(cells, q1) == _H, _code(cells, q1) == _code(cells, q2) == _H
+    tape.head = q2 + 1 if in2 else q2 if in1 else q1
+    ts.steps += 2 * (tape.head - h)
+    return (in1 and cells.find(_A, q1 + 1, q2) >= 0,
+            in1 and cells.count(_A, q1 + 1, q2) < q2 - q1 - 1,
+            in2 and _code(cells, q2 + 1) not in (_H, 0))
 
 
 def _x1_inv_case1(ts: TapeSet, m_zero: bool) -> str:
@@ -344,33 +367,13 @@ def _x1_inv_case1(ts: TapeSet, m_zero: bool) -> str:
         ts.write(0, "b")
         return "1.1"
     # inspect block 1 and the head of block 2
-    r1_pos = s1_pos = False
-    block2_nonzero = False
-    depth = 0
-    while True:
-        ts.move_right(0)
-        sym = ts.read(0)
-        if sym == BLANK:
-            break
-        if sym == "#":
-            depth += 1
-            if depth == 3:
-                break
-        elif depth == 1:
-            if sym == "a":
-                r1_pos = True
-            else:
-                s1_pos = True
-        elif depth == 2:
-            block2_nonzero = True
-            break
+    r1_pos, s1_pos, block2_nonzero = _case1_flags(ts)
     _rewind(ts, 0)
     if (not r1_pos) or s1_pos or block2_nonzero:
         # insert b at the start of block 1's b-run
         ts.scan_right(0, ("#",))
         ts.move_right(0)
-        while ts.read(0) == "a":
-            ts.move_right(0)
+        ts.scan_right(0, _NOT_A)
         shift_suffix_right(ts, 0, ["b"])
         return "1.2"
     # 1.3: r1 > 0, s1 = 0, block 2 absent or empty
@@ -405,38 +408,77 @@ def _to_hash(ts: TapeSet, n: int) -> bool:
     return True
 
 
+def _hash_walk(ts: TapeSet, k: Optional[int], per_hash: int, halts: bool) -> bool:
+    """Move tape 1 right cell by cell to its k-th # (k None: none), tape 2
+    one cell right per #: 2 steps per cell and per_hash more per #.  With
+    halts, a blank stops the walk first.  Without, a walk with fewer than k #
+    ahead never halts: it raises TapeFault before any step.  True iff the
+    walk stopped on the k-th #."""
+    tape = ts.tapes[0]
+    cells, h = tape.cells, tape.head
+    m = next(islice(_HASHES(cells, h + 1), k - 1, None), None) if k else None
+    pos = m.start() if m else max(h + 1, len(cells))
+    if halts:  # the first blank, if one comes first
+        blank = cells.find(0, h + 1, pos)
+        pos = blank if blank >= 0 else pos
+    elif m is None:
+        raise TapeFault("the walk never reaches its #")
+    j = cells.count(_H, h + 1, pos + 1)
+    ts.steps += 2 * (pos - h) + per_hash * j
+    tape.head = pos
+    ts.tapes[1].head += j
+    return j == k
+
+
 def _walk_to_hash(ts: TapeSet, cell: str) -> bool:
     """Walk tape 1 right to the first # at which tape 2, moved one cell right
-    per #, reads `cell`; False if tape 1 reaches a blank first."""
-    while True:
-        ts.move_right(0)
-        sym = ts.read(0)
-        if sym == "#":
-            ts.move_right(1)
-            if ts.read(1) == cell:
-                return True
-        elif sym == BLANK:
-            return False
+    per #, reads `cell`; False if tape 1 reaches a blank first.  2 steps per
+    tape-1 cell and 2 more per #."""
+    track = ts.tapes[1]
+    g = track.head
+    i = (_first_blank(track.cells, g + 1) if cell == BLANK
+         else track.cells.find(CODE[cell], g + 1))
+    return _hash_walk(ts, i - g if i > g else None, 2, True)
+
+
+def _walk_to_rth_hash(ts: TapeSet) -> None:
+    """Walk tape 1 right to the first # at which tape 2, moved one cell right
+    per #, has a blank one cell further on: with tape 2 holding b^R from its
+    head on, the R-th separator.  2 steps per tape-1 cell and 4 more per #."""
+    g = ts.tapes[1].head
+    _hash_walk(ts, _first_blank(ts.tapes[1].cells, g + 2) - g - 1, 4, False)
+
+
+def _walk_to_last_b(ts: TapeSet) -> bool:
+    """Walk tape 1 right to the first # at which tape 2, moved one cell right
+    per #, reads b with a blank one cell further on; False if tape 1 reaches a
+    blank first.  2 steps per tape-1 cell and 5 more per #."""
+    g = ts.tapes[1].head
+    m = _LAST_B(ts.tapes[1].cells, g + 1)
+    return _hash_walk(ts, m and m.start() - g, 5, True)
 
 
 def _write_hash_per_b(ts: TapeSet, last: str) -> None:
     """At the end of tape 1, write # for each plain b cell of the counter
-    track on tape 2 (skipping b# cells), then `last`."""
+    track on tape 2 (skipping b# cells), then `last`.  Tape 2 moves right to
+    its first other cell, 2 steps per cell read, 2 more per # written, and 1
+    for `last`."""
     _to_blank(ts)
-    while True:
-        ts.move_right(1)
-        cell = ts.read(1)
-        if cell == "b":
-            ts.write(0, "#")
-            ts.move_right(0)
-        elif cell != "b#":
-            break
+    t1, t2 = ts.tapes
+    g, p = t2.head, t1.head
+    q = _first(_NOT_B_OR_BH, t2.cells, g + 1)
+    nb = t2.cells.count(_B, g + 1, q)
+    t1.cells.extend(bytes(max(0, p - len(t1.cells))))
+    t1.cells[p:p + nb] = b"#" * nb
+    ts.steps += 2 * (q - g) + 2 * nb
+    t1.head, t2.head = p + nb, q
     ts.write(0, last)
 
 
 def _strip_tail(ts: TapeSet, last: str) -> bool:
     """Erase the final symbol if it is `last`, then the run of # before it;
-    False if the final symbol is not `last` or no # precedes it."""
+    False if the final symbol is not `last` or no # precedes it.  The run
+    is erased as one sweep: 3 steps per # and 1."""
     _to_blank(ts)
     ts.move_left(0)
     if ts.read(0) != last:
@@ -445,9 +487,12 @@ def _strip_tail(ts: TapeSet, last: str) -> bool:
     ts.move_left(0)
     if ts.read(0) != "#":
         return False
-    while ts.read(0) == "#":
-        ts.write(0, BLANK)
-        ts.move_left(0)
+    tape = ts.tapes[0]
+    h = tape.head
+    j = h + 1 - len(tape.cells[:h + 1].rstrip(b"#"))  # the run of #
+    tape.cells[h + 1 - j:h + 1] = bytes(j)
+    ts.steps += 3 * j + 1
+    tape.head = h - j
     return True
 
 
@@ -455,8 +500,7 @@ def _drop_b_after_a_run(ts: TapeSet) -> bool:
     """From a separator, delete the b that ends the a-run after it; False if
     that run is followed by anything else."""
     ts.move_right(0)
-    while ts.read(0) == "a":
-        ts.move_right(0)
+    ts.scan_right(0, _NOT_A)
     if ts.read(0) != "b":
         return False
     ts.move_right(0)
@@ -502,15 +546,7 @@ def _x1_inv_case2(ts: TapeSet) -> str:
     # not CASE: the insertion point sits inside the tail at index R
     # (R <= j_n <= M), so the R-th separator exists and the loop stops at it
     _rewind(ts, 1)
-    while True:
-        ts.move_right(0)
-        if ts.read(0) == "#":
-            ts.move_right(1)
-            ts.move_right(1)
-            nxt = ts.read(1)
-            ts.move_left(1)
-            if nxt == BLANK:
-                break  # this is the R-th separator
+    _walk_to_rth_hash(ts)
     ts.move_right(0)
     s1 = ts.read(0)
     if s1 == "#":
@@ -520,8 +556,7 @@ def _x1_inv_case2(ts: TapeSet) -> str:
         shift_suffix_right(ts, 0, ["b"])
         return "2.2.2a"
     # a blank here would end the form in an empty block: s1 is a
-    while ts.read(0) == "a":
-        ts.move_right(0)
+    ts.scan_right(0, _NOT_A)
     sym = ts.read(0)
     if sym == "b":
         shift_suffix_right(ts, 0, ["b"])
@@ -634,19 +669,7 @@ def _b_222a(ts: TapeSet) -> bool:
     _scan_valid(ts)
     _compute_r(ts)
     _rewind(ts, 1)
-    while True:  # to the R-th separator: tape 2 reads b there, a blank after
-        ts.move_right(0)
-        sym = ts.read(0)
-        if sym == "#":
-            ts.move_right(1)
-            cell = ts.read(1)
-            ts.move_right(1)
-            nxt = ts.read(1)
-            ts.move_left(1)
-            if cell == "b" and nxt == BLANK:
-                return _drop_b_after_a_run(ts)
-        elif sym == BLANK:
-            return False
+    return _walk_to_last_b(ts) and _drop_b_after_a_run(ts)  # the R-th separator
 
 
 _X1_BUILDERS = (_b_11, _b_12, _b_13a, _b_13b, _b_13c, _b_21a, _b_21b, _b_21c12,
@@ -691,7 +714,7 @@ def compute_r(text: str) -> RResult:
     """Run the counter subroutine and read R off the second tape."""
     ts = init_tapes(text, 2, sigma=F_SIGMA)
     case_flag = _compute_r(ts)
-    return RResult(ts.tapes[1].symbols().count("b"), case_flag)
+    return RResult(ts.tapes[1].cells.count(_B), case_flag)
 
 
 def apply_gen_report(text: str, gen: str) -> Tuple[str, StepReport]:

@@ -1,10 +1,10 @@
 """Counted sweeps against the per-primitive loops that define them.
 
 Each sweep (`TapeSet.scan_right`, `TapeSet.scan_left`, the two suffix shifts,
-F's `_scan_valid`, Z2 wr Z^2's region scan and mark move and Z2 wr F2's
-bracket-stack walk) must leave exactly the state its defining loop leaves:
-the same return value, step count, head and cells, and for a fault the same
-exception type after the same number of steps.  One fault is the exception:
+F's `_scan_valid`, counter walks and block flags, Z2 wr Z^2's region scan and
+mark move and Z2 wr F2's bracket-stack walk) must leave exactly the state its
+defining loop leaves: the same return value, step count, heads and cells,
+and for a fault the same exception type after the same number of steps.  One fault is the exception:
 Z2 wr Z^2's mark move refuses a move left past the start marker before any
 step, where its loop faults partway through the run.  No region scan leaves
 such a state, and matching the loop's partial charge would add code for
@@ -28,7 +28,7 @@ from tapegroups.framework import REPRESENTATIONS
 from tapegroups.tapeops import shift_suffix_left, shift_suffix_right
 from tapegroups.tapevm import TapeSet, init_tapes
 from tapegroups.tokens import BEGIN, BLANK, SYMBOL, Z2F2_SIGMA, Z2Z2_SIGMA, encode
-from test_step_ledger import LEDGER, build_ledger, render_ledger
+from test_step_ledger import LEDGER, SIZES, _walk_entries, build_ledger, render_ledger
 
 SMALL = ("a", "b", "#", BLANK, "x")
 # Tapes over SMALL are enumerated up to this length with every head and stop
@@ -36,8 +36,8 @@ SMALL = ("a", "b", "#", BLANK, "x")
 # as well (134 s); raise it to repeat that.
 SMALL_LEN = 6
 # every stop set a program scans for, by direction
-RIGHT_STOPS = ((BLANK,), ("#",), ("#", BLANK), ("C0",), ("C0", "C1", BLANK),
-               z2wrf2._TOGGLE_STOP)
+RIGHT_STOPS = ((BLANK,), ("#",), ("#", BLANK), (BLANK, "b"), ("C0",),
+               ("C0", "C1", BLANK), z2wrf2._TOGGLE_STOP, tf._NOT_A)
 LEFT_STOPS = ((BEGIN,), ("b", BEGIN), ("C0",))
 NEVER = "never halts"
 
@@ -121,48 +121,58 @@ def loop_scan_valid(ts):
 
 
 # -- harness -----------------------------------------------------------------
+#
+# A tape is given as its codes, the start marker's first, encoded once and
+# copied for each run; a run's end state holds the codes.  Decoding is one to
+# one, so comparing codes compares the symbols.
 
 def load(tape, symbols):
     """Set a tape's cells to the codes of symbols, the start marker first."""
     tape.cells = bytearray(encode(symbols))
 
 
-def run(fn, cells, head, *args):
+def codes(cells):
+    return encode([BEGIN, *cells])
+
+
+def run(fn, tape_codes, head, *args):
     """Run fn on a one-tape set; the final state, or the fault and its steps."""
     ts = TapeSet(1)
     tape = ts.tapes[0]
-    load(tape, [BEGIN, *cells])
+    tape.cells = bytearray(tape_codes)
     tape.head = head
     try:
         out = fn(ts, *args)
     except TapeFault as exc:
         out = type(exc)
-    return out, ts.steps, tape.head, tape.symbols()
+    return out, ts.steps, tape.head, bytes(tape.cells)
 
 
-def check_scan_right(cells, h, stop):
-    want = run(loop_scan_right, cells, h, 0, stop)
-    got = run(lambda ts, t, s: ts.scan_right(t, s), cells, h, 0, stop)
+def check_scan_right(tape_codes, h, stop):
+    want = run(loop_scan_right, tape_codes, h, 0, stop)
+    got = run(lambda ts, t, s: ts.scan_right(t, s), tape_codes, h, 0, stop)
     if want[0] == NEVER:
         # no step count defines a loop that never halts: the sweep faults
         # before any step and leaves the tape as it was
-        want = (TapeFault, 0, h, [BEGIN, *cells])
-    assert got == want, (cells, h, stop)
+        want = (TapeFault, 0, h, tape_codes)
+    assert got == want, (tape_codes, h, stop)
 
 
-def check_scan_left(cells, h, stop):
-    want = run(loop_scan_left, cells, h, 0, stop)
-    got = run(lambda ts, t, s: ts.scan_left(t, s), cells, h, 0, stop)
-    assert got == want, (cells, h, stop)
+def check_scan_left(tape_codes, h, stop):
+    want = run(loop_scan_left, tape_codes, h, 0, stop)
+    got = run(lambda ts, t, s: ts.scan_left(t, s), tape_codes, h, 0, stop)
+    assert got == want, (tape_codes, h, stop)
 
 
-def small_tapes(max_len=SMALL_LEN):
+def small_tapes(max_len=SMALL_LEN, alphabet=SMALL):
+    """The codes of every tape over alphabet of up to max_len cells."""
     for n in range(max_len + 1):
-        yield from itertools.product(SMALL, repeat=n)
+        for cells in itertools.product(alphabet, repeat=n):
+            yield codes(cells)
 
 
-def heads(cells):
-    return range(len(cells) + 4)  # up to two cells past the first virtual blank
+def heads(tape_codes):
+    return range(len(tape_codes) + 3)  # up to two cells past the first virtual blank
 
 
 # -- scans -------------------------------------------------------------------
@@ -184,7 +194,9 @@ def test_scans_match_loops_on_long_tapes():
         cells = [rng.choice(toks) for _ in range(rng.randint(0, 600))]
         if rng.random() < 0.5:  # mostly without the stop symbols
             cells = [c for c in cells if c not in ("C0", BLANK) or rng.random() < 0.02]
-        for h in (0, rng.randint(0, len(cells) + 2), len(cells), len(cells) + 3):
+        hs = (0, rng.randint(0, len(cells) + 2), len(cells), len(cells) + 3)
+        cells = codes(cells)
+        for h in hs:
             for stop in RIGHT_STOPS:
                 check_scan_right(cells, h, stop)
             for stop in LEFT_STOPS + ((BLANK,), ("(", "[")):
@@ -252,6 +264,7 @@ def test_shifts_match_loops_on_z2wrf2_tapes():
         h = rng.randint(0, len(cells) + 2)
         k = rng.randint(1, 3)
         insert = [rng.choice(toks) for _ in range(k)]
+        cells = codes(cells)
         want = run(loop_shift_right, cells, h, 0, insert)
         assert run(shift_suffix_right, cells, h, 0, insert) == want
         want = run(loop_shift_left, cells, h, 0, k)
@@ -285,7 +298,7 @@ def test_shift_closed_form_counts():
 
 def test_scan_valid_matches_loop_on_every_small_tape():
     for cells in small_tapes(7):
-        for h in (0, 1, len(cells), len(cells) + 2):
+        for h in (0, 1, len(cells) - 1, len(cells) + 1):
             want = run(loop_scan_valid, cells, h)
             assert run(tf._scan_valid, cells, h) == want, (cells, h)
 
@@ -299,10 +312,347 @@ def test_scan_valid_matches_loop_on_normal_forms():
         two_signed = nf + "b" if nf.endswith("a") else nf[:last] + "a" + nf[last:]
         for text in (nf, nf + "#", nf[:-1] + "a", "ab##" + nf, nf.replace("#", "x", 1),
                      two_signed):
-            cells = list(text)
+            cells = codes(text)
             want = run(loop_scan_valid, cells, 0)
             assert run(tf._scan_valid, cells, 0) == want
             assert want[0] == tf.validate(text)
+
+
+# -- F's counter walks --------------------------------------------------------
+
+def loop_compute_r(ts):
+    ts.move_right(0)
+    ts.move_right(1)
+    ts.write(1, "b")
+    stop1 = False
+    while True:
+        if ts.read(1) == BEGIN:
+            break  # the counter drained: the insertion point lies inside the tail
+        sym = ts.read(0)
+        if sym == "a":
+            ts.move_right(0)
+        elif sym == "b":
+            ts.move_right(1)
+            ts.write(1, "b")
+            ts.move_right(0)
+        elif sym == "#":
+            ts.write(1, BLANK)
+            ts.move_left(1)
+            ts.move_right(0)
+        else:
+            stop1 = True
+            break
+    if stop1:
+        case_flag = True
+    else:
+        while True:
+            sym = ts.read(0)
+            if sym == "b":
+                case_flag = False
+                break
+            if sym == BLANK:
+                case_flag = True
+                break
+            ts.move_right(0)
+    while ts.read(1) == "b":
+        ts.write(1, BLANK)
+        ts.move_left(1)
+    if case_flag:
+        ts.move_right(1)
+        ts.write(1, "b")
+    while True:
+        sym = ts.read(0)
+        if sym == BEGIN:
+            break
+        if sym == "b":
+            ts.move_right(1)
+            ts.write(1, "b")
+        ts.move_left(0)
+    return case_flag
+
+
+def loop_strip_tail(ts, last):
+    tf._to_blank(ts)
+    ts.move_left(0)
+    if ts.read(0) != last:
+        return False
+    ts.write(0, BLANK)
+    ts.move_left(0)
+    if ts.read(0) != "#":
+        return False
+    while ts.read(0) == "#":
+        ts.write(0, BLANK)
+        ts.move_left(0)
+    return True
+
+
+def loop_mark_hash_track(ts):
+    tf._rewind(ts, 1)
+    while True:
+        ts.move_right(0)
+        sym = ts.read(0)
+        if sym == "#":
+            ts.move_right(1)
+            under = ts.read(1)
+            ts.write(1, "b#" if under == "b" else "_#")
+        elif sym == BLANK:
+            break
+    tf._rewind(ts, 0)
+    tf._rewind(ts, 1)
+
+
+def loop_compare_r_m(ts):
+    while True:
+        ts.move_right(1)
+        sym = ts.read(1)
+        if sym == "b#":
+            continue
+        if sym == "b":
+            return ">"
+        if sym == "_#":
+            return "<"
+        return "="
+
+
+def loop_walk_to_hash(ts, cell):
+    while True:
+        ts.move_right(0)
+        sym = ts.read(0)
+        if sym == "#":
+            ts.move_right(1)
+            if ts.read(1) == cell:
+                return True
+        elif sym == BLANK:
+            return False
+
+
+def loop_walk_to_rth_hash(ts):
+    while True:
+        ts.move_right(0)
+        if ts.read(0) == "#":
+            ts.move_right(1)
+            ts.move_right(1)
+            nxt = ts.read(1)
+            ts.move_left(1)
+            if nxt == BLANK:
+                return None  # this is the R-th separator
+        elif ts.tapes[0].head >= len(ts.tapes[0].cells):
+            return NEVER  # only blanks lie ahead
+
+
+def loop_walk_to_last_b(ts):
+    while True:
+        ts.move_right(0)
+        sym = ts.read(0)
+        if sym == "#":
+            ts.move_right(1)
+            cell = ts.read(1)
+            ts.move_right(1)
+            nxt = ts.read(1)
+            ts.move_left(1)
+            if cell == "b" and nxt == BLANK:
+                return True
+        elif sym == BLANK:
+            return False
+
+
+def loop_write_hash_per_b(ts, last):
+    tf._to_blank(ts)
+    while True:
+        ts.move_right(1)
+        cell = ts.read(1)
+        if cell == "b":
+            ts.write(0, "#")
+            ts.move_right(0)
+        elif cell != "b#":
+            break
+    ts.write(0, last)
+
+
+def loop_x0_flags(ts):
+    r0_pos = s0_pos = False
+    m_zero = True
+    block1_empty = None
+    depth = 0
+    while True:
+        ts.move_right(0)
+        sym = ts.read(0)
+        if sym == BLANK:
+            break
+        if sym == "#":
+            depth += 1
+            if depth == 1:
+                m_zero = False
+            elif depth == 2 and block1_empty is None:
+                block1_empty = True
+            if depth >= 2:
+                break
+        elif depth == 1 and block1_empty is None:
+            block1_empty = False
+        elif depth == 0:
+            if sym == "a":
+                r0_pos = True
+            else:
+                s0_pos = True
+    # its one use read None as False: the sweep returns a bool
+    return r0_pos, s0_pos, m_zero, bool(block1_empty)
+
+
+def loop_x1_inv_flags(ts):
+    s0_pos = False
+    m_zero = True
+    while True:
+        ts.move_right(0)
+        sym = ts.read(0)
+        if sym == "#":
+            m_zero = False
+            break
+        if sym == "b":
+            s0_pos = True
+        if sym == BLANK:
+            break
+    return s0_pos, m_zero
+
+
+def loop_case1_flags(ts):
+    r1_pos = s1_pos = False
+    block2_nonzero = False
+    depth = 0
+    while True:
+        ts.move_right(0)
+        sym = ts.read(0)
+        if sym == BLANK:
+            break
+        if sym == "#":
+            depth += 1
+            if depth == 3:
+                break
+        elif depth == 1:
+            if sym == "a":
+                r1_pos = True
+            else:
+                s1_pos = True
+        elif depth == 2:
+            block2_nonzero = True
+            break
+    return r1_pos, s1_pos, block2_nonzero
+
+
+# F's two-tape sweeps and their loops, with the arguments each caller passes
+F_WALKS = (
+    (tf._mark_hash_track, loop_mark_hash_track, ()),
+    (tf._compare_r_m, loop_compare_r_m, ()),
+    *((tf._walk_to_hash, loop_walk_to_hash, (cell,)) for cell in ("_#", BLANK, "b")),
+    (tf._walk_to_rth_hash, loop_walk_to_rth_hash, ()),
+    (tf._walk_to_last_b, loop_walk_to_last_b, ()),
+    *((tf._write_hash_per_b, loop_write_hash_per_b, (last,)) for last in ("a", "b")),
+)
+# F's one-tape sweeps
+F_FLAGS = ((tf._x0_flags, loop_x0_flags), (tf._x1_inv_flags, loop_x1_inv_flags),
+           (tf._case1_flags, loop_case1_flags))
+F_TAILS = ((tf._strip_tail, loop_strip_tail),)
+# tape 2 holds the counter and its convolution track, and garbage
+F_TAPE2 = ("b", "b#", "_#", BLANK, "x")
+# a few starts of each tape: fresh, a counter, a track and garbage
+TAPE1_STARTS = ((codes("ab#b##b"), 0), (codes("b#a#x#b"), 2),
+                (codes(["#", BLANK, "b", "#"]), 0))
+TAPE2_STARTS = ((codes(()), 0), (codes("bbb"), 0), (codes(["b#", "b", "_#", "b#"]), 0),
+                (codes(["b", "x", BLANK, "b"]), 2), (codes(["b#", "b"]), 4))
+
+
+def run2(fn, tape1, h1, tape2, h2, *args):
+    """Run fn on a two-tape set from these codes and heads; the final state."""
+    ts = TapeSet(2)
+    for tape, cells, head in zip(ts.tapes, (tape1, tape2), (h1, h2)):
+        tape.cells = bytearray(cells)
+        tape.head = head
+    try:
+        out = fn(ts, *args)
+    except TapeFault as exc:
+        out = type(exc)
+    return state(ts, out)
+
+
+def check_f(fn, loop, starts, args=()):
+    """fn against its loop from each start: tape-1 codes and head, tape-2
+    codes and head.  A loop that never halts is a fault before any step."""
+    for tape1, h1, tape2, h2 in starts:
+        want = run2(loop, tape1, h1, tape2, h2, *args)
+        if want[0] == NEVER:
+            want = state(TapeSet(2), TapeFault)[:2] + ([(h1, tape1), (h2, tape2)],)
+        assert run2(fn, tape1, h1, tape2, h2, *args) == want, (tape1, h1, tape2, h2, args)
+
+
+def every_start(len1, len2):
+    """Every tape 1 of up to len1 cells over SMALL, from every head, with
+    each tape-2 start; then every tape 2 of up to len2 cells over F_TAPE2,
+    from every head, with each tape-1 start."""
+    for tape1 in small_tapes(len1):
+        for h1 in heads(tape1):
+            for tape2, h2 in TAPE2_STARTS:
+                yield tape1, h1, tape2, h2
+    for tape2 in small_tapes(len2, F_TAPE2):
+        for h2 in heads(tape2):
+            for tape1, h1 in TAPE1_STARTS:
+                yield tape1, h1, tape2, h2
+
+
+@pytest.mark.parametrize("fn, loop, args", F_WALKS, ids=lambda x: getattr(x, "__name__", ""))
+def test_f_walks_match_loops_on_every_small_tape(fn, loop, args):
+    check_f(fn, loop, every_start(4, 4), args)
+
+
+def test_compute_r_matches_loop_on_every_small_tape():
+    # tape 2 blank with its head on the marker, as every caller starts it;
+    # tape 1 from the marker up to 7 cells, from every head up to 5
+    fresh = codes(())
+    check_f(tf._compute_r, loop_compute_r, itertools.chain(
+        ((tape1, 0, fresh, 0) for tape1 in small_tapes(7)),
+        ((tape1, h1, fresh, 0) for tape1 in small_tapes(5) for h1 in heads(tape1))))
+
+
+def test_block_flags_match_loops_on_every_small_tape():
+    for cells in small_tapes(7):
+        for h in heads(cells) if len(cells) <= 6 else (0,):
+            for fn, loop in F_FLAGS:
+                assert run(fn, cells, h) == run(loop, cells, h), (cells, h, fn)
+
+
+def test_strip_tail_matches_loop_on_every_small_tape():
+    for cells in small_tapes(5):
+        for h in heads(cells):
+            for last in ("a", "b"):
+                assert (run(tf._strip_tail, cells, h, last)
+                        == run(loop_strip_tail, cells, h, last)), (cells, h, last)
+
+
+def test_f_sweeps_match_loops_on_the_ledger_tapes(monkeypatch):
+    # every call of an F sweep in the ledger's apply and walks sections, on
+    # normal forms of up to 2^14 symbols, runs its loop on a copy of the
+    # tapes first and must leave the same state
+    calls = Counter()
+    pairs = [(tf._compute_r, loop_compute_r), *F_FLAGS, *F_TAILS,
+             *((fn, loop) for fn, loop, _ in F_WALKS)]
+    for fn, loop in dict(pairs).items():
+        def checked(ts, *args, fn=fn, loop=loop):
+            calls[fn.__name__] += 1
+            copy = TapeSet(2)
+            copy.steps = ts.steps
+            for old, new in zip(ts.tapes, copy.tapes):
+                new.cells, new.head = bytearray(old.cells), old.head
+            want = loop(copy, *args)
+            got = fn(ts, *args)
+            assert state(ts, got) == state(copy, want), (fn.__name__, args)
+            return got
+        monkeypatch.setattr(tf, fn.__name__, checked)
+    rep = REPRESENTATIONS["thompson-f"]()
+    for n in SIZES:
+        nf = rep.sample_nf(random.Random(n), n)
+        for gen in rep.generators:
+            rep.apply_report(nf, gen)
+    for _ in _walk_entries(rep, 1):
+        pass
+    assert set(calls) == {fn.__name__ for fn, _ in pairs}, calls
 
 
 # -- Z2 wr Z^2's region scan and mark move -----------------------------------
@@ -426,7 +776,7 @@ def loop_move_mark(ts, c_const, fwd):
 
 
 def state(ts, out):
-    return out, ts.steps, [(t.head, t.symbols()) for t in ts.tapes]
+    return out, ts.steps, [(t.head, bytes(t.cells)) for t in ts.tapes]
 
 
 def run_z2(fn, toks, *args):
@@ -684,6 +1034,17 @@ COUNTED_SWEEPS = (
     (zz, "_scan_to_mark", loop_scan_to_mark),
     (zz, "_move_mark", loop_move_mark),
     (z2wrf2, "_walk", loop_walk),
+    (tf, "_compute_r", loop_compute_r),
+    (tf, "_strip_tail", loop_strip_tail),
+    (tf, "_mark_hash_track", loop_mark_hash_track),
+    (tf, "_compare_r_m", loop_compare_r_m),
+    (tf, "_walk_to_hash", loop_walk_to_hash),
+    (tf, "_walk_to_rth_hash", loop_walk_to_rth_hash),
+    (tf, "_walk_to_last_b", loop_walk_to_last_b),
+    (tf, "_write_hash_per_b", loop_write_hash_per_b),
+    (tf, "_x0_flags", loop_x0_flags),
+    (tf, "_x1_inv_flags", loop_x1_inv_flags),
+    (tf, "_case1_flags", loop_case1_flags),
 )
 
 

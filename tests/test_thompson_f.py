@@ -5,6 +5,7 @@ import random
 import re
 import sys
 import time
+from collections import Counter
 
 import pytest
 
@@ -12,6 +13,7 @@ from tapegroups import thompson_f as tf
 from tapegroups.errors import BadWord, NoCaseMatched, NotInLanguage
 from tapegroups.framework import REPRESENTATIONS, representation_thompson_f
 from tapegroups.oracle_groups import PL_IDENTITY, pl_eval_normalform, pl_mul_gen
+from tapegroups.tapevm import TapeSet
 from test_step_ledger import _walk_entries
 
 INV = {"x0": "x0-", "x0-": "x0", "x1": "x1-", "x1-": "x1"}
@@ -252,19 +254,23 @@ def test_total_on_garbage():
                 tf.apply_gen(text, "x0")
 
 
-F_PROGRAMS = (tf._scan_valid, tf._rewind, tf._to_blank, tf._compute_r,
-              tf._mark_hash_track, tf._compare_r_m, tf._program_x0,
-              tf._program_x1_inv, tf._x1_inv_case1, tf._x1_inv_case2, tf._to_hash,
-              tf._walk_to_hash, tf._write_hash_per_b, tf._strip_tail,
-              tf._drop_b_after_a_run, tf._run, *tf._X1_BUILDERS, tf.apply_x1)
+F_PROGRAMS = (tf._scan_valid, tf._rewind, tf._to_blank, tf._first, tf._first_blank,
+              tf._code, tf._compute_r, tf._mark_hash_track, tf._compare_r_m,
+              tf._x0_flags, tf._program_x0, tf._program_x1_inv, tf._x1_inv_flags,
+              tf._case1_flags, tf._x1_inv_case1, tf._x1_inv_case2, tf._to_hash, tf._hash_walk,
+              tf._walk_to_hash, tf._walk_to_rth_hash, tf._walk_to_last_b,
+              tf._write_hash_per_b, tf._strip_tail, tf._drop_b_after_a_run, tf._run,
+              *tf._X1_BUILDERS, tf.apply_x1)
 
 # loop guards no normal form reaches: each keeps a raw builder or walk from
-# running forever or faulting, and apply_x1 from returning no product
+# running forever or faulting, and apply_x1 from returning no product.  The
+# walk's fault is reached only by tests/test_sweeps.py: its one unbounded
+# caller, x1^-1's walk to the R-th separator, runs on normal forms alone, and
+# there R <= j_n <= M, so the R-th separator lies ahead
 UNRUN_GUARDS = sorted([
     ("_b_21c12", "return False"),
     ("_b_21c3", "return False"),
-    ("_b_222a", "return False"),
-    ("_walk_to_hash", "return False"),
+    ("_hash_walk", 'raise TapeFault("the walk never reaches its #")'),
     ("apply_x1", 'raise NoCaseMatched(f"no multiplication case accepted {text!r}")'),
 ])
 
@@ -307,6 +313,32 @@ def test_walks_short_forms_and_garbage_run_every_line_but_the_guards():
         unrun += [(fn.__name__, linecache.getline(code.co_filename, line).strip())
                   for line in lines - hit[code]]
     assert sorted(unrun) == UNRUN_GUARDS
+
+
+# ROADMAP item 7's x1 worst cases b^k#b#b and b^k, and a form whose blocks
+# both grow
+FAMILIES = {"b^k#b#b": lambda k: "b" * k + "#b#b", "b^k": lambda k: "b" * k,
+            "a^k#b^k#a": lambda k: "a" * k + "#" + "b" * k + "#a"}
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_primitive_calls_do_not_grow_with_the_input(family, monkeypatch):
+    # every walk whose length grows with the input is a counted sweep, so a
+    # multiplication makes as many primitive calls at k = 1024 as at k = 16
+    calls = Counter()
+    for name in ("read", "write", "move_left", "move_right"):
+        def counted(self, *args, primitive=getattr(TapeSet, name)):
+            calls[primitive.__name__] += 1
+            return primitive(self, *args)
+        monkeypatch.setattr(TapeSet, name, counted)
+
+    def primitive_calls(k, gen):
+        calls.clear()
+        tf.apply_gen(FAMILIES[family](k), gen)
+        return sum(calls.values())
+
+    for gen in tf.GENERATORS:
+        assert primitive_calls(16, gen) == primitive_calls(1024, gen), gen
 
 
 def test_step_report_names_the_group_id():

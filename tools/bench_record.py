@@ -8,13 +8,19 @@ seed and for BENCHMARK.json's `run_seconds`, from the root of this checkout.
 `--seeds` takes a range (`1-4`) or a list (`1,3,5`) for every workload, or
 `WORKLOAD:SEEDS` for one of them.  With `--baseline`, the same seeds also
 run from that checkout (the parent commit, say), and the two sides alternate
-which one runs first.
+which one runs first.  Then each side runs the tier-1 suite once,
+
+    PYTHONPATH=src python -m pytest -q --continue-on-collection-errors \\
+        --durations=0 -p no:cacheprovider
+
+and its wall time, its summary line and its `--durations=0` table are kept.
 
 The file holds, per workload and side, every run's end-to-end metrics and
 each metric's median and quartiles.  With a baseline it also holds, per
 metric, the number of seeds on which the change did better, as the metric's
-`better` field in BENCHMARK.json defines it.  It records the machine:
-nproc, the Python version and the platform.
+`better` field in BENCHMARK.json defines it.  Per side it holds the tier-1
+run: each test phase of 5 ms or more with its seconds, slowest first.  It
+records the machine: nproc, the Python version and the platform.
 """
 
 from __future__ import annotations
@@ -23,13 +29,19 @@ import argparse
 import json
 import os
 import platform
+import re
 import statistics
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 WORKLOADS = ("mul-large", "wordfold", "certify")
+TIER1 = ["-m", "pytest", "-q", "--continue-on-collection-errors", "--durations=0",
+         "-p", "no:cacheprovider"]
+# a row of the --durations table: "12.34s call     tests/test_x.py::test_y"
+_DURATION = re.compile(r"^(\d+\.\d+)s (setup|call|teardown)\s+(\S.*)$", re.M)
 
 
 def parse_seeds(specs) -> dict:
@@ -66,6 +78,20 @@ def run_once(checkout: Path, workload: str, seed: int, seconds: int) -> dict:
     return {"seed": seed, "correct": last["correct"], "attempted": last["attempted"],
             "failed": last["failed"],
             "metrics": {k: v["value"] for k, v in last["metrics"].items()}}
+
+
+def tier1(checkout: Path) -> dict:
+    """One tier-1 run in checkout: wall seconds, summary line, durations."""
+    env = dict(os.environ, PYTHONPATH="src")
+    t0 = time.perf_counter()
+    r = subprocess.run([sys.executable, *TIER1], cwd=checkout, env=env,
+                       capture_output=True, text=True)
+    wall = time.perf_counter() - t0
+    lines = r.stdout.strip().splitlines()
+    return {"wall_s": round(wall, 1), "exit": r.returncode,
+            "summary": lines[-1].strip("= ") if lines else "",
+            "durations": [[float(s), phase, test]
+                          for s, phase, test in _DURATION.findall(r.stdout)]}
 
 
 def summary(runs) -> dict:
@@ -117,6 +143,10 @@ def main(argv=None) -> int:
                           for c, b in zip(runs["change"], runs["baseline"]))
                 for name, sense in better.items()}
         record["workloads"][workload] = entry
+    record["tier1"] = {}
+    for side, path in sides.items():
+        record["tier1"][side] = tier1(path)
+        print("tier-1", side, record["tier1"][side]["summary"], flush=True)
     out = ROOT / f"BENCH_{args.pr}.json"
     out.write_text(json.dumps(record, indent=1) + "\n")
     print(f"wrote {out}")
