@@ -17,6 +17,7 @@ from . import oracle_groups as og
 from . import spiral, thompson_f, z2wrf2, z2wrz2
 from .errors import NotInLanguage
 from .tapevm import StepReport
+from .tokens import codes_z2f2, codes_z2z2
 
 ApplyFn = Callable[[str, str], Tuple[str, StepReport]]
 
@@ -69,7 +70,7 @@ def _sample_z2wrf2(rng: random.Random, target: int) -> str:
     while True:
         cfg = og.LampConfigF2(frozenset(lamps), pos)
         nf = z2wrf2.encode(cfg)
-        if len(z2wrf2.tokenize_z2f2(nf)) >= target:
+        if len(codes_z2f2(nf)) >= target:
             return nf
         for _ in range(max(1, target // (3 * word_len))):
             lamps.add(_rand_reduced_word(rng, word_len))
@@ -321,9 +322,9 @@ class ProbeReport:
 
 def _nf_len(rep: Representation, nf: str) -> int:
     if rep.group_id == "z2wrf2":
-        return len(z2wrf2.tokenize_z2f2(nf))
+        return len(codes_z2f2(nf))
     if rep.group_id == "z2wrz2":
-        return len(z2wrz2.tokenize_z2z2(nf))
+        return len(codes_z2z2(nf))
     return len(nf)
 
 
@@ -354,7 +355,7 @@ def nonqg_diagonal_ratios(ks: Sequence[int]) -> List[Tuple[int, float]]:
     for k in ks:
         cfg = og.LampConfigZ2(frozenset({(k, k)}), (0, 0))
         nf = z2wrz2.encode(cfg)
-        out.append((k, len(z2wrz2.tokenize_z2z2(nf)) / (4 * k + 2)))
+        out.append((k, len(codes_z2z2(nf)) / (4 * k + 2)))
     return out
 
 

@@ -40,7 +40,7 @@ from __future__ import annotations
 import functools
 import re
 from dataclasses import dataclass
-from typing import Collection, Iterable, Optional, Sequence, Tuple
+from typing import Collection, Iterable, Optional, Sequence, Tuple, Union
 
 from .errors import InvalidInput, OutputFault, TapeFault
 from .tokens import BEGIN, BLANK, CODE, SYMBOL, codes_of, decode, encode
@@ -209,16 +209,16 @@ class TapeSet:
         return SYMBOL[cells[pos]]
 
 
-def init_tapes(input_tokens: Sequence[str], k: int,
+def init_tapes(input_tokens: Union[bytes, Sequence[str]], k: int,
                sigma: Optional[Iterable[str]] = None) -> TapeSet:
     """Fresh TapeSet with tape 0 holding the input and heads on the start marker.
 
-    The input is a str of one-character tokens or a token sequence; a symbol
-    with no code or a tape marker raises InvalidInput.  Loading the input is
-    free: step accounting starts at 0, matching a machine whose input is part
-    of the initial configuration.
+    The input is tape codes (`tokens.codes_z2f2`, ...), loaded unchanged, or
+    a str or sequence of tokens; a symbol with no code or a tape marker raises
+    InvalidInput.  Loading the input is free: step accounting starts at 0,
+    matching a machine whose input is part of the initial configuration.
     """
-    cells = encode(input_tokens)
+    cells = input_tokens if isinstance(input_tokens, bytes) else encode(input_tokens)
     if CODE[BEGIN] in cells or CODE[BLANK] in cells:
         raise InvalidInput("input may not contain tape markers")
     ts = TapeSet(k, sigma=sigma)

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from itertools import islice
 from typing import Optional, Tuple
 
-from .errors import BadWord, NoCaseMatched, NotInLanguage, TapeFault
+from .errors import BadWord, InvalidInput, NoCaseMatched, NotInLanguage, TapeFault
 from .tapevm import StepReport, TapeSet, init_tapes, read_output
 from .tapeops import shift_suffix_left, shift_suffix_right
 from .tokens import BEGIN, BLANK, CODE, F_SIGMA, codes_of
@@ -282,9 +282,10 @@ def _x0_flags(ts: TapeSet) -> Tuple[bool, bool, bool, bool]:
             m_zero, not m_zero and q2 == q1 + 1 and _code(cells, q2) == _H)
 
 
-def _program_x0(ts: TapeSet, sign: int) -> None:
+def _program_x0(ts: TapeSet, sign: int) -> bool:
+    """x0 (sign 1) or x0^-1 (sign -1): the membership scan's verdict."""
     if not _scan_valid(ts):
-        return
+        return False
     r0_pos, s0_pos, m_zero, block1_empty = _x0_flags(ts)
     _rewind(ts, 0)
 
@@ -314,6 +315,7 @@ def _program_x0(ts: TapeSet, sign: int) -> None:
             # indices shift up: block 0 gains an a, an empty block is born
             ts.scan_right(0, ("#",))
             shift_suffix_right(ts, 0, ["a", "#"])
+    return True
 
 
 # ---------------------------------------------------------------------------
@@ -720,20 +722,27 @@ def compute_r(text: str) -> RResult:
 def apply_gen_report(text: str, gen: str) -> Tuple[str, StepReport]:
     """Right-multiply a normal form by gen.  The report's cases are the labels
     of the x1^-1 branches that ran: one for x1-, one per candidate round trip
-    for x1 (the accepting one last), none for x0 and x0-."""
+    for x1 (the accepting one last), none for x0 and x0-.
+
+    x1's builders do not scan their input, so x1 checks it on the host; the
+    other programs' counted membership scan is their check."""
     if gen not in GENERATORS:
         raise BadWord(f"unknown generator {gen!r} for {GROUP}")
-    if not validate(text):
-        raise NotInLanguage(f"{text!r} is not a normal form")
     n = len(text)
-    if gen == "x1":
+    if gen != "x1":
+        try:
+            ts = init_tapes(text, 2, sigma=F_SIGMA)
+        except InvalidInput:  # a tape marker or a symbol with no tape code
+            ts = None
+        verdict = ts and (_program_x1_inv(ts) if gen == "x1-" else
+                          _program_x0(ts, 1 if gen == "x0" else -1))
+        if verdict:
+            cases = (verdict,) if gen == "x1-" else ()
+            return read_output(ts).decode("ascii"), StepReport(n, ts.steps, gen, GROUP, cases)
+    elif validate(text):
         out, steps, cases = apply_x1(text)
         return out, StepReport(n, steps, gen, GROUP, cases)
-    if gen == "x1-":
-        out, steps, label = _run(text, _program_x1_inv)
-        return out, StepReport(n, steps, gen, GROUP, (label,))
-    out, steps, _ = _run(text, lambda ts: _program_x0(ts, 1 if gen == "x0" else -1))
-    return out, StepReport(n, steps, gen, GROUP)
+    raise NotInLanguage(f"{text!r} is not a normal form")
 
 
 def apply_gen(text: str, gen: str) -> str:

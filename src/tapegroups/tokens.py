@@ -8,30 +8,22 @@ own ordinal, so F's text and Z2 wr Z^2's bits encode with `str.encode`.  Each
 multi-character token and work symbol has a fixed code of 128 or more.
 External text uses the ASCII renderings below; the renderers also take codes.
 
-A Z2 wr Z^2 text is checked whole by one full match of a pattern whose
-language is exactly the token strings: lamp bits, then runs that each start
-with C and hold at least one bit.  Its tokens are then the pieces between
-the C's: each piece after a C starts with that lamplighter's bit, merged
-into C0 or C1, and the rest are single bits.  CPython keeps one shared object
-per one-character string, so the bits are already the alphabet's own "0" and
-"1".  Only a text that fails the match is walked token by token, to name the
-first bad symbol.
+The wreath products' texts go straight to tape codes (`codes_z2z2`,
+`codes_z2f2`) in C, with no token list: the text is ASCII-encoded and each
+multi-character token replaced by its code, one `bytes.replace` per token.
+The tokenizers decode those codes.  A Z2 wr Z^2 text is first checked by one
+full match of a pattern whose language is exactly the token strings (bits,
+then runs that each start with C and hold a bit), so each C starts a C0 or C1.
 
-The Z2 wr F2 alphabet is tokenized by one compiled pattern whose `findall`
-does the per-symbol work in C.  Its four alternatives begin with disjoint
-sets of characters (D; E; A, B, C; the rest), and within each one the greedy
-optional suffix takes the longest token, so a match at a token boundary is
-the token maximal munch (longest token first) picks.  `findall` searches: it
-steps over whitespace, which only separates tokens, but it would also step
-over a bad symbol.  So the tokens found are compared with the text minus its
-whitespace, a comparison in C; they are equal exactly when no symbol was
-skipped.  Only when they differ is the text walked token by token, to name
-the first bad symbol as maximal munch does.  The pattern does not consume
-whitespace itself: a leading whitespace repeat would rescan a long run of
-whitespace from every position in it, which is quadratic.  The tokens
-returned are the alphabet's own string objects, not the fresh substrings
-`findall` makes, so a long token list holds one pointer per cell and no
-per-cell string.
+A Z2 wr F2 text is tokenized by maximal munch (longest token first), with
+whitespace between tokens.  Replacing the eight three-character tokens and
+then the ten two-character ones is that munch, because D and E only start a
+token, and A, B and C appear only first in [ABC][01] or third in D[01][ABC]
+and E[01]C: a token occurrence overlaps another only inside a longer one,
+which is replaced first.  Then one `translate` checks that only one-character
+tokens, codes and whitespace are left (non-ASCII whitespace counts as a
+space), and another deletes the whitespace.  Only a text that fails the check
+is walked token by token, to name the first bad symbol as maximal munch does.
 """
 
 from __future__ import annotations
@@ -73,9 +65,9 @@ _Z2Z2_TOKEN = re.compile(r"C?[01]")
 # the same language as (C?[01])*, with repeats of one character class, which
 # the regex engine runs in C without a per-repeat frame
 _Z2Z2_TEXT = re.compile(r"[01]*(?:C[01]+)*")
-_LAMPLIGHTER = {tok[1]: tok for tok in Z2Z2_SIGMA[2:]}  # bit -> C0, C1
 _Z2F2_TOKEN = re.compile(r"D[01][ABC]?|E[01]C?|[ABC][01]|[01()\[\]]")
-_Z2F2_CANON = {tok: tok for tok in Z2F2_SIGMA}
+# the ASCII characters str.isspace accepts, which separate Z2 wr F2 tokens
+_WHITESPACE = bytes(c for c in range(128) if chr(c).isspace())
 
 
 def encode(symbols: Iterable[str]) -> bytes:
@@ -103,9 +95,13 @@ _SPACED = re.compile(b"|".join(
     b"%s(?=[%s])" % (re.escape(encode((p,))), re.escape(encode(after)))
     for p, after in (("D0", _AFTER_D), ("D1", _AFTER_D), ("E0", _AFTER_D[4:]),
                      ("E1", _AFTER_D[4:]))))
-# the code and text of each multi-character token of Z2 wr Z^2 and Z2 wr F2
+# the code and text of each multi-character token of Z2 wr Z^2 and Z2 wr F2,
+# and each text and code, for maximal munch the three-character ones first
 _TEXTS_Z2Z2 = tuple((encode((t,)), t.encode()) for t in Z2Z2_SIGMA[2:])
 _TEXTS_Z2F2 = tuple((encode((t,)), t.encode()) for t in Z2F2_SIGMA if len(t) > 1)
+_CODES_Z2Z2 = tuple((t, c) for c, t in _TEXTS_Z2Z2)
+_CODES_Z2F2 = sorted(((t, c) for c, t in _TEXTS_Z2F2), key=lambda tc: -len(tc[0]))
+_CELLS_Z2F2 = encode(Z2F2_SIGMA) + _WHITESPACE  # what the munched text may hold
 
 
 def _space_after(m: re.Match) -> bytes:
@@ -121,17 +117,17 @@ def codes_of(symbols: Collection[str]) -> bytes:
 
 def decode(codes: Iterable[int]) -> list[str]:
     """The symbols of tape codes, one per cell."""
-    return list(map(SYMBOL.__getitem__, codes))
+    return [SYMBOL[c] for c in codes]
 
 
-def _render_codes(codes: bytes, texts) -> str:
-    for code, text in texts:
-        codes = codes.replace(code, text)
-    return codes.decode("ascii")
+def _replace(data: bytes, pairs) -> bytes:
+    for old, new in pairs:
+        data = data.replace(old, new)
+    return data
 
 
-def tokenize_z2z2(text: str) -> list[str]:
-    """Tokenize ASCII text over {0,1,C0,C1}; no whitespace is allowed."""
+def codes_z2z2(text: str) -> bytes:
+    """Tape codes of ASCII text over {0,1,C0,C1}; no whitespace is allowed."""
     if _Z2Z2_TEXT.fullmatch(text) is None:
         pos = 0
         while (m := _Z2Z2_TOKEN.match(text, pos)) is not None:
@@ -139,23 +135,22 @@ def tokenize_z2z2(text: str) -> list[str]:
         if text[pos] == "C":
             raise NotInLanguage(f"dangling 'C' at position {pos}")
         raise NotInLanguage(f"unknown symbol {text[pos]!r} at position {pos}")
-    parts = text.split("C")
-    toks = list(parts[0])
-    for part in parts[1:]:
-        toks.append(_LAMPLIGHTER[part[0]])
-        toks += part[1:]
-    return toks
+    return _replace(text.encode("ascii"), _CODES_Z2Z2)
 
 
-def tokenize_z2f2(text: str) -> list[str]:
-    """Tokenize ASCII text over the 24-symbol alphabet by maximal munch.
+def codes_z2f2(text: str) -> bytes:
+    """Tape codes of ASCII text over the 24-symbol alphabet, by maximal munch.
 
     Whitespace separates tokens and is otherwise ignored; the renderer emits a
     space only where a plain D/E token is followed by one that bare
     concatenation would munch into it (e.g. D0 C0 versus D0C 0).
     """
-    found = _Z2F2_TOKEN.findall(text)
-    if "".join(found) != "".join(text.split()):
+    try:
+        codes = text.encode("ascii")
+    except UnicodeEncodeError:  # whitespace as a space, other symbols as "?"
+        codes = " ".join(text.split()).encode("ascii", "replace")
+    codes = _replace(codes, _CODES_Z2F2)
+    if codes.translate(None, _CELLS_Z2F2):
         pos = 0
         while True:
             while text[pos].isspace():
@@ -164,19 +159,29 @@ def tokenize_z2f2(text: str) -> list[str]:
             if m is None:
                 raise NotInLanguage(f"unknown symbol {text[pos]!r} at position {pos}")
             pos = m.end()
-    return list(map(_Z2F2_CANON.__getitem__, found))
+    return codes.translate(None, _WHITESPACE)
+
+
+def tokenize_z2z2(text: str) -> list[str]:
+    """The tokens of codes_z2z2(text)."""
+    return decode(codes_z2z2(text))
+
+
+def tokenize_z2f2(text: str) -> list[str]:
+    """The tokens of codes_z2f2(text)."""
+    return decode(codes_z2f2(text))
 
 
 def render_z2f2(tokens) -> str:
     """ASCII rendering of alphabet tokens, or of their codes as bytes, that
     re-tokenizes to exactly them."""
     codes = tokens if isinstance(tokens, bytes) else encode(tokens)
-    return _render_codes(_SPACED.sub(_space_after, codes), _TEXTS_Z2F2)
+    return _replace(_SPACED.sub(_space_after, codes), _TEXTS_Z2F2).decode("ascii")
 
 
 def render(tokens) -> str:
     """ASCII rendering of a token sequence, or of the codes as bytes of one
     over Z2 wr Z^2's or F's alphabet (inverse of the tokenizers)."""
     if isinstance(tokens, bytes):
-        return _render_codes(tokens, _TEXTS_Z2Z2)
+        return _replace(tokens, _TEXTS_Z2Z2).decode("ascii")
     return "".join(tokens)

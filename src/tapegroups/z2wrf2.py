@@ -39,8 +39,8 @@ from .errors import BadWord, NotInLanguage
 from .oracle_groups import LampConfigF2
 from .tapevm import StepReport, TapeSet, init_tapes, read_output
 from .tapeops import shift_suffix_left, shift_suffix_right
-from .tokens import (BEGIN, BLANK, CODE, SYMBOL, Z2F2_SIGMA, codes_of, render_z2f2,
-                     tokenize_z2f2)
+from .tokens import (BEGIN, BLANK, CODE, SYMBOL, Z2F2_SIGMA, codes_of, codes_z2f2,
+                     render_z2f2, tokenize_z2f2)
 
 GROUP = "z2wrf2"
 GENERATORS = ("a", "a-", "b", "b-", "c")
@@ -645,14 +645,14 @@ def _program_move(ts: TapeSet, gen: str) -> None:
 def apply_gen_report(text: str, gen: str) -> Tuple[str, StepReport]:
     if gen not in GENERATORS:
         raise BadWord(f"unknown generator {gen!r} for {GROUP}")
-    toks = tokenize_z2f2(text)
-    ts = init_tapes(toks, 2, sigma=Z2F2_SIGMA)
+    codes = codes_z2f2(text)
+    ts = init_tapes(codes, 2, sigma=Z2F2_SIGMA)
     if gen == "c":
         _program_toggle(ts)
     else:
         _program_move(ts, gen)
     out = render_z2f2(read_output(ts))
-    return out, StepReport(len(toks), ts.steps, gen, GROUP)
+    return out, StepReport(len(codes), ts.steps, gen, GROUP)
 
 
 def apply_gen(text: str, gen: str) -> str:

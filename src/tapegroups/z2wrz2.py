@@ -37,7 +37,7 @@ from . import spiral
 from .errors import BadWord, NotInLanguage, TapeFault
 from .oracle_groups import LampConfigZ2
 from .tapevm import StepReport, TapeSet, init_tapes, read_output
-from .tokens import BLANK, Z2Z2_SIGMA, render, tokenize_z2z2
+from .tokens import BLANK, Z2Z2_SIGMA, codes_z2z2, render, tokenize_z2z2
 
 GROUP = "z2wrz2"
 GENERATORS = ("a", "a-", "b", "b-", "c")
@@ -264,14 +264,14 @@ def _program_move(ts: TapeSet, gen: str) -> None:
 def apply_gen_report(text: str, gen: str) -> Tuple[str, StepReport]:
     if gen not in GENERATORS:
         raise BadWord(f"unknown generator {gen!r} for {GROUP}")
-    toks = tokenize_z2z2(text)
-    ts = init_tapes(toks, 2, sigma=Z2Z2_SIGMA)
+    codes = codes_z2z2(text)
+    ts = init_tapes(codes, 2, sigma=Z2Z2_SIGMA)
     if gen == "c":
         _program_toggle(ts)
     else:
         _program_move(ts, gen)
     out = render(read_output(ts))
-    return out, StepReport(len(toks), ts.steps, gen, GROUP)
+    return out, StepReport(len(codes), ts.steps, gen, GROUP)
 
 
 def apply_gen(text: str, gen: str) -> str:

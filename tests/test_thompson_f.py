@@ -254,6 +254,43 @@ def test_total_on_garbage():
                 tf.apply_gen(text, "x0")
 
 
+def test_each_call_matches_the_language_once(monkeypatch):
+    # x0, x0- and x1- check membership by their counted scan alone; x1 checks
+    # its input on the host once, and each candidate a builder accepts
+    host, tape, accepted = [], [], [0]
+    is_nf, is_nf_codes = tf._IS_NF, tf._IS_NF_CODES
+    monkeypatch.setattr(tf, "_IS_NF", lambda *a: host.append(a[0]) or is_nf(*a))
+    monkeypatch.setattr(tf, "_IS_NF_CODES", lambda *a: tape.append(a) or is_nf_codes(*a))
+
+    def counted(builder):
+        def run(ts):
+            ok = builder(ts)
+            accepted[0] += bool(ok)
+            return ok
+        return run
+    monkeypatch.setattr(tf, "_X1_BUILDERS", tuple(map(counted, tf._X1_BUILDERS)))
+    forms = _short_forms(6) + [REPRESENTATIONS["thompson-f"]().sample_nf(random.Random(k), 200)
+                               for k in range(5)]
+    for nf in forms:
+        for gen in tf.GENERATORS:
+            host.clear()
+            tape.clear()
+            accepted[0] = 0
+            tf.apply_gen(nf, gen)
+            if gen == "x1":
+                assert host[0] == nf and len(host) == 1 + accepted[0], nf
+            else:
+                assert (len(host), len(tape)) == (0, 1), (nf, gen)
+    for bad in ("é", "⊞", "⊡", "\0", "C", "ab", "a#", "ba", "ab#ba", "a b", *[
+            t for t in _garbage() if not tf.validate(t)]):
+        for gen in tf.GENERATORS:
+            with pytest.raises(NotInLanguage):
+                tf.apply_gen(bad, gen)
+        if not bad.strip("ab#"):  # the raw machines halt on any such text
+            for program in RAW_PROGRAMS:
+                tf._run(bad, program)
+
+
 F_PROGRAMS = (tf._scan_valid, tf._rewind, tf._to_blank, tf._first, tf._first_blank,
               tf._code, tf._compute_r, tf._mark_hash_track, tf._compare_r_m,
               tf._x0_flags, tf._program_x0, tf._program_x1_inv, tf._x1_inv_flags,

@@ -2,7 +2,8 @@
 
 The reference tokenizers and renderer below are the plain Python loops the
 compiled codec in `tapegroups.tokens` replaced.  Every check compares tokens,
-exception type and message.
+exception type and message, and the tape codes of the codes functions with
+the codes of the reference tokens.
 """
 
 import itertools
@@ -12,8 +13,8 @@ import pytest
 
 from tapegroups.errors import NotInLanguage
 from tapegroups.framework import REPRESENTATIONS
-from tapegroups.tokens import (Z2F2_SIGMA, Z2Z2_SIGMA, render_z2f2,
-                               tokenize_z2f2, tokenize_z2z2)
+from tapegroups.tokens import (Z2F2_SIGMA, Z2Z2_SIGMA, codes_z2f2, codes_z2z2, encode,
+                               render_z2f2, tokenize_z2f2, tokenize_z2z2)
 
 # -- reference loops ------------------------------------------------------
 
@@ -79,6 +80,13 @@ def assert_canonical(tokens, sigma):
         assert tok is sigma[sigma.index(tok)], tok
 
 
+def assert_codes_match(codes, ref, text):
+    # the codes of the reference tokens, or the reference's error
+    want = outcome(ref, text)
+    assert outcome(codes, text) == (encode(want) if isinstance(want, list) else want), text
+
+
+CODES = {ref_tokenize_z2z2: codes_z2z2, ref_tokenize_z2f2: codes_z2f2}
 CASES = [
     (tokenize_z2z2, ref_tokenize_z2z2, Z2Z2_SIGMA),
     (tokenize_z2f2, ref_tokenize_z2f2, Z2F2_SIGMA),
@@ -97,6 +105,7 @@ def test_all_short_token_sequences(new, ref, sigma):
             for text in ("".join(seq), " ".join(seq), "\t" + "\n".join(seq) + " "):
                 got = outcome(new, text)
                 assert got == outcome(ref, text), text
+                assert_codes_match(CODES[ref], ref, text)
                 if isinstance(got, list):
                     assert_canonical(got, sigma)
 
@@ -116,6 +125,7 @@ def test_seeded_random_strings(new, ref, sigma):
         text = "".join(parts)
         got = outcome(new, text)
         assert got == outcome(ref, text), text
+        assert_codes_match(CODES[ref], ref, text)
         if isinstance(got, list):
             assert_canonical(got, sigma)
         errors += not isinstance(got, list)
@@ -142,12 +152,33 @@ def test_long_normal_form_matches_reference(group):
         (tokenize_z2f2, ref_tokenize_z2f2)
     toks = new(nf)
     assert toks == ref(nf)
+    assert CODES[ref](nf) == encode(toks)
     assert_canonical(toks, Z2Z2_SIGMA if group == "z2wrz2" else Z2F2_SIGMA)
     if group == "z2wrf2":
         assert render_z2f2(toks) == ref_render_z2f2(toks) == nf
     # one bad symbol deep inside is named where the reference names it
     bad = nf[: len(nf) // 2] + "?" + nf[len(nf) // 2 :]
     assert outcome(new, bad) == outcome(ref, bad)
+    assert_codes_match(CODES[ref], ref, bad)
+
+
+@pytest.mark.parametrize("group", ["z2wrz2", "z2wrf2"])
+def test_apply_reports_the_token_count_as_input_len(group):
+    rep = REPRESENTATIONS[group]()
+    tokenize = tokenize_z2z2 if group == "z2wrz2" else tokenize_z2f2
+    texts = [rep.sample_nf(random.Random(n), n) for n in (1, 16, 1 << 10)]
+    if group == "z2wrf2":  # whitespace is not counted
+        texts += ["\t" + " ".join(tokenize(text)) + "\u3000" for text in texts]
+    for text in texts:
+        for gen in rep.generators:
+            assert rep.apply_report(text, gen)[1].input_len == len(tokenize(text)), text
+
+
+def test_markers_nul_and_non_ascii_whitespace():
+    for text in ("\0", "0\x01", "⊞", "⊡", "é", "\u30001", "C0\u3000", "D0\u3000C0",
+                 "D\u30000", "\u3000", "1 \u2028 0"):
+        for ref in CODES:
+            assert_codes_match(CODES[ref], ref, text)
 
 
 def test_long_whitespace_run_is_linear():
@@ -167,6 +198,7 @@ def test_every_short_string_over_the_z2z2_characters():
             text = "".join(chars)
             got = outcome(tokenize_z2z2, text)
             assert got == outcome(ref_tokenize_z2z2, text), text
+            assert_codes_match(codes_z2z2, ref_tokenize_z2z2, text)
             if isinstance(got, list):
                 assert_canonical(got, Z2Z2_SIGMA)
 
@@ -181,6 +213,8 @@ def test_long_texts_match_reference():
             text = "".join("C" * (k in cs) + b for k, b in enumerate(bits))
             toks = tokenize_z2z2(text)
             assert toks == ref_tokenize_z2z2(text)
+            assert codes_z2z2(text) == encode(toks)
             assert_canonical(toks, Z2Z2_SIGMA)
             for bad in (text + "C", text[:-1] + "2" + text[-1:], "C" + text, " " + text):
                 assert outcome(tokenize_z2z2, bad) == outcome(ref_tokenize_z2z2, bad)
+                assert_codes_match(codes_z2z2, ref_tokenize_z2z2, bad)

@@ -16,9 +16,11 @@ which one runs first.  Then each side runs the tier-1 suite once,
 and its wall time, its summary line and its `--durations=0` table are kept.
 
 The file holds, per workload and side, every run's end-to-end metrics and
-each metric's median and quartiles.  With a baseline it also holds, per
-metric, the number of seeds on which the change did better, as the metric's
-`better` field in BENCHMARK.json defines it.  Per side it holds the tier-1
+each metric's median, quartiles, spread (the distance between the quartiles)
+and range.  With a baseline it also holds, per metric, the number of seeds
+on which the change did better, as the metric's `better` field in
+BENCHMARK.json defines it, and whether the medians differ by more than the
+baseline's spread.  Per side it holds the tier-1
 run: each test phase of 5 ms or more with its seconds, slowest first.  It
 records the machine: nproc, the Python version and the platform.
 """
@@ -95,14 +97,23 @@ def tier1(checkout: Path) -> dict:
 
 
 def summary(runs) -> dict:
-    """Median and quartiles of each metric over the runs."""
+    """Median, quartiles and spread of each metric over the runs.  The spread
+    is the distance between the quartiles: the run-to-run noise of one side."""
     out = {}
     for name in runs[0]["metrics"]:
         values = [r["metrics"][name] for r in runs]
         q1, med, q3 = (statistics.quantiles(values, n=4, method="inclusive")
                        if len(values) > 1 else values * 3)
-        out[name] = {"median": med, "q1": q1, "q3": q3}
+        out[name] = {"median": med, "q1": q1, "q3": q3, "spread": q3 - q1,
+                     "min": min(values), "max": max(values)}
     return out
+
+
+def beyond_noise(change: dict, baseline: dict) -> dict:
+    """Per metric, whether the medians differ by more than the baseline's
+    spread; a difference inside it cannot be told from noise."""
+    return {name: abs(change[name]["median"] - b["median"]) > b["spread"]
+            for name, b in baseline.items()}
 
 
 def main(argv=None) -> int:
@@ -142,6 +153,8 @@ def main(argv=None) -> int:
                           and c["metrics"][name] != b["metrics"][name]
                           for c, b in zip(runs["change"], runs["baseline"]))
                 for name, sense in better.items()}
+            entry["beyond_noise"] = beyond_noise(entry["change"]["summary"],
+                                                 entry["baseline"]["summary"])
         record["workloads"][workload] = entry
     record["tier1"] = {}
     for side, path in sides.items():
