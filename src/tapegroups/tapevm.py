@@ -15,16 +15,21 @@ A sweep is one machine state looping over a run of cells.  `scan_right` and
 `scan_left` are defined as the loop `while read(t) not in stop: move(t)`:
 they charge exactly that loop's steps (2d+1 for d moves), fault exactly where
 it would, and leave the head where it would stop, but find the stop cell with
-a byte search in C instead of one method call per step.  A sweep that stops
-d cells away searches O(d) cells.
+a byte search in C instead of one method call per step: `find` for one
+symbol, two `find`s for one symbol and the blank, else a compiled byte
+class.  A sweep that stops d cells away searches O(d) cells; one for a
+symbol and the blank that stops on a blank searches on to that symbol, or
+to the last written cell.
 
 The other counted sweeps live with the programs that run them, each charged
 at its defining loop's closed form: `tapeops`' suffix shifts, F's
 `_scan_valid` and counter walks (`_compute_r`'s push/pop walk, clear and
 copy back, `_mark_hash_track`, `_compare_r_m`, the walks to a separator
 `_walk_to_hash`, `_walk_to_rth_hash` and `_walk_to_last_b`,
-`_write_hash_per_b`, `_strip_tail`'s # run, and the block flags
-`_x0_flags`, `_x1_inv_flags` and `_case1_flags`), Z2 wr Z^2's region scan
+`_write_hash_per_b`, `_strip_tail`'s # run, the block flags
+`_x0_flags`, `_x1_inv_flags` and `_case1_flags`, and x1's sweeps over tape
+1's input track, `_restore_input` and `_compare_input`, with
+`_erase_counter`), Z2 wr Z^2's region scan
 (`_scan_to_mark`, two tapes, the turn count in unary on tape 2) and mark
 move (`_move_mark`, four tape-2 sweeps pacing a tape-1 run that pads or
 erases), and Z2 wr F2's bracket-stack walk (`_walk`, tape 2 a stack of the
@@ -59,6 +64,15 @@ def _search(stop: Collection[str]):
     if len(codes) == 1:
         return codes[0], None
     return None, re.compile(b"[%s]" % re.escape(codes) if codes else b"(?!)").search
+
+
+@functools.cache
+def _beside_blank(stop: Collection[str]) -> Optional[int]:
+    """The code of the one symbol in stop besides BLANK, if that is all of
+    stop: a rightward sweep then finds that symbol, then a blank before it,
+    with two `find`s."""
+    rest = codes_of(stop).replace(bytes((CODE[BLANK],)), b"")
+    return rest[0] if len(rest) == 1 and BLANK in stop else None
 
 
 class Tape:
@@ -158,13 +172,17 @@ class TapeSet:
         tape = self.tapes[t]
         cells = tape.cells
         h = tape.head
+        n = len(cells)
         code, search = _search(stop)
         if search is None:
             pos = cells.find(code, h)
+        elif (code := _beside_blank(stop)) is not None:  # the symbol or a blank before it
+            pos = cells.find(code, h)
+            blank = cells.find(CODE[BLANK], h, n if pos < 0 else pos)
+            pos = pos if blank < 0 else blank
         else:
             m = search(cells, h)
             pos = m.start() if m else -1
-        n = len(cells)
         if pos < 0:
             if BLANK not in stop:
                 raise TapeFault("rightward scan never reaches a stop symbol")

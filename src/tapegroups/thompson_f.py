@@ -5,9 +5,14 @@ x0^r0 x1^r1 ... xM^rM xM^-sM ... x1^-s1 x0^-s0 of the infinite presentation;
 the identity is the empty string.  Multiplication by x0 is a one-pass local
 edit; multiplication by x1^-1 dispatches on a case analysis driven by the
 unary counter R accumulated on tape 2 (b-blocks push, block separators pop).
-Multiplication by x1 guesses the case: it runs each case's inverse edit,
-validates the candidate and recomputes the forward edit until the round trip
-reproduces the input, which bijectivity guarantees happens exactly once.
+Multiplication by x1 guesses the case, in one run of the same 2-tape
+machine.  Tape 1 has a second track that holds the input and is never
+written.  For each case the machine restores the input from that track, runs
+the case's inverse edit, runs x1^-1 on the candidate in place (its
+membership scan rejects a candidate that is not a normal form) and compares
+the result with the track, until the round trip reproduces the input, which
+bijectivity guarantees happens exactly once.  Every step of that, the checks
+included, is counted.
 
 Which branch of the case analysis fired is a return value: the x1^-1 program
 returns its label from CASE_LABELS, and apply_gen_report hands the labels of
@@ -68,7 +73,6 @@ _IS_NF_CODES = re.compile(_NF.encode()).fullmatch
 
 # What the counted sweeps search for on tape codes
 _A, _B, _H = b"ab#"
-_SEP = re.compile(b"[#\0]").search  # the end of a block
 _HASHES = re.compile(b"#").finditer
 _BLOCK = re.compile(b"[ab]*+(#*+)").match  # a run of a and b, then of #
 _NOT_BH = re.compile(b"[^%s]" % codes_of(("b#",))).search
@@ -185,6 +189,16 @@ def _first_blank(cells: bytearray, p: int) -> int:
     return i if i >= 0 else max(p, len(cells))
 
 
+def _block_end(cells: bytearray, p: int) -> int:
+    """The first # or blank at or after p: a find of #, then of a blank
+    before it."""
+    i = cells.find(_H, p)
+    if i < 0:
+        return _first_blank(cells, p)
+    j = cells.find(0, p, i)
+    return i if j < 0 else j
+
+
 def _code(cells: bytearray, i: int) -> int:
     return cells[i] if i < len(cells) else 0  # past the end: a blank
 
@@ -273,8 +287,8 @@ def _x0_flags(ts: TapeSet) -> Tuple[bool, bool, bool, bool]:
     and whether block 1 is empty with a # closing it."""
     tape = ts.tapes[0]
     cells, h = tape.cells, tape.head
-    q1 = _first(_SEP, cells, h + 1)  # where block 0 ends, then block 1
-    q2 = _first(_SEP, cells, q1 + 1)
+    q1 = _block_end(cells, h + 1)  # where block 0 ends, then block 1
+    q2 = _block_end(cells, q1 + 1)
     m_zero = _code(cells, q1) != _H
     tape.head = q1 if m_zero else q2
     ts.steps += 2 * (tape.head - h)
@@ -340,7 +354,7 @@ def _x1_inv_flags(ts: TapeSet) -> Tuple[bool, bool]:
     block 0 has a b, and whether it is the only block."""
     tape = ts.tapes[0]
     cells, h = tape.cells, tape.head
-    tape.head = q1 = _first(_SEP, cells, h + 1)
+    tape.head = q1 = _block_end(cells, h + 1)
     ts.steps += 2 * (q1 - h)
     return cells.find(_B, h + 1, q1) >= 0, _code(cells, q1) != _H
 
@@ -351,8 +365,8 @@ def _case1_flags(ts: TapeSet) -> Tuple[bool, bool, bool]:
     has a cell."""
     tape = ts.tapes[0]
     cells, h = tape.cells, tape.head
-    q1 = _first(_SEP, cells, h + 1)  # where block 0 ends, then block 1
-    q2 = _first(_SEP, cells, q1 + 1)
+    q1 = _block_end(cells, h + 1)  # where block 0 ends, then block 1
+    q2 = _block_end(cells, q1 + 1)
     in1, in2 = _code(cells, q1) == _H, _code(cells, q1) == _code(cells, q2) == _H
     tape.head = q2 + 1 if in2 else q2 if in1 else q1
     ts.steps += 2 * (tape.head - h)
@@ -578,17 +592,90 @@ def _x1_inv_case2(ts: TapeSet) -> str:
 
 # ---------------------------------------------------------------------------
 # x1 multiplication: guess and check
+#
+# Tape 1 has two tracks.  The work track is the tape the programs above read
+# and write; the input track holds the input from the start, is never
+# written, and is read with the work track in the same step.  On the host it
+# is a bytes value, the input's codes with the start marker first.
 
-def _run(text: str, program) -> Tuple[str, int, object]:
-    """Run program on a fresh 2-tape machine holding text: the output, the
-    steps and the program's return value."""
-    ts = init_tapes(text, 2, sigma=F_SIGMA)
-    result = program(ts)
-    return read_output(ts).decode("ascii"), ts.steps, result
+def _erase_counter(ts: TapeSet) -> None:
+    """Erase tape 2 and rewind it, leaving it as a fresh machine has it.
+
+    Tape 2 holds one run of cells from cell 1 up to its first blank and
+    nothing past it: _compute_r writes b^R there and _mark_hash_track
+    overlays cells 1..max(R, M).  The sweep rewinds, 2 steps per cell and 1,
+    then moves right writing a blank on each cell of the run, 3 steps per
+    cell, reads the blank after it, 2 steps, and rewinds from there: 2h + 5f
+    + 1 steps with the head on cell h and the first blank on cell f.  The
+    host drops the erased cells, since unwritten cells read blank.
+    """
+    tape = ts.tapes[1]
+    ts.steps += 2 * tape.head + 5 * _first_blank(tape.cells, 1) + 1
+    del tape.cells[1:]
+    tape.head = 0
 
 
-# The builders run only inside apply_x1, whose input is a normal form: the
-# _scan_valid that three of them run always accepts, and stays for its charge.
+def _restore_input(ts: TapeSet, track: bytes) -> None:
+    """Copy the input track onto the work track, erase what lies past it,
+    and rewind tape 1.
+
+    The sweep rewinds, 2 steps per cell and 1, then moves right writing the
+    input symbol on each of the n input cells, 3 steps per cell.  Past them
+    it reads each cell, 2 steps, and writes a blank over a written one, 1
+    step, until it has read two blanks in a row, on cells e and e+1; then it
+    rewinds from cell e+1.  With the head on cell h and w written cells
+    erased that is 2h + n + 4e + w + 6 steps.  The host drops the erased
+    cells, so the tape is the input as init_tapes loads it.
+
+    Two blanks in a row are as far as any run of apply_x1 writes.  Each run
+    starts from the restored input, whose cells past its end are blank.  A
+    builder leaves nothing past its candidate's first blank: it writes at
+    the end of the form, erases there, shifts right, or shifts left by one
+    cell, which copies the blank that ends the form.  x1^-1 then makes one
+    edit.  Only its two-cell left shift (1.3c, 2.1c3, 2.2.1) leaves a written
+    cell past the new first blank: the candidate's last cell, followed by the
+    candidate's own first blank and blanks only.  So no written cell lies
+    past the first two blanks in a row after the input's end.
+    """
+    tape = ts.tapes[0]
+    cells, n = tape.cells, len(track) - 1
+    e = cells.find(0, n + 1)
+    while 0 <= e < len(cells) - 1 and cells[e + 1]:  # a blank, then a written cell
+        e = cells.find(0, e + 2)
+    if e < 0:  # the pair lies past the last written cell
+        e = max(n + 1, len(cells))
+    w = e - n - 1 - cells.count(0, n + 1, e)
+    ts.steps += 2 * tape.head + n + 4 * e + w + 6
+    cells[:] = track
+    tape.head = 0
+
+
+def _restore(ts: TapeSet, track: bytes) -> None:
+    """Put the machine back in the state it started in: tape 2 erased, the
+    input on the work track, both heads on the start marker."""
+    _erase_counter(ts)
+    _restore_input(ts, track)
+
+
+def _compare_input(ts: TapeSet, track: bytes) -> bool:
+    """Whether the work track, up to its first blank, is the input.
+
+    The sweep rewinds tape 1, 2 steps per cell and 1, then moves right
+    reading both tracks, 2 steps per cell, until both read blank, which is
+    on the first blank of the work track at or past the input's end, cell
+    c; it remembers whether a cell differed.  That is 2h + 2c + 1 steps with
+    the head on cell h.
+    """
+    tape = ts.tapes[0]
+    cells, n = tape.cells, len(track)
+    c = _first_blank(cells, n)
+    ts.steps += 2 * (tape.head + c) + 1
+    tape.head = c
+    return c == n and cells.startswith(track)
+
+
+# The builders run only inside apply_x1, on the restored input, which its
+# membership scan has accepted.
 
 def _b_11(ts: TapeSet) -> bool:
     _to_blank(ts)
@@ -633,7 +720,6 @@ def _b_21a(ts: TapeSet) -> bool:
 
 
 def _b_21b(ts: TapeSet) -> bool:
-    _scan_valid(ts)
     if not _compute_r(ts):
         return False
     _mark_hash_track(ts)
@@ -655,7 +741,6 @@ def _b_21c12(ts: TapeSet) -> bool:
 
 
 def _b_21c3(ts: TapeSet) -> bool:
-    _scan_valid(ts)
     _compute_r(ts)
     _rewind(ts, 1)
     if not _walk_to_hash(ts, BLANK):  # the (R+1)-th separator
@@ -668,7 +753,6 @@ def _b_222a(ts: TapeSet) -> bool:
     # Undoes 2.2.2a/b/c: their preimage has j_t < R <= j_(t+1) (r_by_definition)
     # and the edit adds a b to block R alone (s_R + 1 if R = j_(t+1), else a new
     # j = R), so R on the product stops at step t with the same value: drop that b.
-    _scan_valid(ts)
     _compute_r(ts)
     _rewind(ts, 1)
     return _walk_to_last_b(ts) and _drop_b_after_a_run(ts)  # the R-th separator
@@ -678,13 +762,20 @@ _X1_BUILDERS = (_b_11, _b_12, _b_13a, _b_13b, _b_13c, _b_21a, _b_21b, _b_21c12,
                 _b_21c3, _b_222a)
 
 
-def apply_x1(text: str) -> Tuple[str, int, Tuple[str, ...]]:
-    """Right multiplication by x1: try each case's inverse edit and accept the
-    candidate whose forward edit reproduces the input.
+def apply_x1(ts: TapeSet) -> Optional[Tuple[str, ...]]:
+    """Right multiplication by x1 as one run of the 2-tape machine: try each
+    case's inverse edit and accept the candidate whose forward edit
+    reproduces the input.
 
-    Returns the output, the steps of every run and the case labels of the
-    candidate round trips in order, the accepting one last.  text must be a
-    normal form; apply_gen_report checks it before calling.
+    The machine first scans tape 1 for membership and halts, returning None,
+    on anything but a normal form.  Then, for each builder, it restores the
+    input from tape 1's input track (_restore) and runs the builder.  On a
+    candidate, it erases tape 2, rewinds and runs x1^-1 in place: that run's
+    own membership scan rejects a candidate that is not a normal form, and
+    a counted sweep compares its product with the input track.  On a match
+    the machine restores the input and runs the accepting builder again,
+    leaving the product on tape 1.  Returns the case labels of the candidate
+    round trips in order, the accepting one last.
 
     The edit of each x1^-1 label is undone by one builder: 1.1 by _b_11, 1.2
     by _b_12, 1.3a by _b_13a, 1.3b by _b_13b, 1.3c by _b_13c, 2.1a by _b_21a,
@@ -694,19 +785,25 @@ def apply_x1(text: str) -> Tuple[str, int, Tuple[str, ...]]:
     x1^-1 is injective, so any candidate that round-trips is the preimage,
     and an earlier builder may accept it first.
     """
-    steps = 0
+    track = bytes(ts.tapes[0].cells)
+    if not _scan_valid(ts):
+        return None
     cases = []
     for builder in _X1_BUILDERS:
-        candidate, st, ok = _run(text, builder)
-        steps += st
-        if not ok or not validate(candidate):
+        _restore(ts, track)
+        if not builder(ts):
             continue
-        back, st2, label = _run(candidate, _program_x1_inv)
-        steps += st2
-        cases.append(label)  # candidate is a normal form, so x1^-1 labels it
-        if back == text:
-            return candidate, steps, tuple(cases)
-    raise NoCaseMatched(f"no multiplication case accepted {text!r}")
+        _erase_counter(ts)
+        _rewind(ts, 0)
+        label = _program_x1_inv(ts)
+        if label is None:  # the candidate is not a normal form
+            continue
+        cases.append(label)
+        if _compare_input(ts, track):
+            _restore(ts, track)
+            builder(ts)
+            return tuple(cases)
+    raise NoCaseMatched(f"no multiplication case accepted {track[1:].decode()!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -724,25 +821,26 @@ def apply_gen_report(text: str, gen: str) -> Tuple[str, StepReport]:
     of the x1^-1 branches that ran: one for x1-, one per candidate round trip
     for x1 (the accepting one last), none for x0 and x0-.
 
-    x1's builders do not scan their input, so x1 checks it on the host; the
-    other programs' counted membership scan is their check."""
+    Each generator is one run of the 2-tape machine, and its counted
+    membership scan is the only check of the input: a text it rejects, or
+    one with a tape marker or a symbol without a tape code, raises
+    NotInLanguage."""
     if gen not in GENERATORS:
         raise BadWord(f"unknown generator {gen!r} for {GROUP}")
-    n = len(text)
-    if gen != "x1":
-        try:
-            ts = init_tapes(text, 2, sigma=F_SIGMA)
-        except InvalidInput:  # a tape marker or a symbol with no tape code
-            ts = None
-        verdict = ts and (_program_x1_inv(ts) if gen == "x1-" else
-                          _program_x0(ts, 1 if gen == "x0" else -1))
-        if verdict:
-            cases = (verdict,) if gen == "x1-" else ()
-            return read_output(ts).decode("ascii"), StepReport(n, ts.steps, gen, GROUP, cases)
-    elif validate(text):
-        out, steps, cases = apply_x1(text)
-        return out, StepReport(n, steps, gen, GROUP, cases)
-    raise NotInLanguage(f"{text!r} is not a normal form")
+    try:
+        ts = init_tapes(text, 2, sigma=F_SIGMA)
+    except InvalidInput:  # a tape marker or a symbol with no tape code
+        ts = None
+    if gen == "x1":
+        cases = ts and apply_x1(ts)
+    elif gen == "x1-":
+        label = ts and _program_x1_inv(ts)
+        cases = label and (label,)
+    else:
+        cases = () if ts and _program_x0(ts, 1 if gen == "x0" else -1) else None
+    if cases is None:
+        raise NotInLanguage(f"{text!r} is not a normal form")
+    return read_output(ts).decode("ascii"), StepReport(len(text), ts.steps, gen, GROUP, cases)
 
 
 def apply_gen(text: str, gen: str) -> str:

@@ -31,6 +31,7 @@ holding the input:
 
 from __future__ import annotations
 
+import re
 from typing import Tuple
 
 from . import spiral
@@ -73,6 +74,10 @@ STEP_BOUND = {"a": (5, 119), "a-": (5, 131), "b": (5, 125), "b-": (5, 137),
 # ---------------------------------------------------------------------------
 # codec
 
+# The normal forms: lamp bits, the C-token, and either nothing or lamp bits
+# that end in a lit lamp
+_IS_NF = re.compile(r"[01]*C[01](?:[01]*1)?").fullmatch
+
 def encode(config: LampConfigZ2) -> str:
     r = spiral.spiral_index(config.pos)
     lit_idx = {spiral.spiral_index(p) for p in config.lit}
@@ -103,11 +108,9 @@ def decode(text: str) -> LampConfigZ2:
 
 
 def validate(text: str) -> bool:
-    try:
-        decode(text)
-    except NotInLanguage:
-        return False
-    return True
+    """Whether text is a normal form: the language decode accepts, as one
+    full match."""
+    return _IS_NF(text) is not None
 
 
 # ---------------------------------------------------------------------------

@@ -538,6 +538,53 @@ def loop_case1_flags(ts):
     return r1_pos, s1_pos, block2_nonzero
 
 
+def loop_erase_counter(ts):
+    tf._rewind(ts, 1)
+    while True:
+        ts.move_right(1)
+        if ts.read(1) == BLANK:
+            break
+        ts.write(1, BLANK)
+    tf._rewind(ts, 1)
+
+
+def track_symbol(ts, track):
+    """The input track's symbol under tape 1's head: a read of tape 1 reads
+    it with the work track's, in the same step."""
+    h = ts.tapes[0].head
+    return SYMBOL[track[h]] if h < len(track) else BLANK
+
+
+def loop_restore_input(ts, track):
+    tf._rewind(ts, 0)
+    blanks = 0
+    while blanks < 2:
+        ts.move_right(0)
+        sym = ts.read(0)
+        want = track_symbol(ts, track)
+        if want != BLANK:
+            ts.write(0, want)
+            blanks = 0
+        elif sym != BLANK:
+            ts.write(0, BLANK)
+            blanks = 0
+        else:
+            blanks += 1
+    tf._rewind(ts, 0)
+
+
+def loop_compare_input(ts, track):
+    tf._rewind(ts, 0)
+    same = True
+    while True:
+        ts.move_right(0)
+        sym = ts.read(0)
+        want = track_symbol(ts, track)
+        if sym == want == BLANK:
+            return same
+        same = same and sym == want
+
+
 # F's two-tape sweeps and their loops, with the arguments each caller passes
 F_WALKS = (
     (tf._mark_hash_track, loop_mark_hash_track, ()),
@@ -547,6 +594,11 @@ F_WALKS = (
     (tf._walk_to_last_b, loop_walk_to_last_b, ()),
     *((tf._write_hash_per_b, loop_write_hash_per_b, (last,)) for last in ("a", "b")),
 )
+# the sweeps of x1's one machine, which restore its input and check a round trip
+X1_SWEEPS = ((tf._erase_counter, loop_erase_counter), (tf._restore_input, loop_restore_input),
+             (tf._compare_input, loop_compare_input))
+# the two that drop the cells they erase, where their loops write blanks
+DROPS_BLANKS = (tf._erase_counter, tf._restore_input)
 # F's one-tape sweeps
 F_FLAGS = ((tf._x0_flags, loop_x0_flags), (tf._x1_inv_flags, loop_x1_inv_flags),
            (tf._case1_flags, loop_case1_flags))
@@ -627,13 +679,64 @@ def test_strip_tail_matches_loop_on_every_small_tape():
                         == run(loop_strip_tail, cells, h, last)), (cells, h, last)
 
 
+def trimmed(state):
+    """A state with each tape's trailing blanks dropped: cells past the last
+    written one read blank, so the tapes are the same."""
+    out, steps, tapes = state
+    return out, steps, [(h, cells.rstrip(b"\0")) for h, cells in tapes]
+
+
+# input tracks of each length up to 4, the start marker first
+TRACKS = tuple(codes(t) for t in ("", "b", "a#", "ab#", "b##a"))
+
+
+def erasable(tape2):
+    """Whether tape 2 holds nothing past its first blank, as F's counter
+    never does (the precondition of _erase_counter)."""
+    i = tape2.find(0)
+    return i < 0 or not tape2[i:].strip(b"\0")
+
+
+def restorable(tape1, track):
+    """Whether no written cell of tape 1 lies past the first two blanks in a
+    row after the input's end (the precondition of _restore_input)."""
+    rest = tape1[len(track):] + b"\0\0"
+    return not rest[rest.find(b"\0\0"):].strip(b"\0")
+
+
+def test_erase_counter_matches_loop_on_every_small_tape():
+    # every tape 2 of up to 5 cells that holds one run from cell 1, from
+    # every head, with each tape-1 start
+    for tape2 in small_tapes(5, F_TAPE2):
+        if erasable(tape2):
+            for h2 in heads(tape2):
+                for tape1, h1 in TAPE1_STARTS:
+                    args = tape1, h1, tape2, h2
+                    want = trimmed(run2(loop_erase_counter, *args))
+                    assert trimmed(run2(tf._erase_counter, *args)) == want, args
+
+
+def test_restore_and_compare_match_loops_on_every_small_tape():
+    # every tape 1 of up to 5 cells from every head, against each track;
+    # the restore where its precondition holds, the compare everywhere
+    for tape1 in small_tapes(5):
+        for h1 in heads(tape1):
+            for track in TRACKS:
+                args = tape1, h1, codes(()), 0, track
+                assert (run2(tf._compare_input, *args)
+                        == run2(loop_compare_input, *args)), (tape1, h1, track)
+                if restorable(tape1, track):
+                    want = trimmed(run2(loop_restore_input, *args))
+                    assert trimmed(run2(tf._restore_input, *args)) == want, (tape1, h1, track)
+
+
 def test_f_sweeps_match_loops_on_the_ledger_tapes(monkeypatch):
     # every call of an F sweep in the ledger's apply and walks sections, on
     # normal forms of up to 2^14 symbols, runs its loop on a copy of the
     # tapes first and must leave the same state
     calls = Counter()
     pairs = [(tf._compute_r, loop_compute_r), (tf._strip_tail, loop_strip_tail), *F_FLAGS,
-             *((fn, loop) for fn, loop, _ in F_WALKS)]
+             *((fn, loop) for fn, loop, _ in F_WALKS), *X1_SWEEPS]
     for fn, loop in dict(pairs).items():
         def checked(ts, *args, fn=fn, loop=loop):
             calls[fn.__name__] += 1
@@ -643,7 +746,10 @@ def test_f_sweeps_match_loops_on_the_ledger_tapes(monkeypatch):
                 new.cells, new.head = bytearray(old.cells), old.head
             want = loop(copy, *args)
             got = fn(ts, *args)
-            assert state(ts, got) == state(copy, want), (fn.__name__, args)
+            got_state, want_state = state(ts, got), state(copy, want)
+            if fn in DROPS_BLANKS:
+                got_state, want_state = trimmed(got_state), trimmed(want_state)
+            assert got_state == want_state, (fn.__name__, args)
             return got
         monkeypatch.setattr(tf, fn.__name__, checked)
     rep = REPRESENTATIONS["thompson-f"]()
@@ -1046,6 +1152,9 @@ COUNTED_SWEEPS = (
     (tf, "_x0_flags", loop_x0_flags),
     (tf, "_x1_inv_flags", loop_x1_inv_flags),
     (tf, "_case1_flags", loop_case1_flags),
+    (tf, "_erase_counter", loop_erase_counter),
+    (tf, "_restore_input", loop_restore_input),
+    (tf, "_compare_input", loop_compare_input),
 )
 
 

@@ -11,12 +11,21 @@ import pytest
 
 from tapegroups import thompson_f as tf
 from tapegroups.errors import BadWord, NoCaseMatched, NotInLanguage
-from tapegroups.framework import REPRESENTATIONS, representation_thompson_f
+from tapegroups.framework import PLATEAU_FACTOR, REPRESENTATIONS, representation_thompson_f
 from tapegroups.oracle_groups import PL_IDENTITY, pl_eval_normalform, pl_mul_gen
-from tapegroups.tapevm import TapeSet
+from tapegroups.tapevm import TapeSet, init_tapes, read_output
+from tapegroups.tokens import F_SIGMA
 from test_step_ledger import _walk_entries
 
 INV = {"x0": "x0-", "x0-": "x0", "x1": "x1-", "x1-": "x1"}
+
+
+def run_raw(text, program):
+    """Run program on a fresh 2-tape machine holding text: the output, the
+    steps and the program's return value."""
+    ts = init_tapes(text, 2, sigma=F_SIGMA)
+    result = program(ts)
+    return read_output(ts).decode("ascii"), ts.steps, result
 
 
 def _short_forms(most):
@@ -107,7 +116,7 @@ def test_invalid_input_raises_but_machine_halts():
     with pytest.raises(NotInLanguage):
         tf.apply_gen("ab", "x1-")
     # the underlying machine itself is total: it halts without editing
-    assert tf._run("ab", tf._program_x1_inv)[0] == "ab"
+    assert run_raw("ab", tf._program_x1_inv)[0] == "ab"
 
 
 def test_oracle_differential_and_bijectivity():
@@ -232,7 +241,7 @@ def test_case_deletion_is_detectable(f_case_deleted):
 
 # the raw machines, which halt on any input
 RAW_PROGRAMS = (tf._program_x1_inv, lambda ts: tf._program_x0(ts, 1),
-                lambda ts: tf._program_x0(ts, -1))
+                lambda ts: tf._program_x0(ts, -1), tf.apply_x1)
 
 
 def _garbage():
@@ -245,7 +254,7 @@ def test_total_on_garbage():
     # the machines halt on anything; the library surface raises on non-members
     for text in _garbage():
         for program in RAW_PROGRAMS:
-            tf._run(text, program)
+            run_raw(text, program)
         if tf.validate(text):
             for gen in ("x0", "x0-", "x1-", "x1"):
                 assert tf.validate(tf.apply_gen(text, gen))
@@ -255,8 +264,9 @@ def test_total_on_garbage():
 
 
 def test_each_call_matches_the_language_once(monkeypatch):
-    # x0, x0- and x1- check membership by their counted scan alone; x1 checks
-    # its input on the host once, and each candidate a builder accepts
+    # every generator checks membership by its counted scans alone, with no
+    # host match: x1's machine scans its input, and x1^-1 scans each
+    # candidate a builder accepts
     host, tape, accepted = [], [], [0]
     is_nf, is_nf_codes = tf._IS_NF, tf._IS_NF_CODES
     monkeypatch.setattr(tf, "_IS_NF", lambda *a: host.append(a[0]) or is_nf(*a))
@@ -278,7 +288,9 @@ def test_each_call_matches_the_language_once(monkeypatch):
             accepted[0] = 0
             tf.apply_gen(nf, gen)
             if gen == "x1":
-                assert host[0] == nf and len(host) == 1 + accepted[0], nf
+                # the accepting builder runs once more, to write the product
+                candidates = accepted[0] - 1
+                assert (len(host), len(tape)) == (0, 1 + candidates), nf
             else:
                 assert (len(host), len(tape)) == (0, 1), (nf, gen)
     for bad in ("é", "⊞", "⊡", "\0", "C", "ab", "a#", "ba", "ab#ba", "a b", *[
@@ -288,15 +300,16 @@ def test_each_call_matches_the_language_once(monkeypatch):
                 tf.apply_gen(bad, gen)
         if not bad.strip("ab#"):  # the raw machines halt on any such text
             for program in RAW_PROGRAMS:
-                tf._run(bad, program)
+                run_raw(bad, program)
 
 
 F_PROGRAMS = (tf._scan_valid, tf._rewind, tf._to_blank, tf._first, tf._first_blank,
-              tf._code, tf._compute_r, tf._mark_hash_track, tf._compare_r_m,
+              tf._block_end, tf._code, tf._compute_r, tf._mark_hash_track, tf._compare_r_m,
               tf._x0_flags, tf._program_x0, tf._program_x1_inv, tf._x1_inv_flags,
               tf._case1_flags, tf._x1_inv_case1, tf._x1_inv_case2, tf._to_hash, tf._hash_walk,
               tf._walk_to_hash, tf._walk_to_rth_hash, tf._walk_to_last_b,
-              tf._write_hash_per_b, tf._strip_tail, tf._drop_b_after_a_run, tf._run,
+              tf._write_hash_per_b, tf._strip_tail, tf._drop_b_after_a_run,
+              tf._erase_counter, tf._restore_input, tf._restore, tf._compare_input,
               *tf._X1_BUILDERS, tf.apply_x1)
 
 # loop guards no normal form reaches: each keeps a raw builder or walk from
@@ -308,7 +321,8 @@ UNRUN_GUARDS = sorted([
     ("_b_21c12", "return False"),
     ("_b_21c3", "return False"),
     ("_hash_walk", 'raise TapeFault("the walk never reaches its #")'),
-    ("apply_x1", 'raise NoCaseMatched(f"no multiplication case accepted {text!r}")'),
+    ("apply_x1",
+     'raise NoCaseMatched(f"no multiplication case accepted {track[1:].decode()!r}")'),
 ])
 
 
@@ -340,7 +354,7 @@ def test_walks_short_forms_and_garbage_run_every_line_but_the_guards():
                 tf.apply_gen(nf, gen)
         for text in garbage:
             for program in RAW_PROGRAMS:
-                tf._run(text, program)
+                run_raw(text, program)
     finally:
         sys.settrace(old)
     unrun = []
@@ -376,6 +390,58 @@ def test_primitive_calls_do_not_grow_with_the_input(family, monkeypatch):
 
     for gen in tf.GENERATORS:
         assert primitive_calls(16, gen) == primitive_calls(1024, gen), gen
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_x1_steps_per_symbol_level_off(family):
+    # x1 is linear on its worst-case families: at 2^14 its steps per symbol
+    # are within PLATEAU_FACTOR of those at 2^12
+    per_symbol = {}
+    for e in range(6, 15):
+        text = FAMILIES[family](1 << e)
+        per_symbol[e] = tf.apply_gen_report(text, "x1")[1].steps / len(text)
+    assert per_symbol[14] <= PLATEAU_FACTOR * per_symbol[12], per_symbol
+
+
+def ref_x1(text):
+    """The host guess-and-check that x1's one machine replaced: each builder
+    on a fresh machine, its candidate checked with validate and then by
+    x1^-1 on another fresh machine.  The product and the case labels."""
+    cases = []
+    for builder in tf._X1_BUILDERS:
+        candidate, _, ok = run_raw(text, builder)
+        if not ok or not tf.validate(candidate):
+            continue
+        back, _, label = run_raw(candidate, tf._program_x1_inv)
+        cases.append(label)
+        if back == text:
+            return candidate, tuple(cases)
+    raise NoCaseMatched(text)
+
+
+def _tapes(ts):
+    return [(tape.head, bytes(tape.cells)) for tape in ts.tapes]
+
+
+def test_x1_restores_a_fresh_machine_and_matches_the_host_guess_and_check(monkeypatch):
+    # on the inputs of the ledger's walks and on FAMILIES: after every
+    # restore both tapes, cells and heads, are those init_tapes starts from,
+    # and x1's product and labels are those of the host guess-and-check
+    texts = dict.fromkeys(nf for nf, *_ in _walk_entries(representation_thompson_f(), 1))
+    texts.update(dict.fromkeys(make(k) for make in FAMILIES.values() for k in (1, 16, 1024)))
+    restore, fresh, restores = tf._restore, [None], [0]
+
+    def checked(ts, track):
+        restore(ts, track)
+        restores[0] += 1
+        assert _tapes(ts) == fresh[0]
+    monkeypatch.setattr(tf, "_restore", checked)
+    for text in texts:
+        fresh[0] = _tapes(init_tapes(text, 2, sigma=F_SIGMA))
+        restores[0] = 0
+        out, report = tf.apply_gen_report(text, "x1")
+        assert (out, report.cases) == ref_x1(text), text
+        assert restores[0] >= 2, text  # one per builder tried, one for the product
 
 
 def test_step_report_names_the_group_id():
@@ -500,4 +566,4 @@ def test_validate_rejects_a_long_near_miss_without_backtracking():
     assert time.perf_counter() - t0 < 5
     with pytest.raises(NotInLanguage):
         tf.parse(bad)
-    assert tf._run(bad, tf._scan_valid)[2] is False
+    assert run_raw(bad, tf._scan_valid)[2] is False

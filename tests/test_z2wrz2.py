@@ -30,6 +30,24 @@ def test_decode_examples():
     assert z.decode("1C0") == LampConfigZ2(frozenset({(0, 0)}), (1, 0))
 
 
+def _decodes(text):
+    try:
+        z.decode(text)
+    except NotInLanguage:
+        return False
+    return True
+
+
+def test_validate_agrees_with_decode():
+    # every text of up to 7 tokens, then the ledger's codec corpus
+    texts = ["".join(t) for k in range(8) for t in itertools.product(Z2Z2_SIGMA, repeat=k)]
+    assert len(texts) == 21845
+    texts += [t for text, _, _, out in _walk_entries(REPRESENTATIONS["z2wrz2"](), 1)
+              for t in (text, out)]
+    for text in dict.fromkeys(texts):
+        assert z.validate(text) == _decodes(text), text
+
+
 def test_decode_rejections():
     for bad in ("", "0", "C0C0", "C00", "1C01C0", "C2"):
         with pytest.raises(NotInLanguage):
