@@ -58,21 +58,15 @@ _START = bytes((CODE[BEGIN],))  # a fresh tape's cells
 
 @functools.cache
 def _search(stop: Collection[str]):
-    """How to find a stop set's cells: (its code, None) for one symbol, which
-    `find` and `rfind` take, or (None, one compiled byte-class search)."""
+    """How to find a stop set's cells, as (code, with_blank, search): for one
+    symbol its code, which `find` and `rfind` take; for one symbol and the
+    blank that symbol's code and with_blank, so that a rightward sweep finds
+    the symbol, then a blank before it; else one compiled byte-class search."""
     codes = codes_of(stop)
-    if len(codes) == 1:
-        return codes[0], None
-    return None, re.compile(b"[%s]" % re.escape(codes) if codes else b"(?!)").search
-
-
-@functools.cache
-def _beside_blank(stop: Collection[str]) -> Optional[int]:
-    """The code of the one symbol in stop besides BLANK, if that is all of
-    stop: a rightward sweep then finds that symbol, then a blank before it,
-    with two `find`s."""
-    rest = codes_of(stop).replace(bytes((CODE[BLANK],)), b"")
-    return rest[0] if len(rest) == 1 and BLANK in stop else None
+    rest = codes.replace(bytes((CODE[BLANK],)), b"")
+    if len(codes) == 1 or len(rest) == 1 and BLANK in stop:
+        return rest[0] if rest else codes[0], len(codes) > 1, None
+    return None, False, re.compile(b"[%s]" % re.escape(codes) if codes else b"(?!)").search
 
 
 class Tape:
@@ -173,13 +167,12 @@ class TapeSet:
         cells = tape.cells
         h = tape.head
         n = len(cells)
-        code, search = _search(stop)
+        code, with_blank, search = _search(stop)
         if search is None:
             pos = cells.find(code, h)
-        elif (code := _beside_blank(stop)) is not None:  # the symbol or a blank before it
-            pos = cells.find(code, h)
-            blank = cells.find(CODE[BLANK], h, n if pos < 0 else pos)
-            pos = pos if blank < 0 else blank
+            if with_blank:  # a blank before the symbol stops the sweep there
+                blank = cells.find(CODE[BLANK], h, n if pos < 0 else pos)
+                pos = pos if blank < 0 else blank
         else:
             m = search(cells, h)
             pos = m.start() if m else -1
@@ -206,8 +199,8 @@ class TapeSet:
             self.steps += 1
             return BLANK
         hi = min(h + 1, n)  # cells at and beyond n read as blank
-        code, _ = _search(stop)
-        if code is not None:  # rfind of one code runs leftward from hi
+        code, with_blank, _ = _search(stop)
+        if code is not None and not with_blank:  # rfind of one code runs leftward from hi
             pos = cells.rfind(code, 0, hi)
         else:
             pos = -1

@@ -170,7 +170,11 @@ def _scan_valid(ts: TapeSet) -> bool:
 
 
 def _rewind(ts: TapeSet, t: int) -> None:
-    ts.scan_left(t, (BEGIN,))
+    """`scan_left(t, (BEGIN,))`: the start marker is on cell 0 alone, so the
+    loop stops there, 2h + 1 steps from cell h."""
+    tape = ts.tapes[t]
+    ts.steps += 2 * tape.head + 1
+    tape.head = 0
 
 
 def _to_blank(ts: TapeSet) -> None:

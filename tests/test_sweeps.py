@@ -1,10 +1,13 @@
 """Counted sweeps against the per-primitive loops that define them.
 
 Each sweep (`TapeSet.scan_right`, `TapeSet.scan_left`, the two suffix shifts,
-F's `_scan_valid`, counter walks and block flags, Z2 wr Z^2's region scan and
-mark move and Z2 wr F2's bracket-stack walk) must leave exactly the state its
-defining loop leaves: the same return value, step count, heads and cells,
-and for a fault the same exception type after the same number of steps.  One fault is the exception:
+F's `_scan_valid`, rewind, counter walks and block flags, x1's erase, restore
+and compare sweeps, Z2 wr Z^2's region scan and mark move and Z2 wr F2's
+bracket-stack walk) must leave exactly the state its defining loop leaves:
+the same return value, step count, heads and cells, and for a fault the same
+exception type after the same number of steps.  x1's erase and restore drop
+the cells they erase where their loops write blanks, so there the cells
+agree up to trailing blanks.  One fault is the exception:
 Z2 wr Z^2's mark move refuses a move left past the start marker before any
 step, where its loop faults partway through the run.  No region scan leaves
 such a state, and matching the loop's partial charge would add code for
@@ -60,6 +63,10 @@ def loop_scan_left(ts, t, stop):
         if sym in stop:
             return sym
         ts.move_left(t)
+
+
+def loop_rewind(ts, t):
+    loop_scan_left(ts, t, (BEGIN,))
 
 
 def loop_shift_right(ts, t, insert):
@@ -184,6 +191,14 @@ def test_scans_match_loops_on_every_small_tape():
                 check_scan_right(cells, h, stop)
             for stop in LEFT_STOPS:
                 check_scan_left(cells, h, stop)
+
+
+def test_rewind_matches_loop_on_every_small_tape():
+    # F's rewind is scan_left to the start marker, which no tape holds past
+    # cell 0
+    for cells in small_tapes(5):
+        for h in heads(cells):
+            assert run(tf._rewind, cells, h, 0) == run(loop_rewind, cells, h, 0), (cells, h)
 
 
 def test_scans_match_loops_on_long_tapes():
@@ -735,7 +750,8 @@ def test_f_sweeps_match_loops_on_the_ledger_tapes(monkeypatch):
     # normal forms of up to 2^14 symbols, runs its loop on a copy of the
     # tapes first and must leave the same state
     calls = Counter()
-    pairs = [(tf._compute_r, loop_compute_r), (tf._strip_tail, loop_strip_tail), *F_FLAGS,
+    pairs = [(tf._compute_r, loop_compute_r), (tf._strip_tail, loop_strip_tail),
+             (tf._rewind, loop_rewind), *F_FLAGS,
              *((fn, loop) for fn, loop, _ in F_WALKS), *X1_SWEEPS]
     for fn, loop in dict(pairs).items():
         def checked(ts, *args, fn=fn, loop=loop):
@@ -1152,6 +1168,7 @@ COUNTED_SWEEPS = (
     (tf, "_x0_flags", loop_x0_flags),
     (tf, "_x1_inv_flags", loop_x1_inv_flags),
     (tf, "_case1_flags", loop_case1_flags),
+    (tf, "_rewind", loop_rewind),
     (tf, "_erase_counter", loop_erase_counter),
     (tf, "_restore_input", loop_restore_input),
     (tf, "_compare_input", loop_compare_input),
