@@ -78,6 +78,7 @@ STEP_BOUND = {"a": (5, 119), "a-": (5, 131), "b": (5, 125), "b-": (5, 137),
 # that end in a lit lamp
 _IS_NF = re.compile(r"[01]*C[01](?:[01]*1)?").fullmatch
 
+
 def encode(config: LampConfigZ2) -> str:
     r = spiral.spiral_index(config.pos)
     lit_idx = {spiral.spiral_index(p) for p in config.lit}

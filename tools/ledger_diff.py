@@ -6,13 +6,14 @@ OLD and NEW are `tests/data/step_ledger.json` files (say, the parent's and
 the change's).  Each line is one leaf, as its path of keys
 (section/group/key/field), then the old and the new value; a leaf that only
 one side has shows `-` on the other.  Nothing is printed when the ledgers
-agree.  Exits 1 when any leaf differs, else 0.
+agree.  Exits 1 when any leaf differs, 2 on a usage error, else 0.
 """
 
 from __future__ import annotations
 
 import json
 import sys
+from pathlib import Path
 
 
 def leaves(node, path=()):
@@ -36,10 +37,12 @@ def diff(old: dict, new: dict) -> list[str]:
 
 def main(argv: list[str]) -> int:
     if len(argv) != 2:
-        sys.exit(__doc__.splitlines()[2].strip())
-    old, new = (json.loads(open(path).read()) for path in argv)
+        print("usage: " + __doc__.splitlines()[2].strip(), file=sys.stderr)
+        return 2
+    old, new = (json.loads(Path(path).read_text()) for path in argv)
     lines = diff(old, new)
-    print("\n".join(lines) if lines else "", end="\n" if lines else "")
+    for line in lines:
+        print(line)
     return 1 if lines else 0
 
 
