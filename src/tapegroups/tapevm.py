@@ -23,13 +23,16 @@ to the last written cell.
 
 The other counted sweeps live with the programs that run them, each charged
 at its defining loop's closed form: `tapeops`' suffix shifts, F's
-`_scan_valid` and counter walks (`_compute_r`'s push/pop walk, clear and
-copy back, `_mark_hash_track`, `_compare_r_m`, the walks to a separator
-`_walk_to_hash`, `_walk_to_rth_hash` and `_walk_to_last_b`,
-`_write_hash_per_b`, `_strip_tail`'s # run, the block flags
-`_x0_flags`, `_x1_inv_flags` and `_case1_flags`, and x1's sweeps over tape
-1's input track, `_restore_input` and `_compare_input`, with
-`_erase_counter`), Z2 wr Z^2's region scan
+`_scan_valid` (its stop cell found in one pass: on a tape of few blocks by
+a match of the longest prefix with no rejected cell, else bit-parallel,
+with byte masks as big integers) and counter walks (`_compute_r`'s push/pop
+walk, clear and copy back, `_mark_hash_track`, `_compare_r_m`, the walks to
+a separator `_walk_to_hash`, `_walk_to_rth_hash` and `_walk_to_last_b`,
+`_write_hash_per_b`, `_strip_tail`'s # run, the block flags `_x0_flags`,
+`_x1_inv_flags` and `_case1_flags`, and x1's sweeps over tape 1's input
+track, `_restore_input` and `_compare_input`, with `_erase_counter`;
+`_compare_r_m` and `_write_hash_per_b` find the end of their run with a
+`translate` and a `find`), Z2 wr Z^2's region scan
 (`_scan_to_mark`, two tapes, the turn count in unary on tape 2) and mark
 move (`_move_mark`, four tape-2 sweeps pacing a tape-1 run that pads or
 erases), and Z2 wr F2's bracket-stack walk (`_walk`, tape 2 a stack of the

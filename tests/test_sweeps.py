@@ -311,11 +311,16 @@ def test_shift_closed_form_counts():
 
 # -- F's validity sweep --------------------------------------------------------
 
-def test_scan_valid_matches_loop_on_every_small_tape():
+def test_scan_valid_matches_loop_on_every_small_tape(monkeypatch):
+    # with no # needed for the masks every tape takes them; with more # than
+    # any of these tapes holds every tape is tried with the full match first
+    monkeypatch.setattr(tf, "_MASK_HASHES", tf._MASK_HASHES)  # restored after
     for cells in small_tapes(7):
         for h in (0, 1, len(cells) - 1, len(cells) + 1):
             want = run(loop_scan_valid, cells, h)
-            assert run(tf._scan_valid, cells, h) == want, (cells, h)
+            for hashes in (0, 8):
+                tf._MASK_HASHES = hashes
+                assert run(tf._scan_valid, cells, h) == want, (cells, h, hashes)
 
 
 def test_scan_valid_matches_loop_on_normal_forms():
@@ -331,6 +336,29 @@ def test_scan_valid_matches_loop_on_normal_forms():
             want = run(loop_scan_valid, cells, 0)
             assert run(tf._scan_valid, cells, 0) == want
             assert want[0] == tf.validate(text)
+
+
+def test_scan_valid_matches_loop_on_long_near_misses(monkeypatch):
+    # a mul-large-shaped form of 2^14 symbols with one rejection planted in
+    # its first, a middle or its last block, or at its end; the form takes
+    # the masks, and each text is run once more with the full match first
+    nf = REPRESENTATIONS["thompson-f"]().sample_nf(random.Random(17), 1 << 14)
+    assert nf.count("#", 0, tf._MASK_WINDOW) >= tf._MASK_HASHES
+    blocks = nf.split("#")
+    texts = []
+    for i in (0, len(blocks) // 2, len(blocks) - 1):
+        for planted in ([*blocks[:i], "ba" + blocks[i], *blocks[i + 1:]],
+                        [*blocks[:i], "ab", "", *blocks[i + 1:]],
+                        [*blocks[:i], blocks[i] + "x", *blocks[i + 1:]]):
+            texts.append("#".join(planted))
+    last = nf.rfind("#") + 1
+    texts += [nf + "#", nf + "b" if nf.endswith("a") else nf[:last] + "a" + nf[last:]]
+    wants = [run(loop_scan_valid, codes(text), 0) for text in [nf, *texts]]
+    assert wants[0][0] is True and not any(want[0] for want in wants[1:])
+    for hashes in (tf._MASK_HASHES, 1 << 20):
+        monkeypatch.setattr(tf, "_MASK_HASHES", hashes)
+        for text, want in zip([nf, *texts], wants):
+            assert run(tf._scan_valid, codes(text), 0) == want
 
 
 # -- F's counter walks --------------------------------------------------------

@@ -268,9 +268,9 @@ def test_each_call_matches_the_language_once(monkeypatch):
     # host match: x1's machine scans its input, and x1^-1 scans each
     # candidate a builder accepts
     host, tape, accepted = [], [], [0]
-    is_nf, is_nf_codes = tf._IS_NF, tf._IS_NF_CODES
+    is_nf, scan_valid = tf._IS_NF, tf._scan_valid
     monkeypatch.setattr(tf, "_IS_NF", lambda *a: host.append(a[0]) or is_nf(*a))
-    monkeypatch.setattr(tf, "_IS_NF_CODES", lambda *a: tape.append(a) or is_nf_codes(*a))
+    monkeypatch.setattr(tf, "_scan_valid", lambda ts: tape.append(ts) or scan_valid(ts))
 
     def counted(builder):
         def run(ts):
@@ -303,9 +303,9 @@ def test_each_call_matches_the_language_once(monkeypatch):
                 run_raw(bad, program)
 
 
-F_PROGRAMS = (tf._scan_valid, tf._rewind, tf._to_blank, tf._first, tf._first_blank,
-              tf._block_end, tf._code, tf._compute_r, tf._mark_hash_track, tf._compare_r_m,
-              tf._x0_flags, tf._program_x0, tf._program_x1_inv, tf._x1_inv_flags,
+F_PROGRAMS = (tf._scan_valid, tf._first_rejected, tf._rewind, tf._to_blank, tf._first,
+              tf._first_blank, tf._block_end, tf._code, tf._compute_r, tf._mark_hash_track,
+              tf._compare_r_m, tf._x0_flags, tf._program_x0, tf._program_x1_inv, tf._x1_inv_flags,
               tf._case1_flags, tf._x1_inv_case1, tf._x1_inv_case2, tf._to_hash, tf._hash_walk,
               tf._walk_to_hash, tf._walk_to_rth_hash, tf._walk_to_last_b,
               tf._write_hash_per_b, tf._strip_tail, tf._drop_b_after_a_run,
@@ -328,8 +328,8 @@ UNRUN_GUARDS = sorted([
 
 def test_walks_short_forms_and_garbage_run_every_line_but_the_guards():
     # the ledger's walks, every generator on every normal form of at most 7
-    # symbols, and the raw machines on garbage reach every line of F's tape
-    # programs but the guards
+    # symbols and on one whose membership scan takes the masks, and the raw
+    # machines on garbage reach every line of F's tape programs but the guards
     hit = {fn.__code__: set() for fn in F_PROGRAMS}
 
     def trace(frame, event, arg):
@@ -342,7 +342,9 @@ def test_walks_short_forms_and_garbage_run_every_line_but_the_guards():
             return local
         return local(frame, event, arg)
 
-    forms = _short_forms(7)
+    long_nf = REPRESENTATIONS["thompson-f"]().sample_nf(random.Random(17), 1024)
+    assert long_nf.count("#", 0, tf._MASK_WINDOW) >= tf._MASK_HASHES
+    forms = _short_forms(7) + [long_nf]
     garbage = _garbage()
     old = sys.gettrace()
     sys.settrace(trace)
@@ -551,6 +553,10 @@ def test_full_match_reject_cells_and_parse_state_one_language():
         full = tf._IS_NF(text) is not None
         assert full == (NOT_NF.search(text) is None) == parses(text), text
         assert (tf._IS_NF_CODES(text.encode()) is not None) == full, text
+        # the clean prefix ends on the first rejected cell
+        rejected = re.search(tf._REJECT, text)
+        stop = rejected.end() - 1 if rejected else len(text)
+        assert tf._CLEAN(text.encode()).end() == stop, text
 
 
 def test_validate_rejects_a_long_near_miss_without_backtracking():
