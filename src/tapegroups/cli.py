@@ -4,8 +4,9 @@ Subcommands: normalize, mul, wp, fuzz, bench, probe, demo-nonqg.  Every
 subcommand but demo-nonqg, whose table is of Z2 wr Z^2, takes --group {z2wrz2,
 z2wrf2, thompson-f}; normalize and mul also take --format {text, json}.
 Generator words are whitespace-separated tokens a a- b b- c / x0 x0- x1 x1-.
-Exit codes: 0 ok, 1 bad input (not in the language / bad word), 2 internal
-fault, 64 usage.
+Counts and lengths are positive integers, --sizes and --ks comma lists of
+them.  Exit codes: 0 ok, 1 bad input (not in the language / bad word),
+2 internal fault, 64 usage.
 """
 
 from __future__ import annotations
@@ -25,6 +26,22 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message: str):
         self.print_usage(sys.stderr)
         self.exit(USAGE_EXIT, f"{self.prog}: error: {message}\n")
+
+
+def _positive(text: str) -> int:
+    """An option's positive integer."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"{text!r} is not an integer") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"{value} is not positive")
+    return value
+
+
+def _positives(text: str) -> list[int]:
+    """An option's comma list of positive integers."""
+    return [_positive(item) for item in text.split(",")]
 
 
 def _build_parser() -> _Parser:
@@ -52,26 +69,27 @@ def _build_parser() -> _Parser:
 
     sp = sub.add_parser("fuzz", help="differential fuzz against the oracle")
     common(sp)
-    sp.add_argument("--trials", type=int, default=200)
-    sp.add_argument("--max-len", type=int, default=100)
+    sp.add_argument("--trials", type=_positive, default=200)
+    sp.add_argument("--max-len", type=_positive, default=100)
     sp.add_argument("--seed", type=int, default=42)
 
     sp = sub.add_parser("bench", help="linearity benchmark for one generator")
     common(sp)
     sp.add_argument("--gen", required=True)
-    sp.add_argument("--sizes", default="64,128,256,512,1024,2048,4096,8192,16384")
-    sp.add_argument("--samples", type=int, default=4)
+    sp.add_argument("--sizes", type=_positives,
+                    default="64,128,256,512,1024,2048,4096,8192,16384")
+    sp.add_argument("--samples", type=_positive, default=4)
     sp.add_argument("--seed", type=int, default=42)
 
     sp = sub.add_parser("probe", help="quasigeodesic probe over random walks")
     common(sp)
-    sp.add_argument("--trials", type=int, default=20)
-    sp.add_argument("--max-walk", type=int, default=2000)
+    sp.add_argument("--trials", type=_positive, default=20)
+    sp.add_argument("--max-walk", type=_positive, default=2000)
     sp.add_argument("--seed", type=int, default=42)
 
     sp = sub.add_parser("demo-nonqg", help="divergence table for the spiral form of Z2 wr Z^2")
     sp.add_argument("--out", default=None, help="write the table to a file")
-    sp.add_argument("--ks", default="5,10,20,50,100")
+    sp.add_argument("--ks", type=_positives, default="5,10,20,50,100")
     return p
 
 
@@ -106,15 +124,13 @@ def run(argv: Optional[Sequence[str]] = None) -> int:
             _emit(args, fw.report_json(report))
             return 0 if report.passed else 2
         elif args.command == "bench":
-            sizes = [int(s) for s in args.sizes.split(",") if s]
-            report = fw.linearity_bench(rep, args.gen, sizes, args.samples, args.seed)
+            report = fw.linearity_bench(rep, args.gen, args.sizes, args.samples, args.seed)
             _emit(args, fw.report_json(report))
         elif args.command == "probe":
             report = fw.quasigeodesic_probe(rep, args.trials, args.max_walk, args.seed)
             _emit(args, fw.report_json(report))
         elif args.command == "demo-nonqg":
-            ks = [int(s) for s in args.ks.split(",") if s]
-            rows = fw.nonqg_diagonal_ratios(ks)
+            rows = fw.nonqg_diagonal_ratios(args.ks)
             lines = ["k\t|nf|/(4k+2)"]
             lines += [f"{k}\t{ratio:.2f}" for k, ratio in rows]
             _emit(args, "\n".join(lines))

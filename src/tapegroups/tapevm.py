@@ -15,11 +15,14 @@ A sweep is one machine state looping over a run of cells.  `scan_right` and
 `scan_left` are defined as the loop `while read(t) not in stop: move(t)`:
 they charge exactly that loop's steps (2d+1 for d moves), fault exactly where
 it would, and leave the head where it would stop, but find the stop cell with
-a byte search in C instead of one method call per step: `find` for one
-symbol, two `find`s for one symbol and the blank, else a compiled byte
-class.  A sweep that stops d cells away searches O(d) cells; one for a
-symbol and the blank that stops on a blank searches on to that symbol, or
-to the last written cell.
+a byte search in C instead of one method call per step.  Rightward: `find`
+for one symbol, two `find`s for one symbol and the blank, else a compiled
+byte class; a sweep that stops d cells away searches O(d) cells, and one
+for a symbol and the blank that stops on a blank searches on to that
+symbol, or to the last written cell.  Leftward: `rfind` for one symbol,
+else the nearest of one `rfind` per symbol, which may search every cell
+left of the head h, O(h) in C; the programs' one such stop set is x1's
+("b", BEGIN), and BEGIN is on cell 0 alone.
 
 The other counted sweeps live with the programs that run them, each charged
 at its defining loop's closed form: `tapeops`' suffix shifts, F's
@@ -53,9 +56,6 @@ from typing import Collection, Iterable, Optional, Sequence, Tuple, Union
 from .errors import InvalidInput, OutputFault, TapeFault
 from .tokens import BEGIN, BLANK, CODE, SYMBOL, codes_of, decode, encode
 
-# First window of a leftward sweep's search for several symbols; each further
-# window doubles, so a sweep that stops d cells away searches O(d) cells.
-_WINDOW = 64
 _START = bytes((CODE[BEGIN],))  # a fresh tape's cells
 
 
@@ -205,15 +205,8 @@ class TapeSet:
         code, with_blank, _ = _search(stop)
         if code is not None and not with_blank:  # rfind of one code runs leftward from hi
             pos = cells.rfind(code, 0, hi)
-        else:
-            pos = -1
-            codes = codes_of(stop)
-            width = _WINDOW
-            while pos < 0 and hi > 0:
-                lo = max(0, hi - width)
-                pos = max([cells.rfind(c, lo, hi) for c in codes], default=-1)
-                hi = lo
-                width *= 2
+        else:  # the nearest of each code's last cell at or left of the head
+            pos = max([cells.rfind(c, 0, hi) for c in codes_of(stop)], default=-1)
         if pos < 0:
             self.steps += 2 * h + 1
             tape.head = 0

@@ -88,3 +88,19 @@ def test_demo_nonqg(capsys):
     with pytest.raises(SystemExit) as exc:
         run(["demo-nonqg", "--group", "thompson-f", "--ks", "5,50"])
     assert exc.value.code == 64
+
+
+@pytest.mark.parametrize("argv", [
+    ["bench", "--group", "z2wrz2", "--gen", "a", "--sizes", ","],
+    ["bench", "--group", "z2wrz2", "--gen", "a", "--sizes", "64,x"],
+    ["demo-nonqg", "--ks", "x"],
+    ["fuzz", "--group", "z2wrz2", "--max-len", "0"],
+    ["bench", "--group", "z2wrz2", "--gen", "a", "--samples", "0"],
+    ["fuzz", "--group", "z2wrz2", "--trials", "0"],
+    ["probe", "--group", "z2wrz2", "--max-walk", "-3"],
+])
+def test_bad_numbers_are_usage_errors(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        run(argv)
+    assert exc.value.code == 64
+    assert f"error: argument {argv[-2]}: " in capsys.readouterr().err

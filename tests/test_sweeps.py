@@ -3,22 +3,26 @@
 Each sweep (`TapeSet.scan_right`, `TapeSet.scan_left`, the two suffix shifts,
 F's `_scan_valid`, rewind, counter walks and block flags, x1's erase, restore
 and compare sweeps, Z2 wr Z^2's region scan and mark move and Z2 wr F2's
-bracket-stack walk) must leave exactly the state its defining loop leaves:
-the same return value, step count, heads and cells, and for a fault the same
-exception type after the same number of steps.  x1's erase and restore drop
-the cells they erase where their loops write blanks, so there the cells
-agree up to trailing blanks.  One fault is the exception:
-Z2 wr Z^2's mark move refuses a move left past the start marker before any
-step, where its loop faults partway through the run.  No region scan leaves
-such a state, and matching the loop's partial charge would add code for
-it alone, so there the two agree on the fault's type only.  The loops below
-are the replaced implementations, kept as reference oracles.
+bracket-stack walk) must leave exactly the state its defining loop leaves.
+One runner, `run`, starts a sweep or a loop on a reused machine from given
+tapes and returns its end state: the return value or the fault's type, the
+step count, and each tape's cells and head.  `check` runs a sweep and its
+loop from the same tapes, and `agree` asserts that the two end states are
+equal and counts the comparison; each test asserts how many it made.
+Three comparisons differ, each stated once in `agree`: a loop that never
+halts is a fault before any step; x1's erase and restore agree with their
+loops up to trailing blanks; and Z2 wr Z^2's mark move refuses a move near
+the start marker before any step, where its loop faults partway through
+the run.  The loops below are the replaced implementations, kept as
+reference oracles.
 """
 
+import functools
 import itertools
 import random
 import time
 from collections import Counter, deque
+from operator import attrgetter
 
 import pytest
 
@@ -35,8 +39,8 @@ from test_step_ledger import LEDGER, SIZES, _walk_entries, build_ledger, render_
 
 SMALL = ("a", "b", "#", BLANK, "x")
 # Tapes over SMALL are enumerated up to this length with every head and stop
-# set (1.3M scan cases, about 25 s with the shifts).  Length 7 was run once
-# as well (134 s); raise it to repeat that.
+# set (2.1M scan comparisons).  Length 7 was run once as well (134 s); raise
+# it to repeat that, and the counts the tests assert with it.
 SMALL_LEN = 6
 # every stop set a program scans for, by direction
 RIGHT_STOPS = ((BLANK,), ("#",), ("#", BLANK), (BLANK, "b"), ("C0",),
@@ -129,46 +133,79 @@ def loop_scan_valid(ts):
 
 # -- harness -----------------------------------------------------------------
 #
-# A tape is given as its codes, the start marker's first, encoded once and
-# copied for each run; a run's end state holds the codes.  Decoding is one to
-# one, so comparing codes compares the symbols.
+# A run starts from one (codes, head) pair per tape, the start marker's code
+# first, and ends in a state (out, steps, (codes, head), ...).  Decoding is
+# one to one, so comparing codes compares the symbols.
 
-def load(tape, symbols):
-    """Set a tape's cells to the codes of symbols, the start marker first."""
-    tape.cells = bytearray(encode(symbols))
+MACHINES = {k: TapeSet(k) for k in (1, 2)}  # one reused machine per tape count
+CELLS_AND_HEAD = attrgetter("cells", "head")
+compared = 0  # the comparisons agree has made in the running test
+
+
+@pytest.fixture(autouse=True)
+def _count_comparisons():
+    global compared
+    compared = 0
+
+
+def run(fn, starts, *args):
+    """Reset the machine of len(starts) tapes to starts, run fn(machine,
+    *args) and return its end state, a fault as its type."""
+    ts = MACHINES[len(starts)]
+    for tape, (cells, head) in zip(ts.tapes, starts):
+        tape.cells = bytearray(cells)
+        tape.head = head
+    ts.steps = 0
+    try:
+        out = fn(ts, *args)
+    except TapeFault as exc:
+        out = type(exc)
+    # the next reset gives every tape new cells, so these keep their codes
+    return out, ts.steps, *map(CELLS_AND_HEAD, ts.tapes)
+
+
+def trimmed(state):
+    """A state with each tape's trailing blanks dropped: cells past the last
+    written one read blank, so the tapes are the same."""
+    out, steps, *tapes = state
+    return out, steps, *((cells.rstrip(b"\0"), head) for cells, head in tapes)
+
+
+def check(sweep, loop, starts, *args):
+    """Assert that sweep(machine, *args) leaves the state loop leaves from
+    starts, and return the sweep's end state."""
+    return agree(sweep, run(loop, starts, *args), starts, *args)
+
+
+def agree(sweep, want, starts, *args):
+    """Assert that sweep(machine, *args) leaves the state want, its loop's
+    from starts, and return the sweep's end state.  Three comparisons differ:
+
+    - no step count defines a loop that never halts: the sweep faults before
+      any step and leaves the tapes as they were;
+    - x1's erase and restore drop the cells they erase where their loops
+      write blanks, so they agree up to trailing blanks;
+    - a jump lands on a spiral neighbour, so no region scan leaves Z2 wr
+      Z^2's mark closer to cell 0 than its move left reaches.  From such a
+      state the loop faults partway through its run and the mark move
+      refuses before any step.
+    """
+    global compared
+    compared += 1
+    got = same = run(sweep, starts, *args)
+    if want[0] == NEVER or want[0] is TapeFault and sweep is zz._move_mark:
+        want = TapeFault, 0, *starts
+    elif sweep in DROPS_BLANKS and got != want:
+        same, want = trimmed(got), trimmed(want)
+    assert same == want, (sweep.__name__, starts, args)
+    return got
 
 
 def codes(cells):
     return encode([BEGIN, *cells])
 
 
-def run(fn, tape_codes, head, *args):
-    """Run fn on a one-tape set; the final state, or the fault and its steps."""
-    ts = TapeSet(1)
-    tape = ts.tapes[0]
-    tape.cells = bytearray(tape_codes)
-    tape.head = head
-    try:
-        out = fn(ts, *args)
-    except TapeFault as exc:
-        out = type(exc)
-    return out, ts.steps, tape.head, bytes(tape.cells)
-
-
-def check_scan_right(tape_codes, h, stop):
-    want = run(loop_scan_right, tape_codes, h, 0, stop)
-    got = run(lambda ts, t, s: ts.scan_right(t, s), tape_codes, h, 0, stop)
-    if want[0] == NEVER:
-        # no step count defines a loop that never halts: the sweep faults
-        # before any step and leaves the tape as it was
-        want = (TapeFault, 0, h, tape_codes)
-    assert got == want, (tape_codes, h, stop)
-
-
-def check_scan_left(tape_codes, h, stop):
-    want = run(loop_scan_left, tape_codes, h, 0, stop)
-    got = run(lambda ts, t, s: ts.scan_left(t, s), tape_codes, h, 0, stop)
-    assert got == want, (tape_codes, h, stop)
+FRESH = (codes(()), 0)  # a blank tape, its head on the start marker
 
 
 def small_tapes(max_len=SMALL_LEN, alphabet=SMALL):
@@ -182,27 +219,34 @@ def heads(tape_codes):
     return range(len(tape_codes) + 3)  # up to two cells past the first virtual blank
 
 
+@functools.cache
+def small_starts(max_len=SMALL_LEN):
+    """Every one-tape start over SMALL of up to max_len cells, from every
+    head, built once for every sweep and stop set that runs on them."""
+    return tuple(((cells, h),) for cells in small_tapes(max_len) for h in heads(cells))
+
+
 # -- scans -------------------------------------------------------------------
 
 def test_scans_match_loops_on_every_small_tape():
-    for cells in small_tapes():
-        for h in heads(cells):
-            for stop in RIGHT_STOPS:
-                check_scan_right(cells, h, stop)
-            for stop in LEFT_STOPS:
-                check_scan_left(cells, h, stop)
+    for starts in small_starts():
+        for stop in RIGHT_STOPS:
+            check(TapeSet.scan_right, loop_scan_right, starts, 0, stop)
+        for stop in LEFT_STOPS:
+            check(TapeSet.scan_left, loop_scan_left, starts, 0, stop)
+    assert compared == 2_094_719
 
 
 def test_rewind_matches_loop_on_every_small_tape():
     # F's rewind is scan_left to the start marker, which no tape holds past
     # cell 0
-    for cells in small_tapes(5):
-        for h in heads(cells):
-            assert run(tf._rewind, cells, h, 0) == run(loop_rewind, cells, h, 0), (cells, h)
+    for starts in small_starts(5):
+        check(tf._rewind, loop_rewind, starts, 0)
+    assert compared == 34_179
 
 
 def test_scans_match_loops_on_long_tapes():
-    # runs longer than the first search window, on z2wrf2 tokens
+    # runs of up to 600 cells, on z2wrf2 tokens
     rng = random.Random(5)
     toks = Z2F2_SIGMA + (BLANK,)
     for _ in range(400):
@@ -213,34 +257,26 @@ def test_scans_match_loops_on_long_tapes():
         cells = codes(cells)
         for h in hs:
             for stop in RIGHT_STOPS:
-                check_scan_right(cells, h, stop)
+                check(TapeSet.scan_right, loop_scan_right, ((cells, h),), 0, stop)
             for stop in LEFT_STOPS + ((BLANK,), ("(", "[")):
-                check_scan_left(cells, h, stop)
+                check(TapeSet.scan_left, loop_scan_left, ((cells, h),), 0, stop)
+    assert compared == 20_800
 
 
 def test_scan_right_that_never_halts_faults():
-    ts = TapeSet(1)
-    load(ts.tapes[0], [BEGIN, "a", "b"])
-    with pytest.raises(TapeFault):
-        ts.scan_right(0, ("#",))
-    assert ts.steps == 0 and ts.tapes[0].head == 0
-    ts.tapes[0].head = 7  # past the end: only blanks ahead
-    with pytest.raises(TapeFault):
-        ts.scan_right(0, ("a",))
+    tape = codes("ab")
+    assert run(TapeSet.scan_right, ((tape, 0),), 0, ("#",)) == (TapeFault, 0, (tape, 0))
+    # past the end: only blanks ahead
+    assert run(TapeSet.scan_right, ((tape, 7),), 0, ("a",))[0] is TapeFault
 
 
 def test_scan_left_off_the_start_marker_faults_after_the_loop_steps():
-    ts = TapeSet(1)
-    load(ts.tapes[0], [BEGIN, "a", "b"])
-    ts.tapes[0].head = 2
-    with pytest.raises(TapeFault):
-        ts.scan_left(0, ("#",))
-    assert ts.steps == 5 and ts.tapes[0].head == 0
+    tape = codes("ab")
+    assert run(TapeSet.scan_left, ((tape, 2),), 0, ("#",)) == (TapeFault, 5, (tape, 0))
 
 
 def test_scans_charge_2d_plus_1():
-    ts = TapeSet(2)
-    load(ts.tapes[0], [BEGIN] + ["a"] * 1000)
+    ts = init_tapes("a" * 1000, 2)
     assert ts.scan_right(0, (BLANK,)) == BLANK
     assert ts.steps == 2 * 1001 + 1 and ts.tapes[0].head == 1001
     assert ts.scan_left(0, (BEGIN,)) == BEGIN
@@ -253,20 +289,17 @@ def test_scans_charge_2d_plus_1():
 @pytest.mark.parametrize("k", [1, 2, 3])
 def test_shifts_match_loops_on_every_small_tape(k):
     insert = ["y", "z", "w"][:k]
-    for cells in small_tapes():
-        for h in heads(cells):
-            want = run(loop_shift_right, cells, h, 0, insert)
-            assert run(shift_suffix_right, cells, h, 0, insert) == want, (cells, h, k)
-            want = run(loop_shift_left, cells, h, 0, k)
-            assert run(shift_suffix_left, cells, h, 0, k) == want, (cells, h, k)
+    for starts in small_starts():
+        check(shift_suffix_right, loop_shift_right, starts, 0, insert)
+        check(shift_suffix_left, loop_shift_left, starts, 0, k)
+    assert compared == 380_858
 
 
 def test_shift_right_with_blanks_in_the_insert():
     for insert in ([BLANK], ["y", BLANK], [BLANK, "y"], [BLANK, BLANK, "y"], [BLANK] * 3):
-        for cells in small_tapes(5):
-            for h in heads(cells):
-                want = run(loop_shift_right, cells, h, 0, insert)
-                assert run(shift_suffix_right, cells, h, 0, insert) == want, (cells, h)
+        for starts in small_starts(5):
+            check(shift_suffix_right, loop_shift_right, starts, 0, insert)
+    assert compared == 170_895
 
 
 def test_shifts_match_loops_on_z2wrf2_tapes():
@@ -279,11 +312,10 @@ def test_shifts_match_loops_on_z2wrf2_tapes():
         h = rng.randint(0, len(cells) + 2)
         k = rng.randint(1, 3)
         insert = [rng.choice(toks) for _ in range(k)]
-        cells = codes(cells)
-        want = run(loop_shift_right, cells, h, 0, insert)
-        assert run(shift_suffix_right, cells, h, 0, insert) == want
-        want = run(loop_shift_left, cells, h, 0, k)
-        assert run(shift_suffix_left, cells, h, 0, k) == want
+        starts = ((codes(cells), h),)
+        check(shift_suffix_right, loop_shift_right, starts, 0, insert)
+        check(shift_suffix_left, loop_shift_left, starts, 0, k)
+    assert compared == 6000
 
 
 def test_shift_right_needs_a_cell_to_insert():
@@ -297,16 +329,10 @@ def test_shift_right_needs_a_cell_to_insert():
 def test_shift_closed_form_counts():
     for J in range(1, 30):
         for k in (1, 2, 3):
-            ts = TapeSet(1)
-            load(ts.tapes[0], [BEGIN] + ["a"] * 5 + ["b"] * (J - 1))
-            ts.tapes[0].head = 6
-            shift_suffix_left(ts, 0, k)
-            assert ts.steps == (J - 1) * (2 * k + 3) + k + 2
-            ts = TapeSet(1)
-            load(ts.tapes[0], [BEGIN] + ["b"] * J)
-            ts.tapes[0].head = 1
-            shift_suffix_right(ts, 0, ["y"] * k)
-            assert ts.steps == 3 * (J + k) - 1
+            starts = ((codes("a" * 5 + "b" * (J - 1)), 6),)
+            assert run(shift_suffix_left, starts, 0, k)[1] == (J - 1) * (2 * k + 3) + k + 2
+            starts = ((codes("b" * J), 1),)
+            assert run(shift_suffix_right, starts, 0, ["y"] * k)[1] == 3 * (J + k) - 1
 
 
 # -- F's validity sweep --------------------------------------------------------
@@ -317,10 +343,12 @@ def test_scan_valid_matches_loop_on_every_small_tape(monkeypatch):
     monkeypatch.setattr(tf, "_MASK_HASHES", tf._MASK_HASHES)  # restored after
     for cells in small_tapes(7):
         for h in (0, 1, len(cells) - 1, len(cells) + 1):
-            want = run(loop_scan_valid, cells, h)
+            starts = ((cells, h),)
+            want = run(loop_scan_valid, starts)
             for hashes in (0, 8):
                 tf._MASK_HASHES = hashes
-                assert run(tf._scan_valid, cells, h) == want, (cells, h, hashes)
+                agree(tf._scan_valid, want, starts)
+    assert compared == 781_248
 
 
 def test_scan_valid_matches_loop_on_normal_forms():
@@ -332,10 +360,9 @@ def test_scan_valid_matches_loop_on_normal_forms():
         two_signed = nf + "b" if nf.endswith("a") else nf[:last] + "a" + nf[last:]
         for text in (nf, nf + "#", nf[:-1] + "a", "ab##" + nf, nf.replace("#", "x", 1),
                      two_signed):
-            cells = codes(text)
-            want = run(loop_scan_valid, cells, 0)
-            assert run(tf._scan_valid, cells, 0) == want
-            assert want[0] == tf.validate(text)
+            out = check(tf._scan_valid, loop_scan_valid, ((codes(text), 0),))[0]
+            assert out == tf.validate(text)
+    assert compared == 24
 
 
 def test_scan_valid_matches_loop_on_long_near_misses(monkeypatch):
@@ -353,12 +380,14 @@ def test_scan_valid_matches_loop_on_long_near_misses(monkeypatch):
             texts.append("#".join(planted))
     last = nf.rfind("#") + 1
     texts += [nf + "#", nf + "b" if nf.endswith("a") else nf[:last] + "a" + nf[last:]]
-    wants = [run(loop_scan_valid, codes(text), 0) for text in [nf, *texts]]
-    assert wants[0][0] is True and not any(want[0] for want in wants[1:])
+    starts = [((codes(text), 0),) for text in [nf, *texts]]
+    wants = [run(loop_scan_valid, start) for start in starts]
+    assert [want[0] for want in wants] == [True] + [False] * len(texts)
     for hashes in (tf._MASK_HASHES, 1 << 20):
         monkeypatch.setattr(tf, "_MASK_HASHES", hashes)
-        for text, want in zip([nf, *texts], wants):
-            assert run(tf._scan_valid, codes(text), 0) == want
+        for start, want in zip(starts, wants):
+            agree(tf._scan_valid, want, start)
+    assert compared == 24
 
 
 # -- F's counter walks --------------------------------------------------------
@@ -650,60 +679,36 @@ F_TAPE2 = ("b", "b#", "_#", BLANK, "x")
 # a few starts of each tape: fresh, a counter, a track and garbage
 TAPE1_STARTS = ((codes("ab#b##b"), 0), (codes("b#a#x#b"), 2),
                 (codes(["#", BLANK, "b", "#"]), 0))
-TAPE2_STARTS = ((codes(()), 0), (codes("bbb"), 0), (codes(["b#", "b", "_#", "b#"]), 0),
+TAPE2_STARTS = (FRESH, (codes("bbb"), 0), (codes(["b#", "b", "_#", "b#"]), 0),
                 (codes(["b", "x", BLANK, "b"]), 2), (codes(["b#", "b"]), 4))
 
 
-def run2(fn, tape1, h1, tape2, h2, *args):
-    """Run fn on a two-tape set from these codes and heads; the final state."""
-    ts = TapeSet(2)
-    for tape, cells, head in zip(ts.tapes, (tape1, tape2), (h1, h2)):
-        tape.cells = bytearray(cells)
-        tape.head = head
-    try:
-        out = fn(ts, *args)
-    except TapeFault as exc:
-        out = type(exc)
-    return state(ts, out)
-
-
-def check_f(fn, loop, starts, args=()):
-    """fn against its loop from each start: tape-1 codes and head, tape-2
-    codes and head.  A loop that never halts is a fault before any step."""
-    for tape1, h1, tape2, h2 in starts:
-        want = run2(loop, tape1, h1, tape2, h2, *args)
-        if want[0] == NEVER:
-            want = (TapeFault, 0, [(h1, tape1), (h2, tape2)])
-        assert run2(fn, tape1, h1, tape2, h2, *args) == want, (tape1, h1, tape2, h2, args)
-
-
+@functools.cache
 def every_start(len1, len2):
     """Every tape 1 of up to len1 cells over SMALL, from every head, with
     each tape-2 start; then every tape 2 of up to len2 cells over F_TAPE2,
     from every head, with each tape-1 start."""
-    for tape1 in small_tapes(len1):
-        for h1 in heads(tape1):
-            for tape2, h2 in TAPE2_STARTS:
-                yield tape1, h1, tape2, h2
-    for tape2 in small_tapes(len2, F_TAPE2):
-        for h2 in heads(tape2):
-            for tape1, h1 in TAPE1_STARTS:
-                yield tape1, h1, tape2, h2
+    return (*(((tape1, h1), start2) for tape1 in small_tapes(len1) for h1 in heads(tape1)
+              for start2 in TAPE2_STARTS),
+            *((start1, (tape2, h2)) for tape2 in small_tapes(len2, F_TAPE2)
+              for h2 in heads(tape2) for start1 in TAPE1_STARTS))
 
 
 @pytest.mark.parametrize("fn, loop, args", F_WALKS, ids=[
     f"{fn.__name__}({', '.join(map(repr, args))})" for fn, _, args in F_WALKS])
 def test_f_walks_match_loops_on_every_small_tape(fn, loop, args):
-    check_f(fn, loop, every_start(4, 4), args)
+    for starts in every_start(4, 4):
+        check(fn, loop, starts, *args)
+    assert compared == 48_432
 
 
 def test_compute_r_matches_loop_on_every_small_tape():
     # tape 2 blank with its head on the marker, as every caller starts it;
     # tape 1 from the marker up to 7 cells, from every head up to 5
-    fresh = codes(())
-    check_f(tf._compute_r, loop_compute_r, itertools.chain(
-        ((tape1, 0, fresh, 0) for tape1 in small_tapes(7)),
-        ((tape1, h1, fresh, 0) for tape1 in small_tapes(5) for h1 in heads(tape1))))
+    for tape1, h1 in itertools.chain(((tape1, 0) for tape1 in small_tapes(7)),
+                                     (start for start, in small_starts(5))):
+        check(tf._compute_r, loop_compute_r, ((tape1, h1), FRESH))
+    assert compared == 131_835
 
 
 def test_block_flags_match_loops_on_every_small_tape():
@@ -711,22 +716,15 @@ def test_block_flags_match_loops_on_every_small_tape():
     for cells in small_tapes(7):
         for h in heads(cells) if len(cells) <= 6 else (0,):
             for fn, loop in F_FLAGS:
-                assert run(fn, cells, h) == run(loop, cells, h), (cells, h, fn)
+                check(fn, loop, ((cells, h),))
+    assert compared == 383_787
 
 
 def test_strip_tail_matches_loop_on_every_small_tape():
-    for cells in small_tapes(5):
-        for h in heads(cells):
-            for last in ("a", "b"):
-                assert (run(tf._strip_tail, cells, h, last)
-                        == run(loop_strip_tail, cells, h, last)), (cells, h, last)
-
-
-def trimmed(state):
-    """A state with each tape's trailing blanks dropped: cells past the last
-    written one read blank, so the tapes are the same."""
-    out, steps, tapes = state
-    return out, steps, [(h, cells.rstrip(b"\0")) for h, cells in tapes]
+    for starts in small_starts(5):
+        for last in ("a", "b"):
+            check(tf._strip_tail, loop_strip_tail, starts, last)
+    assert compared == 68_358
 
 
 # input tracks of each length up to 4, the start marker first
@@ -753,48 +751,44 @@ def test_erase_counter_matches_loop_on_every_small_tape():
     for tape2 in small_tapes(5, F_TAPE2):
         if erasable(tape2):
             for h2 in heads(tape2):
-                for tape1, h1 in TAPE1_STARTS:
-                    args = tape1, h1, tape2, h2
-                    want = trimmed(run2(loop_erase_counter, *args))
-                    assert trimmed(run2(tf._erase_counter, *args)) == want, args
+                for start1 in TAPE1_STARTS:
+                    check(tf._erase_counter, loop_erase_counter, (start1, (tape2, h2)))
+    assert compared == 47_289
 
 
 def test_restore_and_compare_match_loops_on_every_small_tape():
     # every tape 1 of up to 5 cells from every head, against each track;
     # the restore where its precondition holds, the compare everywhere
-    for tape1 in small_tapes(5):
-        for h1 in heads(tape1):
-            for track in TRACKS:
-                args = tape1, h1, codes(()), 0, track
-                assert (run2(tf._compare_input, *args)
-                        == run2(loop_compare_input, *args)), (tape1, h1, track)
-                if restorable(tape1, track):
-                    want = trimmed(run2(loop_restore_input, *args))
-                    assert trimmed(run2(tf._restore_input, *args)) == want, (tape1, h1, track)
+    for (tape1, h1), in small_starts(5):
+        for track in TRACKS:
+            starts = ((tape1, h1), FRESH)
+            check(tf._compare_input, loop_compare_input, starts, track)
+            if restorable(tape1, track):
+                check(tf._restore_input, loop_restore_input, starts, track)
+    assert compared == 335_882
 
 
 def test_f_sweeps_match_loops_on_the_ledger_tapes(monkeypatch):
     # every call of an F sweep in the ledger's apply and walks sections, on
-    # normal forms of up to 2^14 symbols, runs its loop on a copy of the
-    # tapes first and must leave the same state
+    # normal forms of up to 2^14 symbols, is checked against its loop from
+    # the program's tapes, and the program goes on from the sweep's end state
     calls = Counter()
     pairs = [(tf._compute_r, loop_compute_r), (tf._strip_tail, loop_strip_tail),
              (tf._rewind, loop_rewind), *F_FLAGS,
              *((fn, loop) for fn, loop, _ in F_WALKS), *X1_SWEEPS]
     for fn, loop in dict(pairs).items():
         def checked(ts, *args, fn=fn, loop=loop):
+            # ts is check's own machine when a sweep or loop under check
+            # calls this one, so its state is put back after check resets it
             calls[fn.__name__] += 1
-            copy = TapeSet(2)
-            copy.steps = ts.steps
-            for old, new in zip(ts.tapes, copy.tapes):
-                new.cells, new.head = bytearray(old.cells), old.head
-            want = loop(copy, *args)
-            got = fn(ts, *args)
-            got_state, want_state = state(ts, got), state(copy, want)
-            if fn in DROPS_BLANKS:
-                got_state, want_state = trimmed(got_state), trimmed(want_state)
-            assert got_state == want_state, (fn.__name__, args)
-            return got
+            before = ts.steps
+            starts = tuple((bytes(tape.cells), tape.head) for tape in ts.tapes)
+            out, steps, *tapes = check(fn, loop, starts, *args)
+            assert not isinstance(out, type), (fn.__name__, out)  # no fault
+            for tape, (cells, head) in zip(ts.tapes, tapes):
+                tape.cells, tape.head = bytearray(cells), head
+            ts.steps = before + steps
+            return out
         monkeypatch.setattr(tf, fn.__name__, checked)
     rep = REPRESENTATIONS["thompson-f"]()
     for n in SIZES:
@@ -804,6 +798,7 @@ def test_f_sweeps_match_loops_on_the_ledger_tapes(monkeypatch):
     for _ in _walk_entries(rep, 1):
         pass
     assert set(calls) == {fn.__name__ for fn, _ in pairs}, calls
+    assert compared == 91_733
 
 
 # -- Z2 wr Z^2's region scan and mark move -----------------------------------
@@ -926,43 +921,9 @@ def loop_move_mark(ts, c_const, fwd):
         ts.write(0, "C1")
 
 
-def state(ts, out):
-    return out, ts.steps, [(t.head, bytes(t.cells)) for t in ts.tapes]
-
-
-def run_z2(fn, toks, *args):
-    """Run fn on the 2-tape set a Z2 wr Z^2 program starts from."""
-    ts = init_tapes(toks, 2, sigma=Z2Z2_SIGMA)
-    try:
-        out = fn(ts, *args)
-    except TapeFault as exc:
-        out = type(exc)
-    return state(ts, out)
-
-
 def jump(gen, region):
     sign, kind = spiral.JUMPS[zz._GEN_DIR[gen]][region]
     return (None if kind == "one" else kind), sign > 0
-
-
-def check_moves_from(toks, scanned, region):
-    """Every generator's mark move on tape-1 cells toks, from the state a scan
-    that stopped on toks' first C-token left: closed form against the loop."""
-    for gen in zz._GEN_DIR:
-        results = []
-        for move in (loop_move_mark, zz._move_mark):
-            ts = TapeSet(2, sigma=Z2Z2_SIGMA)
-            ts.steps = scanned.steps
-            for tape, old in zip(ts.tapes, scanned.tapes):
-                tape.head = old.head
-                tape.cells = bytearray(old.cells)
-            load(ts.tapes[0], [BEGIN, *toks])
-            try:
-                out = move(ts, *jump(gen, region))
-            except TapeFault as exc:
-                out = type(exc)
-            results.append(state(ts, out))
-        assert results[0] == results[1], (toks, gen, region)
 
 
 def test_z2wrz2_programs_match_loops_on_every_short_token_string():
@@ -978,12 +939,11 @@ def test_z2wrz2_programs_match_loops_on_every_short_token_string():
 
     for n in range(8):
         for toks in itertools.product(Z2Z2_SIGMA, repeat=n):
-            toks = list(toks)
-            want = run_z2(loop_scan_to_mark, toks)
-            assert run_z2(zz._scan_to_mark, toks) == want, toks
+            starts = ((codes(toks), 0), FRESH)
+            check(zz._scan_to_mark, loop_scan_to_mark, starts)
             for gen in zz.GENERATORS:
-                want = run_z2(loop_program, toks, gen)
-                assert run_z2(program, toks, gen) == want, (toks, gen)
+                check(program, loop_program, starts, gen)
+    assert compared == 131_070
 
 
 def ring_marks(r):
@@ -1012,27 +972,28 @@ def long_tape(rng, k, kind):
 
 def test_z2wrz2_scan_and_move_match_loops_on_ring_corners():
     # rings 1-70; a normal form of 2^14 tokens reaches about ring 64.  One
-    # loop scan per mark; the moves then run from its state on a tape of a
-    # seeded kind with its first C-token on the same mark
+    # scan per mark; every generator's move then runs from its state on a
+    # tape of a seeded kind with its first C-token on the same mark
     rng = random.Random(11)
     for r in range(1, 71):
         for k in ring_marks(r):
             toks = long_tape(rng, k, "tail")
-            scanned = init_tapes(toks, 2, sigma=Z2Z2_SIGMA)
-            region = loop_scan_to_mark(scanned)
-            assert run_z2(zz._scan_to_mark, toks) == state(scanned, region), k
+            region, _, (_, h1), start2 = check(
+                zz._scan_to_mark, loop_scan_to_mark, ((codes(toks), 0), FRESH))
             kind = rng.choice(("tail", "last", "zeros", "zeros-1"))
-            check_moves_from(long_tape(rng, k, kind), scanned, region)
+            starts = ((codes(long_tape(rng, k, kind)), h1), start2)
+            for gen in zz._GEN_DIR:
+                out = check(zz._move_mark, loop_move_mark, starts, *jump(gen, region))[0]
+                assert out is not TapeFault, (k, gen)  # every move stays on the tape
+    assert compared == 5225
 
 
 def test_z2wrz2_move_left_near_the_start_marker():
-    # a jump lands on a spiral neighbour, so no scan leaves the mark closer to
-    # cell 0 than its jump reaches.  In such a state the loop faults partway
-    # through its run and the closed form refuses before any step: the two
-    # agree on the fault's type, not on its steps.  Every state whose move
-    # stays on the tape must match the loop exactly
+    # states no region scan leaves, the mark n cells from the start marker
+    # and i turns counted: both where the move left stays on the tape and
+    # where it would cross the marker, which check compares as a refusal
     rng = random.Random(13)
-    seen = {True: 0, False: 0}
+    seen = Counter()
     for n in range(1, 14):
         for kind in ("zeros", "bits", "tail"):
             toks = (["0"] * (n - 1) if kind == "zeros" else
@@ -1042,23 +1003,11 @@ def test_z2wrz2_move_left_near_the_start_marker():
                 toks += [rng.choice(Z2Z2_SIGMA) for _ in range(3)]
             for i in range(3):
                 for c_const in (None, 1, 3, 5, 7):
-                    results = []
-                    for move in (loop_move_mark, zz._move_mark):
-                        ts = init_tapes(toks, 2, sigma=Z2Z2_SIGMA)
-                        ts.tapes[0].head = n
-                        load(ts.tapes[1], [BEGIN] + ["T"] * i)
-                        ts.tapes[1].head = i + 1
-                        start = state(ts, TapeFault)
-                        try:
-                            out = move(ts, c_const, False)
-                        except TapeFault as exc:
-                            out = type(exc)
-                        results.append(state(ts, out))
-                    want, got = results
-                    fault = want[0] is TapeFault
-                    seen[fault] += 1
-                    assert got == (start if fault else want), (toks, i, c_const)
+                    starts = ((codes(toks), n), (codes(["T"] * i), i + 1))
+                    out = check(zz._move_mark, loop_move_mark, starts, c_const, False)[0]
+                    seen[out is TapeFault] += 1
     assert seen[True] and seen[False], seen
+    assert compared == 585
 
 
 # -- Z2 wr F2's bracket-stack walk -------------------------------------------
@@ -1085,30 +1034,24 @@ def loop_walk(ts, fwd, stop):
 
 # every stop set the walk's callers pass
 WALK_STOPS = (z2wrf2._STOP, *dict.fromkeys(z2wrf2._PIVOTS.values()), ())
-# tape-2 stacks a walk starts from, head on the top, some with blank cells
-# that pops left above it: empty, plain tops for either direction, marked
-# tops alone and over a plain cell
-WALK_STACKS = (((), ()), (("(",), ()), (("]",), (BLANK,)), (("(*",), ()),
-               (("[*",), ()), (("[", ")*"), (BLANK, BLANK)))
-
-
-def run_walk(fn, toks, head, stack, tail, fwd, stop):
-    ts = init_tapes(toks, 2, sigma=Z2F2_SIGMA)
-    ts.tapes[0].head = head
-    load(ts.tapes[1], [BEGIN, *stack, *tail])
-    ts.tapes[1].head = len(stack)
-    return state(ts, fn(ts, fwd, stop))
+# tape-2 starts of a walk, a stack with the head on its top, some with blank
+# cells that pops left above it: empty, plain tops for either direction,
+# marked tops alone and over a plain cell
+WALK_STACKS = tuple((codes([*stack, *tail]), len(stack)) for stack, tail in (
+    ((), ()), (("(",), ()), (("]",), (BLANK,)), (("(*",), ()), (("[*",), ()),
+    (("[", ")*"), (BLANK, BLANK))))
 
 
 def check_walks(toks, heads, stacks=WALK_STACKS, stops=WALK_STOPS):
     """Every walk from these tape-1 heads (backward only past the start
     marker, as its callers walk), stacks and stop sets against the loop."""
+    tape1 = codes(toks)
     for head in heads:
         for fwd in (True, False) if head else (True,):
-            for stack, tail in stacks:
+            for start2 in stacks:
                 for stop in stops:
-                    args = (toks, head, stack, tail, fwd, stop)
-                    assert run_walk(z2wrf2._walk, *args) == run_walk(loop_walk, *args), args
+                    out = check(z2wrf2._walk, loop_walk, ((tape1, head), start2), fwd, stop)[0]
+                    assert out is not TapeFault  # every walk from these starts halts
 
 
 def test_walk_matches_loop_on_every_short_token_string():
@@ -1117,16 +1060,15 @@ def test_walk_matches_loop_on_every_short_token_string():
     exits = set()
     for n in range(5):
         for toks in itertools.product(("(", ")", "[", "]", "D0", "C0", "0"), repeat=n):
-            toks = list(toks)
             check_walks(toks, range(n + 1))
             for fwd, head in ((True, 0), (False, n)):
-                ts = init_tapes(toks, 2)
-                ts.tapes[0].head = head
                 if fwd or head:
-                    sym, top = z2wrf2._walk(ts, fwd, z2wrf2._STOP)
+                    starts = ((codes(toks), head), FRESH)
+                    sym, top = run(z2wrf2._walk, starts, fwd, z2wrf2._STOP)[0]
                     exits.add((fwd, "mismatch" if top else sym))
     assert exits == {(True, "mismatch"), (True, "C0"), (True, BLANK),
                      (False, "mismatch"), (False, "C0"), (False, BEGIN)}
+    assert compared == 582_648
 
 
 def test_walk_matches_loop_on_the_ledger_tapes():
@@ -1137,10 +1079,11 @@ def test_walk_matches_loop_on_the_ledger_tapes():
     rng = random.Random(17)
     for text in (nf, *(rep.apply(nf, gen) for gen in rep.generators)):
         toks = z2wrf2.tokenize_z2f2(text)
-        check_walks(toks, (0, len(toks)), stacks=[((), ())])
+        check_walks(toks, (0, len(toks)), stacks=[FRESH])
         starts = [i for i, tok in enumerate(toks, 1)
                   if tok in z2wrf2._PARTNER or tok in z2wrf2._PIVOTS["("] + z2wrf2._PIVOTS["["]]
         check_walks(toks, rng.sample(starts, 8), stacks=rng.sample(WALK_STACKS, 3))
+    assert compared == 1224
 
 
 def test_walk_host_time_does_not_grow_with_the_tape():

@@ -1,9 +1,6 @@
-import dis
 import itertools
-import linecache
 import random
 import re
-import sys
 import time
 from collections import Counter
 
@@ -326,29 +323,16 @@ UNRUN_GUARDS = sorted([
 ])
 
 
-def test_walks_short_forms_and_garbage_run_every_line_but_the_guards():
+def test_walks_short_forms_and_garbage_run_every_line_but_the_guards(unrun_lines):
     # the ledger's walks, every generator on every normal form of at most 7
     # symbols and on one whose membership scan takes the masks, and the raw
     # machines on garbage reach every line of F's tape programs but the guards
-    hit = {fn.__code__: set() for fn in F_PROGRAMS}
-
-    def trace(frame, event, arg):
-        lines = hit.get(frame.f_code)
-        if lines is None:
-            return None
-
-        def local(frame, event, arg):
-            lines.add(frame.f_lineno)
-            return local
-        return local(frame, event, arg)
-
     long_nf = REPRESENTATIONS["thompson-f"]().sample_nf(random.Random(17), 1024)
     assert long_nf.count("#", 0, tf._MASK_WINDOW) >= tf._MASK_HASHES
     forms = _short_forms(7) + [long_nf]
     garbage = _garbage()
-    old = sys.gettrace()
-    sys.settrace(trace)
-    try:
+
+    def corpus():
         for _ in _walk_entries(representation_thompson_f(), 1):
             pass
         for nf in forms:
@@ -357,15 +341,7 @@ def test_walks_short_forms_and_garbage_run_every_line_but_the_guards():
         for text in garbage:
             for program in RAW_PROGRAMS:
                 run_raw(text, program)
-    finally:
-        sys.settrace(old)
-    unrun = []
-    for fn in F_PROGRAMS:
-        code = fn.__code__
-        lines = {line for _, line in dis.findlinestarts(code) if line is not None}
-        unrun += [(fn.__name__, linecache.getline(code.co_filename, line).strip())
-                  for line in lines - hit[code]]
-    assert sorted(unrun) == UNRUN_GUARDS
+    assert unrun_lines(F_PROGRAMS, corpus) == UNRUN_GUARDS
 
 
 # ROADMAP item 7's x1 worst cases b^k#b#b and b^k, and a form whose blocks

@@ -1,6 +1,4 @@
-import dis
 import random
-import sys
 
 import pytest
 
@@ -324,28 +322,10 @@ TAPE_PROGRAMS = (z._walk, z._scan_to_marker, z._enter, z._exit_group, z._leaf_in
                  z._program_toggle, z._insert_here)
 
 
-def test_ledger_walks_run_every_line_of_the_tape_programs():
+def test_ledger_walks_run_every_line_of_the_tape_programs(unrun_lines):
     # the golden ledger vouches for a refactor of these programs only as far
     # as its walks section runs them: every line must be reached
-    hit = {fn.__code__: set() for fn in TAPE_PROGRAMS}
-
-    def trace(frame, event, arg):
-        lines = hit.get(frame.f_code)
-        if lines is None:
-            return None
-
-        def local(frame, event, arg):
-            lines.add(frame.f_lineno)
-            return local
-        return local(frame, event, arg)
-
-    old = sys.gettrace()
-    sys.settrace(trace)
-    try:
+    def walks():
         for _ in _walk_entries(representation_z2wrf2(), 1):
             pass
-    finally:
-        sys.settrace(old)
-    for fn in TAPE_PROGRAMS:
-        lines = {line for _, line in dis.findlinestarts(fn.__code__) if line is not None}
-        assert lines <= hit[fn.__code__], (fn.__name__, sorted(lines - hit[fn.__code__]))
+    assert unrun_lines(TAPE_PROGRAMS, walks) == []

@@ -5,7 +5,7 @@ import pytest
 
 from tapegroups import spiral, z2wrz2 as z
 from tapegroups.errors import BadWord, NotInLanguage
-from tapegroups.framework import REPRESENTATIONS
+from tapegroups.framework import REPRESENTATIONS, representation_z2wrz2
 from tapegroups.oracle_groups import IDENTITY_Z2, LampConfigZ2, wreath_mul_gen
 from tapegroups.tapevm import TapeSet, init_tapes
 from tapegroups.tokens import Z2Z2_SIGMA
@@ -232,3 +232,20 @@ def test_step_bound_is_tight_on_the_lamplighter_at_the_end():
             for gen in z.GENERATORS:
                 report = within_bound(text, gen)
                 assert report.steps >= z.STEP_BOUND[gen][0] / 2 * n, (n, gen)
+
+
+TAPE_PROGRAMS = (z._scan_to_mark, z._wind, z._move_mark, z._pad_run, z._erase_run,
+                 z._program_toggle, z._program_move)
+# the one guard no walk reaches: a jump lands on a spiral neighbour, so no
+# region scan leaves the mark closer to the start marker than its move left
+# reaches (tests/test_sweeps.py runs the refusal from such states)
+UNRUN_GUARDS = [("_move_mark", 'raise TapeFault("attempt to move left of the start marker")')]
+
+
+def test_ledger_walks_run_every_line_of_the_tape_programs_but_the_guard(unrun_lines):
+    # the golden ledger vouches for a refactor of these programs only as far
+    # as its walks section runs them
+    def walks():
+        for _ in _walk_entries(representation_z2wrz2(), 1):
+            pass
+    assert unrun_lines(TAPE_PROGRAMS, walks) == UNRUN_GUARDS
