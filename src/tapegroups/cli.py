@@ -5,8 +5,8 @@ subcommand but demo-nonqg, whose table is of Z2 wr Z^2, takes --group {z2wrz2,
 z2wrf2, thompson-f}; normalize and mul also take --format {text, json}.
 Generator words are whitespace-separated tokens a a- b b- c / x0 x0- x1 x1-.
 Counts and lengths are positive integers, --sizes and --ks comma lists of
-them.  Exit codes: 0 ok, 1 bad input (not in the language / bad word),
-2 internal fault, 64 usage.
+them, --sizes of at least two distinct ones.  Exit codes: 0 ok, 1 bad input
+(not in the language / bad word), 2 internal fault, 64 usage.
 """
 
 from __future__ import annotations
@@ -102,7 +102,8 @@ def _emit(args, payload_text: str) -> None:
 
 
 def run(argv: Optional[Sequence[str]] = None) -> int:
-    args = _build_parser().parse_args(argv)
+    parser = _build_parser()
+    args = parser.parse_args(argv)
     rep = fw.REPRESENTATIONS[args.group]() if args.command != "demo-nonqg" else None
     try:
         if args.command == "normalize":
@@ -124,6 +125,8 @@ def run(argv: Optional[Sequence[str]] = None) -> int:
             _emit(args, fw.report_json(report))
             return 0 if report.passed else 2
         elif args.command == "bench":
+            if len(set(args.sizes)) < 2:
+                parser.error("argument --sizes: needs at least two distinct sizes")
             report = fw.linearity_bench(rep, args.gen, args.sizes, args.samples, args.seed)
             _emit(args, fw.report_json(report))
         elif args.command == "probe":

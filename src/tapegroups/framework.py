@@ -277,12 +277,17 @@ class LinearityReport:
 def linearity_bench(rep: Representation, gen: str, sizes: Sequence[int],
                     samples_per_size: int, seed: int) -> LinearityReport:
     """Empirical certification of the linear step bound: the worst steps-per-
-    symbol ratio must not drift upward between the median and largest sizes.
+    symbol ratio must not drift upward between the median and largest sizes
+    (the lower median of an even count).  Takes at least two distinct sizes,
+    in any order; raises ValueError on fewer.
 
     Sample j draws from the same generator stream at every size, so each j is
     a size-scaled copy of one shape family and the per-size maxima compare
     like with like (the cost constant differs between edit classes).
     """
+    sizes = sorted(set(sizes))
+    if len(sizes) < 2:
+        raise ValueError(f"need at least two distinct sizes, got {sizes}")
     rows: List[SizeRow] = []
     for n in sizes:
         max_steps = 0
@@ -298,7 +303,7 @@ def linearity_bench(rep: Representation, gen: str, sizes: Sequence[int],
     num = sum(r.n * r.max_steps for r in rows)
     den = sum(r.n * r.n for r in rows)
     slope = num / den if den else 0.0
-    mid = rows[len(rows) // 2]
+    mid = rows[(len(rows) - 1) // 2]
     verdict = rows[-1].max_ratio <= PLATEAU_FACTOR * mid.max_ratio
     return LinearityReport(rep.group_id, gen, rows, slope, verdict)
 

@@ -250,13 +250,9 @@ def pl_generator(which: str, sign: int) -> DyadicPL:
     x0 has breakpoints (0,0),(1/2,1/4),(3/4,1/2),(1,1); x1 is the identity on
     [0,1/2] with x0 rescaled into [1/2,1].  sign -1 returns the exact inverse.
     """
-    if which == "x0":
-        m = _nice_generator(0)
-    elif which == "x1":
-        m = _nice_generator(1)
-    else:
+    if which not in ("x0", "x1"):
         raise ValueError(f"unknown generator {which!r}")
-    return m.inverse() if sign < 0 else m
+    return pl_letter(int(which[1]), sign)
 
 
 def _nice_generator(i: int) -> DyadicPL:

@@ -75,12 +75,8 @@ def _ring_start(r: int) -> int:
 def _ring_of_index(k: int) -> int:
     if k == 1:
         return 0
-    r = int((1 + math.isqrt(k - 1)) // 2)
-    while _ring_start(r + 1) <= k:
-        r += 1
-    while r > 1 and _ring_start(r) > k:
-        r -= 1
-    return r
+    # ring r starts at 2 + 4r(r-1) <= k exactly when (2r-1)^2 <= k-1
+    return (1 + math.isqrt(k - 1)) // 2
 
 
 def spiral_point(k: int) -> Point:

@@ -51,16 +51,13 @@ class ExpSeq:
         return len(self.r) - 1
 
 
-IDENTITY_SEQ = ExpSeq((), ())
-_NOT_F = str.maketrans("", "", "".join(F_SIGMA))  # deletes the alphabet
-
 # The language, stated once as the cells where the automaton of `_scan_valid`
 # rejects.  Read left to right, the first match of _REJECT ends on the first
 # rejected cell: an a after a b of the same block, a # that closes an empty
 # block after a block with both signs, or any other symbol (a blank among
 # them, where the automaton stops to give its verdict).  A normal form has no
 # such cell and does not end in an empty or two-signed block (the test of
-# _NF below checks the two statements against each other and against parse).
+# _NF below checks the two statements against each other and a reference parse).
 _REJECT = r"ba|ab+##|[^ab#]"
 # The same language as one pattern: blocks a^r#, b^s# or a^r b^s# (r, s > 0)
 # with a nonempty block after the last, then a last block of one sign.  Every
@@ -100,30 +97,6 @@ _TRACK = bytes(CODE["b#"] if c == _B else CODE["_#"] for c in range(256))
 _RELATION = {_B: ">", CODE["_#"]: "<"}
 # scan_right with it passes an a-run, and the start marker before one
 _NOT_A = frozenset(CODE) - {"a", BEGIN}
-
-
-def parse(text: str) -> ExpSeq:
-    if text == "":
-        return IDENTITY_SEQ
-    outside = text.translate(_NOT_F)
-    if outside:
-        raise NotInLanguage(f"symbol {outside[0]!r} outside the alphabet")
-    rs = []
-    ss = []
-    for block in text.split("#"):
-        bs = block.lstrip("a")
-        if bs.strip("b"):
-            raise NotInLanguage("block letters must be a-run then b-run")
-        rs.append(len(block) - len(bs))
-        ss.append(len(bs))
-    if rs[-1] == 0 and ss[-1] == 0:
-        raise NotInLanguage("last block must be nonempty")
-    if rs[-1] > 0 and ss[-1] > 0:
-        raise NotInLanguage("exactly one of the last block exponents may be nonzero")
-    for i in range(len(rs) - 1):
-        if rs[i] > 0 and ss[i] > 0 and rs[i + 1] + ss[i + 1] == 0:
-            raise NotInLanguage(f"block {i} has both signs but block {i+1} is empty")
-    return ExpSeq(tuple(rs), tuple(ss))
 
 
 def serialize(seq: ExpSeq) -> str:

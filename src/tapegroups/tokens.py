@@ -1,4 +1,4 @@
-"""Global token alphabet, tape codes and ASCII tokenizers.
+"""Global token alphabet, tape codes and the ASCII codec.
 
 One enumeration of string tokens serves every group.  A tape cell holds a
 token's byte code, not the token itself: `CODE` maps each symbol to its byte
@@ -11,9 +11,9 @@ External text uses the ASCII renderings below; the renderers also take codes.
 The wreath products' texts go straight to tape codes (`codes_z2z2`,
 `codes_z2f2`) in C, with no token list: the text is ASCII-encoded and each
 multi-character token replaced by its code, one `bytes.replace` per token.
-The tokenizers decode those codes.  A Z2 wr Z^2 text is first checked by one
-full match of a pattern whose language is exactly the token strings (bits,
-then runs that each start with C and hold a bit), so each C starts a C0 or C1.
+The tokenizer decodes those codes.  A Z2 wr Z^2 text is first checked by
+one full match of its normal-form language (`Z2Z2_NF`), so each C starts a
+C0 or C1 and the codes are a normal form's.
 
 A Z2 wr F2 text is tokenized by maximal munch (longest token first), with
 whitespace between tokens.  Replacing the eight three-character tokens and
@@ -61,10 +61,13 @@ CODE.update((tok, code) for code, tok in enumerate(
     dict.fromkeys(t for t in Z2F2_SIGMA + WORK_SYMBOLS if len(t) > 1), 128))
 SYMBOL = tuple(map({code: sym for sym, code in CODE.items()}.get, range(256)))
 
-_Z2Z2_TOKEN = re.compile(r"C?[01]")
-# the same language as (C?[01])*, with repeats of one character class, which
-# the regex engine runs in C without a per-repeat frame
-_Z2Z2_TEXT = re.compile(r"[01]*(?:C[01]+)*")
+# Z2 wr Z^2's normal forms: lamp bits, the C-token, and either nothing or
+# lamp bits that end in a lit lamp.  A bit is never a C, so the first run is
+# possessive: a failing match retries none of its shorter runs
+Z2Z2_NF = re.compile(r"[01]*+C[01](?:[01]*1)?")
+# the longest prefix of tokens, (C?[01])*, with runs of one character class,
+# which the regex engine repeats in C without a per-repeat frame
+_Z2Z2_TOKENS = re.compile(r"[01]*+(?:C[01]++)*+").match
 _Z2F2_TOKEN = re.compile(r"D[01][ABC]?|E[01]C?|[ABC][01]|[01()\[\]]")
 # the ASCII characters str.isspace accepts, which separate Z2 wr F2 tokens
 _WHITESPACE = bytes(c for c in range(128) if chr(c).isspace())
@@ -127,14 +130,21 @@ def _replace(data: bytes, pairs) -> bytes:
 
 
 def codes_z2z2(text: str) -> bytes:
-    """Tape codes of ASCII text over {0,1,C0,C1}; no whitespace is allowed."""
-    if _Z2Z2_TEXT.fullmatch(text) is None:
-        pos = 0
-        while (m := _Z2Z2_TOKEN.match(text, pos)) is not None:
-            pos = m.end()
-        if text[pos] == "C":
-            raise NotInLanguage(f"dangling 'C' at position {pos}")
-        raise NotInLanguage(f"unknown symbol {text[pos]!r} at position {pos}")
+    """Tape codes of a normal form of Z2 wr Z^2, ASCII text over {0,1,C0,C1}
+    with no whitespace.  Raises NotInLanguage naming the first fault: a
+    symbol that starts no token, then an empty text, a lamplighter count
+    other than one, or a trailing 0."""
+    if Z2Z2_NF.fullmatch(text) is None:
+        pos = _Z2Z2_TOKENS(text).end()
+        if pos < len(text):
+            if text[pos] == "C":
+                raise NotInLanguage(f"dangling 'C' at position {pos}")
+            raise NotInLanguage(f"unknown symbol {text[pos]!r} at position {pos}")
+        if not text:
+            raise NotInLanguage("normal form is non-empty (identity is 'C0')")
+        if (marks := text.count("C")) != 1:
+            raise NotInLanguage(f"expected exactly one lamplighter token, found {marks}")
+        raise NotInLanguage("trailing 0 padding is not allowed")
     return _replace(text.encode("ascii"), _CODES_Z2Z2)
 
 
@@ -162,11 +172,6 @@ def codes_z2f2(text: str) -> bytes:
     return codes.translate(None, _WHITESPACE)
 
 
-def tokenize_z2z2(text: str) -> list[str]:
-    """The tokens of codes_z2z2(text)."""
-    return decode(codes_z2z2(text))
-
-
 def tokenize_z2f2(text: str) -> list[str]:
     """The tokens of codes_z2f2(text)."""
     return decode(codes_z2f2(text))
@@ -181,7 +186,7 @@ def render_z2f2(tokens) -> str:
 
 def render(tokens) -> str:
     """ASCII rendering of a token sequence, or of the codes as bytes of one
-    over Z2 wr Z^2's or F's alphabet (inverse of the tokenizers)."""
+    over Z2 wr Z^2's or F's alphabet (inverse of the codes functions)."""
     if isinstance(tokens, bytes):
         return _replace(tokens, _TEXTS_Z2Z2).decode("ascii")
     return "".join(tokens)

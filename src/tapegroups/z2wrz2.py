@@ -38,7 +38,7 @@ from . import spiral
 from .errors import BadWord, NotInLanguage, TapeFault
 from .oracle_groups import LampConfigZ2
 from .tapevm import StepReport, TapeSet, init_tapes, read_output
-from .tokens import BLANK, Z2Z2_SIGMA, codes_z2z2, render, tokenize_z2z2
+from .tokens import BLANK, CODE, Z2Z2_NF, Z2Z2_SIGMA, codes_z2z2, render
 
 GROUP = "z2wrz2"
 GENERATORS = ("a", "a-", "b", "b-", "c")
@@ -74,9 +74,8 @@ STEP_BOUND = {"a": (5, 119), "a-": (5, 131), "b": (5, 125), "b-": (5, 137),
 # ---------------------------------------------------------------------------
 # codec
 
-# The normal forms: lamp bits, the C-token, and either nothing or lamp bits
-# that end in a lit lamp
-_IS_NF = re.compile(r"[01]*C[01](?:[01]*1)?").fullmatch
+_C0, _C1 = map(CODE.get, _C)
+_LIT = re.compile(b"[1%c]" % _C1).finditer  # the cells of lit lamps
 
 
 def encode(config: LampConfigZ2) -> str:
@@ -95,23 +94,17 @@ def encode(config: LampConfigZ2) -> str:
 
 
 def decode(text: str) -> LampConfigZ2:
-    toks = tokenize_z2z2(text)
-    if not toks:
-        raise NotInLanguage("normal form is non-empty (identity is 'C0')")
-    marks = [k for k, t in enumerate(toks, start=1) if t in _C]
-    if len(marks) != 1:
-        raise NotInLanguage(f"expected exactly one lamplighter token, found {len(marks)}")
-    if toks[-1] == "0":
-        raise NotInLanguage("trailing 0 padding is not allowed")
-    lit = frozenset(spiral.spiral_point(k)
-                    for k, t in enumerate(toks, start=1) if t in ("1", "C1"))
-    return LampConfigZ2(lit, spiral.spiral_point(marks[0]))
+    """The configuration of a normal form; raises NotInLanguage off the
+    language (`tokens.codes_z2z2`)."""
+    codes = codes_z2z2(text)
+    mark = codes.find(_C0) + 1 or codes.find(_C1) + 1
+    lit = frozenset(spiral.spiral_point(m.end()) for m in _LIT(codes))
+    return LampConfigZ2(lit, spiral.spiral_point(mark))
 
 
 def validate(text: str) -> bool:
-    """Whether text is a normal form: the language decode accepts, as one
-    full match."""
-    return _IS_NF(text) is not None
+    """Whether text is a normal form: the one full match of codes_z2z2."""
+    return Z2Z2_NF.fullmatch(text) is not None
 
 
 # ---------------------------------------------------------------------------
@@ -266,6 +259,9 @@ def _program_move(ts: TapeSet, gen: str) -> None:
 
 
 def apply_gen_report(text: str, gen: str) -> Tuple[str, StepReport]:
+    """Right-multiply a normal form by gen.  The host match that loads the
+    tape codes (`codes_z2z2`) raises NotInLanguage on a non-member; the
+    programs themselves halt on any token string."""
     if gen not in GENERATORS:
         raise BadWord(f"unknown generator {gen!r} for {GROUP}")
     codes = codes_z2z2(text)

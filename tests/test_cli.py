@@ -98,9 +98,19 @@ def test_demo_nonqg(capsys):
     ["bench", "--group", "z2wrz2", "--gen", "a", "--samples", "0"],
     ["fuzz", "--group", "z2wrz2", "--trials", "0"],
     ["probe", "--group", "z2wrz2", "--max-walk", "-3"],
+    # one distinct size has no smaller one to compare the largest with
+    ["bench", "--group", "z2wrz2", "--gen", "a", "--sizes", "1"],
+    ["bench", "--group", "z2wrz2", "--gen", "a", "--samples", "1", "--sizes", "4096"],
+    ["bench", "--group", "z2wrz2", "--gen", "a", "--sizes", "64,64"],
 ])
 def test_bad_numbers_are_usage_errors(argv, capsys):
     with pytest.raises(SystemExit) as exc:
         run(argv)
     assert exc.value.code == 64
     assert f"error: argument {argv[-2]}: " in capsys.readouterr().err
+
+
+def test_bench_sorts_its_sizes(capsys):
+    assert run(["bench", "--group", "z2wrz2", "--gen", "a", "--sizes", "16384,64"]) == 0
+    blob = json.loads(capsys.readouterr().out)
+    assert [row["n"] for row in blob["sizes"]] == [64, 16384]

@@ -113,17 +113,31 @@ def test_bench_verdict_true_and_json_schema():
     assert [row["n"] for row in blob["sizes"]] == [64, 128, 256, 512, 1024]
 
 
-def test_bench_flags_quadratic_mutant():
-    rep = fw.representation_z2wrz2()
-
-    def quadratic(nf, gen):
+def _quadratic(rep):
+    """rep with n^2 / 8 steps planted on every multiplication."""
+    def apply_report(nf, gen):
         out, report = rep.apply_report(nf, gen)
         n = report.input_len
         return out, StepReport(n, report.steps + (n * n) // 8, gen, rep.group_id)
+    return rep.with_apply(apply_report)
 
-    report = fw.linearity_bench(rep.with_apply(quadratic), "a",
-                                [32, 64, 128, 256, 512], 3, seed=5)
+
+def test_bench_flags_quadratic_mutant():
+    rep = _quadratic(fw.representation_z2wrz2())
+    report = fw.linearity_bench(rep, "a", [32, 64, 128, 256, 512], 3, seed=5)
     assert not report.verdict
+
+
+def test_bench_compares_the_largest_size_with_a_smaller_one():
+    # sizes in any order, repeats ignored: the largest against the lower
+    # median, which for two sizes is the smaller one
+    rep = fw.representation_z2wrz2()
+    report = fw.linearity_bench(_quadratic(rep), "a", [512, 32, 512], 3, seed=5)
+    assert [row.n for row in report.rows] == [32, 512]
+    assert not report.verdict
+    for sizes in ([], [64], [64, 64]):
+        with pytest.raises(ValueError, match="at least two distinct sizes"):
+            fw.linearity_bench(rep, "a", sizes, 1, seed=5)
 
 
 def test_probe_bounded_for_quasigeodesic_groups():

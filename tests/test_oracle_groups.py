@@ -109,6 +109,15 @@ def test_associativity_spot_checks():
         assert og.pl_compose(og.pl_compose(f, g), h) == og.pl_compose(f, og.pl_compose(g, h))
 
 
+def test_pl_generator_is_letter_0_or_1():
+    for sign in (+1, -1):
+        assert og.pl_generator("x0", sign) == og.pl_letter(0, sign)
+        assert og.pl_generator("x1", sign) == og.pl_letter(1, sign)
+    for bad in ("x2", "x", "a"):
+        with pytest.raises(ValueError, match="unknown generator"):
+            og.pl_generator(bad, +1)
+
+
 def test_nice_letter_maps_match_expansion():
     x0 = og.pl_generator("x0", +1)
     x0i = og.pl_generator("x0", -1)

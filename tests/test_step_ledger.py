@@ -8,7 +8,8 @@ a few fixed words per group.  Its `walks` section reaches the short normal
 forms and the invalid inputs the large samples miss: every generator applied
 at every step of seeded walks from the identity, and, for the wreath
 products, whose raw programs halt on anything, to seeded random token
-strings.  Its `codec` section pins each group's decoder: every distinct
+strings (Z2 wr Z^2's through `run_raw`, as its front door raises on a
+non-member).  Its `codec` section pins each group's decoder: every distinct
 input and output text of those walks, in first-seen order, with its verdict,
 either the NotInLanguage message or a canonical rendering of the element.
 A refactor must leave it byte-identical; a change that moves a count
@@ -24,8 +25,10 @@ import random
 from pathlib import Path
 
 from tapegroups import framework as fw
+from tapegroups import z2wrz2
 from tapegroups.errors import NotInLanguage
 from tapegroups.oracle_groups import LampConfigF2, LampConfigZ2
+from tapegroups.tapevm import init_tapes, read_output
 from tapegroups.tokens import Z2F2_SIGMA, Z2Z2_SIGMA, render, render_z2f2
 
 LEDGER = Path(__file__).parent / "data" / "step_ledger.json"
@@ -62,6 +65,23 @@ def _fixed_words(rep: fw.Representation):
     return words
 
 
+# the raw Z2 wr Z^2 program of each generator, as apply_gen_report runs it
+Z2Z2_PROGRAMS = {gen: (z2wrz2._program_toggle,) if gen == "c" else (z2wrz2._program_move, gen)
+                 for gen in z2wrz2.GENERATORS}
+
+
+def run_raw(tokens, sigma, program, *args):
+    """Run a raw tape program, which halts on any input, on a fresh 2-tape
+    machine holding `tokens` over `sigma` (a token list, a str of
+    one-character symbols, or their tape codes as bytes): the output text,
+    the steps and the program's return value.  The groups' front doors raise
+    NotInLanguage on a non-member before any program runs; this runs the
+    program anyway."""
+    ts = init_tapes(tokens, 2, sigma=sigma)
+    result = program(ts, *args)
+    return render(read_output(ts)), ts.steps, result
+
+
 def _walk_entries(rep: fw.Representation, seed: int):
     """(input, generator, steps, output) for every generator at every step of
     the seeded walks, then at every seeded random token string."""
@@ -82,11 +102,15 @@ def _walk_entries(rep: fw.Representation, seed: int):
             # over a random part of the alphabet, so that long strings
             # without a marker or without brackets occur too
             pool = rng.sample(sigma, rng.randint(1, len(sigma)))
-            text = render_tokens([rng.choice(pool)
-                                  for _ in range(rng.randint(0, max_tokens))])
+            tokens = [rng.choice(pool) for _ in range(rng.randint(0, max_tokens))]
+            text = render_tokens(tokens)
             for gen in rep.generators:
-                out, report = rep.apply_report(text, gen)
-                yield text, gen, report.steps, out
+                if rep.group_id == "z2wrz2":  # its front door raises on a non-member
+                    out, steps, _ = run_raw(tokens, sigma, *Z2Z2_PROGRAMS[gen])
+                else:
+                    out, report = rep.apply_report(text, gen)
+                    steps = report.steps
+                yield text, gen, steps, out
 
 
 def _walks(rep: fw.Representation, entries) -> dict:

@@ -10,19 +10,11 @@ from tapegroups import thompson_f as tf
 from tapegroups.errors import BadWord, NoCaseMatched, NotInLanguage
 from tapegroups.framework import PLATEAU_FACTOR, REPRESENTATIONS, representation_thompson_f
 from tapegroups.oracle_groups import PL_IDENTITY, pl_eval_normalform, pl_mul_gen
-from tapegroups.tapevm import TapeSet, init_tapes, read_output
+from tapegroups.tapevm import TapeSet, init_tapes
 from tapegroups.tokens import F_SIGMA
-from test_step_ledger import _walk_entries
+from test_step_ledger import _walk_entries, run_raw
 
 INV = {"x0": "x0-", "x0-": "x0", "x1": "x1-", "x1-": "x1"}
-
-
-def run_raw(text, program):
-    """Run program on a fresh 2-tape machine holding text: the output, the
-    steps and the program's return value."""
-    ts = init_tapes(text, 2, sigma=F_SIGMA)
-    result = program(ts)
-    return read_output(ts).decode("ascii"), ts.steps, result
 
 
 def _short_forms(most):
@@ -32,19 +24,22 @@ def _short_forms(most):
 
 
 def test_parse_examples():
-    assert tf.parse("") == tf.IDENTITY_SEQ
-    seq = tf.parse("a#b")
+    assert ref_parse("") == tf.ExpSeq((), ())
+    seq = ref_parse("a#b")
     assert seq.r == (1, 0) and seq.s == (0, 1) and seq.M == 1
     assert tf.serialize(seq) == "a#b"
     for bad in ("ab#ba", "ab", "a#", "#", "ba", "ab#a#"):
         with pytest.raises(NotInLanguage):
-            tf.parse(bad)
+            ref_parse(bad)
+        assert not tf.validate(bad)
 
 
 def test_parse_both_signs_need_successor():
     with pytest.raises(NotInLanguage):
-        tf.parse("ab##a")  # block 0 has both signs, block 1 empty
-    tf.parse("ab#a")       # fine with a nonempty successor
+        ref_parse("ab##a")  # block 0 has both signs, block 1 empty
+    assert not tf.validate("ab##a")
+    ref_parse("ab#a")       # fine with a nonempty successor
+    assert tf.validate("ab#a")
 
 
 def test_compute_r_examples():
@@ -58,7 +53,7 @@ def test_compute_r_against_definition():
     rng = random.Random(4)
     texts = _short_forms(10) + [tf.serialize(_random_seq(rng, 30)) for _ in range(600)]
     for nf in texts:
-        seq = tf.parse(nf)
+        seq = ref_parse(nf)
         if not seq.s or seq.s[0] == 0:
             continue
         got = tf.compute_r(nf)
@@ -113,7 +108,7 @@ def test_invalid_input_raises_but_machine_halts():
     with pytest.raises(NotInLanguage):
         tf.apply_gen("ab", "x1-")
     # the underlying machine itself is total: it halts without editing
-    assert run_raw("ab", tf._program_x1_inv)[0] == "ab"
+    assert run_raw("ab", F_SIGMA, tf._program_x1_inv)[0] == "ab"
 
 
 def test_oracle_differential_and_bijectivity():
@@ -191,7 +186,7 @@ def test_r_lower_bound_when_tail_cases_fire():
     seen = 0
     for _ in range(1500):
         nf = tf.serialize(_random_seq(rng, 40))
-        seq = tf.parse(nf)
+        seq = ref_parse(nf)
         if not seq.s or seq.s[0] == 0:
             continue
         res = tf.r_by_definition(seq)
@@ -247,11 +242,18 @@ def _garbage():
             for _ in range(400)]
 
 
+def non_members():
+    """Texts outside F's language: symbols outside the alphabet, the tape
+    markers, near misses and the garbage that does not validate."""
+    return ["é", "⊞", "⊡", "\0", "C", "ab", "a#", "ba", "ab#ba", "a b",
+            *[t for t in _garbage() if not tf.validate(t)]]
+
+
 def test_total_on_garbage():
     # the machines halt on anything; the library surface raises on non-members
     for text in _garbage():
         for program in RAW_PROGRAMS:
-            run_raw(text, program)
+            run_raw(text, F_SIGMA, program)
         if tf.validate(text):
             for gen in ("x0", "x0-", "x1-", "x1"):
                 assert tf.validate(tf.apply_gen(text, gen))
@@ -290,14 +292,13 @@ def test_each_call_matches_the_language_once(monkeypatch):
                 assert (len(host), len(tape)) == (0, 1 + candidates), nf
             else:
                 assert (len(host), len(tape)) == (0, 1), (nf, gen)
-    for bad in ("é", "⊞", "⊡", "\0", "C", "ab", "a#", "ba", "ab#ba", "a b", *[
-            t for t in _garbage() if not tf.validate(t)]):
+    for bad in non_members():
         for gen in tf.GENERATORS:
             with pytest.raises(NotInLanguage):
                 tf.apply_gen(bad, gen)
         if not bad.strip("ab#"):  # the raw machines halt on any such text
             for program in RAW_PROGRAMS:
-                run_raw(bad, program)
+                run_raw(bad, F_SIGMA, program)
 
 
 F_PROGRAMS = (tf._scan_valid, tf._first_rejected, tf._rewind, tf._to_blank, tf._first,
@@ -340,7 +341,7 @@ def test_walks_short_forms_and_garbage_run_every_line_but_the_guards(unrun_lines
                 tf.apply_gen(nf, gen)
         for text in garbage:
             for program in RAW_PROGRAMS:
-                run_raw(text, program)
+                run_raw(text, F_SIGMA, program)
     assert unrun_lines(F_PROGRAMS, corpus) == UNRUN_GUARDS
 
 
@@ -387,10 +388,10 @@ def ref_x1(text):
     x1^-1 on another fresh machine.  The product and the case labels."""
     cases = []
     for builder in tf._X1_BUILDERS:
-        candidate, _, ok = run_raw(text, builder)
+        candidate, _, ok = run_raw(text, F_SIGMA, builder)
         if not ok or not tf.validate(candidate):
             continue
-        back, _, label = run_raw(candidate, tf._program_x1_inv)
+        back, _, label = run_raw(candidate, F_SIGMA, tf._program_x1_inv)
         cases.append(label)
         if back == text:
             return candidate, tuple(cases)
@@ -437,9 +438,10 @@ def test_unknown_generator_raises_bad_word():
 
 
 def ref_parse(text):
-    """The character-by-character parse that `tf.parse` replaced."""
+    """The exponent blocks of a normal form, by a character-by-character
+    parse; raises NotInLanguage naming the first fault."""
     if text == "":
-        return tf.IDENTITY_SEQ
+        return tf.ExpSeq((), ())
     for ch in text:
         if ch not in "ab#":
             raise NotInLanguage(f"symbol {ch!r} outside the alphabet")
@@ -466,25 +468,6 @@ def ref_parse(text):
     return tf.ExpSeq(tuple(rs), tuple(ss))
 
 
-def _parse_outcome(fn, text):
-    try:
-        return fn(text)
-    except NotInLanguage as exc:
-        return (type(exc), str(exc))
-
-
-def test_parse_matches_reference_parse():
-    # every string over {a,b,#} up to length 7, then seeded longer strings
-    # with symbols from outside the alphabet
-    texts = ["".join(t) for k in range(8) for t in itertools.product("ab#", repeat=k)]
-    rng = random.Random(11)
-    texts += ["".join(rng.choice("aaabbb##c xé") for _ in range(rng.randint(1, 40)))
-              for _ in range(20000)]
-    texts.append(REPRESENTATIONS["thompson-f"]().sample_nf(random.Random(3), 1 << 12))
-    for text in texts:
-        assert _parse_outcome(tf.parse, text) == _parse_outcome(ref_parse, text), text
-
-
 def _ref_validate(text):
     try:
         ref_parse(text)
@@ -504,6 +487,8 @@ def test_validate_matches_reference_parse():
     for _ in range(20000):
         text = "".join(rng.choice("aaabbb###c\n xé") for _ in range(rng.randint(1, 30)))
         assert tf.validate(text) == _ref_validate(text), text
+    nf = REPRESENTATIONS["thompson-f"]().sample_nf(random.Random(3), 1 << 12)
+    assert tf.validate(nf) and _ref_validate(nf)
 
 
 # the language as the automaton of `_scan_valid` states it: a rejected cell,
@@ -518,16 +503,9 @@ def test_full_match_reject_cells_and_parse_state_one_language():
             for t in itertools.product(alphabet, repeat=k):
                 yield "".join(t)
 
-    def parses(text):
-        try:
-            tf.parse(text)
-        except NotInLanguage:
-            return False
-        return True
-
     for text in itertools.chain(strings("ab#x", 7), strings("ab#", 10)):
         full = tf._IS_NF(text) is not None
-        assert full == (NOT_NF.search(text) is None) == parses(text), text
+        assert full == (NOT_NF.search(text) is None) == _ref_validate(text), text
         assert (tf._IS_NF_CODES(text.encode()) is not None) == full, text
         # the clean prefix ends on the first rejected cell
         rejected = re.search(tf._REJECT, text)
@@ -547,5 +525,5 @@ def test_validate_rejects_a_long_near_miss_without_backtracking():
     assert not tf.validate(bad)
     assert time.perf_counter() - t0 < 5
     with pytest.raises(NotInLanguage):
-        tf.parse(bad)
-    assert run_raw(bad, tf._scan_valid)[2] is False
+        ref_parse(bad)
+    assert run_raw(bad, F_SIGMA, tf._scan_valid)[2] is False

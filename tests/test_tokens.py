@@ -1,9 +1,10 @@
 """The codec against the maximal-munch loops it replaced.
 
 The reference tokenizers and renderer below are the plain Python loops the
-compiled codec in `tapegroups.tokens` replaced.  Every check compares tokens,
-exception type and message, and the tape codes of the codes functions with
-the codes of the reference tokens.
+compiled codec in `tapegroups.tokens` replaced; for Z2 wr Z^2 the tokenizer
+is followed by the normal-form checks the decoder once made on its token
+list.  Every check compares tokens, exception type and message, and the tape
+codes of the codes functions with the codes of the reference tokens.
 """
 
 import itertools
@@ -14,7 +15,7 @@ import pytest
 from tapegroups.errors import NotInLanguage
 from tapegroups.framework import REPRESENTATIONS
 from tapegroups.tokens import (Z2F2_SIGMA, Z2Z2_SIGMA, codes_z2f2, codes_z2z2, encode,
-                               render_z2f2, tokenize_z2f2, tokenize_z2z2)
+                               render_z2f2, tokenize_z2f2)
 
 # -- reference loops ------------------------------------------------------
 
@@ -37,6 +38,19 @@ def ref_tokenize_z2z2(text):
             continue
         raise NotInLanguage(f"unknown symbol {text[i]!r} at position {i}")
     return out
+
+
+def ref_nf_z2z2(text):
+    """The reference tokens of a normal form, after the decoder's checks."""
+    toks = ref_tokenize_z2z2(text)
+    if not toks:
+        raise NotInLanguage("normal form is non-empty (identity is 'C0')")
+    marks = [k for k, t in enumerate(toks, start=1) if t in ("C0", "C1")]
+    if len(marks) != 1:
+        raise NotInLanguage(f"expected exactly one lamplighter token, found {len(marks)}")
+    if toks[-1] == "0":
+        raise NotInLanguage("trailing 0 padding is not allowed")
+    return toks
 
 
 def ref_tokenize_z2f2(text):
@@ -86,9 +100,20 @@ def assert_codes_match(codes, ref, text):
     assert outcome(codes, text) == (encode(want) if isinstance(want, list) else want), text
 
 
-CODES = {ref_tokenize_z2z2: codes_z2z2, ref_tokenize_z2f2: codes_z2f2}
+def assert_tokens_match(tokenize, ref, text):
+    # Z2 wr F2's tokens are those of the reference, or its error; Z2 wr
+    # Z^2's text has no tokenizer, only its codes
+    if tokenize is not None:
+        got = outcome(tokenize, text)
+        assert got == outcome(ref, text), text
+        if isinstance(got, list):
+            assert_canonical(got, Z2F2_SIGMA)
+    assert_codes_match(CODES[ref], ref, text)
+
+
+CODES = {ref_nf_z2z2: codes_z2z2, ref_tokenize_z2f2: codes_z2f2}
 CASES = [
-    (tokenize_z2z2, ref_tokenize_z2z2, Z2Z2_SIGMA),
+    (None, ref_nf_z2z2, Z2Z2_SIGMA),
     (tokenize_z2f2, ref_tokenize_z2f2, Z2F2_SIGMA),
 ]
 IDS = ["z2z2", "z2f2"]
@@ -103,11 +128,7 @@ def test_all_short_token_sequences(new, ref, sigma):
     for k in range(4):
         for seq in itertools.product(sigma, repeat=k):
             for text in ("".join(seq), " ".join(seq), "\t" + "\n".join(seq) + " "):
-                got = outcome(new, text)
-                assert got == outcome(ref, text), text
-                assert_codes_match(CODES[ref], ref, text)
-                if isinstance(got, list):
-                    assert_canonical(got, sigma)
+                assert_tokens_match(new, ref, text)
 
 
 @pytest.mark.parametrize("new,ref,sigma", CASES, ids=IDS)
@@ -123,12 +144,10 @@ def test_seeded_random_strings(new, ref, sigma):
             parts.append(rng.choice(sigma) if x < 0.85 else
                          rng.choice(WHITESPACE) if x < 0.95 else rng.choice(BAD))
         text = "".join(parts)
-        got = outcome(new, text)
-        assert got == outcome(ref, text), text
-        assert_codes_match(CODES[ref], ref, text)
-        if isinstance(got, list):
-            assert_canonical(got, sigma)
-        errors += not isinstance(got, list)
+        assert_tokens_match(new, ref, text)
+        # errors of the tokenizer, before any normal-form check
+        tokenize = ref_tokenize_z2z2 if ref is ref_nf_z2z2 else ref
+        errors += not isinstance(outcome(tokenize, text), list)
     assert 2000 < errors < 18000
 
 
@@ -148,30 +167,27 @@ def test_render_roundtrip_is_exhaustive_on_pairs_and_triples():
 def test_long_normal_form_matches_reference(group):
     rep = REPRESENTATIONS[group]()
     nf = rep.sample_nf(random.Random(5), 1 << 12)
-    new, ref = (tokenize_z2z2, ref_tokenize_z2z2) if group == "z2wrz2" else \
+    new, ref = (None, ref_nf_z2z2) if group == "z2wrz2" else \
         (tokenize_z2f2, ref_tokenize_z2f2)
-    toks = new(nf)
-    assert toks == ref(nf)
-    assert CODES[ref](nf) == encode(toks)
-    assert_canonical(toks, Z2Z2_SIGMA if group == "z2wrz2" else Z2F2_SIGMA)
+    assert_tokens_match(new, ref, nf)
     if group == "z2wrf2":
+        toks = ref(nf)
         assert render_z2f2(toks) == ref_render_z2f2(toks) == nf
     # one bad symbol deep inside is named where the reference names it
     bad = nf[: len(nf) // 2] + "?" + nf[len(nf) // 2 :]
-    assert outcome(new, bad) == outcome(ref, bad)
-    assert_codes_match(CODES[ref], ref, bad)
+    assert_tokens_match(new, ref, bad)
 
 
 @pytest.mark.parametrize("group", ["z2wrz2", "z2wrf2"])
 def test_apply_reports_the_token_count_as_input_len(group):
     rep = REPRESENTATIONS[group]()
-    tokenize = tokenize_z2z2 if group == "z2wrz2" else tokenize_z2f2
+    codes = codes_z2z2 if group == "z2wrz2" else codes_z2f2
     texts = [rep.sample_nf(random.Random(n), n) for n in (1, 16, 1 << 10)]
     if group == "z2wrf2":  # whitespace is not counted
-        texts += ["\t" + " ".join(tokenize(text)) + "\u3000" for text in texts]
+        texts += ["\t" + " ".join(tokenize_z2f2(text)) + "\u3000" for text in texts]
     for text in texts:
         for gen in rep.generators:
-            assert rep.apply_report(text, gen)[1].input_len == len(tokenize(text)), text
+            assert rep.apply_report(text, gen)[1].input_len == len(codes(text)), text
 
 
 def test_markers_nul_and_non_ascii_whitespace():
@@ -190,17 +206,13 @@ def test_long_whitespace_run_is_linear():
 
 
 def test_every_short_string_over_the_z2z2_characters():
-    # the whole-text match must accept exactly the token strings: near
+    # the whole-text match must accept exactly the normal forms: near
     # misses (two C's in a row, a C at the end, a bad symbol or whitespace
-    # anywhere) must fail as the reference does
+    # anywhere, no lamplighter or two, a trailing 0) must fail as the
+    # reference does
     for k in range(7):
         for chars in itertools.product("01C \n2", repeat=k):
-            text = "".join(chars)
-            got = outcome(tokenize_z2z2, text)
-            assert got == outcome(ref_tokenize_z2z2, text), text
-            assert_codes_match(codes_z2z2, ref_tokenize_z2z2, text)
-            if isinstance(got, list):
-                assert_canonical(got, Z2Z2_SIGMA)
+            assert_codes_match(codes_z2z2, ref_nf_z2z2, "".join(chars))
 
 
 def test_long_texts_match_reference():
@@ -211,10 +223,5 @@ def test_long_texts_match_reference():
         for cs in ([0], [1], [n // 2], [n - 1], [0, 1, 5, n - 1],
                    sorted(rng.sample(range(n), 40))):
             text = "".join("C" * (k in cs) + b for k, b in enumerate(bits))
-            toks = tokenize_z2z2(text)
-            assert toks == ref_tokenize_z2z2(text)
-            assert codes_z2z2(text) == encode(toks)
-            assert_canonical(toks, Z2Z2_SIGMA)
-            for bad in (text + "C", text[:-1] + "2" + text[-1:], "C" + text, " " + text):
-                assert outcome(tokenize_z2z2, bad) == outcome(ref_tokenize_z2z2, bad)
-                assert_codes_match(codes_z2z2, ref_tokenize_z2z2, bad)
+            for t in (text, text + "C", text[:-1] + "2" + text[-1:], "C" + text, " " + text):
+                assert_codes_match(codes_z2z2, ref_nf_z2z2, t)

@@ -8,9 +8,10 @@ from tapegroups.errors import BadWord, NotInLanguage
 from tapegroups.framework import REPRESENTATIONS, representation_z2wrz2
 from tapegroups.oracle_groups import IDENTITY_Z2, LampConfigZ2, wreath_mul_gen
 from tapegroups.tapevm import TapeSet, init_tapes
-from tapegroups.tokens import Z2Z2_SIGMA
+from tapegroups.tokens import Z2Z2_SIGMA, codes_z2z2, encode, render
 
-from test_step_ledger import SIZES, _walk_entries
+from test_step_ledger import SIZES, WALKS, Z2Z2_PROGRAMS, _walk_entries, run_raw
+from test_thompson_f import non_members
 
 INV = {"a": "a-", "a-": "a", "b": "b-", "b-": "b", "c": "c"}
 
@@ -132,14 +133,22 @@ def test_inverse_pairs_and_closure():
             assert z.apply_gen(out, INV[gen]) == nf, (nf, gen, out)
 
 
+TOKEN_CODES = [encode((tok,)) for tok in Z2Z2_SIGMA]
+
+
+def run_z2(tokens, gen):
+    """The output text of gen's raw program on tokens."""
+    return run_raw(tokens, Z2Z2_SIGMA, *Z2Z2_PROGRAMS[gen])[0]
+
+
 def test_no_mark_input_halts_unchanged():
-    assert z.apply_gen("", "a") == ""
+    assert run_z2("", "a") == ""
 
 
 def test_nonquasigeodesic_family():
     def ratio(k):
         nf = z.encode(LampConfigZ2(frozenset({(k, k)}), (0, 0)))
-        return len(z.tokenize_z2z2(nf)) / (4 * k + 2)
+        return len(codes_z2z2(nf)) / (4 * k + 2)
     assert ratio(50) > 10 * ratio(5)
     assert ratio(100) > 5 * ratio(10)
 
@@ -149,7 +158,47 @@ def test_total_on_invalid_inputs():
     for _ in range(400):
         toks = [rng.choice(Z2Z2_SIGMA) for _ in range(rng.randint(0, 14))]
         for gen in z.GENERATORS:
-            z.apply_gen("".join(toks), gen)  # halts on anything
+            run_z2(toks, gen)  # halts on anything
+
+
+def _one_token_edits(codes):
+    """The tape codes one token substitution, deletion or insertion from
+    codes."""
+    for i in range(len(codes) + 1):
+        for tok in TOKEN_CODES:
+            yield codes[:i] + tok + codes[i:]
+            if i < len(codes):
+                yield codes[:i] + tok + codes[i + 1:]
+        if i < len(codes):
+            yield codes[:i] + codes[i + 1:]
+
+
+def test_every_generator_raises_on_a_non_member():
+    # through the module and the Representation, on F's non-members, the
+    # decoder's rejections and every one-token edit of the ledger's walk
+    # forms that validate rejects; the raw programs halt on each token string
+    rep = REPRESENTATIONS["z2wrz2"]()
+    n_walks, length, _, _ = WALKS["z2wrz2"]
+    walks = itertools.islice(_walk_entries(rep, 1), n_walks * length * len(z.GENERATORS))
+    edits = {render(e): e for nf in dict.fromkeys(nf for nf, *_ in walks)
+             for e in _one_token_edits(codes_z2z2(nf))}
+    token_strings = {text: codes for text, codes in edits.items() if not z.validate(text)}
+    assert len(token_strings) == 125_004
+    token_strings.update((render(toks), encode(toks)) for toks in (
+        [], ["0"], ["C0", "C0"], ["C0", "0"], ["1", "C0", "1", "C0"]))
+    texts = [*non_members(), "C2", *token_strings]
+    raised = 0
+    for text in texts:
+        for gen in z.GENERATORS:
+            for apply_report in (z.apply_gen_report, rep.apply_report):
+                try:
+                    apply_report(text, gen)
+                except NotInLanguage:
+                    raised += 1
+    assert raised == 2 * len(z.GENERATORS) * len(texts)
+    for codes in token_strings.values():
+        for gen in z.GENERATORS:
+            run_z2(codes, gen)
 
 
 def test_step_report_names_the_group_id():
@@ -218,8 +267,11 @@ def test_step_bound_on_the_ledger_inputs():
         nf = rep.sample_nf(random.Random(n), n)
         for gen in z.GENERATORS:
             within_bound(nf, gen)
-    for text, gen, _, _ in _walk_entries(rep, seed=1):
-        within_bound(text, gen)
+    # the walks and, through the raw programs, the random token strings,
+    # where each C starts a two-character token
+    for text, gen, steps, _ in _walk_entries(rep, seed=1):
+        alpha, beta = z.STEP_BOUND[gen]
+        assert steps <= alpha * (len(text) - text.count("C")) + beta, (text, gen, steps)
 
 
 def test_step_bound_is_tight_on_the_lamplighter_at_the_end():
