@@ -39,8 +39,11 @@ track, `_restore_input` and `_compare_input`, with `_erase_counter`;
 (`_scan_to_mark`, two tapes, the turn count in unary on tape 2) and mark
 move (`_move_mark`, four tape-2 sweeps pacing a tape-1 run that pads or
 erases), and Z2 wr F2's bracket-stack walk (`_walk`, tape 2 a stack of the
-open groups it has entered).  tests/test_sweeps.py keeps every defining loop
-as a reference oracle.
+open groups it has entered: its stop cell found by a byte-class search,
+backward over windows of doubling width, so that a walk that stops d cells
+away reads O(d) cells, and a Python loop over the crossed brackets alone,
+which one `translate` picks out).  tests/test_sweeps.py keeps every
+defining loop as a reference oracle.
 
 Finite control state of a program (region variables, ERASE flags, ...) lives in
 host variables and costs nothing, matching the state set of a real machine.

@@ -27,12 +27,19 @@ Every bracket-stack run, the scan to the marker as well as entering and
 leaving a group, is one `_walk`.  Each cell it crosses costs a tape-1 move and
 a tape-1 read; a push costs a tape-2 move and write; a closing bracket costs a
 tape-2 read, plus a write and a move when it pops.  `_walk` is a counted
-sweep (see `tapevm`): it charges that split in closed form at its exit.
+sweep (see `tapevm`): it charges that split in closed form at its exit.  It
+finds its stop cell with a byte-class search in C, reduces the cells it
+crosses to their brackets with one `translate`, and runs Python only over
+those brackets, pushing and popping on tape 2's cells in place.  A walk that
+stops d cells away takes O(d) time, whatever the length of either tape.
 """
 
 from __future__ import annotations
 
 import functools
+import re
+from itertools import compress, count, islice
+from operator import length_hint
 from typing import List, Optional, Tuple, Union
 
 from .errors import BadWord, NotInLanguage
@@ -81,15 +88,18 @@ _PIVOTS = {"(": D_PLAIN + D_A, ")": D_PLAIN + D_A, "[": E_PLAIN, "]": E_PLAIN}
 # per direction: the brackets that open a group ahead, those that close one,
 # and the end marker
 _WAY = {True: (_OPENS, _CLOSES, BLANK), False: (_CLOSES, _OPENS, BEGIN)}
-# per direction, what a walk does on each bracket's code: push one that opens
-# a group ahead (None), pop one that closes a group if the top is its partner
-_BRACKET = {fwd: {CODE[b]: None if p is None else CODE[p] for b, p in way.items()}
-            for fwd, way in ((True, {"(": None, "[": None, ")": "(", "]": "["}),
-                             (False, {")": None, "]": None, "(": ")", "[": "]"}))}
-# a walk copies the rest of tape 1 up to this many cells, which costs less
-# than a memoryview; a longer rest is viewed, so a walk that stops d cells
-# away reads O(d) cells
-_COPY_MAX = 4096
+# per direction, the codes of the cells a walk crosses with every other code
+# deleted: a bracket that opens a group ahead keeps its code, one that closes
+# a group becomes its partner's code with bit 7 set (every bracket's code is
+# below 128), so that a closing bracket pops exactly when the top is its
+# code ^ 128
+_STACK_CODE = {fwd: bytes(CODE[_PARTNER[s]] | 128 if s in _WAY[fwd][1] else c
+                          for c, s in enumerate(SYMBOL)) for fwd in (True, False)}
+_NOT_BRACKET = bytes(c for c, s in enumerate(SYMBOL) if s not in _PARTNER)
+_IS_BRACKET = bytes(s in _PARTNER for s in SYMBOL)  # 1 on a bracket, else 0
+# the cells a backward walk searches first, leftward of its head; each further
+# window is twice as wide as the last
+_WINDOW = 16
 _SPROUT_D = {"C0": "D0", "C1": "D1", "B0": "D0A", "B1": "D1A"}
 _SPROUT_E = {"C0": "E0", "C1": "E1"}
 
@@ -387,57 +397,72 @@ def _walk(ts: TapeSet, fwd: bool, stop) -> Tuple[str, Optional[str]]:
     on the tapes' codes and charges its steps at exit.  Both heads start on
     written cells, as every caller's do; a backward walk starts past the start
     marker, on a bracket or a pivot, and stops on the marker at the latest.
+
+    It finds the stop cell, of stop or the end marker, with one compiled
+    byte-class search: forward from the next cell, backward over windows of
+    doubling width leftward of the head, each matched to its last such cell.
+    So a walk that stops d cells away reads O(d) cells.  Brackets are never
+    in stop, so only a mismatch stops it sooner.  The cells it crosses are
+    `translate`d to their brackets alone (`_STACK_CODE`), and Python runs
+    the loop over those only, on tape 2's cells in place: a push writes the
+    cell above the top, appending past the last cell; a pop blanks the top.
+    A mismatch's cell is found from its index among the brackets, in C.
     """
-    blank = CODE[BLANK]
-    bracket = _BRACKET[fwd]
-    halt = _halts(stop, fwd)
-    tape, stack = ts.tapes[0], ts.tapes[1]
+    tape, stack = ts.tapes
     cells, stack_cells = tape.cells, stack.cells
     h0, t0 = tape.head, stack.head
-    n, m = len(cells), len(stack_cells)
-    t = t0
-    pops = 0
+    search = _stop_search(stop, fwd)
     if fwd:
-        rest = cells[h0 + 1:] if n - h0 <= _COPY_MAX else memoryview(cells)[h0 + 1:]
-        run = enumerate(rest, h0 + 1)
+        found = search(cells, h0 + 1)
+        h = found.start() if found else len(cells)  # else the blank past the end
+        crossed = cells[h0 + 1:h]
     else:
-        rest = cells[h0 - 1::-1] if h0 <= _COPY_MAX else memoryview(cells)[h0 - 1::-1]
-        run = zip(range(h0 - 1, -1, -1), rest)
-    for h, sym in run:
-        if sym in bracket:
-            partner = bracket[sym]
-            if partner is None:  # push
-                t += 1
-                if t < m:
-                    stack_cells[t] = sym
-                else:
-                    stack_cells.append(sym)
-                    m += 1
+        hi, width = h0, _WINDOW
+        while not (found := search(cells, max(hi - width, 0), hi)):
+            hi -= width
+            width += width
+        h = found.end() - 1
+        crossed = cells[h + 1:h0][::-1]
+    brackets = crossed.translate(_STACK_CODE[fwd], _NOT_BRACKET)
+    t, m = t0, len(stack_cells)
+    run = iter(brackets)
+    top = None
+    for code in run:
+        if code < 128:  # push
+            t += 1
+            if t < m:
+                stack_cells[t] = code
             else:
-                top = stack_cells[t]
-                if top != partner:
-                    break
-                stack_cells[t] = blank
-                t -= 1
-                pops += 1
-        elif sym in halt:
+                stack_cells.append(code)
+                m += 1
+        elif stack_cells[t] != code ^ 128:
+            top = stack_cells[t]
             break
-    else:  # forward: the blank past the end
-        h, sym = n, blank
-    del run, rest  # frees a view, so that tape 1 can grow again
-    mismatch = bracket.get(sym) is not None
-    pushes = t - t0 + pops
+        else:  # pop: a blank, code 0, on the top
+            stack_cells[t] = 0
+            t -= 1
+    moved = len(brackets)  # pushes and pops
+    mismatch = top is not None
+    if mismatch:  # the cell of the closing bracket that did not pop
+        moved -= length_hint(run) + 1
+        cell = count(h0 + 1) if fwd else count(h0 - 1, -1)
+        h = next(islice(compress(cell, crossed.translate(_IS_BRACKET)), moved, None))
+    pushes = (moved + t - t0) // 2
+    pops = moved - pushes
     # 2 per cell crossed, 2 per push, 1 per closing bracket read, 2 per pop
     ts.steps += 2 * abs(h - h0) + 2 * pushes + (pops + mismatch) + 2 * pops
     tape.head = h
     stack.head = t
-    return SYMBOL[sym], (SYMBOL[top] if mismatch else None)
+    return (SYMBOL[cells[h]] if h < len(cells) else BLANK), (SYMBOL[top] if mismatch else None)
 
 
 @functools.cache
-def _halts(stop, fwd: bool) -> frozenset:
-    """The codes a walk stops on: those of stop and of its end marker."""
-    return frozenset((*codes_of(stop), CODE[BLANK if fwd else BEGIN]))
+def _stop_search(stop, fwd: bool):
+    """How a walk finds the cell it stops on, one of stop or its end marker:
+    forward, the first such cell from a position on; backward, the last
+    such cell in a window."""
+    codes = b"[%s]" % re.escape(codes_of(stop) + bytes((CODE[BLANK if fwd else BEGIN],)))
+    return re.compile(codes).search if fwd else re.compile(b"(?s:.*)" + codes).match
 
 
 def _scan_to_marker(ts: TapeSet):

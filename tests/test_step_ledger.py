@@ -19,6 +19,7 @@ Regenerate with `PYTHONPATH=src python tests/test_step_ledger.py`
 (about 3 s).
 """
 
+import functools
 import hashlib
 import json
 import random
@@ -26,10 +27,11 @@ from pathlib import Path
 
 from tapegroups import framework as fw
 from tapegroups import z2wrz2
-from tapegroups.errors import NotInLanguage
+from tapegroups.errors import InvalidInput, NotInLanguage
 from tapegroups.oracle_groups import LampConfigF2, LampConfigZ2
-from tapegroups.tapevm import init_tapes, read_output
-from tapegroups.tokens import Z2F2_SIGMA, Z2Z2_SIGMA, render, render_z2f2
+from tapegroups.tapevm import TapeSet, read_output
+from tapegroups.tokens import (BEGIN, BLANK, CODE, Z2F2_SIGMA, Z2Z2_SIGMA, encode, render,
+                               render_z2f2)
 
 LEDGER = Path(__file__).parent / "data" / "step_ledger.json"
 SIZES = (1 << 6, 1 << 10, 1 << 14)
@@ -38,6 +40,8 @@ R1 = ["x1", "x0-", "x0-", "x1-", "x0", "x0", "x1-", "x0-", "x1", "x0"]
 R2 = ["x1", "x0-", "x0-", "x0-", "x1-", "x0", "x0", "x0",
       "x1-", "x0-", "x0-", "x1", "x0", "x0"]
 
+
+START = encode([BEGIN])  # a fresh tape's cells
 
 # per group: (walks, steps per walk, random token strings, their max length)
 WALKS = {"z2wrz2": (40, 30, 1000, 30),
@@ -70,14 +74,28 @@ Z2Z2_PROGRAMS = {gen: (z2wrz2._program_toggle,) if gen == "c" else (z2wrz2._prog
                  for gen in z2wrz2.GENERATORS}
 
 
+@functools.cache
+def _raw_machine(sigma):
+    """The one 2-tape machine run_raw resets for each run over sigma."""
+    return TapeSet(2, sigma=sigma)
+
+
 def run_raw(tokens, sigma, program, *args):
-    """Run a raw tape program, which halts on any input, on a fresh 2-tape
-    machine holding `tokens` over `sigma` (a token list, a str of
-    one-character symbols, or their tape codes as bytes): the output text,
-    the steps and the program's return value.  The groups' front doors raise
-    NotInLanguage on a non-member before any program runs; this runs the
-    program anyway."""
-    ts = init_tapes(tokens, 2, sigma=sigma)
+    """Run a raw tape program, which halts on any input, on a 2-tape machine
+    reset to hold `tokens` over `sigma` (a token list, a str of
+    one-character symbols, or their tape codes as bytes; a tape marker raises
+    InvalidInput): the output text, the steps and the program's return
+    value.  The groups' front doors raise NotInLanguage on a non-member
+    before any program runs; this runs the program anyway."""
+    cells = tokens if isinstance(tokens, bytes) else encode(tokens)
+    if CODE[BEGIN] in cells or CODE[BLANK] in cells:  # as init_tapes checks
+        raise InvalidInput("input may not contain tape markers")
+    ts = _raw_machine(sigma)
+    first, second = ts.tapes
+    first.cells = bytearray(START)
+    first.cells += cells
+    second.cells = bytearray(START)
+    first.head = second.head = ts.steps = 0
     result = program(ts, *args)
     return render(read_output(ts)), ts.steps, result
 

@@ -31,11 +31,12 @@ from tapegroups import thompson_f as tf
 from tapegroups import z2wrf2
 from tapegroups import z2wrz2 as zz
 from tapegroups.errors import InvalidInput, TapeFault
-from tapegroups.framework import REPRESENTATIONS
+from tapegroups.framework import REPRESENTATIONS, word_to_nf
 from tapegroups.tapeops import shift_suffix_left, shift_suffix_right
 from tapegroups.tapevm import TapeSet, init_tapes
 from tapegroups.tokens import BEGIN, BLANK, SYMBOL, Z2F2_SIGMA, Z2Z2_SIGMA, encode
 from test_step_ledger import LEDGER, SIZES, _walk_entries, build_ledger, render_ledger
+from test_z2wrf2 import DEEP_FOLD, DEEP_ZIGZAG
 
 SMALL = ("a", "b", "#", BLANK, "x")
 # Tapes over SMALL are enumerated up to this length with every head and stop
@@ -1083,26 +1084,36 @@ def test_walk_matches_loop_on_the_ledger_tapes():
         starts = [i for i, tok in enumerate(toks, 1)
                   if tok in z2wrf2._PARTNER or tok in z2wrf2._PIVOTS["("] + z2wrf2._PIVOTS["["]]
         check_walks(toks, rng.sample(starts, 8), stacks=rng.sample(WALK_STACKS, 3))
-    assert compared == 1224
+    # and the full scans of two forms thousands of groups deep, whose stacks
+    # grow tape 2 thousands of cells past its length and leave blanks there
+    for text in (z2wrf2.encode(DEEP_ZIGZAG), word_to_nf(rep, DEEP_FOLD)):
+        toks = z2wrf2.tokenize_z2f2(text)
+        check_walks(toks, (0, len(toks)), stacks=[FRESH])
+        stack = run(z2wrf2._walk, ((codes(toks), 0), FRESH), True, ())[3][0]
+        assert len(stack) > 1000 and not stack[1:].strip(b"\0")
+    assert compared == 1248
 
 
 def test_walk_host_time_does_not_grow_with_the_tape():
     # a walk that stops two cells away reads those cells and no others: its
     # host time is the same beside 2^22 cells as beside 64, where a copy of
-    # the rest of the tape per walk would make it some hundred times longer
-    def best_of_5(n, fwd):
+    # the rest of the tape per walk would make it some hundred times longer,
+    # and the same on a stack 2^20 cells deep as on an empty one, where a
+    # copy of the stack per walk would
+    def best_of_5(n, fwd, depth=0):
         ts = init_tapes([], 2)
-        tape = ts.tapes[0]
+        tape, stack = ts.tapes
         if fwd:
             tape.cells += encode(["0", "C0"]) + b"0" * n
         else:
             tape.cells += b"0" * n + encode(["C0", "0", "0"])
+        stack.cells += encode(["("]) * depth
         head = 0 if fwd else len(tape.cells) - 1
         times = []
         for _ in range(5):
             t0 = time.perf_counter()
             for _ in range(200):
-                tape.head = head
+                tape.head, stack.head = head, depth
                 z2wrf2._walk(ts, fwd, z2wrf2._STOP)
             times.append(time.perf_counter() - t0)
         assert SYMBOL[tape.cells[tape.head]] == "C0"
@@ -1110,6 +1121,7 @@ def test_walk_host_time_does_not_grow_with_the_tape():
 
     for fwd in (True, False):
         assert best_of_5(1 << 22, fwd) < 4 * best_of_5(64, fwd) + 0.005, fwd
+        assert best_of_5(64, fwd, 1 << 20) < 4 * best_of_5(64, fwd) + 0.005, fwd
 
 
 # -- the golden ledger under the defining loops --------------------------------

@@ -291,6 +291,11 @@ def test_encode_matches_the_reference_on_sampled_forms():
 
 # -- nesting deeper than the interpreter's recursion limit --------------------
 
+# 1200 alternating a/b steps, each lighting a lamp: about 1200 nested groups
+DEEP_FOLD = ("a", "c", "b", "c") * 600
+DEEP_ZIGZAG = LampConfigF2(frozenset({"ab" * 1024}), "")  # 2048 letters, 2047 levels
+
+
 def _fold_cfg(word):
     cfg = IDENTITY_F2
     for gen in word:
@@ -299,22 +304,18 @@ def _fold_cfg(word):
 
 
 def test_deep_folded_form_decodes_and_validates():
-    # 1200 alternating a/b steps, each lighting a lamp: about 1200 nested groups
-    word = ["a", "c", "b", "c"] * 600
-    rep = REPRESENTATIONS["z2wrf2"]()
-    nf = word_to_nf(rep, word)
+    nf = word_to_nf(REPRESENTATIONS["z2wrf2"](), DEEP_FOLD)
     assert len(tokenize_z2f2(nf)) == 3599
-    cfg = _fold_cfg(word)
+    cfg = _fold_cfg(DEEP_FOLD)
     assert z.validate(nf)
     assert z.decode(nf) == cfg
     assert z.encode(cfg) == nf
 
 
 def test_deep_zigzag_lamp_round_trips():
-    cfg = LampConfigF2(frozenset({"ab" * 1024}), "")  # 2048 letters, 2047 levels
-    nf = z.encode(cfg)
+    nf = z.encode(DEEP_ZIGZAG)
     assert nf.count("(") + nf.count("[") == 2047
-    assert z.decode(nf) == cfg
+    assert z.decode(nf) == DEEP_ZIGZAG
 
 
 TAPE_PROGRAMS = (z._walk, z._scan_to_marker, z._enter, z._exit_group, z._leaf_inline,
