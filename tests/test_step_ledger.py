@@ -10,8 +10,9 @@ at every step of seeded walks from the identity, and, for the wreath
 products, whose raw programs halt on anything, to seeded random token
 strings (Z2 wr Z^2's through `run_raw`, as its front door raises on a
 non-member).  Its `codec` section pins each group's decoder: every distinct
-input and output text of those walks, in first-seen order, with its verdict,
-either the NotInLanguage message or a canonical rendering of the element.
+input and output text of those walks, then for Z2 wr F2 seeded edits of its
+walk forms (`_mutants`), in first-seen order, with its verdict, either the
+NotInLanguage message or a canonical rendering of the element.
 A refactor must leave it byte-identical; a change that moves a count
 regenerates it and says why in CHANGES.md.
 
@@ -21,6 +22,7 @@ Regenerate with `PYTHONPATH=src python tests/test_step_ledger.py`
 
 import functools
 import hashlib
+import itertools
 import json
 import random
 from pathlib import Path
@@ -31,7 +33,7 @@ from tapegroups.errors import InvalidInput, NotInLanguage
 from tapegroups.oracle_groups import LampConfigF2, LampConfigZ2
 from tapegroups.tapevm import TapeSet, read_output
 from tapegroups.tokens import (BEGIN, BLANK, CODE, Z2F2_SIGMA, Z2Z2_SIGMA, encode, render,
-                               render_z2f2)
+                               render_z2f2, tokenize_z2f2)
 
 LEDGER = Path(__file__).parent / "data" / "step_ledger.json"
 SIZES = (1 << 6, 1 << 10, 1 << 14)
@@ -49,6 +51,8 @@ WALKS = {"z2wrz2": (40, 30, 1000, 30),
          "thompson-f": (30, 30, 0, 0)}
 # alphabet and renderer for the random token strings
 RANDOM_TEXT = {"z2wrz2": (Z2Z2_SIGMA, render), "z2wrf2": (Z2F2_SIGMA, render_z2f2)}
+# per group: the seeded edits of its walk forms that the codec corpus adds
+MUTANTS = {"z2wrf2": 3000}
 
 
 def _sha(text: str) -> str:
@@ -155,9 +159,54 @@ def _verdict(rep: fw.Representation, text: str) -> str:
     return repr(elem)
 
 
+def _flip_group(toks: list, rng: random.Random) -> None:
+    """Give one bracketed group, if there is one, the other kind of bracket
+    pair.  No one-token edit of a normal form nests a group in one of its own
+    kind: it unbalances the brackets or mismatches a pair."""
+    opens = [k for k, tok in enumerate(toks) if tok in ("(", "[")]
+    if opens:
+        k = j = rng.choice(opens)
+        depth = 0
+        for j in range(k, len(toks)):
+            depth += (toks[j] in ("(", "[")) - (toks[j] in (")", "]"))
+            if depth == 0:
+                break
+        toks[k], toks[j] = ("[", "]") if toks[k] == "(" else ("(", ")")
+
+
+def _mutants(rep: fw.Representation, entries) -> list:
+    """Seeded edits of the walk forms, the distinct inputs of the walks (the
+    first part of `entries`), rendered: a token substituted, deleted or
+    inserted, or one group's bracket pair flipped.  They reach decoder
+    messages the walks and the random token strings miss."""
+    count = MUTANTS.get(rep.group_id, 0)
+    if not count:
+        return []
+    n_walks, length, _, _ = WALKS[rep.group_id]
+    walked = itertools.islice(entries, n_walks * length * len(rep.generators))
+    forms = list(dict.fromkeys(text for text, _gen, _steps, _out in walked))
+    rng = random.Random(21)
+    texts = []
+    for _ in range(count):
+        toks = tokenize_z2f2(rng.choice(forms))
+        k = rng.randrange(len(toks))
+        edit = rng.randrange(4)
+        if edit == 0:
+            toks[k] = rng.choice(Z2F2_SIGMA)
+        elif edit == 1:
+            del toks[k]
+        elif edit == 2:
+            toks.insert(rng.randrange(len(toks) + 1), rng.choice(Z2F2_SIGMA))
+        else:
+            _flip_group(toks, rng)
+        texts.append(render_z2f2(toks))
+    return texts
+
+
 def _codec(rep: fw.Representation, entries) -> dict:
-    texts = dict.fromkeys(t for text, _gen, _steps, out in entries
-                          for t in (text, out))
+    texts = dict.fromkeys(itertools.chain(
+        (t for text, _gen, _steps, out in entries for t in (text, out)),
+        _mutants(rep, entries)))
     decoded = 0
     h = hashlib.sha256()
     for text in texts:
@@ -201,6 +250,15 @@ def render_ledger(ledger: dict) -> str:
 
 def test_step_ledger_is_unchanged():
     assert render_ledger(build_ledger()) == LEDGER.read_text()
+
+
+def test_codec_mutants_reach_the_decoder_messages_the_walks_miss():
+    rep = fw.REPRESENTATIONS["z2wrf2"]()
+    verdicts = {_verdict(rep, text) for text in _mutants(rep, _walk_entries(rep, seed=1))}
+    for message in ("group nesting does not alternate",
+                    "top-level pivot class below the top level",
+                    "untrimmed zero at the far end of a group side"):
+        assert f"NotInLanguage: {message}" in verdicts
 
 
 if __name__ == "__main__":

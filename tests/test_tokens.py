@@ -7,6 +7,7 @@ list.  Every check compares tokens, exception type and message, and the tape
 codes of the codes functions with the codes of the reference tokens.
 """
 
+import functools
 import itertools
 import random
 
@@ -225,3 +226,74 @@ def test_long_texts_match_reference():
             text = "".join("C" * (k in cs) + b for k, b in enumerate(bits))
             for t in (text, text + "C", text[:-1] + "2" + text[-1:], "C" + text, " " + text):
                 assert_codes_match(codes_z2z2, ref_nf_z2z2, t)
+
+
+# -- Z2 wr F2 at the character level -----------------------------------------
+#
+# A codec that decides each cell from its neighbours fails, if at all, on a
+# neighbourhood of a few cells, at a text's ends or at a token boundary: these
+# tests vary single characters rather than whole tokens.
+
+F2_CHARS = "01DEABC()[] 　x"
+
+
+def assert_z2f2_char_level(text):
+    """codes_z2f2 and tokenize_z2f2 agree with the reference on text, and a
+    valid text's codes render to the reference rendering, which decodes back
+    to them."""
+    want = outcome(ref_tokenize_z2f2, text)
+    assert outcome(tokenize_z2f2, text) == want, text
+    codes = outcome(codes_z2f2, text)
+    if isinstance(want, list):
+        assert codes == encode(want), text
+        rendered = render_z2f2(codes)
+        assert rendered == ref_render_z2f2(want), text
+        assert codes_z2f2(rendered) == codes, text
+    else:
+        assert codes == want, text
+
+
+def test_every_short_string_over_the_z2f2_characters():
+    # 41 371 strings: every string of at most 4 characters over the alphabet's
+    # characters, an ASCII and a non-ASCII space and a bad symbol
+    count = 0
+    for k in range(5):
+        for chars in itertools.product(F2_CHARS, repeat=k):
+            assert_z2f2_char_level("".join(chars))
+            count += 1
+    assert count == 41_371
+
+
+def test_seeded_strings_of_five_to_eight_z2f2_characters():
+    # what the exhaustive test cannot reach in its time: neighbourhoods of
+    # five cells and more
+    rng = random.Random(20261)
+    for _ in range(20_000):
+        assert_z2f2_char_level("".join(rng.choices(F2_CHARS, k=rng.randint(5, 8))))
+
+
+@functools.cache
+def long_z2f2_tokens():
+    """The tokens of a sampled normal form of 2^14 tokens."""
+    rep = REPRESENTATIONS["z2wrf2"]()
+    return tuple(ref_tokenize_z2f2(rep.sample_nf(random.Random(14), 1 << 14)))
+
+
+def test_long_z2f2_form_with_edge_tokens():
+    toks = list(long_z2f2_tokens())
+    texts = [
+        ref_render_z2f2(["D1B", *toks, "E0C"]),  # 3-character tokens at both ends
+        ref_render_z2f2(["D0", "A1", *toks, "E1", "C0"]),  # a spaced pair at both ends
+        " ".join(toks),  # whitespace at every token boundary
+        "　" + "\t".join(toks) + "\n",
+    ]
+    assert texts[1].startswith("D0 A1") and texts[1].endswith("E1 C0")
+    for text in texts:
+        assert_z2f2_char_level(text)
+
+
+def test_long_z2f2_form_with_one_bad_symbol():
+    text = ref_render_z2f2(long_z2f2_tokens())
+    for k in (0, 1, len(text) // 2, len(text) - 1):
+        for bad in ("x", "\0", "é"):
+            assert_z2f2_char_level(text[:k] + bad + text[k + 1:])
