@@ -8,22 +8,19 @@ own ordinal, so F's text and Z2 wr Z^2's bits encode with `str.encode`.  Each
 multi-character token and work symbol has a fixed code of 128 or more.
 External text uses the ASCII renderings below; the renderers also take codes.
 
-The wreath products' texts go straight to tape codes (`codes_z2z2`,
-`codes_z2f2`) in C, with no token list: the text is ASCII-encoded and each
-multi-character token replaced by its code, one `bytes.replace` per token.
-The tokenizer decodes those codes.  A Z2 wr Z^2 text is first checked by
-one full match of its normal-form language (`Z2Z2_NF`), so each C starts a
-C0 or C1 and the codes are a normal form's.
+The wreath products' texts go straight to tape codes in a fixed number of C
+passes, with no token list.  A Z2 wr Z^2 text is checked by one full match of
+its normal-form language (`Z2Z2_NF`), so each C starts a C0 or C1.
 
-A Z2 wr F2 text is tokenized by maximal munch (longest token first), with
-whitespace between tokens.  Replacing the eight three-character tokens and
-then the ten two-character ones is that munch, because D and E only start a
-token, and A, B and C appear only first in [ABC][01] or third in D[01][ABC]
-and E[01]C: a token occurrence overlaps another only inside a longer one,
-which is replaced first.  Then one `translate` checks that only one-character
-tokens, codes and whitespace are left (non-ASCII whitespace counts as a
-space), and another deletes the whitespace.  Only a text that fails the check
-is walked token by token, to name the first bad symbol as maximal munch does.
+Z2 wr F2 tokens are read by maximal munch, with whitespace between them.
+Read off `_Z2F2_TOKEN`, it is a rule per cell: D and E start a token; an A,
+B or C continues one exactly when the two cells before it are D and a digit
+(for C, E and a digit too), else it starts one; a digit continues a token
+exactly after a starting letter.  A text munches exactly when each cell is a
+symbol or whitespace and each starting letter is followed by a digit.
+`codes_z2f2` applies the rule with `translate`s and byte masks held as big
+integers (a shift by 8 bits moves a mask one cell); `render_z2f2` writes
+each token's characters into three lanes of one buffer.
 """
 
 from __future__ import annotations
@@ -89,26 +86,29 @@ def encode(symbols: Iterable[str]) -> bytes:
         raise InvalidInput(f"symbol {exc.args[0]!r} has no tape code") from None
 
 
-# the token pairs a space must separate: plain D0/D1 before an A/B/C token and
-# plain E0/E1 before a C token, which bare concatenation would munch into
-# D0A, E0C, ...  On codes, one branch per first token: every branch starts
-# with a literal, so the regex engine finds the candidates in C.
-_AFTER_D = ("A0", "A1", "B0", "B1", "C0", "C1")
-_SPACED = re.compile(b"|".join(
-    b"%s(?=[%s])" % (re.escape(encode((p,))), re.escape(encode(after)))
-    for p, after in (("D0", _AFTER_D), ("D1", _AFTER_D), ("E0", _AFTER_D[4:]),
-                     ("E1", _AFTER_D[4:]))))
-# the code and text of each multi-character token of Z2 wr Z^2 and Z2 wr F2,
-# and each text and code, for maximal munch the three-character ones first
-_TEXTS_Z2Z2 = tuple((encode((t,)), t.encode()) for t in Z2Z2_SIGMA[2:])
-_TEXTS_Z2F2 = tuple((encode((t,)), t.encode()) for t in Z2F2_SIGMA if len(t) > 1)
-_CODES_Z2Z2 = tuple((t, c) for c, t in _TEXTS_Z2Z2)
-_CODES_Z2F2 = sorted(((t, c) for c, t in _TEXTS_Z2F2), key=lambda tc: -len(tc[0]))
-_CELLS_Z2F2 = encode(Z2F2_SIGMA) + _WHITESPACE  # what the munched text may hold
-
-
-def _space_after(m: re.Match) -> bytes:
-    return m[0] + b" "
+_C0, _C1 = encode(("C0",)), encode(("C1",))
+# codes_z2f2's tables.  _CELL: 1-6 for a bracket or digit, 0 for a letter or
+# whitespace, 7 for any other symbol.  _LETTER: a bit per letter above those
+# three.  _CONTINUES: on D and E, the bits of the letters that continue their
+# token two cells on.  A cell's sum is its _CELL plus the _LETTER of a
+# starting letter before it and of a continuing one after it, which is a
+# token's on its digit; _Z2F2_CODES maps it to the code, any other to 0.
+_CELL = bytes(b"()[]01".find(c) + 1 or 7 * (c not in _WHITESPACE + b"ABCDE") for c in range(256))
+_LETTER = bytes(8 << b"CABDE".find(c) if c in b"CABDE" else 0 for c in range(256))
+_CONTINUES = bytes({ord("D"): 8 | 16 | 32, ord("E"): 8}.get(c, 0) for c in range(256))
+_Z2F2_CODES = bytearray(256)
+# render_z2f2's lanes: each code's first, second and third character, 0 for
+# none, 0xFF (no ASCII) off the alphabet.  A token with no third character
+# has its class there: d, e for D0-D1, E0-E1 and a, c for A0-B1, C0-C1.  Munch
+# would join a d to an a or c after it, an e to a c: such a d or e becomes S.
+_FIRST, _SECOND, _THIRD = bytearray(b"\xff" * 256), bytearray(256), bytearray(256)
+for _tok in Z2F2_SIGMA:
+    _Z2F2_CODES[_CELL[ord(_tok[len(_tok) > 1])] + sum(_LETTER[ord(c)] for c in _tok)] = CODE[_tok]
+    for _lane, _char in zip((_FIRST, _SECOND, _THIRD), _tok.encode()):
+        _lane[CODE[_tok]] = _char
+    if len(_tok) == 2:
+        _THIRD[CODE[_tok]] = b"deaac"[b"DEABC".index(_tok[0].encode())]
+_SPACE = bytes(32 if c == ord("S") else c * (c in b"ABC") for c in range(256))  # S: a space
 
 
 @functools.cache
@@ -121,12 +121,6 @@ def codes_of(symbols: Collection[str]) -> bytes:
 def decode(codes: Iterable[int]) -> list[str]:
     """The symbols of tape codes, one per cell."""
     return [SYMBOL[c] for c in codes]
-
-
-def _replace(data: bytes, pairs) -> bytes:
-    for old, new in pairs:
-        data = data.replace(old, new)
-    return data
 
 
 def codes_z2z2(text: str) -> bytes:
@@ -145,22 +139,23 @@ def codes_z2z2(text: str) -> bytes:
         if (marks := text.count("C")) != 1:
             raise NotInLanguage(f"expected exactly one lamplighter token, found {marks}")
         raise NotInLanguage("trailing 0 padding is not allowed")
-    return _replace(text.encode("ascii"), _CODES_Z2Z2)
+    return text.encode("ascii").replace(b"C0", _C0).replace(b"C1", _C1)
 
 
 def codes_z2f2(text: str) -> bytes:
-    """Tape codes of ASCII text over the 24-symbol alphabet, by maximal munch.
-
-    Whitespace separates tokens and is otherwise ignored; the renderer emits a
-    space only where a plain D/E token is followed by one that bare
-    concatenation would munch into it (e.g. D0 C0 versus D0C 0).
-    """
+    """Tape codes of ASCII text over the 24-symbol alphabet, by maximal munch;
+    whitespace separates tokens and is otherwise ignored.  The renderer emits
+    a space only where munch needs one (D0 C0 versus D0C 0)."""
     try:
         codes = text.encode("ascii")
     except UnicodeEncodeError:  # whitespace as a space, other symbols as "?"
         codes = " ".join(text.split()).encode("ascii", "replace")
-    codes = _replace(codes, _CODES_Z2F2)
-    if codes.translate(None, _CELLS_Z2F2):
+    letters = int.from_bytes(codes.translate(_LETTER), "little")
+    cont = (int.from_bytes(codes.translate(_CONTINUES), "little") << 16) & letters
+    cells = (int.from_bytes(codes.translate(_CELL), "little")
+             + ((letters ^ cont) << 8) + (cont >> 8))
+    codes = cells.to_bytes(len(codes) + 1, "little").translate(_Z2F2_CODES, b"\0")
+    if 0 in codes:
         pos = 0
         while True:
             while text[pos].isspace():
@@ -169,7 +164,7 @@ def codes_z2f2(text: str) -> bytes:
             if m is None:
                 raise NotInLanguage(f"unknown symbol {text[pos]!r} at position {pos}")
             pos = m.end()
-    return codes.translate(None, _WHITESPACE)
+    return codes
 
 
 def tokenize_z2f2(text: str) -> list[str]:
@@ -179,14 +174,19 @@ def tokenize_z2f2(text: str) -> list[str]:
 
 def render_z2f2(tokens) -> str:
     """ASCII rendering of alphabet tokens, or of their codes as bytes, that
-    re-tokenizes to exactly them."""
-    codes = tokens if isinstance(tokens, bytes) else encode(tokens)
-    return _replace(_SPACED.sub(_space_after, codes), _TEXTS_Z2F2).decode("ascii")
+    re-tokenizes to exactly them (ValueError on a code off the alphabet)."""
+    codes = bytearray(tokens if isinstance(tokens, bytes) else encode(tokens))
+    out = bytearray(3 * len(codes))
+    out[::3] = codes.translate(_FIRST)
+    out[1::3] = codes.translate(_SECOND)
+    out[2::3] = codes.translate(_THIRD).replace(b"da", b"Sa").replace(
+        b"dc", b"Sc").replace(b"ec", b"Sc").translate(_SPACE)
+    return out.translate(None, b"\0").decode()
 
 
 def render(tokens) -> str:
     """ASCII rendering of a token sequence, or of the codes as bytes of one
     over Z2 wr Z^2's or F's alphabet (inverse of the codes functions)."""
     if isinstance(tokens, bytes):
-        return _replace(tokens, _TEXTS_Z2Z2).decode("ascii")
+        return tokens.replace(_C0, b"C0").replace(_C1, b"C1").decode("ascii")
     return "".join(tokens)
