@@ -78,9 +78,11 @@ _CLEAN = re.compile(rb"(?:a*+#|b*+#|a++b++#(?!#))*+(?:a++b++#|a*+b*+)").match
 # and 1 ns a cell here, the masks about 1 us and 4 ns a cell.  On sampled
 # forms, about 3 cells a block, the two cross at about 130 blocks (380
 # cells), and on long tapes at about one # in ten cells.  So the masks take
-# a tape with at least _MASK_HASHES # among its first _MASK_WINDOW cells.
-# Counting in a window costs the same at any length, and b^k, whose one
-# block the match reads fast, stays on the match.
+# a tape with at least _MASK_HASHES # among its first _MASK_WINDOW cells,
+# where counting costs the same at any length, or, where that window falls
+# short on a longer tape, with that density over the whole tape.  b^k, whose
+# one block the match reads fast, stays on the match; a tape whose # come
+# late, such as x1's candidate on b^k, takes the masks.
 _MASK_WINDOW, _MASK_HASHES = 1024, 128
 
 # What the counted sweeps search for on tape codes
@@ -140,25 +142,29 @@ def _scan_valid(ts: TapeSet) -> bool:
     rejected cell (see _REJECT), 2 steps per cell.  On a blank it accepts or
     rejects what it read; on acceptance it rewinds to the start marker.  The
     host finds the cell where it stops, and charges the loop's steps for it.
-    A tape with fewer than _MASK_HASHES # among its first _MASK_WINDOW cells
-    is tried with one full match of _NF: on a match the automaton reads up to
-    the first blank and accepts, else it stops where _CLEAN ends.  Any other
-    tape gets its stop cell from _first_rejected, and accepts if that is the
-    first blank and its last block has one sign, or it is blank up to there.
+    A tape with at least _MASK_HASHES # among its first _MASK_WINDOW cells,
+    or, if it is longer, as many per _MASK_WINDOW cells over its whole length,
+    gets its stop cell from _first_rejected, and accepts if that is the first
+    blank and its last block has one sign, or it is blank up to there.  Any
+    other tape is tried with one full match of _NF: on a match the automaton
+    reads up to the first blank and accepts, else it stops where _CLEAN ends.
     """
     tape = ts.tapes[0]
     cells = tape.cells
     h = tape.head
     end = _first_blank(cells, h + 1)
+    n = end - h - 1
     # a tape of fewer than _MASK_HASHES cells holds fewer # too
-    if (end - h <= _MASK_HASHES
-            or cells.count(_H, h + 1, min(end, h + 1 + _MASK_WINDOW)) < _MASK_HASHES):
-        ok = _IS_NF_CODES(cells, h + 1, end) is not None
-        p = end if ok else _CLEAN(cells, h + 1).end()
-    else:
+    if n >= _MASK_HASHES and (
+            cells.count(_H, h + 1, min(end, h + 1 + _MASK_WINDOW)) >= _MASK_HASHES
+            or n > _MASK_WINDOW
+            and cells.count(_H, h + 1, end) * _MASK_WINDOW >= _MASK_HASHES * n):
         p = h + 1 + _first_rejected(cells[h + 1:end])
         q = max(cells.rfind(_H, h + 1, end) + 1, h + 1)  # where the last block starts
         ok = p == end and (end == h + 1 or q < end and cells[q] == cells[end - 1])
+    else:
+        ok = _IS_NF_CODES(cells, h + 1, end) is not None
+        p = end if ok else _CLEAN(cells, h + 1).end()
     ts.steps += 2 * (p - h)
     tape.head = p
     if ok:

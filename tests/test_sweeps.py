@@ -391,6 +391,24 @@ def test_scan_valid_matches_loop_on_long_near_misses(monkeypatch):
     assert compared == 24
 
 
+def test_scan_valid_matches_loop_on_long_tapes_with_late_hashes(monkeypatch):
+    # the first window holds no #, the whole tape one # in two cells, as x1's
+    # candidate on b^k does: valid or with a rejection planted late, the
+    # tape takes the masks; b^k alone stays on the full match
+    k = 2 * tf._MASK_WINDOW
+    nf = "b" * k + "#b" * k
+    texts = [nf, nf + "#", nf[:-k] + "a" + nf[-k:], nf[:-3] + "x" + nf[-3:], "b" * k, "b" * k + "a"]
+    starts = [((codes(text), 0),) for text in texts]
+    wants = [run(loop_scan_valid, start) for start in starts]
+    assert [want[0] for want in wants] == [True, False, False, False, True, False]
+    masked = []
+    first_rejected = tf._first_rejected
+    monkeypatch.setattr(tf, "_first_rejected", lambda seg: masked.append(seg) or first_rejected(seg))
+    for start, want in zip(starts, wants):
+        agree(tf._scan_valid, want, start)
+    assert len(masked) == 4 and compared == 6
+
+
 # -- F's counter walks --------------------------------------------------------
 
 def loop_compute_r(ts):
