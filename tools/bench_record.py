@@ -3,6 +3,14 @@
     python3 tools/bench_record.py --pr N --seeds 1-4 \\
         --seeds mul-large:101-110 --baseline ../parent-checkout
 
+Each side must be the top level of a git checkout, so that the file names
+its revision; the tool exits 2 naming any side that is not.  Make the
+parent's checkout with one of
+
+    git worktree add --detach ../parent-checkout <parent revision>
+    git clone --no-checkout . ../parent-checkout && \\
+        git -C ../parent-checkout checkout --detach <parent revision>
+
 Runs `perfbench/run.py --trace 0` on each of the three workloads, once per
 seed and for BENCHMARK.json's `run_seconds`, from the root of this checkout.
 `--seeds` takes a range (`1-4`) or a list (`1,3,5`) for every workload, or
@@ -64,10 +72,18 @@ def parse_seeds(specs) -> dict:
     return {w: one.get(w, every) for w in WORKLOADS if one.get(w, every)}
 
 
-def revision(checkout: Path) -> str:
-    r = subprocess.run(["git", "describe", "--always", "--dirty"], cwd=checkout,
-                       capture_output=True, text=True)
-    return r.stdout.strip() or "unknown"
+def git(checkout: Path, *args) -> str:
+    r = subprocess.run(["git", *args], cwd=checkout, capture_output=True, text=True)
+    return r.stdout.strip() if r.returncode == 0 else ""
+
+
+def revision(checkout: Path) -> str | None:
+    """The checkout's `git describe`, or None unless it is the top level of a
+    git checkout: a plain directory (a `git archive` export, say) has no
+    revision, and one nested in another repository's tree has that one's."""
+    if not checkout.is_dir() or Path(git(checkout, "rev-parse", "--show-toplevel")) != checkout:
+        return None
+    return git(checkout, "describe", "--always", "--dirty") or "unknown"
 
 
 def run_once(checkout: Path, workload: str, seed: int, seconds: int) -> dict:
@@ -129,12 +145,18 @@ def main(argv=None) -> int:
     bench = json.loads((ROOT / "BENCHMARK.json").read_text())
     seconds = bench["run_seconds"]
     better = {m["name"]: m["better"] for m in bench["end_to_end"]}
+    revisions = {side: revision(path) for side, path in sides.items()}
+    if None in revisions.values():
+        print("bench_record.py: not the top level of a git checkout: "
+              + ", ".join(str(sides[side]) for side, rev in revisions.items() if rev is None),
+              file=sys.stderr)
+        return 2
     record = {
         "pr": args.pr,
         "machine": {"nproc": os.cpu_count(), "python": platform.python_version(),
                     "platform": platform.platform()},
         "seconds": seconds,
-        "revisions": {side: revision(path) for side, path in sides.items()},
+        "revisions": revisions,
         "workloads": {},
     }
     for workload, wl_seeds in seeds.items():
