@@ -154,10 +154,11 @@ def _scan_valid(ts: TapeSet) -> bool:
     h = tape.head
     end = _first_blank(cells, h + 1)
     n = end - h - 1
-    # a tape of fewer than _MASK_HASHES cells holds fewer # too
+    # a tape of fewer than _MASK_HASHES cells holds fewer # too, and one with
+    # no # past the window (b^k, say) too few per _MASK_WINDOW cells
     if n >= _MASK_HASHES and (
             cells.count(_H, h + 1, min(end, h + 1 + _MASK_WINDOW)) >= _MASK_HASHES
-            or n > _MASK_WINDOW
+            or cells.find(_H, h + 1 + _MASK_WINDOW, end) >= 0
             and cells.count(_H, h + 1, end) * _MASK_WINDOW >= _MASK_HASHES * n):
         p = h + 1 + _first_rejected(cells[h + 1:end])
         q = max(cells.rfind(_H, h + 1, end) + 1, h + 1)  # where the last block starts
