@@ -326,9 +326,9 @@ UNRUN_GUARDS = sorted([
 
 def test_walks_short_forms_and_garbage_run_every_line_but_the_guards(unrun_lines):
     # the ledger's walks, every generator on every normal form of at most 7
-    # symbols, on one whose membership scan takes the masks and on b^k, whose
-    # scan counts the # of its whole tape, and the raw machines on garbage
-    # reach every line of F's tape programs but the guards
+    # symbols, on one whose membership scan takes the masks and on b^k, where
+    # the scan of x1's candidate counts the # of its whole tape, and the raw
+    # machines on garbage reach every line of F's tape programs but the guards
     long_nf = REPRESENTATIONS["thompson-f"]().sample_nf(random.Random(17), 1024)
     assert long_nf.count("#", 0, tf._MASK_WINDOW) >= tf._MASK_HASHES
     forms = _short_forms(7) + [long_nf, "b" * (tf._MASK_WINDOW + 1)]
