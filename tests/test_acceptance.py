@@ -5,6 +5,8 @@ The sample sizes follow the stated criteria; random sampling is seeded, so
 every run checks the same corpus.
 """
 
+import dataclasses
+import hashlib
 import random
 import time
 
@@ -28,10 +30,26 @@ R1 = ["x1", "x0-", "x0-", "x1-", "x0", "x0", "x1-", "x0-", "x1", "x0"]
 R2 = ["x1", "x0-", "x0-", "x0-", "x1-", "x0", "x0", "x0",
       "x1-", "x0-", "x0-", "x1", "x0", "x0"]
 
+# sha256 of every sample criteria 2 and 3 draw, in order, each followed by a
+# newline: a change to a sampler must keep its samples byte-identical
+SAMPLES_SHA256 = {
+    "z2wrz2": "377bd317d2a863bee07159bb0eec83ed4d8fb938fad9c17e562696205f7cb067",
+    "z2wrf2": "80857ac8e42658d6a74221fafc42a2941673d00d85cdc718c750a3c5689ed00b",
+}
+
 
 def _verdict(num: int, ok: bool, text: str) -> None:
     print(f"ACCEPTANCE {num}: {'PASS' if ok else 'FAIL'} - {text}")
     assert ok, text
+
+
+def _hashing_samples(rep, digest):
+    """rep with a sample_nf that feeds every sample it draws to digest."""
+    def sample_nf(rng, n):
+        nf = rep.sample_nf(rng, n)
+        digest.update(nf.encode() + b"\n")
+        return nf
+    return dataclasses.replace(rep, sample_nf=sample_nf)
 
 
 def _walk_corpus(rep, per_gen: int, seed: int):
@@ -88,12 +106,14 @@ def test_criterion_1_and_7_psi_commutation_and_bijectivity():
 
 
 def test_criterion_2_z2wrz2_linear_and_jumps():
-    rep = fw.representation_z2wrz2()
+    samples = hashlib.sha256()
+    rep = _hashing_samples(fw.representation_z2wrz2(), samples)
     verdicts = {}
     for gen in rep.generators:
         report = fw.linearity_bench(rep, gen, SIZES, samples_per_size=6, seed=11)
         verdicts[gen] = report.verdict
     assert all(verdicts.values()), verdicts
+    assert samples.hexdigest() == SAMPLES_SHA256[rep.group_id]
 
     # jumps from k near 1e5 land up to ~8*turns+15 further along: keep margin
     walk = list(spiral.walk(103_000))
@@ -109,10 +129,12 @@ def test_criterion_2_z2wrz2_linear_and_jumps():
 
 
 def test_criterion_3_z2wrf2_linear_and_fig3():
-    rep = fw.representation_z2wrf2()
+    samples = hashlib.sha256()
+    rep = _hashing_samples(fw.representation_z2wrf2(), samples)
     for gen in rep.generators:
         report = fw.linearity_bench(rep, gen, SIZES, samples_per_size=6, seed=12)
         assert report.verdict, (gen, report.to_json())
+    assert samples.hexdigest() == SAMPLES_SHA256[rep.group_id]
     cfg = z2wrf2.decode(FIG3_ITERATIONS[-1])
     replay = z2wrf2.encode_iterations(cfg)
     _verdict(3, replay == FIG3_ITERATIONS,
