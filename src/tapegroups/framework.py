@@ -104,49 +104,30 @@ def _decode_thompson(nf: str) -> og.DyadicPL:
     return og.pl_eval_normalform(nf)
 
 
+def _representation(group, decode, oracle_identity, oracle_mul, sample_nf) -> Representation:
+    """A group module's Representation, read off the module when called.
+    g- inverts g, and a generator with no g- is its own inverse."""
+    gens = group.GENERATORS
+    inverse = {g: g[:-1] if g.endswith("-") else g + "-" if g + "-" in gens else g
+               for g in gens}
+    return Representation(group.GROUP, gens, inverse, group.IDENTITY_NF,
+                          group.apply_gen_report, group.validate, decode,
+                          oracle_identity, oracle_mul, sample_nf)
+
+
 def representation_z2wrz2() -> Representation:
-    return Representation(
-        group_id="z2wrz2",
-        generators=z2wrz2.GENERATORS,
-        inverse={"a": "a-", "a-": "a", "b": "b-", "b-": "b", "c": "c"},
-        identity_nf=z2wrz2.IDENTITY_NF,
-        apply_report=z2wrz2.apply_gen_report,
-        validate=z2wrz2.validate,
-        decode=z2wrz2.decode,
-        oracle_identity=og.IDENTITY_Z2,
-        oracle_mul=og.wreath_mul_gen,
-        sample_nf=_sample_z2wrz2,
-    )
+    return _representation(z2wrz2, z2wrz2.decode, og.IDENTITY_Z2, og.wreath_mul_gen,
+                           _sample_z2wrz2)
 
 
 def representation_z2wrf2() -> Representation:
-    return Representation(
-        group_id="z2wrf2",
-        generators=z2wrf2.GENERATORS,
-        inverse={"a": "a-", "a-": "a", "b": "b-", "b-": "b", "c": "c"},
-        identity_nf=z2wrf2.IDENTITY_NF,
-        apply_report=z2wrf2.apply_gen_report,
-        validate=z2wrf2.validate,
-        decode=z2wrf2.decode,
-        oracle_identity=og.IDENTITY_F2,
-        oracle_mul=og.wreath_mul_gen,
-        sample_nf=_sample_z2wrf2,
-    )
+    return _representation(z2wrf2, z2wrf2.decode, og.IDENTITY_F2, og.wreath_mul_gen,
+                           _sample_z2wrf2)
 
 
 def representation_thompson_f() -> Representation:
-    return Representation(
-        group_id="thompson-f",
-        generators=thompson_f.GENERATORS,
-        inverse={"x0": "x0-", "x0-": "x0", "x1": "x1-", "x1-": "x1"},
-        identity_nf=thompson_f.IDENTITY_NF,
-        apply_report=thompson_f.apply_gen_report,
-        validate=thompson_f.validate,
-        decode=_decode_thompson,
-        oracle_identity=og.PL_IDENTITY,
-        oracle_mul=og.pl_mul_gen,
-        sample_nf=_sample_thompson,
-    )
+    return _representation(thompson_f, _decode_thompson, og.PL_IDENTITY, og.pl_mul_gen,
+                           _sample_thompson)
 
 
 REPRESENTATIONS = {

@@ -47,6 +47,12 @@ defining loop as a reference oracle.
 
 Finite control state of a program (region variables, ERASE flags, ...) lives in
 host variables and costs nothing, matching the state set of a real machine.
+
+Each group declares one `Machine`: a text-to-codes function, the output
+alphabet, a renderer and one program per generator.  `Machine.apply` is the
+one driver of right multiplication by a generator.  It calls a program as
+program(ts, gen) on the fresh 2-tape `TapeSet`, which returns the case labels
+of the branches it took, a tuple, or None when it rejects its input.
 """
 
 from __future__ import annotations
@@ -54,9 +60,9 @@ from __future__ import annotations
 import functools
 import re
 from dataclasses import dataclass
-from typing import Collection, Iterable, Optional, Sequence, Tuple, Union
+from typing import Callable, Collection, Dict, Iterable, Optional, Sequence, Tuple, Union
 
-from .errors import InvalidInput, OutputFault, TapeFault
+from .errors import BadWord, InvalidInput, NotInLanguage, OutputFault, TapeFault
 from .tokens import BEGIN, BLANK, CODE, SYMBOL, codes_of, decode, encode
 
 _START = bytes((CODE[BEGIN],))  # a fresh tape's cells
@@ -252,3 +258,34 @@ def read_output(ts: TapeSet) -> bytes:
         if bad:
             raise OutputFault(f"symbol {SYMBOL[bad[0]]!r} outside the declared alphabet")
     return out
+
+
+@dataclass(frozen=True, slots=True)
+class Machine:
+    """A group's 2-tape machine (see the module docstring)."""
+
+    group: str
+    codes: Callable[[str], bytes]  # raises NotInLanguage or InvalidInput off the language
+    sigma: Tuple[str, ...]
+    render: Callable[[bytes], str]
+    programs: Dict[str, Callable[[TapeSet, str], Optional[Tuple[str, ...]]]]
+
+    def apply(self, text: str, gen: str) -> Tuple[str, StepReport]:
+        """The product of the normal form text and gen, and the run's report.
+        An unknown generator raises BadWord before the text is read; a text
+        that the codes or the program reject raises NotInLanguage."""
+        try:
+            program = self.programs[gen]
+        except (KeyError, TypeError):  # TypeError: a generator with no hash
+            raise BadWord(f"unknown generator {gen!r} for {self.group}") from None
+        try:
+            codes = self.codes(text)
+            ts = init_tapes(codes, 2, sigma=self.sigma)
+        except InvalidInput:  # a symbol with no tape code, or a tape marker
+            cases = None
+        else:
+            cases = program(ts, gen)
+        if cases is None:
+            raise NotInLanguage(f"{text!r} is not a normal form")
+        return (self.render(read_output(ts)),
+                StepReport(len(codes), ts.steps, gen, self.group, cases))

@@ -16,7 +16,9 @@ included, is counted.
 
 Which branch of the case analysis fired is a return value: the x1^-1 program
 returns its label from CASE_LABELS, and apply_gen_report hands the labels of
-a run to its caller in StepReport.cases.  The module holds no mutable state.
+a run to its caller in StepReport.cases: one for x1-, one per candidate round
+trip for x1 (the accepting one last), none for x0 and x0-.  The module holds
+no mutable state.
 """
 
 from __future__ import annotations
@@ -26,10 +28,10 @@ from dataclasses import dataclass
 from itertools import islice
 from typing import Optional, Tuple
 
-from .errors import BadWord, InvalidInput, NoCaseMatched, NotInLanguage, TapeFault
-from .tapevm import StepReport, TapeSet, init_tapes, read_output
-from .tapeops import shift_suffix_left, shift_suffix_right
-from .tokens import BEGIN, BLANK, CODE, F_SIGMA, codes_of
+from . import tapeops
+from .errors import NoCaseMatched, TapeFault
+from .tapevm import Machine, StepReport, TapeSet, init_tapes
+from .tokens import BEGIN, BLANK, CODE, F_SIGMA, codes_of, encode
 
 GROUP = "thompson-f"
 GENERATORS = ("x0", "x0-", "x1", "x1-")
@@ -328,14 +330,14 @@ def _x0_flags(ts: TapeSet) -> Tuple[bool, bool, bool, bool]:
             m_zero, not m_zero and q2 == q1 + 1 and _code(cells, q2) == _H)
 
 
-def _program_x0(ts: TapeSet, sign: int) -> bool:
-    """x0 (sign 1) or x0^-1 (sign -1): the membership scan's verdict."""
+def _program_x0(ts: TapeSet, gen: str) -> Optional[Tuple[()]]:
+    """x0 or x0^-1; None when the membership scan rejects the input."""
     if not _scan_valid(ts):
-        return False
+        return None
     r0_pos, s0_pos, m_zero, block1_empty = _x0_flags(ts)
     _rewind(ts, 0)
 
-    if sign < 0:
+    if gen == "x0-":
         if (not s0_pos) and r0_pos and m_zero:
             _to_blank(ts)
             ts.move_left(0)
@@ -344,41 +346,43 @@ def _program_x0(ts: TapeSet, sign: int) -> bool:
             # cancellation shifts every index down: drop one a and one separator
             ts.scan_right(0, ("#",))
             ts.move_right(0)
-            shift_suffix_left(ts, 0, 2)
+            tapeops.shift_suffix_left(ts, 0, 2)
         else:
             # thicken the x0 tail: insert b right after block 0's a-run
             ts.scan_right(0, _NOT_A)
-            shift_suffix_right(ts, 0, ["b"])
+            tapeops.shift_suffix_right(ts, 0, ["b"])
     else:
         if s0_pos:
             ts.scan_right(0, _NOT_A)
             ts.move_right(0)
-            shift_suffix_left(ts, 0, 1)
+            tapeops.shift_suffix_left(ts, 0, 1)
         elif m_zero:
             _to_blank(ts)
             ts.write(0, "a")
         else:
             # indices shift up: block 0 gains an a, an empty block is born
             ts.scan_right(0, ("#",))
-            shift_suffix_right(ts, 0, ["a", "#"])
-    return True
+            tapeops.shift_suffix_right(ts, 0, ["a", "#"])
+    return ()
 
 
 # ---------------------------------------------------------------------------
 # x1^-1 multiplication: the case analysis
 #
-# Each program returns the label (one of CASE_LABELS) of the branch whose edit
-# it made, or None when it halted before reaching one.
+# Each case program returns the label (one of CASE_LABELS) of the branch whose
+# edit it made.
 
-def _program_x1_inv(ts: TapeSet) -> Optional[str]:
+def _program_x1_inv(ts: TapeSet, gen: str = "x1-") -> Optional[Tuple[str]]:
+    """x1^-1's program: the label of its branch, or None when the membership
+    scan rejects its input."""
     if not _scan_valid(ts):
         return None
     # block-0 shape decides between the two case families
     s0_pos, m_zero = _x1_inv_flags(ts)
     _rewind(ts, 0)
     if not s0_pos:
-        return _x1_inv_case1(ts, m_zero)
-    return _x1_inv_case2(ts)
+        return (_x1_inv_case1(ts, m_zero),)
+    return (_x1_inv_case2(ts),)
 
 
 def _x1_inv_flags(ts: TapeSet) -> Tuple[bool, bool]:
@@ -422,7 +426,7 @@ def _x1_inv_case1(ts: TapeSet, m_zero: bool) -> str:
         ts.scan_right(0, ("#",))
         ts.move_right(0)
         ts.scan_right(0, _NOT_A)
-        shift_suffix_right(ts, 0, ["b"])
+        tapeops.shift_suffix_right(ts, 0, ["b"])
         return "1.2"
     # 1.3: r1 > 0, s1 = 0, block 2 absent or empty
     second_hash = _to_hash(ts, 2)
@@ -443,7 +447,7 @@ def _x1_inv_case1(ts: TapeSet, m_zero: bool) -> str:
     # drop the last a of block 1 together with the second separator
     _to_hash(ts, 2)
     ts.move_right(0)
-    shift_suffix_left(ts, 0, 2)
+    tapeops.shift_suffix_left(ts, 0, 2)
     return "1.3c"
 
 
@@ -552,7 +556,7 @@ def _drop_b_after_a_run(ts: TapeSet) -> bool:
     if ts.read(0) != "b":
         return False
     ts.move_right(0)
-    shift_suffix_left(ts, 0, 1)
+    tapeops.shift_suffix_left(ts, 0, 1)
     return True
 
 
@@ -578,18 +582,18 @@ def _x1_inv_case2(ts: TapeSet) -> str:
         t_prev = ts.read(0)
         ts.move_right(0)
         if t_prev == "#":
-            shift_suffix_right(ts, 0, ["b"])
+            tapeops.shift_suffix_right(ts, 0, ["b"])
             return "2.1c1"
         # CASE (R > j_n): block R has no b, so t_prev is a
         ts.move_right(0)
         s_next = ts.read(0)
         ts.move_left(0)
         if s_next == "a":
-            shift_suffix_right(ts, 0, ["b"])
+            tapeops.shift_suffix_right(ts, 0, ["b"])
             return "2.1c2"
         # block R+1 has no b and track cell R+1 is _#, so s_next is #
         ts.move_right(0)
-        shift_suffix_left(ts, 0, 2)
+        tapeops.shift_suffix_left(ts, 0, 2)
         return "2.1c3"
     # not CASE: the insertion point sits inside the tail at index R
     # (R <= j_n <= M), so the R-th separator exists and the loop stops at it
@@ -598,27 +602,27 @@ def _x1_inv_case2(ts: TapeSet) -> str:
     ts.move_right(0)
     s1 = ts.read(0)
     if s1 == "#":
-        shift_suffix_right(ts, 0, ["b"])
+        tapeops.shift_suffix_right(ts, 0, ["b"])
         return "2.2.2c"
     if s1 == "b":
-        shift_suffix_right(ts, 0, ["b"])
+        tapeops.shift_suffix_right(ts, 0, ["b"])
         return "2.2.2a"
     # a blank here would end the form in an empty block: s1 is a
     ts.scan_right(0, _NOT_A)
     sym = ts.read(0)
     if sym == "b":
-        shift_suffix_right(ts, 0, ["b"])
+        tapeops.shift_suffix_right(ts, 0, ["b"])
         return "2.2.2a"
     # not CASE: a b follows the R-th separator, so the a-run ends in # here
     ts.move_right(0)
     s2 = ts.read(0)
     ts.move_left(0)
     if s2 in ("a", "b"):
-        shift_suffix_right(ts, 0, ["b"])
+        tapeops.shift_suffix_right(ts, 0, ["b"])
         return "2.2.2b"
     # a blank here would end the form in an empty block: s2 is #
     ts.move_right(0)
-    shift_suffix_left(ts, 0, 2)
+    tapeops.shift_suffix_left(ts, 0, 2)
     return "2.2.1"
 
 
@@ -743,7 +747,7 @@ def _b_13b(ts: TapeSet) -> bool:
 def _b_13c(ts: TapeSet) -> bool:
     if not _to_hash(ts, 2):
         return False
-    shift_suffix_right(ts, 0, ["a", "#"])
+    tapeops.shift_suffix_right(ts, 0, ["a", "#"])
     return True
 
 
@@ -768,7 +772,7 @@ def _b_21c12(ts: TapeSet) -> bool:
     if ts.scan_left(0, ("b", BEGIN)) == BEGIN:  # rightmost b of the input
         return False
     ts.move_right(0)
-    shift_suffix_left(ts, 0, 1)
+    tapeops.shift_suffix_left(ts, 0, 1)
     return True
 
 
@@ -777,7 +781,7 @@ def _b_21c3(ts: TapeSet) -> bool:
     _rewind(ts, 1)
     if not _walk_to_hash(ts, BLANK):  # the (R+1)-th separator
         return False
-    shift_suffix_right(ts, 0, ["a", "#"])
+    tapeops.shift_suffix_right(ts, 0, ["a", "#"])
     return True
 
 
@@ -794,7 +798,7 @@ _X1_BUILDERS = (_b_11, _b_12, _b_13a, _b_13b, _b_13c, _b_21a, _b_21b, _b_21c12,
                 _b_21c3, _b_222a)
 
 
-def apply_x1(ts: TapeSet) -> Optional[Tuple[str, ...]]:
+def apply_x1(ts: TapeSet, gen: str = "x1") -> Optional[Tuple[str, ...]]:
     """Right multiplication by x1 as one run of the 2-tape machine: try each
     case's inverse edit and accept the candidate whose forward edit
     reproduces the input.
@@ -820,7 +824,7 @@ def apply_x1(ts: TapeSet) -> Optional[Tuple[str, ...]]:
     track = bytes(ts.tapes[0].cells)
     if not _scan_valid(ts):
         return None
-    cases = []
+    cases = ()
     for builder in _X1_BUILDERS:
         _restore(ts, track)
         if not builder(ts):
@@ -830,11 +834,11 @@ def apply_x1(ts: TapeSet) -> Optional[Tuple[str, ...]]:
         label = _program_x1_inv(ts)
         if label is None:  # the candidate is not a normal form
             continue
-        cases.append(label)
+        cases += label
         if _compare_input(ts, track):
             _restore(ts, track)
             builder(ts)
-            return tuple(cases)
+            return cases
     raise NoCaseMatched(f"no multiplication case accepted {track[1:].decode()!r}")
 
 
@@ -848,31 +852,14 @@ def compute_r(text: str) -> RResult:
     return RResult(ts.tapes[1].cells.count(_B), case_flag)
 
 
-def apply_gen_report(text: str, gen: str) -> Tuple[str, StepReport]:
-    """Right-multiply a normal form by gen.  The report's cases are the labels
-    of the x1^-1 branches that ran: one for x1-, one per candidate round trip
-    for x1 (the accepting one last), none for x0 and x0-.
+# Each generator is one run of the 2-tape machine, whose counted membership
+# scan is the only check of the input.  Its output codes are ASCII.
+MACHINE = Machine(GROUP, encode, F_SIGMA, bytes.decode,
+                  {"x0": _program_x0, "x0-": _program_x0, "x1": apply_x1, "x1-": _program_x1_inv})
 
-    Each generator is one run of the 2-tape machine, and its counted
-    membership scan is the only check of the input: a text it rejects, or
-    one with a tape marker or a symbol without a tape code, raises
-    NotInLanguage."""
-    if gen not in GENERATORS:
-        raise BadWord(f"unknown generator {gen!r} for {GROUP}")
-    try:
-        ts = init_tapes(text, 2, sigma=F_SIGMA)
-    except InvalidInput:  # a tape marker or a symbol with no tape code
-        ts = None
-    if gen == "x1":
-        cases = ts and apply_x1(ts)
-    elif gen == "x1-":
-        label = ts and _program_x1_inv(ts)
-        cases = label and (label,)
-    else:
-        cases = () if ts and _program_x0(ts, 1 if gen == "x0" else -1) else None
-    if cases is None:
-        raise NotInLanguage(f"{text!r} is not a normal form")
-    return read_output(ts).decode("ascii"), StepReport(len(text), ts.steps, gen, GROUP, cases)
+
+def apply_gen_report(text: str, gen: str) -> Tuple[str, StepReport]:
+    return MACHINE.apply(text, gen)
 
 
 def apply_gen(text: str, gen: str) -> str:

@@ -42,10 +42,10 @@ from itertools import compress, count, islice
 from operator import length_hint
 from typing import List, Optional, Tuple, Union
 
-from .errors import BadWord, NotInLanguage
+from . import tapeops
+from .errors import NotInLanguage
 from .oracle_groups import LampConfigF2
-from .tapevm import StepReport, TapeSet, init_tapes, read_output
-from .tapeops import shift_suffix_left, shift_suffix_right
+from .tapevm import Machine, StepReport, TapeSet
 from .tokens import (BEGIN, BLANK, CODE, SYMBOL, Z2F2_SIGMA, codes_of, codes_z2f2,
                      render_z2f2, tokenize_z2f2)
 
@@ -474,11 +474,12 @@ def _scan_to_marker(ts: TapeSet):
     return None, None
 
 
-def _program_toggle(ts: TapeSet) -> None:
+def _program_toggle(ts: TapeSet, gen: str) -> Tuple[()]:
     ts.move_right(0)
     sym = ts.scan_right(0, _TOGGLE_STOP)
     if sym != BLANK:
         ts.write(0, _TOGGLE[sym])
+    return ()
 
 
 def _mark_pivot(ts: TapeSet, sym: str) -> None:
@@ -540,7 +541,7 @@ def _insert_here(ts: TapeSet, tok: str) -> None:
     if sym == BLANK:
         ts.write(0, tok)
     else:
-        shift_suffix_right(ts, 0, [tok])
+        tapeops.shift_suffix_right(ts, 0, [tok])
 
 
 def _move_and_land(ts: TapeSet, fwd: bool) -> None:
@@ -570,7 +571,7 @@ def _sprout(ts: TapeSet, S: str, gen_axis: str, fwd: bool) -> None:
         toks = ["[", sigma, "C0", "]"] if fwd else ["[", "C0", sigma, "]"]
     ts.write(0, toks[0])
     ts.move_right(0)
-    shift_suffix_right(ts, 0, toks[1:])
+    tapeops.shift_suffix_right(ts, 0, toks[1:])
 
 
 def _leaf_inline(ts: TapeSet, S: str, fwd: bool) -> None:
@@ -610,7 +611,7 @@ def _leaf_inline(ts: TapeSet, S: str, fwd: bool) -> None:
         ts.write(0, _COLLAPSE[s1])
         for _ in range(4):
             ts.move_right(0)
-        shift_suffix_left(ts, 0, 3)
+        tapeops.shift_suffix_left(ts, 0, 3)
         return
     if s1 in _MARK:
         if fwd:
@@ -621,26 +622,26 @@ def _leaf_inline(ts: TapeSet, S: str, fwd: bool) -> None:
         _mark_pivot(ts, s1)
         ts.move_right(0)
         ts.move_right(0)
-        shift_suffix_left(ts, 0, 1)
+        tapeops.shift_suffix_left(ts, 0, 1)
         return
     if s1 in push:
         back(0)
         _enter(ts, s1, fwd)
         (ts.scan_left if fwd else ts.scan_right)(0, ("C0",))
         ts.move_right(0)
-        shift_suffix_left(ts, 0, 1)
+        tapeops.shift_suffix_left(ts, 0, 1)
     # else nothing to move onto: invalid input, halt
 
 
-def _program_move(ts: TapeSet, gen: str) -> None:
+def _program_move(ts: TapeSet, gen: str) -> Tuple[()]:
     S, P = _scan_to_marker(ts)
     if S is None:
-        return
+        return ()
     axis = "a" if gen[0] == "a" else "b"
     fwd = not gen.endswith("-")
     if S in D_C + D_B:
         if P != "(":
-            return
+            return ()
         own = "b"
     elif S in E_C:
         if P == "(":
@@ -648,16 +649,16 @@ def _program_move(ts: TapeSet, gen: str) -> None:
         elif P == "[":
             own = "a"
         else:
-            return
+            return ()
     else:
         if S in B_LEAF and P != BEGIN:
-            return
+            return ()
         line_axis = "b" if P == "(" else "a"
         if axis == line_axis:
             _leaf_inline(ts, S, fwd)
         else:
             _sprout(ts, S, axis, fwd)
-        return
+        return ()
     if S in E_C and P == "(":
         # a vertical expansion pivot sits on a horizontal line: it reverts to D
         ts.write(0, "D0" if S == "E0C" else "D1")
@@ -665,19 +666,15 @@ def _program_move(ts: TapeSet, gen: str) -> None:
         ts.write(0, _UNMARK[S])
     if axis == own or _exit_group(ts, P, fwd):
         _move_and_land(ts, fwd)
+    return ()
+
+
+MACHINE = Machine(GROUP, codes_z2f2, Z2F2_SIGMA, render_z2f2,
+                  {gen: _program_toggle if gen == "c" else _program_move for gen in GENERATORS})
 
 
 def apply_gen_report(text: str, gen: str) -> Tuple[str, StepReport]:
-    if gen not in GENERATORS:
-        raise BadWord(f"unknown generator {gen!r} for {GROUP}")
-    codes = codes_z2f2(text)
-    ts = init_tapes(codes, 2, sigma=Z2F2_SIGMA)
-    if gen == "c":
-        _program_toggle(ts)
-    else:
-        _program_move(ts, gen)
-    out = render_z2f2(read_output(ts))
-    return out, StepReport(len(codes), ts.steps, gen, GROUP)
+    return MACHINE.apply(text, gen)
 
 
 def apply_gen(text: str, gen: str) -> str:

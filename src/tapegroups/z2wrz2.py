@@ -35,9 +35,9 @@ import re
 from typing import Tuple
 
 from . import spiral
-from .errors import BadWord, NotInLanguage, TapeFault
+from .errors import TapeFault
 from .oracle_groups import LampConfigZ2
-from .tapevm import StepReport, TapeSet, init_tapes, read_output
+from .tapevm import Machine, StepReport, TapeSet
 from .tokens import BLANK, CODE, Z2Z2_NF, Z2Z2_SIGMA, codes_z2z2, render
 
 GROUP = "z2wrz2"
@@ -243,35 +243,30 @@ def _erase_run(ts: TapeSet, run: int, erase: bool) -> None:
         ts.steps += zeros
 
 
-def _program_toggle(ts: TapeSet) -> None:
+def _program_toggle(ts: TapeSet, gen: str) -> Tuple[()]:
     ts.move_right(0)
     sym = ts.scan_right(0, _END)
     if sym != BLANK:
         ts.write(0, "C1" if sym == "C0" else "C0")
+    return ()
 
 
-def _program_move(ts: TapeSet, gen: str) -> None:
+def _program_move(ts: TapeSet, gen: str) -> Tuple[()]:
     S = _scan_to_mark(ts)
-    if S is None:
-        return
-    sign, kind = spiral.JUMPS[_GEN_DIR[gen]][S]
-    _move_mark(ts, None if kind == "one" else kind, sign > 0)
+    if S is not None:
+        sign, kind = spiral.JUMPS[_GEN_DIR[gen]][S]
+        _move_mark(ts, None if kind == "one" else kind, sign > 0)
+    return ()
+
+
+# codes_z2z2 raises NotInLanguage on a non-member; the programs halt on any
+# token string
+MACHINE = Machine(GROUP, codes_z2z2, Z2Z2_SIGMA, render,
+                  {gen: _program_toggle if gen == "c" else _program_move for gen in GENERATORS})
 
 
 def apply_gen_report(text: str, gen: str) -> Tuple[str, StepReport]:
-    """Right-multiply a normal form by gen.  The host match that loads the
-    tape codes (`codes_z2z2`) raises NotInLanguage on a non-member; the
-    programs themselves halt on any token string."""
-    if gen not in GENERATORS:
-        raise BadWord(f"unknown generator {gen!r} for {GROUP}")
-    codes = codes_z2z2(text)
-    ts = init_tapes(codes, 2, sigma=Z2Z2_SIGMA)
-    if gen == "c":
-        _program_toggle(ts)
-    else:
-        _program_move(ts, gen)
-    out = render(read_output(ts))
-    return out, StepReport(len(codes), ts.steps, gen, GROUP)
+    return MACHINE.apply(text, gen)
 
 
 def apply_gen(text: str, gen: str) -> str:

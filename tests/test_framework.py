@@ -4,7 +4,7 @@ import random
 import pytest
 
 from tapegroups import framework as fw
-from tapegroups.errors import BadWord, NoCaseMatched
+from tapegroups.errors import BadWord, NoCaseMatched, NotInLanguage
 from tapegroups.tapevm import StepReport
 
 R1 = ["x1", "x0-", "x0-", "x1-", "x0", "x0", "x1-", "x0-", "x1", "x0"]
@@ -21,6 +21,44 @@ def test_word_to_nf_examples():
 def test_word_to_nf_rejects_bad_letters():
     with pytest.raises(BadWord):
         fw.word_to_nf(fw.representation_z2wrz2(), ["x0"])
+
+
+# per group: a normal form and a generator, and the message that a text
+# holding a tape marker or a symbol with no tape code raises
+MEMBER = {"z2wrz2": ("C0", "c"), "z2wrf2": ("B0", "c"), "thompson-f": ("a", "x0")}
+NON_MEMBER = {"z2wrz2": "unknown symbol {!r} at position 0",
+              "z2wrf2": "unknown symbol {!r} at position 0",
+              "thompson-f": "{!r} is not a normal form"}
+
+
+@pytest.mark.parametrize("group", fw.REPRESENTATIONS)
+def test_step_report_names_the_group_id(group):
+    rep = fw.REPRESENTATIONS[group]()
+    _, report = rep.apply_report(*MEMBER[group])
+    assert report.group == group == rep.group_id
+
+
+@pytest.mark.parametrize("group", fw.REPRESENTATIONS)
+def test_unknown_generator_raises_bad_word(group):
+    rep = fw.REPRESENTATIONS[group]()
+    for gen in ("x0", "x2", "a", "d", ""):
+        if gen not in rep.generators:
+            with pytest.raises(BadWord) as err:
+                rep.apply_report(MEMBER[group][0], gen)
+            assert str(err.value) == f"unknown generator {gen!r} for {group}"
+    # the generator is checked before the input is read
+    with pytest.raises(BadWord):
+        rep.apply_report("?", "x9")
+
+
+@pytest.mark.parametrize("group", fw.REPRESENTATIONS)
+def test_tape_marker_and_nul_raise_not_in_language(group):
+    rep = fw.REPRESENTATIONS[group]()
+    for text in ("⊞", "\0"):
+        for gen in rep.generators:
+            with pytest.raises(NotInLanguage) as err:
+                rep.apply_report(text, gen)
+            assert str(err.value) == NON_MEMBER[group].format(text), gen
 
 
 def test_word_problem_two_sided():

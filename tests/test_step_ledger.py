@@ -28,12 +28,11 @@ import random
 from pathlib import Path
 
 from tapegroups import framework as fw
-from tapegroups import z2wrz2
+from tapegroups import z2wrf2, z2wrz2
 from tapegroups.errors import InvalidInput, NotInLanguage
 from tapegroups.oracle_groups import LampConfigF2, LampConfigZ2
 from tapegroups.tapevm import TapeSet, read_output
-from tapegroups.tokens import (BEGIN, BLANK, CODE, Z2F2_SIGMA, Z2Z2_SIGMA, encode, render,
-                               render_z2f2, tokenize_z2f2)
+from tapegroups.tokens import BEGIN, BLANK, CODE, Z2F2_SIGMA, encode, render_z2f2, tokenize_z2f2
 
 LEDGER = Path(__file__).parent / "data" / "step_ledger.json"
 SIZES = (1 << 6, 1 << 10, 1 << 14)
@@ -49,8 +48,8 @@ START = encode([BEGIN])  # a fresh tape's cells
 WALKS = {"z2wrz2": (40, 30, 1000, 30),
          "z2wrf2": (30, 30, 5000, 14),
          "thompson-f": (30, 30, 0, 0)}
-# alphabet and renderer for the random token strings
-RANDOM_TEXT = {"z2wrz2": (Z2Z2_SIGMA, render), "z2wrf2": (Z2F2_SIGMA, render_z2f2)}
+# the machine whose alphabet and renderer make the random token strings
+RANDOM_TEXT = {"z2wrz2": z2wrz2.MACHINE, "z2wrf2": z2wrf2.MACHINE}
 # per group: the seeded edits of its walk forms that the codec corpus adds
 MUTANTS = {"z2wrf2": 3000}
 
@@ -73,35 +72,30 @@ def _fixed_words(rep: fw.Representation):
     return words
 
 
-# the raw Z2 wr Z^2 program of each generator, as apply_gen_report runs it
-Z2Z2_PROGRAMS = {gen: (z2wrz2._program_toggle,) if gen == "c" else (z2wrz2._program_move, gen)
-                 for gen in z2wrz2.GENERATORS}
-
-
 @functools.cache
 def _raw_machine(sigma):
     """The one 2-tape machine run_raw resets for each run over sigma."""
     return TapeSet(2, sigma=sigma)
 
 
-def run_raw(tokens, sigma, program, *args):
-    """Run a raw tape program, which halts on any input, on a 2-tape machine
-    reset to hold `tokens` over `sigma` (a token list, a str of
+def run_raw(tokens, machine, gen):
+    """Run machine's program of gen, which halts on any input, on a 2-tape
+    machine over its alphabet reset to hold `tokens` (a token list, a str of
     one-character symbols, or their tape codes as bytes; a tape marker raises
     InvalidInput): the output text, the steps and the program's return
-    value.  The groups' front doors raise NotInLanguage on a non-member
-    before any program runs; this runs the program anyway."""
+    value.  Machine.apply raises NotInLanguage on a text its codes function
+    or its program rejects; this runs the program and returns its verdict."""
     cells = tokens if isinstance(tokens, bytes) else encode(tokens)
     if CODE[BEGIN] in cells or CODE[BLANK] in cells:  # as init_tapes checks
         raise InvalidInput("input may not contain tape markers")
-    ts = _raw_machine(sigma)
+    ts = _raw_machine(machine.sigma)
     first, second = ts.tapes
     first.cells = bytearray(START)
     first.cells += cells
     second.cells = bytearray(START)
     first.head = second.head = ts.steps = 0
-    result = program(ts, *args)
-    return render(read_output(ts)), ts.steps, result
+    result = machine.programs[gen](ts, gen)
+    return machine.render(read_output(ts)), ts.steps, result
 
 
 def _walk_entries(rep: fw.Representation, seed: int):
@@ -119,16 +113,16 @@ def _walk_entries(rep: fw.Representation, seed: int):
                 yield nf, gen, report.steps, out
             nf = outs[rng.choice(rep.generators)]
     if n_random:
-        sigma, render_tokens = RANDOM_TEXT[rep.group_id]
+        machine = RANDOM_TEXT[rep.group_id]
         for _ in range(n_random):
             # over a random part of the alphabet, so that long strings
             # without a marker or without brackets occur too
-            pool = rng.sample(sigma, rng.randint(1, len(sigma)))
+            pool = rng.sample(machine.sigma, rng.randint(1, len(machine.sigma)))
             tokens = [rng.choice(pool) for _ in range(rng.randint(0, max_tokens))]
-            text = render_tokens(tokens)
+            text = machine.render(tokens)
             for gen in rep.generators:
                 if rep.group_id == "z2wrz2":  # its front door raises on a non-member
-                    out, steps, _ = run_raw(tokens, sigma, *Z2Z2_PROGRAMS[gen])
+                    out, steps, _ = run_raw(tokens, machine, gen)
                 else:
                     out, report = rep.apply_report(text, gen)
                     steps = report.steps

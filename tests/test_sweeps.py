@@ -948,19 +948,17 @@ def jump(gen, region):
 def test_z2wrz2_programs_match_loops_on_every_short_token_string():
     def loop_program(ts, gen):
         if gen == "c":  # the toggle's one sweep is scan_right, checked above
-            return zz._program_toggle(ts)
+            return zz._program_toggle(ts, gen)
         region = loop_scan_to_mark(ts)
         if region is not None:
             loop_move_mark(ts, *jump(gen, region))
-
-    def program(ts, gen):
-        return zz._program_toggle(ts) if gen == "c" else zz._program_move(ts, gen)
+        return ()
 
     for n in range(8):
         for toks in itertools.product(Z2Z2_SIGMA, repeat=n):
             starts = ((codes(toks), 0), FRESH)
             check(zz._scan_to_mark, loop_scan_to_mark, starts)
-            for gen in zz.GENERATORS:
+            for gen, program in zz.MACHINE.programs.items():
                 check(program, loop_program, starts, gen)
     assert compared == 131_070
 
@@ -1150,10 +1148,6 @@ COUNTED_SWEEPS = (
     (TapeSet, "scan_left", loop_scan_left),
     (tapeops, "shift_suffix_right", loop_shift_right),
     (tapeops, "shift_suffix_left", loop_shift_left),
-    (tf, "shift_suffix_right", loop_shift_right),
-    (tf, "shift_suffix_left", loop_shift_left),
-    (z2wrf2, "shift_suffix_right", loop_shift_right),
-    (z2wrf2, "shift_suffix_left", loop_shift_left),
     (tf, "_scan_valid", loop_scan_valid),
     (zz, "_scan_to_mark", loop_scan_to_mark),
     (zz, "_move_mark", loop_move_mark),

@@ -7,10 +7,10 @@ from collections import Counter
 import pytest
 
 from tapegroups import thompson_f as tf
-from tapegroups.errors import BadWord, NoCaseMatched, NotInLanguage
+from tapegroups.errors import NoCaseMatched, NotInLanguage
 from tapegroups.framework import PLATEAU_FACTOR, REPRESENTATIONS, representation_thompson_f
 from tapegroups.oracle_groups import PL_IDENTITY, pl_eval_normalform, pl_mul_gen
-from tapegroups.tapevm import TapeSet, init_tapes
+from tapegroups.tapevm import TapeSet, init_tapes, read_output
 from tapegroups.tokens import F_SIGMA
 from test_step_ledger import _walk_entries, run_raw
 
@@ -107,8 +107,10 @@ def test_x1_examples():
 def test_invalid_input_raises_but_machine_halts():
     with pytest.raises(NotInLanguage):
         tf.apply_gen("ab", "x1-")
-    # the underlying machine itself is total: it halts without editing
-    assert run_raw("ab", F_SIGMA, tf._program_x1_inv)[0] == "ab"
+    # the underlying machine itself is total: it halts without editing and
+    # returns its verdict
+    out, _, cases = run_raw("ab", tf.MACHINE, "x1-")
+    assert (out, cases) == ("ab", None)
 
 
 def test_oracle_differential_and_bijectivity():
@@ -231,11 +233,6 @@ def test_case_deletion_is_detectable(f_case_deleted):
     assert broken_at == 71
 
 
-# the raw machines, which halt on any input
-RAW_PROGRAMS = (tf._program_x1_inv, lambda ts: tf._program_x0(ts, 1),
-                lambda ts: tf._program_x0(ts, -1), tf.apply_x1)
-
-
 def _garbage():
     rng = random.Random(0)
     return ["".join(rng.choice("ab#") for _ in range(rng.randint(0, 12)))
@@ -252,8 +249,8 @@ def non_members():
 def test_total_on_garbage():
     # the machines halt on anything; the library surface raises on non-members
     for text in _garbage():
-        for program in RAW_PROGRAMS:
-            run_raw(text, F_SIGMA, program)
+        for gen in tf.GENERATORS:
+            run_raw(text, tf.MACHINE, gen)
         if tf.validate(text):
             for gen in ("x0", "x0-", "x1-", "x1"):
                 assert tf.validate(tf.apply_gen(text, gen))
@@ -297,8 +294,8 @@ def test_each_call_matches_the_language_once(monkeypatch):
             with pytest.raises(NotInLanguage):
                 tf.apply_gen(bad, gen)
         if not bad.strip("ab#"):  # the raw machines halt on any such text
-            for program in RAW_PROGRAMS:
-                run_raw(bad, F_SIGMA, program)
+            for gen in tf.GENERATORS:
+                run_raw(bad, tf.MACHINE, gen)
 
 
 F_PROGRAMS = (tf._scan_valid, tf._first_rejected, tf._rewind, tf._to_blank, tf._first,
@@ -341,8 +338,8 @@ def test_walks_short_forms_and_garbage_run_every_line_but_the_guards(unrun_lines
             for gen in tf.GENERATORS:
                 tf.apply_gen(nf, gen)
         for text in garbage:
-            for program in RAW_PROGRAMS:
-                run_raw(text, F_SIGMA, program)
+            for gen in tf.GENERATORS:
+                run_raw(text, tf.MACHINE, gen)
     assert unrun_lines(F_PROGRAMS, corpus) == UNRUN_GUARDS
 
 
@@ -387,15 +384,18 @@ def ref_x1(text):
     """The host guess-and-check that x1's one machine replaced: each builder
     on a fresh machine, its candidate checked with validate and then by
     x1^-1 on another fresh machine.  The product and the case labels."""
-    cases = []
+    cases = ()
     for builder in tf._X1_BUILDERS:
-        candidate, _, ok = run_raw(text, F_SIGMA, builder)
-        if not ok or not tf.validate(candidate):
+        ts = init_tapes(text, 2, sigma=F_SIGMA)
+        if not builder(ts):
             continue
-        back, _, label = run_raw(candidate, F_SIGMA, tf._program_x1_inv)
-        cases.append(label)
+        candidate = read_output(ts).decode()
+        if not tf.validate(candidate):
+            continue
+        back, _, label = run_raw(candidate, tf.MACHINE, "x1-")
+        cases += label
         if back == text:
-            return candidate, tuple(cases)
+            return candidate, cases
     raise NoCaseMatched(text)
 
 
@@ -422,20 +422,6 @@ def test_x1_restores_a_fresh_machine_and_matches_the_host_guess_and_check(monkey
         out, report = tf.apply_gen_report(text, "x1")
         assert (out, report.cases) == ref_x1(text), text
         assert restores[0] >= 2, text  # one per builder tried, one for the product
-
-
-def test_step_report_names_the_group_id():
-    _, report = tf.apply_gen_report("a", "x0")
-    assert report.group == "thompson-f" == REPRESENTATIONS["thompson-f"]().group_id
-
-
-def test_unknown_generator_raises_bad_word():
-    for gen in ("a", "x2", ""):
-        with pytest.raises(BadWord):
-            tf.apply_gen_report("a", gen)
-    # the generator is checked before the input is read
-    with pytest.raises(BadWord):
-        tf.apply_gen_report("?", "x9")
 
 
 def ref_parse(text):
@@ -527,4 +513,4 @@ def test_validate_rejects_a_long_near_miss_without_backtracking():
     assert time.perf_counter() - t0 < 5
     with pytest.raises(NotInLanguage):
         ref_parse(bad)
-    assert run_raw(bad, F_SIGMA, tf._scan_valid)[2] is False
+    assert tf._scan_valid(init_tapes(bad, 2, sigma=F_SIGMA)) is False

@@ -3,7 +3,7 @@ import random
 import pytest
 
 from tapegroups import z2wrf2 as z
-from tapegroups.errors import BadWord, NotInLanguage
+from tapegroups.errors import NotInLanguage
 from tapegroups.framework import REPRESENTATIONS, representation_z2wrf2, word_to_nf
 from tapegroups.oracle_groups import IDENTITY_F2, LampConfigF2, f2_reduce, wreath_mul_gen
 from tapegroups.tokens import render_z2f2, tokenize_z2f2
@@ -177,20 +177,6 @@ def test_total_on_invalid_inputs():
         text = render_z2f2(toks)
         for gen in z.GENERATORS:
             z.apply_gen(text, gen)  # any output, no exception
-
-
-def test_step_report_names_the_group_id():
-    _, report = z.apply_gen_report("B0", "c")
-    assert report.group == "z2wrf2" == REPRESENTATIONS["z2wrf2"]().group_id
-
-
-def test_unknown_generator_raises_bad_word():
-    for gen in ("x0", "d", ""):
-        with pytest.raises(BadWord):
-            z.apply_gen_report("B0", gen)
-    # the generator is checked before the input is read
-    with pytest.raises(BadWord):
-        z.apply_gen_report("?", "x9")
 
 
 # -- the fixpoint encoder the construction tree replaced, kept as a reference --

@@ -4,13 +4,13 @@ import random
 import pytest
 
 from tapegroups import spiral, z2wrz2 as z
-from tapegroups.errors import BadWord, NotInLanguage
+from tapegroups.errors import NotInLanguage
 from tapegroups.framework import REPRESENTATIONS, representation_z2wrz2
 from tapegroups.oracle_groups import IDENTITY_Z2, LampConfigZ2, wreath_mul_gen
 from tapegroups.tapevm import TapeSet, init_tapes
 from tapegroups.tokens import Z2Z2_SIGMA, codes_z2z2, encode, render
 
-from test_step_ledger import SIZES, WALKS, Z2Z2_PROGRAMS, _walk_entries, run_raw
+from test_step_ledger import SIZES, WALKS, _walk_entries, run_raw
 from test_thompson_f import non_members
 
 INV = {"a": "a-", "a-": "a", "b": "b-", "b-": "b", "c": "c"}
@@ -138,7 +138,7 @@ TOKEN_CODES = [encode((tok,)) for tok in Z2Z2_SIGMA]
 
 def run_z2(tokens, gen):
     """The output text of gen's raw program on tokens."""
-    return run_raw(tokens, Z2Z2_SIGMA, *Z2Z2_PROGRAMS[gen])[0]
+    return run_raw(tokens, z.MACHINE, gen)[0]
 
 
 def test_no_mark_input_halts_unchanged():
@@ -199,20 +199,6 @@ def test_every_generator_raises_on_a_non_member():
     for codes in token_strings.values():
         for gen in z.GENERATORS:
             run_z2(codes, gen)
-
-
-def test_step_report_names_the_group_id():
-    _, report = z.apply_gen_report("C0", "c")
-    assert report.group == "z2wrz2" == REPRESENTATIONS["z2wrz2"]().group_id
-
-
-def test_unknown_generator_raises_bad_word():
-    for gen in ("x0", "d", ""):
-        with pytest.raises(BadWord):
-            z.apply_gen_report("C0", gen)
-    # the generator is checked before the input is read
-    with pytest.raises(BadWord):
-        z.apply_gen_report("?", "x9")
 
 
 # -- host work and the explicit step bound -------------------------------------
