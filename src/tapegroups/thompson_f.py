@@ -372,7 +372,7 @@ def _program_x0(ts: TapeSet, gen: str) -> Optional[Tuple[()]]:
 # Each case program returns the label (one of CASE_LABELS) of the branch whose
 # edit it made.
 
-def _program_x1_inv(ts: TapeSet, gen: str = "x1-") -> Optional[Tuple[str]]:
+def _program_x1_inv(ts: TapeSet, gen: str) -> Optional[Tuple[str]]:
     """x1^-1's program: the label of its branch, or None when the membership
     scan rejects its input."""
     if not _scan_valid(ts):
@@ -798,7 +798,7 @@ _X1_BUILDERS = (_b_11, _b_12, _b_13a, _b_13b, _b_13c, _b_21a, _b_21b, _b_21c12,
                 _b_21c3, _b_222a)
 
 
-def apply_x1(ts: TapeSet, gen: str = "x1") -> Optional[Tuple[str, ...]]:
+def apply_x1(ts: TapeSet, gen: str) -> Optional[Tuple[str, ...]]:
     """Right multiplication by x1 as one run of the 2-tape machine: try each
     case's inverse edit and accept the candidate whose forward edit
     reproduces the input.
@@ -831,7 +831,7 @@ def apply_x1(ts: TapeSet, gen: str = "x1") -> Optional[Tuple[str, ...]]:
             continue
         _erase_counter(ts)
         _rewind(ts, 0)
-        label = _program_x1_inv(ts)
+        label = _program_x1_inv(ts, "x1-")
         if label is None:  # the candidate is not a normal form
             continue
         cases += label
