@@ -373,8 +373,8 @@ def _program_x0(ts: TapeSet, gen: str) -> Optional[Tuple[()]]:
 # edit it made.
 
 def _program_x1_inv(ts: TapeSet, gen: str) -> Optional[Tuple[str]]:
-    """x1^-1's program: the label of its branch, or None when the membership
-    scan rejects its input."""
+    """x1^-1's program: a 1-tuple of its branch's label, or None when the
+    membership scan rejects its input."""
     if not _scan_valid(ts):
         return None
     # block-0 shape decides between the two case families
