@@ -41,9 +41,10 @@ move (`_move_mark`, four tape-2 sweeps pacing a tape-1 run that pads or
 erases), and Z2 wr F2's bracket-stack walk (`_walk`, tape 2 a stack of the
 open groups it has entered: its stop cell found by a byte-class search,
 backward over windows of doubling width, so that a walk that stops d cells
-away reads O(d) cells, and a Python loop over the crossed brackets alone,
-which one `translate` picks out).  tests/test_sweeps.py keeps every
-defining loop as a reference oracle.
+away reads O(d) cells; the crossed brackets, which one `translate` picks
+out, settle tape 2 in a kind check and a depth profile eight brackets per
+step when the run is long, else in a Python loop over them).
+tests/test_sweeps.py keeps every defining loop as a reference oracle.
 
 Finite control state of a program (region variables, ERASE flags, ...) lives in
 host variables and costs nothing, matching the state set of a real machine.

@@ -28,17 +28,22 @@ leaving a group, is one `_walk`.  Each cell it crosses costs a tape-1 move and
 a tape-1 read; a push costs a tape-2 move and write; a closing bracket costs a
 tape-2 read, plus a write and a move when it pops.  `_walk` is a counted
 sweep (see `tapevm`): it charges that split in closed form at its exit.  It
-finds its stop cell with a byte-class search in C, reduces the cells it
-crosses to their brackets with one `translate`, and runs Python only over
-those brackets, pushing and popping on tape 2's cells in place.  A walk that
-stops d cells away takes O(d) time, whatever the length of either tape.
+finds its stop cell with a byte-class search in C and reduces the cells it
+crosses to their brackets with one `translate`.  A long run, such as the scan
+to the marker, settles tape 2 in a few C-level passes over those brackets
+(`_settle`): a kind check and a depth profile, eight brackets per step, give
+the stack it leaves and its highest depth without a step per bracket.  Any
+other run, and one those passes reject, runs Python over its brackets,
+pushing and popping on tape 2's cells in place.  A walk that stops d cells
+away takes O(d) time, whatever the length of either tape or the depth of
+its brackets.
 """
 
 from __future__ import annotations
 
 import functools
 import re
-from itertools import compress, count, islice
+from itertools import chain, compress, count, islice
 from operator import length_hint
 from typing import List, Optional, Tuple, Union
 
@@ -100,6 +105,38 @@ _IS_BRACKET = bytes(s in _PARTNER for s in SYMBOL)  # 1 on a bracket, else 0
 # the cells a backward walk searches first, leftward of its head; each further
 # window is twice as wide as the last
 _WINDOW = 16
+# the fewest brackets whose run a walk with a stop set hands to `_settle`
+# before the loop.  On prefixes of a sampled 2^14 form the two cost the same
+# near 48 brackets; at 64 `_settle` is faster, below 32 the loop
+_SETTLE_FLOOR = 64
+# by a run's first bracket code: the codes its even indices may hold, those
+# its odd indices may hold, and its push codes X, Y.  An even index holds X
+# or the close that pops Y, an odd one Y or the close that pops X, where X
+# is the first bracket if it pushes, else the push it does not pop.  Forward
+# the pushes are '(' and '[', backward ')' and ']'.
+_KIND = {first: (bytes((x, y | 128)), bytes((y, x | 128)), bytes((x, y)))
+         for a, b in ((CODE["("], CODE["["]), (CODE[")"], CODE["]"]))
+         for x, y in ((a, b), (b, a)) for first in (x, y | 128)}
+_PUSH_BIT = bytes(48 + (c < 128) for c in range(256))  # b"1" on a push, b"0" on a close
+
+
+def _profiles(width: int):
+    """(net, rise, need) of each run of `width` brackets, indexed by the run
+    as a binary number, a push 1 and its first bracket the most significant
+    bit: its net change of depth, its highest depth above its start, and the
+    least start depth from which it never drops below 0."""
+    if width == 1:
+        return ((-1, 0, 1), (1, 1, 0))
+    half = _profiles(width // 2)
+    return tuple((n1 + n2, max(r1, n1 + r2), max(d1, d2 - n1))
+                 for n1, r1, d1 in half for n2, r2, d2 in half)
+
+
+# the profile of each byte of 8 brackets, in three byte tables, the net
+# change offset by 8 to fit a byte; and of one bracket by its bit, b"0" or
+# b"1", offset alike
+_NET, _RISE, _NEED = map(bytes, zip(*((net + 8, rise, need) for net, rise, need in _profiles(8))))
+_BIT_PROFILE = {bit: (net + 8, rise, need) for bit, (net, rise, need) in zip(b"01", _profiles(1))}
 _SPROUT_D = {"C0": "D0", "C1": "D1", "B0": "D0A", "B1": "D1A"}
 _SPROUT_E = {"C0": "E0", "C1": "E1"}
 
@@ -403,10 +440,16 @@ def _walk(ts: TapeSet, fwd: bool, stop) -> Tuple[str, Optional[str]]:
     doubling width leftward of the head, each matched to its last such cell.
     So a walk that stops d cells away reads O(d) cells.  Brackets are never
     in stop, so only a mismatch stops it sooner.  The cells it crosses are
-    `translate`d to their brackets alone (`_STACK_CODE`), and Python runs
-    the loop over those only, on tape 2's cells in place: a push writes the
+    `translate`d to their brackets alone (`_STACK_CODE`).  A run of at
+    least `_SETTLE_FLOOR` brackets, in a walk with a stop set, is first
+    handed to `_settle`, which finds the stack it leaves in C-level passes
+    when no close can mismatch; tape 2's cells from the top up to the run's
+    highest depth are then written in one slice.  Otherwise Python runs the
+    loop over the brackets, on tape 2's cells in place: a push writes the
     cell above the top, appending past the last cell; a pop blanks the top.
     A mismatch's cell is found from its index among the brackets, in C.
+    Exit walks (stop empty) end on a mismatch by design, so they always
+    run the loop.
     """
     tape, stack = ts.tapes
     cells, stack_cells = tape.cells, stack.cells
@@ -425,22 +468,28 @@ def _walk(ts: TapeSet, fwd: bool, stop) -> Tuple[str, Optional[str]]:
         crossed = cells[h + 1:h0][::-1]
     brackets = crossed.translate(_STACK_CODE[fwd], _NOT_BRACKET)
     t, m = t0, len(stack_cells)
-    run = iter(brackets)
     top = None
-    for code in run:
-        if code < 128:  # push
-            t += 1
-            if t < m:
-                stack_cells[t] = code
-            else:
-                stack_cells.append(code)
-                m += 1
-        elif stack_cells[t] != code ^ 128:
-            top = stack_cells[t]
-            break
-        else:  # pop: a blank, code 0, on the top
-            stack_cells[t] = 0
-            t -= 1
+    settled = _settle(brackets) if stop and len(brackets) >= _SETTLE_FLOOR else None
+    if settled:
+        depth, written = settled
+        stack_cells[t0 + 1:t0 + 1 + len(written)] = written
+        t += depth
+    else:
+        run = iter(brackets)
+        for code in run:
+            if code < 128:  # push
+                t += 1
+                if t < m:
+                    stack_cells[t] = code
+                else:
+                    stack_cells.append(code)
+                    m += 1
+            elif stack_cells[t] != code ^ 128:
+                top = stack_cells[t]
+                break
+            else:  # pop: a blank, code 0, on the top
+                stack_cells[t] = 0
+                t -= 1
     moved = len(brackets)  # pushes and pops
     mismatch = top is not None
     if mismatch:  # the cell of the closing bracket that did not pop
@@ -454,6 +503,43 @@ def _walk(ts: TapeSet, fwd: bool, stop) -> Tuple[str, Optional[str]]:
     tape.head = h
     stack.head = t
     return (SYMBOL[cells[h]] if h < len(cells) else BLANK), (SYMBOL[top] if mismatch else None)
+
+
+def _settle(brackets: bytes) -> Optional[Tuple[int, bytes]]:
+    """The stack a run of bracket codes leaves above its start, found in a
+    few C-level passes, or None where the loop must run it: an empty run, a
+    run that fails the kind check, and one that pops below its start.
+
+    Each bracket moves the depth by one, so a bracket's depth relative to
+    the start has its index's parity.  The kind check (`_KIND`) asks that
+    every even index hold X or the close that pops Y, and every odd index Y
+    or the close that pops X, for the direction's push codes X and Y in the
+    order the first bracket fixes.  Then no close above the start meets a
+    partner of the wrong kind.  The depth profile reads the run as bits, a
+    push 1, folds eight per step with the byte tables and the last 0-7 one
+    at a time.  If the depth never drops below 0, the run ends at depth j
+    with pushes X, Y, X, ... on cells 1..j above the start, and every cell
+    above those up to its highest depth was pushed and popped again.
+    Returns j and the codes of cells 1 up to that highest depth: the pushes,
+    then blanks."""
+    if not brackets:
+        return None
+    even, odd, pushes = _KIND[brackets[0]]
+    if brackets[::2].translate(None, even) or brackets[1::2].translate(None, odd):
+        return None
+    bits = brackets.translate(_PUSH_BIT)
+    n, tail = len(bits), len(bits) & 7
+    whole = (int(bits, 2) >> tail).to_bytes(n >> 3, "big")
+    depth = high = 0
+    for net, rise, need in chain(zip(whole.translate(_NET), whole.translate(_RISE),
+                                     whole.translate(_NEED)),
+                                 map(_BIT_PROFILE.__getitem__, bits[n - tail:])):
+        if depth < need:
+            return None  # it pops below its start
+        if depth + rise > high:
+            high = depth + rise
+        depth += net - 8
+    return depth, (pushes * (depth // 2 + 1))[:depth] + bytes(high - depth)
 
 
 @functools.cache

@@ -34,7 +34,7 @@ from tapegroups.errors import InvalidInput, TapeFault
 from tapegroups.framework import REPRESENTATIONS, word_to_nf
 from tapegroups.tapeops import shift_suffix_left, shift_suffix_right
 from tapegroups.tapevm import TapeSet, init_tapes
-from tapegroups.tokens import BEGIN, BLANK, SYMBOL, Z2F2_SIGMA, Z2Z2_SIGMA, encode
+from tapegroups.tokens import BEGIN, BLANK, CODE, SYMBOL, Z2F2_SIGMA, Z2Z2_SIGMA, encode
 from test_step_ledger import LEDGER, SIZES, _walk_entries, build_ledger, render_ledger
 from test_z2wrf2 import DEEP_FOLD, DEEP_ZIGZAG
 
@@ -1071,18 +1071,24 @@ def check_walks(toks, heads, stacks=WALK_STACKS, stops=WALK_STOPS):
                     assert out is not TapeFault  # every walk from these starts halts
 
 
+def short_token_strings(lengths=range(5)):
+    """Every string of these lengths, up to 4 tokens, over brackets, a pivot,
+    a marker and a plain cell."""
+    for n in lengths:
+        yield from itertools.product(("(", ")", "[", "]", "D0", "C0", "0"), repeat=n)
+
+
 def test_walk_matches_loop_on_every_short_token_string():
-    # brackets, a pivot, a marker and a plain cell: the stop, end and
-    # mismatch exits all fire, forward and backward
+    # the stop, end and mismatch exits all fire, forward and backward
     exits = set()
-    for n in range(5):
-        for toks in itertools.product(("(", ")", "[", "]", "D0", "C0", "0"), repeat=n):
-            check_walks(toks, range(n + 1))
-            for fwd, head in ((True, 0), (False, n)):
-                if fwd or head:
-                    starts = ((codes(toks), head), FRESH)
-                    sym, top = run(z2wrf2._walk, starts, fwd, z2wrf2._STOP)[0]
-                    exits.add((fwd, "mismatch" if top else sym))
+    for toks in short_token_strings():
+        n = len(toks)
+        check_walks(toks, range(n + 1))
+        for fwd, head in ((True, 0), (False, n)):
+            if fwd or head:
+                starts = ((codes(toks), head), FRESH)
+                sym, top = run(z2wrf2._walk, starts, fwd, z2wrf2._STOP)[0]
+                exits.add((fwd, "mismatch" if top else sym))
     assert exits == {(True, "mismatch"), (True, "C0"), (True, BLANK),
                      (False, "mismatch"), (False, "C0"), (False, BEGIN)}
     assert compared == 582_648
@@ -1108,6 +1114,89 @@ def test_walk_matches_loop_on_the_ledger_tapes():
         stack = run(z2wrf2._walk, ((codes(toks), 0), FRESH), True, ())[3][0]
         assert len(stack) > 1000 and not stack[1:].strip(b"\0")
     assert compared == 1248
+
+
+# each bracket's code with its kind flipped, '(' and '[' swapped, ')' and ']'
+FLIP_KIND = {"(": "[", "[": "(", ")": "]", "]": ")"}
+# by either push code of a direction, the other
+OTHER_PUSH = {CODE[x]: CODE[y] for pair in ("([", ")]") for x, y in (pair, pair[::-1])}
+
+
+def settle_exit(run):
+    """The exit `_settle` must take on a run of stack codes, from its
+    definition rather than its tables, and the push code X its first
+    bracket assigns to even depths: "empty"; "kind" unless every push at an
+    even index and every close at an odd one pushes or pops X, and every
+    other bracket the direction's other push code; "dip" if the depth drops
+    below the start; else "settled"."""
+    if not run:
+        return "empty", None
+    slots = (set(), set())  # the kinds pushed at even and at odd depths
+    for i, code in enumerate(run):
+        slots[(i + (code >= 128)) % 2].add(code & 127)
+    first = run[0] & 127
+    x = first if run[0] < 128 else OTHER_PUSH[first]
+    if slots[0] - {x} or slots[1] - {OTHER_PUSH[x]}:
+        return "kind", x
+    depth = 0
+    for code in run:
+        depth += 1 if code < 128 else -1
+        if depth < 0:
+            return "dip", x
+    return "settled", x
+
+
+def test_settled_walks_match_loop_on_short_strings_and_long_edits(monkeypatch, unrun_lines):
+    # with no floor every walk with a stop set tries _settle first.  Each of
+    # its exits, an empty run, a run that fails the kind check under each
+    # assignment of push codes, one that dips below its start and a settled
+    # stack, leaves the loop's state: from every start of the short strings
+    # (those of up to two tokens reach every line of _settle), and on the
+    # ledger's 2^14 form and seeded one-token edits of it, a flipped bracket
+    # kind or an extra close, each scanned in full and walked from seeded
+    # brackets and pivots
+    monkeypatch.setattr(z2wrf2, "_SETTLE_FLOOR", 0)
+    settle = z2wrf2._settle
+    exits = Counter()
+
+    def spy(brackets):
+        out = settle(brackets)
+        exit, x = settle_exit(brackets)
+        assert (out is None) == (exit != "settled"), bytes(brackets)
+        exits[exit, x and SYMBOL[x], len(brackets) >= 64] += 1
+        return out
+    monkeypatch.setattr(z2wrf2, "_settle", spy)
+
+    def short_walks(lengths):
+        for short in short_token_strings(lengths):
+            check_walks(short, range(len(short) + 1))
+    assert unrun_lines([settle], lambda: short_walks(range(3))) == []
+    short_walks(range(3, 5))
+
+    rep = REPRESENTATIONS["z2wrf2"]()
+    toks = z2wrf2.tokenize_z2f2(rep.sample_nf(random.Random(1 << 14), 1 << 14))
+    marker = next(i for i, tok in enumerate(toks) if tok in z2wrf2._STOP)
+    rng = random.Random(23)
+    edits = [toks]
+    for _ in range(3):
+        flipped = list(toks)
+        i = rng.choice([i for i, tok in enumerate(toks[:marker]) if tok in FLIP_KIND])
+        flipped[i] = FLIP_KIND[flipped[i]]
+        extra = list(toks)
+        extra.insert(rng.randrange(marker), rng.choice(z2wrf2._CLOSES))
+        edits += [flipped, extra]
+    for edit in edits:
+        check_walks(edit, (0, len(edit)), stacks=[FRESH])
+        starts = [i for i, tok in enumerate(edit, 1)
+                  if tok in FLIP_KIND or tok in z2wrf2._PIVOTS["("] + z2wrf2._PIVOTS["["]]
+        check_walks(edit, rng.sample(starts, 4), stacks=rng.sample(WALK_STACKS, 2))
+    # and the scans past the anchor of the two forms thousands of groups deep
+    for text in (z2wrf2.encode(DEEP_ZIGZAG), word_to_nf(rep, DEEP_FOLD)):
+        check_walks(z2wrf2.tokenize_z2f2(text), (1,), stacks=[FRESH])
+    assert {key[:2] for key in exits if not key[2]} == {("empty", None), *(
+        (exit, x) for exit in ("kind", "dip", "settled") for x in "()[]")}
+    assert {key[0] for key in exits if key[2]} == {"kind", "dip", "settled"}
+    assert compared == 582_648 + 532 + 16
 
 
 def test_walk_host_time_does_not_grow_with_the_tape():
@@ -1138,6 +1227,32 @@ def test_walk_host_time_does_not_grow_with_the_tape():
     for fwd in (True, False):
         assert best_of_5(1 << 22, fwd) < 4 * best_of_5(64, fwd) + 0.005, fwd
         assert best_of_5(64, fwd, 1 << 20) < 4 * best_of_5(64, fwd) + 0.005, fwd
+
+
+def test_walk_host_time_does_not_grow_with_the_depth():
+    # the scan past the anchor of DEEP_ZIGZAG's form crosses 4094 brackets
+    # 2047 levels deep, and takes no longer per bracket than a scan of as
+    # many brackets one level deep, where a pass per level would take some
+    # thousand times longer
+    deep = z2wrf2.tokenize_z2f2(z2wrf2.encode(DEEP_ZIGZAG))
+    shallow = ["B0", *["(", "D0", ")"] * 2047, "1"]
+    assert len(shallow) == len(deep) and shallow.count("(") == deep.count("(") + deep.count("[")
+
+    def best_of_5(toks):
+        ts = init_tapes([], 2)
+        tape, stack = ts.tapes
+        tape.cells = bytearray(codes(toks))
+        times = []
+        for _ in range(5):
+            t0 = time.perf_counter()
+            for _ in range(200):
+                tape.head, stack.head = 1, 0
+                z2wrf2._walk(ts, True, z2wrf2._STOP)
+            times.append(time.perf_counter() - t0)
+        assert tape.head == len(tape.cells) and stack.head == 0
+        return min(times)
+
+    assert best_of_5(deep) < 3 * best_of_5(shallow) + 0.005
 
 
 # -- the golden ledger under the defining loops --------------------------------

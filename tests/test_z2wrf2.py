@@ -7,7 +7,7 @@ from tapegroups.errors import NotInLanguage
 from tapegroups.framework import REPRESENTATIONS, representation_z2wrf2, word_to_nf
 from tapegroups.oracle_groups import IDENTITY_F2, LampConfigF2, f2_reduce, wreath_mul_gen
 from tapegroups.tokens import render_z2f2, tokenize_z2f2
-from test_step_ledger import _walk_entries
+from test_step_ledger import SIZES, _walk_entries
 
 INV = {"a": "a-", "a-": "a", "b": "b-", "b-": "b", "c": "c"}
 
@@ -311,8 +311,17 @@ TAPE_PROGRAMS = (z._walk, z._scan_to_marker, z._enter, z._exit_group, z._leaf_in
 
 def test_ledger_walks_run_every_line_of_the_tape_programs(unrun_lines):
     # the golden ledger vouches for a refactor of these programs only as far
-    # as its walks section runs them: every line must be reached
+    # as its walks and apply sections run them: every line must be reached.
+    # Only the apply section's 2^10 and 2^14 forms cross enough brackets for
+    # _walk to settle its stack without the loop; test_sweeps.py runs every
+    # line of _settle itself
+    rep = representation_z2wrf2()
+
     def walks():
-        for _ in _walk_entries(representation_z2wrf2(), 1):
+        for _ in _walk_entries(rep, 1):
             pass
+        for n in SIZES[1:]:
+            nf = rep.sample_nf(random.Random(n), n)
+            for gen in rep.generators:
+                rep.apply_report(nf, gen)
     assert unrun_lines(TAPE_PROGRAMS, walks) == []
