@@ -1154,7 +1154,9 @@ def test_settled_walks_match_loop_on_short_strings_and_long_edits(monkeypatch, u
     # (those of up to two tokens reach every line of _settle), and on the
     # ledger's 2^14 form and seeded one-token edits of it, a flipped bracket
     # kind or an extra close, each scanned in full and walked from seeded
-    # brackets and pivots
+    # brackets and pivots.  Runs that reach the real floor take every exit
+    # but the empty one
+    floor = z2wrf2._SETTLE_FLOOR
     monkeypatch.setattr(z2wrf2, "_SETTLE_FLOOR", 0)
     settle = z2wrf2._settle
     exits = Counter()
@@ -1163,7 +1165,7 @@ def test_settled_walks_match_loop_on_short_strings_and_long_edits(monkeypatch, u
         out = settle(brackets)
         exit, x = settle_exit(brackets)
         assert (out is None) == (exit != "settled"), bytes(brackets)
-        exits[exit, x and SYMBOL[x], len(brackets) >= 64] += 1
+        exits[exit, x and SYMBOL[x], len(brackets) >= floor] += 1
         return out
     monkeypatch.setattr(z2wrf2, "_settle", spy)
 
