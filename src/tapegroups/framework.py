@@ -4,6 +4,12 @@ A Representation bundles a group's normal-form codec, its tape programs and
 the independent oracle, so the word problem, differential fuzzing, linearity
 benchmarks and quasigeodesic probes are written once.  Fuzz trials are
 independent; each owns its tape sets and oracle state.
+
+A normal form is text or its tape codes (bytes): apply_report gives the
+product in the form it is given.  The word fold and the probe keep the form
+in codes from one generator run to the next, as the machine keeps its tape,
+and the fold renders once at the end; the fuzz, the linearity bench and the
+CLI's mul take and give text.
 """
 
 from __future__ import annotations
@@ -11,7 +17,7 @@ from __future__ import annotations
 import json
 import random
 from dataclasses import dataclass, field, replace
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from . import oracle_groups as og
 from . import spiral, thompson_f, z2wrf2, z2wrz2
@@ -19,7 +25,11 @@ from .errors import NotInLanguage
 from .tapevm import StepReport
 from .tokens import codes_z2f2, codes_z2z2
 
-ApplyFn = Callable[[str, str], Tuple[str, StepReport]]
+# a normal form, as text or as tape codes
+NF = Union[str, bytes]
+# (normal form, generator) -> (product, report), the product in the form of
+# the normal form given
+ApplyFn = Callable[[NF, str], Tuple[NF, StepReport]]
 
 
 @dataclass(frozen=True)
@@ -34,8 +44,10 @@ class Representation:
     oracle_identity: object
     oracle_mul: Callable[[object, str], object]
     sample_nf: Callable[[random.Random, int], str]
+    codes: Callable[[NF], bytes]  # the tape codes of a normal form, checked
+    render: Callable[[bytes], str]
 
-    def apply(self, nf: str, gen: str) -> str:
+    def apply(self, nf: NF, gen: str) -> NF:
         return self.apply_report(nf, gen)[0]
 
     def with_apply(self, apply_report: ApplyFn) -> "Representation":
@@ -112,7 +124,8 @@ def _representation(group, decode, oracle_identity, oracle_mul, sample_nf) -> Re
                for g in gens}
     return Representation(group.GROUP, gens, inverse, group.IDENTITY_NF,
                           group.apply_gen_report, group.validate, decode,
-                          oracle_identity, oracle_mul, sample_nf)
+                          oracle_identity, oracle_mul, sample_nf,
+                          group.MACHINE.codes, group.MACHINE.render)
 
 
 def representation_z2wrz2() -> Representation:
@@ -141,13 +154,14 @@ REPRESENTATIONS = {
 # word problem
 
 def word_to_nf_report(rep: Representation, word: Sequence[str]) -> Tuple[str, int]:
-    """Fold the generator programs over the word; total steps accumulate."""
-    nf = rep.identity_nf
+    """Fold the generator programs over the word, in tape codes from the
+    identity's, and render the result once; total steps accumulate."""
+    nf = rep.codes(rep.identity_nf)
     steps = 0
     for gen in word:
         nf, report = rep.apply_report(nf, gen)
         steps += report.steps
-    return nf, steps
+    return rep.render(nf), steps
 
 
 def word_to_nf(rep: Representation, word: Sequence[str]) -> str:
@@ -306,29 +320,23 @@ class ProbeReport:
                 "max_ratio": round(self.max_ratio, 3)}
 
 
-def _nf_len(rep: Representation, nf: str) -> int:
-    if rep.group_id == "z2wrf2":
-        return len(codes_z2f2(nf))
-    if rep.group_id == "z2wrz2":
-        return len(codes_z2z2(nf))
-    return len(nf)
-
-
 def quasigeodesic_probe(rep: Representation, trials: int, max_walk: int,
                         seed: int, checkpoints: Sequence[int] = ()) -> ProbeReport:
-    """Empirical max of |nf| / (walk length + 1).  Quasigeodesic normal forms
-    plateau; the probe can refute quasigeodesicity, never prove it."""
+    """Empirical max of |nf| / (walk length + 1), |nf| counted in tape codes
+    (tokens), on walks kept in codes.  Quasigeodesic normal forms plateau;
+    the probe can refute quasigeodesicity, never prove it."""
     rng = random.Random(seed)
     cps = sorted(set(checkpoints) | {max_walk}) if checkpoints else \
         sorted({max_walk // 4, max_walk // 2, max_walk})
     at = {k: 0.0 for k in cps}
     overall = 0.0
+    identity = rep.codes(rep.identity_nf)
     for _ in range(trials):
-        nf = rep.identity_nf
+        nf = identity
         for k in range(1, max_walk + 1):
             nf = rep.apply(nf, rng.choice(rep.generators))
             if k in at:
-                ratio = _nf_len(rep, nf) / (k + 1)
+                ratio = len(nf) / (k + 1)
                 at[k] = max(at[k], ratio)
                 overall = max(overall, ratio)
     return ProbeReport(rep.group_id, trials, max_walk, at, overall)

@@ -359,8 +359,15 @@ def pl_eval_normalform(u: str) -> DyadicPL:
     return DyadicPL(pts, _canonical=True)
 
 
+# the map of each generator of right multiplication, by name
+_GENERATOR_MAP = {which + suffix: pl_generator(which, sign)
+                  for which in ("x0", "x1") for suffix, sign in (("", +1), ("-", -1))}
+
+
 def pl_mul_gen(elem: DyadicPL, gen: str) -> DyadicPL:
     """Right multiplication by x0/x1 (suffix '-' for inverse): the generator
     map is applied first, the accumulated element after it."""
-    which, sign = (gen[:-1], -1) if gen.endswith("-") else (gen, +1)
-    return pl_compose(pl_generator(which, sign), elem)
+    g = _GENERATOR_MAP.get(gen)
+    if g is None:
+        raise ValueError(f"unknown generator {gen!r}")
+    return pl_compose(g, elem)

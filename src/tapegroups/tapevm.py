@@ -49,11 +49,16 @@ tests/test_sweeps.py keeps every defining loop as a reference oracle.
 Finite control state of a program (region variables, ERASE flags, ...) lives in
 host variables and costs nothing, matching the state set of a real machine.
 
-Each group declares one `Machine`: a text-to-codes function, the output
-alphabet, a renderer and one program per generator.  `Machine.apply` is the
-one driver of right multiplication by a generator.  It calls a program as
-program(ts, gen) on the fresh 2-tape `TapeSet`, which returns the case labels
-of the branches it took, a tuple, or None when it rejects its input.
+Each group declares one `Machine`: a codes function, the output alphabet, a
+renderer and one program per generator.  `Machine.apply` is the one driver
+of right multiplication by a generator.  It takes a normal form as text or as
+tape codes (bytes) and gives the product in the same form.  Text goes
+through the codes function, which checks it, and the output codes through
+the renderer; codes go through the codes function's check of codes, and the
+output codes come back as they are, so a word folds in codes and renders
+once.  It calls a program as program(ts, gen) on the fresh 2-tape `TapeSet`,
+which returns the case labels of the branches it took, a tuple, or None when
+it rejects its input.
 """
 
 from __future__ import annotations
@@ -61,7 +66,8 @@ from __future__ import annotations
 import functools
 import re
 from dataclasses import dataclass
-from typing import Callable, Collection, Dict, Iterable, Optional, Sequence, Tuple, Union
+from typing import (Callable, Collection, Dict, Iterable, NamedTuple, Optional, Sequence, Tuple,
+                    Union)
 
 from .errors import BadWord, InvalidInput, NotInLanguage, OutputFault, TapeFault
 from .tokens import BEGIN, BLANK, CODE, SYMBOL, codes_of, decode, encode
@@ -96,8 +102,7 @@ class Tape:
         return decode(self.cells)
 
 
-@dataclass(frozen=True)
-class StepReport:
+class StepReport(NamedTuple):
     """Evidence record for one generator-program run.
 
     cases names the case-analysis branches the run took, in order; a program
@@ -235,7 +240,7 @@ def init_tapes(input_tokens: Union[bytes, Sequence[str]], k: int,
     InvalidInput.  Loading the input is free: step accounting starts at 0,
     matching a machine whose input is part of the initial configuration.
     """
-    cells = input_tokens if isinstance(input_tokens, bytes) else encode(input_tokens)
+    cells = encode(input_tokens)
     if CODE[BEGIN] in cells or CODE[BLANK] in cells:
         raise InvalidInput("input may not contain tape markers")
     ts = TapeSet(k, sigma=sigma)
@@ -266,27 +271,31 @@ class Machine:
     """A group's 2-tape machine (see the module docstring)."""
 
     group: str
-    codes: Callable[[str], bytes]  # raises NotInLanguage or InvalidInput off the language
+    # text or codes to codes; raises NotInLanguage or InvalidInput off the language
+    codes: Callable[[Union[str, bytes]], bytes]
     sigma: Tuple[str, ...]
     render: Callable[[bytes], str]
     programs: Dict[str, Callable[[TapeSet, str], Optional[Tuple[str, ...]]]]
 
-    def apply(self, text: str, gen: str) -> Tuple[str, StepReport]:
-        """The product of the normal form text and gen, and the run's report.
-        An unknown generator raises BadWord before the text is read; a text
-        that the codes or the program reject raises NotInLanguage."""
+    def apply(self, nf: Union[str, bytes], gen: str) -> Tuple[Union[str, bytes], StepReport]:
+        """The product of the normal form nf and gen, and the run's report.
+        nf is text or tape codes, and the product comes in the same form:
+        codes skip the text-to-codes step and the render.  An unknown
+        generator raises BadWord before nf is read; a normal form that the
+        codes or the program reject raises NotInLanguage."""
         try:
             program = self.programs[gen]
         except (KeyError, TypeError):  # TypeError: a generator with no hash
             raise BadWord(f"unknown generator {gen!r} for {self.group}") from None
         try:
-            codes = self.codes(text)
+            codes = self.codes(nf)
             ts = init_tapes(codes, 2, sigma=self.sigma)
         except InvalidInput:  # a symbol with no tape code, or a tape marker
             cases = None
         else:
             cases = program(ts, gen)
         if cases is None:
-            raise NotInLanguage(f"{text!r} is not a normal form")
-        return (self.render(read_output(ts)),
+            raise NotInLanguage(f"{nf!r} is not a normal form")
+        out = read_output(ts)
+        return (out if isinstance(nf, bytes) else self.render(out),
                 StepReport(len(codes), ts.steps, gen, self.group, cases))

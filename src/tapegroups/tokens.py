@@ -7,6 +7,9 @@ cells, and BEGIN is code 1.  Every other one-character ASCII symbol is its
 own ordinal, so F's text and Z2 wr Z^2's bits encode with `str.encode`.  Each
 multi-character token and work symbol has a fixed code of 128 or more.
 External text uses the ASCII renderings below; the renderers also take codes.
+The codes functions also take codes (bytes) and return them unchanged, after
+the same language check the text gets, so that a caller may keep a normal
+form in codes from one generator run to the next.
 
 The wreath products' texts go straight to tape codes in a fixed number of C
 passes, with no token list.  A Z2 wr Z^2 text is checked by one full match of
@@ -70,12 +73,15 @@ _Z2F2_TOKEN = re.compile(r"D[01][ABC]?|E[01]C?|[ABC][01]|[01()\[\]]")
 _WHITESPACE = bytes(c for c in range(128) if chr(c).isspace())
 
 
-def encode(symbols: Iterable[str]) -> bytes:
+def encode(symbols: Iterable[str] | bytes) -> bytes:
     """Tape codes of a str of one-character symbols or of a token sequence.
 
-    An ASCII str is encoded in C; anything else is mapped through CODE.
-    Raises InvalidInput on a symbol with no code.
+    Tape codes (bytes) pass through unchanged.  An ASCII str is encoded in C;
+    anything else is mapped through CODE.  Raises InvalidInput on a symbol
+    with no code.
     """
+    if isinstance(symbols, bytes):
+        return symbols
     if isinstance(symbols, str) and symbols.isascii():
         codes = symbols.encode("ascii")
         if 0 not in codes and 1 not in codes:  # NUL and SOH have no code
@@ -87,6 +93,9 @@ def encode(symbols: Iterable[str]) -> bytes:
 
 
 _C0, _C1 = encode(("C0",)), encode(("C1",))
+# Z2Z2_NF on tape codes, where the C-token is one cell
+_Z2Z2_NF_CODES = re.compile(rb"[01]*+[%s](?:[01]*1)?" % re.escape(_C0 + _C1))
+_Z2F2_SIGMA_CODES = encode(Z2F2_SIGMA)
 # codes_z2f2's tables.  _CELL: 1-6 for a bracket or digit, 0 for a letter or
 # whitespace, 7 for any other symbol.  _LETTER: a bit per letter above those
 # three.  _CONTINUES: on D and E, the bits of the letters that continue their
@@ -123,11 +132,16 @@ def decode(codes: Iterable[int]) -> list[str]:
     return [SYMBOL[c] for c in codes]
 
 
-def codes_z2z2(text: str) -> bytes:
+def codes_z2z2(text: str | bytes) -> bytes:
     """Tape codes of a normal form of Z2 wr Z^2, ASCII text over {0,1,C0,C1}
     with no whitespace.  Raises NotInLanguage naming the first fault: a
     symbol that starts no token, then an empty text, a lamplighter count
-    other than one, or a trailing 0."""
+    other than one, or a trailing 0.  Codes must match the same language,
+    with the C-token one cell, else NotInLanguage."""
+    if isinstance(text, bytes):
+        if _Z2Z2_NF_CODES.fullmatch(text) is None:
+            raise NotInLanguage(f"{text!r} is not a normal form of Z2 wr Z^2")
+        return text
     if Z2Z2_NF.fullmatch(text) is None:
         pos = _Z2Z2_TOKENS(text).end()
         if pos < len(text):
@@ -142,10 +156,16 @@ def codes_z2z2(text: str) -> bytes:
     return text.encode("ascii").replace(b"C0", _C0).replace(b"C1", _C1)
 
 
-def codes_z2f2(text: str) -> bytes:
+def codes_z2f2(text: str | bytes) -> bytes:
     """Tape codes of ASCII text over the 24-symbol alphabet, by maximal munch;
     whitespace separates tokens and is otherwise ignored.  The renderer emits
-    a space only where munch needs one (D0 C0 versus D0C 0)."""
+    a space only where munch needs one (D0 C0 versus D0C 0).  Codes pass
+    through if each is the code of an alphabet token, else NotInLanguage."""
+    if isinstance(text, bytes):
+        if bad := text.translate(None, _Z2F2_SIGMA_CODES):
+            raise NotInLanguage(f"code {bad[0]} at position {text.index(bad[0])} "
+                                "is not in the alphabet")
+        return text
     try:
         codes = text.encode("ascii")
     except UnicodeEncodeError:  # whitespace as a space, other symbols as "?"

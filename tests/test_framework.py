@@ -18,6 +18,47 @@ def test_word_to_nf_examples():
     assert fw.word_to_nf(fw.representation_z2wrf2(), ["a", "a-"]) == "B0"
 
 
+def _text_fold(rep, word):
+    """word_to_nf_report as a loop of text apply_report calls, which encodes
+    and renders at every letter: the reference for the fold in codes."""
+    nf, steps = rep.identity_nf, 0
+    for gen in word:
+        nf, report = rep.apply_report(nf, gen)
+        steps += report.steps
+    return nf, steps
+
+
+@pytest.mark.parametrize("group", fw.REPRESENTATIONS)
+def test_fold_in_codes_matches_the_text_loop(group):
+    rep = fw.REPRESENTATIONS[group]()
+    rng = random.Random(9)
+    words = [[]] + [[rng.choice(rep.generators) for _ in range(rng.randint(1, 60))]
+                    for _ in range(40)]
+    for word in words:
+        assert fw.word_to_nf_report(rep, word) == _text_fold(rep, word), word
+    assert fw.word_to_nf_report(rep, []) == (rep.identity_nf, 0)
+
+
+@pytest.mark.parametrize("group", fw.REPRESENTATIONS)
+def test_fold_runs_every_letter_through_a_planted_apply(group):
+    rep = fw.REPRESENTATIONS[group]()
+    gen = rep.generators[0]
+    seen = []
+
+    def planted(nf, g):  # gen answered with its inverse's product
+        seen.append(nf)
+        return rep.apply_report(nf, rep.inverse[gen] if g == gen else g)
+    word = [gen, rep.generators[-1], gen]
+    assert fw.word_to_nf(rep.with_apply(planted), word) != fw.word_to_nf(rep, word)
+    assert len(seen) == 3 and all(isinstance(nf, bytes) for nf in seen)
+
+    def one_more_step(nf, g):
+        out, report = rep.apply_report(nf, g)
+        return out, report._replace(steps=report.steps + 1)
+    nf, steps = fw.word_to_nf_report(rep, word)
+    assert fw.word_to_nf_report(rep.with_apply(one_more_step), word) == (nf, steps + 3)
+
+
 def test_word_to_nf_rejects_bad_letters():
     with pytest.raises(BadWord):
         fw.word_to_nf(fw.representation_z2wrz2(), ["x0"])
@@ -186,6 +227,22 @@ def test_probe_bounded_for_quasigeodesic_groups():
         assert report.at[240] <= 1.6 * max(report.at[60], 0.5)
 
 
+# per group and seed: the token counts behind the probe's ratios at walk
+# lengths 30 and 120, as the probe gave them when it walked in text
+PROBE_LENGTHS = {("z2wrz2", 5): (70, 670), ("z2wrz2", 6): (153, 339),
+                 ("z2wrf2", 5): (32, 140), ("z2wrf2", 6): (35, 141),
+                 ("thompson-f", 5): (24, 69), ("thompson-f", 6): (18, 78)}
+
+
+@pytest.mark.parametrize("group,seed", PROBE_LENGTHS)
+def test_probe_in_codes_gives_the_text_probe_report(group, seed):
+    at30, at120 = PROBE_LENGTHS[group, seed]
+    at = {30: at30 / 31, 120: at120 / 121}
+    report = fw.quasigeodesic_probe(fw.REPRESENTATIONS[group](), trials=3, max_walk=120,
+                                    seed=seed, checkpoints=(30, 120))
+    assert report == fw.ProbeReport(group, 3, 120, at, max(at.values()))
+
+
 def test_probe_divergence_for_spiral_form():
     ratios = dict(fw.nonqg_diagonal_ratios([10, 100]))
     assert ratios[100] > 5 * ratios[10]
@@ -199,5 +256,5 @@ def test_sampler_sizes_track_targets():
         for target in (64, 512):
             nf = rep.sample_nf(rng, target)
             assert rep.validate(nf)
-            n = fw._nf_len(rep, nf)
+            n = len(rep.codes(nf))
             assert n >= target * 0.6, (rep.group_id, target, n)

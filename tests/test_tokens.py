@@ -15,8 +15,9 @@ import pytest
 
 from tapegroups.errors import NotInLanguage
 from tapegroups.framework import REPRESENTATIONS
-from tapegroups.tokens import (Z2F2_SIGMA, Z2Z2_SIGMA, codes_z2f2, codes_z2z2, encode,
+from tapegroups.tokens import (F_SIGMA, Z2F2_SIGMA, Z2Z2_SIGMA, codes_z2f2, codes_z2z2, encode,
                                render_z2f2, tokenize_z2f2)
+from test_step_ledger import _walk_entries
 
 # -- reference loops ------------------------------------------------------
 
@@ -297,3 +298,67 @@ def test_long_z2f2_form_with_one_bad_symbol():
     for k in (0, 1, len(text) // 2, len(text) - 1):
         for bad in ("x", "\0", "é"):
             assert_z2f2_char_level(text[:k] + bad + text[k + 1:])
+
+
+# -- tape codes in -------------------------------------------------------------
+#
+# Machine.apply takes a normal form as tape codes too, and the codes
+# functions check codes as they check text.
+
+def test_z2z2_codes_are_accepted_exactly_when_their_text_is():
+    count = 0
+    for k in range(9):
+        for seq in itertools.product(Z2Z2_SIGMA, repeat=k):
+            want = outcome(codes_z2z2, "".join(seq))
+            got = outcome(codes_z2z2, encode(seq))
+            if isinstance(want, bytes):
+                assert got == want, seq
+            else:
+                assert got[0] is NotInLanguage, seq
+            count += 1
+    assert count == (4 ** 9 - 1) // 3
+
+
+# per group: the walk forms that have codes (for Z2 wr F2 with the random
+# token strings, which its programs run on), and the generator runs on them
+APPLY_ON_CODES = {"z2wrz2": (704, 3520), "z2wrf2": (4809, 24045), "thompson-f": (505, 2020)}
+
+
+@pytest.mark.parametrize("group", APPLY_ON_CODES)
+def test_apply_on_codes_gives_the_codes_of_the_text_product(group):
+    rep = REPRESENTATIONS[group]()
+    texts = runs = 0
+    for text in dict.fromkeys(text for text, *_ in _walk_entries(rep, 1)):
+        try:
+            codes = rep.codes(text)
+        except NotInLanguage:  # Z2 wr Z^2's random token strings
+            continue
+        texts += 1
+        for gen in rep.generators:
+            runs += 1
+            out, report = rep.apply_report(text, gen)
+            assert rep.apply_report(codes, gen) == (rep.codes(out), report), (text, gen)
+    assert (texts, runs) == APPLY_ON_CODES[group]
+
+
+SIGMA = {"z2wrz2": Z2Z2_SIGMA, "z2wrf2": Z2F2_SIGMA, "thompson-f": F_SIGMA}
+BAD_CODE_RUNS = {"z2wrz2": 6300, "z2wrf2": 5800, "thompson-f": 4048}
+
+
+@pytest.mark.parametrize("group", SIGMA)
+def test_codes_off_the_alphabet_raise_not_in_language(group):
+    # every code outside the group's alphabet (the blank, the start marker,
+    # the work symbols, the codes of no symbol) put at the start, in the
+    # middle and at the end of two normal forms' codes
+    rep = REPRESENTATIONS[group]()
+    bad = bytes(c for c in range(256) if c not in encode(SIGMA[group]))
+    count = 0
+    for text in (rep.identity_nf, rep.sample_nf(random.Random(3), 12)):
+        codes = rep.codes(text)
+        for c in bad:
+            for pos in {0, len(codes) // 2, len(codes)}:
+                for gen in rep.generators:
+                    with pytest.raises(NotInLanguage):
+                        rep.apply_report(codes[:pos] + bytes((c,)) + codes[pos:], gen)
+                    count += 1
+    assert count == BAD_CODE_RUNS[group]
