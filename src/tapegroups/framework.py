@@ -44,7 +44,7 @@ class Representation:
     oracle_identity: object
     oracle_mul: Callable[[object, str], object]
     sample_nf: Callable[[random.Random, int], str]
-    codes: Callable[[NF], bytes]  # the tape codes of a normal form, checked
+    codes: Callable[[NF], bytes]  # its machine's codes function
     render: Callable[[bytes], str]
 
     def apply(self, nf: NF, gen: str) -> NF:

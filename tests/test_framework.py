@@ -243,6 +243,17 @@ def test_probe_in_codes_gives_the_text_probe_report(group, seed):
     assert report == fw.ProbeReport(group, 3, 120, at, max(at.values()))
 
 
+def test_probe_walks_in_codes():
+    rep = fw.representation_z2wrf2()
+    seen = []
+
+    def recording(nf, gen):
+        seen.append(nf)
+        return rep.apply_report(nf, gen)
+    fw.quasigeodesic_probe(rep.with_apply(recording), trials=2, max_walk=8, seed=1)
+    assert len(seen) == 16 and all(isinstance(nf, bytes) for nf in seen)
+
+
 def test_probe_divergence_for_spiral_form():
     ratios = dict(fw.nonqg_diagonal_ratios([10, 100]))
     assert ratios[100] > 5 * ratios[10]
