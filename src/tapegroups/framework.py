@@ -6,10 +6,11 @@ benchmarks and quasigeodesic probes are written once.  Fuzz trials are
 independent; each owns its tape sets and oracle state.
 
 A normal form is text or its tape codes (bytes): apply_report gives the
-product in the form it is given.  The word fold and the probe keep the form
-in codes from one generator run to the next, as the machine keeps its tape,
-and the fold renders once at the end; the fuzz, the linearity bench and the
-CLI's mul take and give text.
+product in the form it is given.  Every driver here (the word fold, the fuzz,
+the linearity bench and the probe) hands apply_report codes only, and keeps
+the form in codes from one generator run to the next, as the machine keeps
+its tape.  The fold renders its result once, and the fuzz renders only the
+normal forms of a failure.  Text is for direct callers and the CLI's mul.
 """
 
 from __future__ import annotations
@@ -40,7 +41,7 @@ class Representation:
     identity_nf: str
     apply_report: ApplyFn
     validate: Callable[[str], bool]
-    decode: Callable[[str], object]  # raises NotInLanguage off the language
+    decode: Callable[[NF], object]  # raises NotInLanguage off the language
     oracle_identity: object
     oracle_mul: Callable[[object, str], object]
     sample_nf: Callable[[random.Random, int], str]
@@ -108,39 +109,28 @@ def _sample_thompson(rng: random.Random, target: int) -> str:
     return thompson_f.serialize(thompson_f.ExpSeq(tuple(rs), tuple(ss)))
 
 
-def _decode_thompson(nf: str) -> og.DyadicPL:
-    """The PL map of an F normal form.  pl_eval_normalform alone also maps
-    block strings that are not reduced, so membership is checked first."""
-    if not thompson_f.validate(nf):
-        raise NotInLanguage("not a normal form of thompson-f")
-    return og.pl_eval_normalform(nf)
-
-
-def _representation(group, decode, oracle_identity, oracle_mul, sample_nf) -> Representation:
+def _representation(group, oracle_identity, oracle_mul, sample_nf) -> Representation:
     """A group module's Representation, read off the module when called.
     g- inverts g, and a generator with no g- is its own inverse."""
     gens = group.GENERATORS
     inverse = {g: g[:-1] if g.endswith("-") else g + "-" if g + "-" in gens else g
                for g in gens}
     return Representation(group.GROUP, gens, inverse, group.IDENTITY_NF,
-                          group.apply_gen_report, group.validate, decode,
+                          group.apply_gen_report, group.validate, group.decode,
                           oracle_identity, oracle_mul, sample_nf,
                           group.MACHINE.codes, group.MACHINE.render)
 
 
 def representation_z2wrz2() -> Representation:
-    return _representation(z2wrz2, z2wrz2.decode, og.IDENTITY_Z2, og.wreath_mul_gen,
-                           _sample_z2wrz2)
+    return _representation(z2wrz2, og.IDENTITY_Z2, og.wreath_mul_gen, _sample_z2wrz2)
 
 
 def representation_z2wrf2() -> Representation:
-    return _representation(z2wrf2, z2wrf2.decode, og.IDENTITY_F2, og.wreath_mul_gen,
-                           _sample_z2wrf2)
+    return _representation(z2wrf2, og.IDENTITY_F2, og.wreath_mul_gen, _sample_z2wrf2)
 
 
 def representation_thompson_f() -> Representation:
-    return _representation(thompson_f, _decode_thompson, og.PL_IDENTITY, og.pl_mul_gen,
-                           _sample_thompson)
+    return _representation(thompson_f, og.PL_IDENTITY, og.pl_mul_gen, _sample_thompson)
 
 
 REPRESENTATIONS = {
@@ -196,25 +186,27 @@ class FuzzReport:
 
 def differential_fuzz(rep: Representation, trials: int, max_len: int,
                       seed: int) -> FuzzReport:
-    """Random walks from the identity; after every step the output must
-    decode (the closure check: decode raises NotInLanguage on a non-member),
-    match the oracle, and cancel with the inverse generator.  Stops at the
-    first counterexample.  case_coverage counts the case labels that the
-    reports of all these runs carry."""
+    """Random walks from the identity, kept in tape codes; after every step
+    the output must decode (the closure check: decode raises NotInLanguage on
+    a non-member), match the oracle, and cancel with the inverse generator.
+    Stops at the first counterexample, whose normal forms it renders.
+    case_coverage counts the case labels that the reports of all these runs
+    carry."""
     rng = random.Random(seed)
     checks = 0
     per_gen = {g: 0 for g in rep.generators}
     coverage: Dict[str, int] = {}
     failure = None
 
-    def apply(nf: str, gen: str) -> str:
+    def apply(nf: bytes, gen: str) -> bytes:
         out, report = rep.apply_report(nf, gen)
         for case in report.cases:
             coverage[case] = coverage.get(case, 0) + 1
         return out
 
+    identity = rep.codes(rep.identity_nf)
     for trial in range(trials):
-        nf = rep.identity_nf
+        nf = identity
         elem = rep.oracle_identity
         word: List[str] = []
         for _ in range(rng.randint(1, max_len)):
@@ -232,7 +224,7 @@ def differential_fuzz(rep: Representation, trials: int, max_len: int,
                 kind = "inverse-pair"
             if kind:
                 failure = {"kind": kind, "trial": trial, "word": list(word),
-                           "nf": nf, "gen": gen, "got": out}
+                           "nf": rep.render(nf), "gen": gen, "got": rep.render(out)}
                 break
             nf, elem = out, elem2
         if failure:
@@ -274,7 +266,8 @@ def linearity_bench(rep: Representation, gen: str, sizes: Sequence[int],
     """Empirical certification of the linear step bound: the worst steps-per-
     symbol ratio must not drift upward between the median and largest sizes
     (the lower median of an even count).  Takes at least two distinct sizes,
-    in any order; raises ValueError on fewer.
+    in any order; raises ValueError on fewer.  Each sample is loaded into
+    tape codes once.
 
     Sample j draws from the same generator stream at every size, so each j is
     a size-scaled copy of one shape family and the per-size maxima compare
@@ -289,7 +282,7 @@ def linearity_bench(rep: Representation, gen: str, sizes: Sequence[int],
         max_ratio = 0.0
         for j in range(samples_per_size):
             rng = random.Random((seed << 20) ^ (j + 1))
-            nf = rep.sample_nf(rng, n)
+            nf = rep.codes(rep.sample_nf(rng, n))
             _out, report = rep.apply_report(nf, gen)
             ratio = report.steps / max(1, report.input_len)
             max_steps = max(max_steps, report.steps)

@@ -58,7 +58,7 @@ the renderer; codes go through the codes function's check of codes, and the
 output codes come back as they are, so a word folds in codes and renders
 once.  It calls a program as program(ts, gen) on the fresh 2-tape `TapeSet`,
 which returns the case labels of the branches it took, a tuple, or None when
-it rejects its input.
+it rejects its input, and reads the output against the machine's alphabet.
 """
 
 from __future__ import annotations
@@ -66,8 +66,7 @@ from __future__ import annotations
 import functools
 import re
 from dataclasses import dataclass
-from typing import (Callable, Collection, Dict, Iterable, NamedTuple, Optional, Sequence, Tuple,
-                    Union)
+from typing import Callable, Collection, Dict, NamedTuple, Optional, Sequence, Tuple, Union
 
 from .errors import BadWord, InvalidInput, NotInLanguage, OutputFault, TapeFault
 from .tokens import BEGIN, BLANK, CODE, SYMBOL, codes_of, decode, encode
@@ -124,15 +123,13 @@ class TapeSet:
     concurrently.
     """
 
-    __slots__ = ("tapes", "steps", "sigma")
+    __slots__ = ("tapes", "steps")
 
-    def __init__(self, k: int, sigma: Optional[Iterable[str]] = None) -> None:
+    def __init__(self, k: int) -> None:
         if k < 1:
             raise InvalidInput("need at least one tape")
         self.tapes = [Tape() for _ in range(k)]
         self.steps = 0
-        # the codes of the output alphabet
-        self.sigma = codes_of(tuple(sigma)) if sigma is not None else None
 
     # -- primitive actions: each costs exactly one step --------------------
 
@@ -231,8 +228,7 @@ class TapeSet:
         return SYMBOL[cells[pos]]
 
 
-def init_tapes(input_tokens: Union[bytes, Sequence[str]], k: int,
-               sigma: Optional[Iterable[str]] = None) -> TapeSet:
+def init_tapes(input_tokens: Union[bytes, Sequence[str]], k: int) -> TapeSet:
     """Fresh TapeSet with tape 0 holding the input and heads on the start marker.
 
     The input is tape codes (`tokens.codes_z2f2`, ...), loaded unchanged, or
@@ -243,24 +239,25 @@ def init_tapes(input_tokens: Union[bytes, Sequence[str]], k: int,
     cells = encode(input_tokens)
     if CODE[BEGIN] in cells or CODE[BLANK] in cells:
         raise InvalidInput("input may not contain tape markers")
-    ts = TapeSet(k, sigma=sigma)
+    ts = TapeSet(k)
     ts.tapes[0].cells += cells
     return ts
 
 
-def read_output(ts: TapeSet) -> bytes:
+def read_output(ts: TapeSet, sigma: Optional[Tuple[str, ...]] = None) -> bytes:
     """Output of a halted program: the codes of the tape-1 prefix between the
     marker and the first blank.
 
     Content beyond the first blank is ignored.  Reading the output is free
-    (it happens after the machine halts).  With an alphabet declared, a
-    symbol outside it raises OutputFault naming the first such symbol.
+    (it happens after the machine halts).  Given the machine's output
+    alphabet sigma, a symbol outside it raises OutputFault naming the first
+    such symbol.
     """
     cells = ts.tapes[0].cells
     end = cells.find(CODE[BLANK], 1)
     out = bytes(cells[1:end if end >= 0 else len(cells)])
-    if ts.sigma is not None:
-        bad = out.translate(None, ts.sigma)
+    if sigma is not None:
+        bad = out.translate(None, codes_of(sigma))
         if bad:
             raise OutputFault(f"symbol {SYMBOL[bad[0]]!r} outside the declared alphabet")
     return out
@@ -289,13 +286,13 @@ class Machine:
             raise BadWord(f"unknown generator {gen!r} for {self.group}") from None
         try:
             codes = self.codes(nf)
-            ts = init_tapes(codes, 2, sigma=self.sigma)
+            ts = init_tapes(codes, 2)
         except InvalidInput:  # a symbol with no tape code, or a tape marker
             cases = None
         else:
             cases = program(ts, gen)
         if cases is None:
             raise NotInLanguage(f"{nf!r} is not a normal form")
-        out = read_output(ts)
+        out = read_output(ts, self.sigma)
         return (out if isinstance(nf, bytes) else self.render(out),
                 StepReport(len(codes), ts.steps, gen, self.group, cases))

@@ -28,8 +28,8 @@ from dataclasses import dataclass
 from itertools import islice
 from typing import Optional, Tuple
 
-from . import tapeops
-from .errors import NoCaseMatched, TapeFault
+from . import oracle_groups, tapeops
+from .errors import NoCaseMatched, NotInLanguage, TapeFault
 from .tapevm import Machine, StepReport, TapeSet, init_tapes
 from .tokens import BEGIN, BLANK, CODE, F_SIGMA, codes_of, encode
 
@@ -111,6 +111,15 @@ def serialize(seq: ExpSeq) -> str:
 
 def validate(text: str) -> bool:
     return _IS_NF(text) is not None
+
+
+def decode(nf: str | bytes) -> oracle_groups.DyadicPL:
+    """The PL map of a normal form, text or tape codes, after the membership
+    check (NotInLanguage) that pl_eval_normalform does not make."""
+    text = nf.decode("latin-1") if isinstance(nf, bytes) else nf  # a code per character
+    if not validate(text):
+        raise NotInLanguage("not a normal form of thompson-f")
+    return oracle_groups.pl_eval_normalform(text)
 
 
 @dataclass(frozen=True)
@@ -847,7 +856,7 @@ def apply_x1(ts: TapeSet, gen: str) -> Optional[Tuple[str, ...]]:
 
 def compute_r(text: str) -> RResult:
     """Run the counter subroutine and read R off the second tape."""
-    ts = init_tapes(text, 2, sigma=F_SIGMA)
+    ts = init_tapes(text, 2)
     case_flag = _compute_r(ts)
     return RResult(ts.tapes[1].cells.count(_B), case_flag)
 

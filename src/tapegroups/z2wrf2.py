@@ -45,7 +45,7 @@ import functools
 import re
 from itertools import chain, compress, count, islice
 from operator import length_hint
-from typing import List, Optional, Tuple, Union
+from typing import List, Optional, Tuple, TypeAlias
 
 from . import tapeops
 from .errors import NotInLanguage
@@ -159,7 +159,7 @@ class _Node:
         self.items: List[Item] = []
 
 
-Item = Union[str, _Node]
+Item: TypeAlias = "str | _Node"  # a run-time alias would pin this module in typing's cache
 _BRACKETS = {"b": ("(", ")"), "a": ("[", "]")}
 
 

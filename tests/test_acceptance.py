@@ -210,7 +210,7 @@ def test_criterion_8_harness_self_test(f_case_deleted):
         try:
             return f_case_deleted(nf, gen)
         except NoCaseMatched:
-            return nf + "###", StepReport(len(nf), 1, gen, repf.group_id)
+            return nf + b"###", StepReport(len(nf), 1, gen, repf.group_id)
     fuzz = fw.differential_fuzz(repf.with_apply(shielded), 400, 40, seed=42)
     assert not fuzz.passed and fuzz.failure["kind"] == "psi-commutation"
     assert fuzz.failure["word"][-4:] == ["x0", "x0", "x0-", "x1-"]

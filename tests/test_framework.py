@@ -1,5 +1,9 @@
 import json
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -141,6 +145,76 @@ def test_fuzz_reports_thompson_coverage():
     assert fw.differential_fuzz(fw.representation_z2wrz2(), 5, 10, 7).case_coverage == {}
 
 
+def _text_fuzz(rep, trials, max_len, seed):
+    """differential_fuzz as a loop of text apply_report calls, which encodes
+    and renders at every check: the reference for the fuzz in codes."""
+    rng = random.Random(seed)
+    checks, per_gen, coverage, failure = 0, {g: 0 for g in rep.generators}, {}, None
+
+    def apply(nf, gen):
+        out, report = rep.apply_report(nf, gen)
+        for case in report.cases:
+            coverage[case] = coverage.get(case, 0) + 1
+        return out
+
+    for trial in range(trials):
+        nf, elem, word = rep.identity_nf, rep.oracle_identity, []
+        for _ in range(rng.randint(1, max_len)):
+            gen = rng.choice(rep.generators)
+            word.append(gen)
+            out = apply(nf, gen)
+            elem2 = rep.oracle_mul(elem, gen)
+            checks += 1
+            per_gen[gen] += 1
+            try:
+                kind = "psi-commutation" if rep.decode(out) != elem2 else None
+            except NotInLanguage:
+                kind = "closure"
+            if kind is None and apply(out, rep.inverse[gen]) != nf:
+                kind = "inverse-pair"
+            if kind:
+                failure = {"kind": kind, "trial": trial, "word": list(word),
+                           "nf": nf, "gen": gen, "got": out}
+                break
+            nf, elem = out, elem2
+        if failure:
+            break
+    return fw.FuzzReport(rep.group_id, trials, checks, per_gen, failure, coverage)
+
+
+@pytest.mark.parametrize("group", fw.REPRESENTATIONS)
+def test_fuzz_in_codes_gives_the_text_fuzz_report(group):
+    # on seeded passing runs, and on failing runs where each generator is
+    # answered with the next one's product
+    rep = fw.REPRESENTATIONS[group]()
+    gens = rep.generators
+    reps = [rep]
+    for target, wrong in zip(gens, gens[1:] + gens[:1]):
+        def planted(nf, gen, target=target, wrong=wrong):
+            return rep.apply_report(nf, wrong if gen == target else gen)
+        reps.append(rep.with_apply(planted))
+    for seed in (1, 2, 3):
+        for r in reps:
+            report = fw.differential_fuzz(r, 8, 30, seed)
+            assert fw.report_json(report) == fw.report_json(_text_fuzz(r, 8, 30, seed))
+    assert fw.differential_fuzz(rep, 8, 30, 1).passed
+    assert not any(fw.differential_fuzz(r, 8, 30, 1).passed for r in reps[1:])
+
+
+@pytest.mark.parametrize("group", fw.REPRESENTATIONS)
+def test_fuzz_and_bench_hand_apply_report_only_codes(group):
+    rep = fw.REPRESENTATIONS[group]()
+    seen = []
+
+    def recording(nf, gen):
+        seen.append(nf)
+        return rep.apply_report(nf, gen)
+    recorder = rep.with_apply(recording)
+    assert fw.differential_fuzz(recorder, 4, 12, 1).passed
+    fw.linearity_bench(recorder, rep.generators[0], [16, 32], 2, seed=1)
+    assert len(seen) > 8 and all(isinstance(nf, bytes) for nf in seen)
+
+
 def test_fuzz_catches_planted_case_deletion(f_case_deleted):
     rep = fw.representation_thompson_f()
 
@@ -148,7 +222,7 @@ def test_fuzz_catches_planted_case_deletion(f_case_deleted):
         try:
             return f_case_deleted(nf, gen)
         except NoCaseMatched:
-            return nf + "###", StepReport(len(nf), 1, gen, rep.group_id)
+            return nf + b"###", StepReport(len(nf), 1, gen, rep.group_id)
     report = fw.differential_fuzz(rep.with_apply(shielded), 200, 40, 11)
     assert not report.passed
     assert report.failure["kind"] == "psi-commutation"
@@ -156,8 +230,9 @@ def test_fuzz_catches_planted_case_deletion(f_case_deleted):
     assert len(word) == 37 and word[-4:] == ["x0", "x1-", "x0", "x1-"]
 
 
-# per group: the generator planted to output a non-normal form, that output,
-# and the word and normal form the failure names
+# per group: the generator planted to output a non-normal form, that output
+# as text (the plant returns its codes), and the word and normal form the
+# failure names
 CLOSURE_PLANTS = (
     # B0B0 has two identity anchors
     (fw.representation_z2wrf2, "c", "B0B0", ["b-", "a", "b", "c"], "([E0(D0 C0)]D0A)"),
@@ -170,9 +245,9 @@ def test_fuzz_reports_a_closure_failure():
     for representation, planted, got, word, nf in CLOSURE_PLANTS:
         rep = representation()
 
-        def escapes(text, gen):
-            out, report = rep.apply_report(text, gen)
-            return (got if gen == planted else out), report
+        def escapes(nf, gen):
+            out, report = rep.apply_report(nf, gen)
+            return (rep.codes(got) if gen == planted else out), report
 
         report = fw.differential_fuzz(rep.with_apply(escapes), 5, 10, 0)
         assert not report.passed
@@ -269,3 +344,29 @@ def test_sampler_sizes_track_targets():
             assert rep.validate(nf)
             n = len(rep.codes(nf))
             assert n >= target * 0.6, (rep.group_id, target, n)
+
+
+# three fresh imports of the package, as a benchmark that re-imports it
+# makes, then the module dicts of the package that are still alive
+FRESH_IMPORTS = """
+import collections, gc, importlib, json, sys
+for _ in range(3):
+    for name in [m for m in sys.modules if m.split(".")[0] == "tapegroups"]:
+        del sys.modules[name]
+    importlib.import_module("tapegroups.framework")
+gc.collect()
+print(json.dumps(collections.Counter(
+    o["__name__"] for o in gc.get_objects() if isinstance(o, dict) and "__spec__" in o
+    and str(o["__name__"]).split(".")[0] == "tapegroups")))
+"""
+
+
+def test_fresh_imports_leave_one_copy_of_each_module():
+    # in a subprocess: other tests here hold the classes of this import
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-c", FRESH_IMPORTS], env=env,
+                          capture_output=True, text=True, timeout=120, check=True)
+    live = json.loads(proc.stdout)
+    assert "tapegroups.z2wrf2" in live
+    assert {name: 1 for name in live} == live

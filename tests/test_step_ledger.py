@@ -20,7 +20,6 @@ Regenerate with `PYTHONPATH=src python tests/test_step_ledger.py`
 (about 3 s).
 """
 
-import functools
 import hashlib
 import itertools
 import json
@@ -72,10 +71,7 @@ def _fixed_words(rep: fw.Representation):
     return words
 
 
-@functools.cache
-def _raw_machine(sigma):
-    """The one 2-tape machine run_raw resets for each run over sigma."""
-    return TapeSet(2, sigma=sigma)
+_RAW = TapeSet(2)  # the one 2-tape machine run_raw resets for each run
 
 
 def run_raw(tokens, machine, gen):
@@ -88,14 +84,14 @@ def run_raw(tokens, machine, gen):
     cells = tokens if isinstance(tokens, bytes) else encode(tokens)
     if CODE[BEGIN] in cells or CODE[BLANK] in cells:  # as init_tapes checks
         raise InvalidInput("input may not contain tape markers")
-    ts = _raw_machine(machine.sigma)
+    ts = _RAW
     first, second = ts.tapes
     first.cells = bytearray(START)
     first.cells += cells
     second.cells = bytearray(START)
     first.head = second.head = ts.steps = 0
     result = machine.programs[gen](ts, gen)
-    return machine.render(read_output(ts)), ts.steps, result
+    return machine.render(read_output(ts, machine.sigma)), ts.steps, result
 
 
 def _walk_entries(rep: fw.Representation, seed: int):

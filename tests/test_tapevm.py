@@ -137,29 +137,30 @@ def test_read_output_prefix_semantics():
 
 
 def test_read_output_alphabet_check():
-    ts = init_tapes(["0"], 2, sigma=("0", "1"))
+    sigma = ("0", "1")
+    ts = init_tapes(["0"], 2)
     load(ts.tapes[0], [BEGIN, "0", "T", BLANK])
     with pytest.raises(OutputFault):
-        read_output(ts)
+        read_output(ts, sigma)
     # the first symbol outside the alphabet is named; what follows the first
     # blank is not checked
     load(ts.tapes[0], [BEGIN, "0", "T", "1", "U", BLANK, "V"])
     with pytest.raises(OutputFault, match="'T'"):
-        read_output(ts)
+        read_output(ts, sigma)
     load(ts.tapes[0], [BEGIN, "0", BLANK, "V"])
-    assert decode(read_output(ts)) == ["0"]
+    assert decode(read_output(ts, sigma)) == ["0"]
 
 
 def test_read_output_names_a_multi_character_symbol():
     # work symbols and tokens of another alphabet are named by their token
-    ts = init_tapes(["B0"], 2, sigma=Z2F2_SIGMA)
+    ts = init_tapes(["B0"], 2)
     load(ts.tapes[0], [BEGIN, "(", "D0", "b#", "(*", ")", BLANK])
     with pytest.raises(OutputFault, match=r"'b#' outside the declared alphabet"):
-        read_output(ts)
-    ts = init_tapes(["C0"], 2, sigma=Z2Z2_SIGMA)
+        read_output(ts, Z2F2_SIGMA)
+    ts = init_tapes(["C0"], 2)
     load(ts.tapes[0], [BEGIN, "0", "E1C", "T"])
     with pytest.raises(OutputFault, match="'E1C'"):
-        read_output(ts)
+        read_output(ts, Z2Z2_SIGMA)
 
 
 def test_shift_right_matches_manual():

@@ -11,7 +11,6 @@ from tapegroups.errors import NoCaseMatched, NotInLanguage
 from tapegroups.framework import PLATEAU_FACTOR, REPRESENTATIONS, representation_thompson_f
 from tapegroups.oracle_groups import PL_IDENTITY, pl_eval_normalform, pl_mul_gen
 from tapegroups.tapevm import TapeSet, init_tapes, read_output
-from tapegroups.tokens import F_SIGMA
 from test_step_ledger import _walk_entries, run_raw
 
 INV = {"x0": "x0-", "x0-": "x0", "x1": "x1-", "x1-": "x1"}
@@ -259,6 +258,38 @@ def test_total_on_garbage():
                 tf.apply_gen(text, "x0")
 
 
+def _one_token_edits(text):
+    """The texts one substitution, deletion or insertion of a, b or # from
+    text."""
+    for i in range(len(text) + 1):
+        for tok in "ab#":
+            yield text[:i] + tok + text[i:]
+            if i < len(text):
+                yield text[:i] + tok + text[i + 1:]
+        if i < len(text):
+            yield text[:i] + text[i + 1:]
+
+
+def test_every_generator_raises_on_a_one_token_edit_of_a_walk_form():
+    # through the module and the Representation, on every one-token edit of
+    # the ledger's walk forms that validate rejects; the raw programs halt
+    # on each
+    rep = representation_thompson_f()
+    forms = dict.fromkeys(nf for nf, *_ in _walk_entries(rep, 1))
+    edits = {e: None for nf in forms for e in _one_token_edits(nf) if not tf.validate(e)}
+    assert (len(forms), len(edits)) == (505, 10_764)
+    raised = 0
+    for text in edits:
+        for gen in tf.GENERATORS:
+            for apply_report in (tf.apply_gen_report, rep.apply_report):
+                try:
+                    apply_report(text, gen)
+                except NotInLanguage:
+                    raised += 1
+            assert run_raw(text, tf.MACHINE, gen)[2] is None, (text, gen)
+    assert raised == 2 * len(tf.GENERATORS) * len(edits)
+
+
 def test_each_call_matches_the_language_once(monkeypatch):
     # every generator checks membership by its counted scans alone, with no
     # host match: x1's machine scans its input, and x1^-1 scans each
@@ -386,7 +417,7 @@ def ref_x1(text):
     x1^-1 on another fresh machine.  The product and the case labels."""
     cases = ()
     for builder in tf._X1_BUILDERS:
-        ts = init_tapes(text, 2, sigma=F_SIGMA)
+        ts = init_tapes(text, 2)
         if not builder(ts):
             continue
         candidate = read_output(ts).decode()
@@ -417,7 +448,7 @@ def test_x1_restores_a_fresh_machine_and_matches_the_host_guess_and_check(monkey
         assert _tapes(ts) == fresh[0]
     monkeypatch.setattr(tf, "_restore", checked)
     for text in texts:
-        fresh[0] = _tapes(init_tapes(text, 2, sigma=F_SIGMA))
+        fresh[0] = _tapes(init_tapes(text, 2))
         restores[0] = 0
         out, report = tf.apply_gen_report(text, "x1")
         assert (out, report.cases) == ref_x1(text), text
@@ -513,4 +544,4 @@ def test_validate_rejects_a_long_near_miss_without_backtracking():
     assert time.perf_counter() - t0 < 5
     with pytest.raises(NotInLanguage):
         ref_parse(bad)
-    assert tf._scan_valid(init_tapes(bad, 2, sigma=F_SIGMA)) is False
+    assert tf._scan_valid(init_tapes(bad, 2)) is False

@@ -86,7 +86,7 @@ def test_scan_tracks_region_and_turns():
     # the first-iteration scan must stop with the turn counter i = turn_count(k)
     for k in list(range(1, 200)) + [677, 2500]:
         toks = ["0"] * (k - 1) + ["C0"]
-        ts = init_tapes(toks, 2, sigma=Z2Z2_SIGMA)
+        ts = init_tapes(toks, 2)
         region = z._scan_to_mark(ts)
         assert region == spiral.classify(spiral.spiral_point(k)), k
         i = ts.tapes[1].symbols().count("T")
