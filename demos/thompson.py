@@ -8,12 +8,15 @@ against exact dyadic piecewise-linear homeomorphisms of [0,1].
 """
 
 from tapegroups import thompson_f as tf
+from tapegroups.framework import representation_thompson_f
 from tapegroups.oracle_groups import PL_IDENTITY, pl_eval_normalform, pl_mul_gen
+
+F = representation_thompson_f()
 
 # A tiny multiplication table around the identity.
 print("u\t\tu*x1^-1")
 for u in ["", "a", "b", "aa#b", "b###b"]:
-    print(f"{u or 'e':8s}\t{tf.apply_gen(u, 'x1-')}")
+    print(f"{u or 'e':8s}\t{F.apply(u, 'x1-')}")
 
 # The counter that drives the case analysis.
 for u in ["b", "ab", "b###b", "abb#a#b"]:
@@ -26,7 +29,7 @@ rng = random.Random(0)
 nf, elem = "", PL_IDENTITY
 for step in range(200):
     gen = rng.choice(tf.GENERATORS)
-    nf = tf.apply_gen(nf, gen)
+    nf = F.apply(nf, gen)
     elem = pl_mul_gen(elem, gen)
     assert pl_eval_normalform(nf) == elem
 print(f"\n200-step walk ends at {nf!r}")
@@ -36,5 +39,5 @@ print(f"PL map has {len(elem.breakpoints())} breakpoints; "
 # The guess-and-check direction inverts exactly.
 back = nf
 for gen in ("x1", "x1-"):
-    back = tf.apply_gen(back, gen)
+    back = F.apply(back, gen)
 print("x1 then x1^-1 returns the same string:", back == nf)

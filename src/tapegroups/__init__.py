@@ -1,7 +1,7 @@
 """Normal forms and linear-time tape multiplication for three groups.
 
 Subpackages:
-  tapevm      instrumented multi-tape abstraction (the cost model)
+  tapevm      the instrumented two-tape machine (the cost model)
   spiral      square spiral enumeration of Z^2
   oracle_groups  independent algebraic models used as differential ground truth
   z2wrz2, z2wrf2, thompson_f  codecs plus two-tape generator programs

@@ -1,15 +1,17 @@
-"""Instrumented multi-tape tape abstraction with exact step accounting.
+"""The paper's two-tape machine, with exact step accounting.
 
-A TapeSet is k semi-infinite tapes.  Cell 0 of every tape holds the immovable
-start marker; unwritten cells read as blank.  Every primitive action (read one
-symbol, write one symbol, move one cell) costs exactly one step on the global
-counter.  Generator programs touch tapes only through these primitives and
-through counted sweeps, so the step counter is the cost model the linearity
-benchmarks certify.
+A TapeSet is two semi-infinite tapes: tape 1 (index 0) holds the input and,
+when the program halts, the output; tape 2 (index 1) is the work tape.  Cell
+0 of each tape holds the immovable start marker; unwritten cells read as
+blank.  Every primitive action (read one symbol, write one symbol, move one
+cell) costs exactly one step on the global counter.  Generator programs
+touch tapes only through these primitives and through counted sweeps, so the
+step counter is the cost model the linearity benchmarks certify.
 
 A tape is a `bytearray` of byte codes, not the tokens themselves
-(`tokens.CODE`); `read` and `write` still take symbols.  `init_tapes` and
-`read_output` are the only ways in and out.
+(`tokens.CODE`); `read` and `write` still take symbols.  `init_tapes`
+(the constructor, after a check of the input) and `read_output` are the
+only ways in and out.
 
 A sweep is one machine state looping over a run of cells.  `scan_right` and
 `scan_left` are defined as the loop `while read(t) not in stop: move(t)`:
@@ -25,26 +27,9 @@ left of the head h, O(h) in C; the programs' one such stop set is x1's
 ("b", BEGIN), and BEGIN is on cell 0 alone.
 
 The other counted sweeps live with the programs that run them, each charged
-at its defining loop's closed form: `tapeops`' suffix shifts, F's
-`_scan_valid` (its stop cell found in one pass: on a tape of few blocks by
-a match of the longest prefix with no rejected cell, else bit-parallel,
-with byte masks as big integers) and counter walks (`_compute_r`'s push/pop
-walk, clear and copy back, `_mark_hash_track`, `_compare_r_m`, the walks to
-a separator `_walk_to_hash`, `_walk_to_rth_hash` and `_walk_to_last_b`,
-`_write_hash_per_b`, `_strip_tail`'s # run, the block flags `_x0_flags`,
-`_x1_inv_flags` and `_case1_flags`, and x1's sweeps over tape 1's input
-track, `_restore_input` and `_compare_input`, with `_erase_counter`;
-`_compare_r_m` and `_write_hash_per_b` find the end of their run with a
-`translate` and a `find`), Z2 wr Z^2's region scan
-(`_scan_to_mark`, two tapes, the turn count in unary on tape 2) and mark
-move (`_move_mark`, four tape-2 sweeps pacing a tape-1 run that pads or
-erases), and Z2 wr F2's bracket-stack walk (`_walk`, tape 2 a stack of the
-open groups it has entered: its stop cell found by a byte-class search,
-backward over windows of doubling width, so that a walk that stops d cells
-away reads O(d) cells; the crossed brackets, which one `translate` picks
-out, settle tape 2 in a kind check and a depth profile eight brackets per
-step when the run is long, else in a Python loop over them).
-tests/test_sweeps.py keeps every defining loop as a reference oracle.
+at its defining loop's closed form and documented where it is defined.
+`COUNTED_SWEEPS` in tests/test_sweeps.py lists every one of them with its
+defining loop, which it keeps as a reference oracle.
 
 Finite control state of a program (region variables, ERASE flags, ...) lives in
 host variables and costs nothing, matching the state set of a real machine.
@@ -56,9 +41,10 @@ tape codes (bytes) and gives the product in the same form.  Text goes
 through the codes function, which checks it, and the output codes through
 the renderer; codes go through the codes function's check of codes, and the
 output codes come back as they are, so a word folds in codes and renders
-once.  It calls a program as program(ts, gen) on the fresh 2-tape `TapeSet`,
-which returns the case labels of the branches it took, a tuple, or None when
-it rejects its input, and reads the output against the machine's alphabet.
+once.  It calls a program as program(ts, gen) on the fresh `TapeSet`, which
+returns the case labels of the branches it took, a tuple, or None when it
+rejects its input, and reads the output against the machine's alphabet,
+which it holds as tape codes.
 """
 
 from __future__ import annotations
@@ -69,7 +55,7 @@ from dataclasses import dataclass
 from typing import Callable, Collection, Dict, NamedTuple, Optional, Sequence, Tuple, Union
 
 from .errors import BadWord, InvalidInput, NotInLanguage, OutputFault, TapeFault
-from .tokens import BEGIN, BLANK, CODE, SYMBOL, codes_of, decode, encode
+from .tokens import BEGIN, BLANK, CODE, SYMBOL, codes_of, encode
 
 _START = bytes((CODE[BEGIN],))  # a fresh tape's cells
 
@@ -88,17 +74,14 @@ def _search(stop: Collection[str]):
 
 
 class Tape:
-    """One semi-infinite tape: growable byte-coded cells plus a head index."""
+    """One semi-infinite tape: growable byte-coded cells, the start marker
+    then the given codes, plus a head index on the marker."""
 
     __slots__ = ("cells", "head")
 
-    def __init__(self) -> None:
-        self.cells = bytearray(_START)
+    def __init__(self, codes: bytes = b"") -> None:
+        self.cells = bytearray(_START + codes)
         self.head = 0
-
-    def symbols(self) -> list[str]:
-        """The cells decoded, one symbol per cell."""
-        return decode(self.cells)
 
 
 class StepReport(NamedTuple):
@@ -117,7 +100,8 @@ class StepReport(NamedTuple):
 
 
 class TapeSet:
-    """k instrumented tapes sharing one step counter.
+    """Two instrumented tapes sharing one step counter, tape 1 holding the
+    given codes unchecked (`init_tapes` checks them) and tape 2 blank.
 
     Single-threaded mutable value: may be handed between threads, never shared
     concurrently.
@@ -125,10 +109,8 @@ class TapeSet:
 
     __slots__ = ("tapes", "steps")
 
-    def __init__(self, k: int) -> None:
-        if k < 1:
-            raise InvalidInput("need at least one tape")
-        self.tapes = [Tape() for _ in range(k)]
+    def __init__(self, codes: bytes = b"") -> None:
+        self.tapes = (Tape(codes), Tape())
         self.steps = 0
 
     # -- primitive actions: each costs exactly one step --------------------
@@ -228,8 +210,8 @@ class TapeSet:
         return SYMBOL[cells[pos]]
 
 
-def init_tapes(input_tokens: Union[bytes, Sequence[str]], k: int) -> TapeSet:
-    """Fresh TapeSet with tape 0 holding the input and heads on the start marker.
+def init_tapes(input_tokens: Union[bytes, Sequence[str]]) -> TapeSet:
+    """Fresh TapeSet with tape 1 holding the input and heads on the start marker.
 
     The input is tape codes (`tokens.codes_z2f2`, ...), loaded unchanged, or
     a str or sequence of tokens; a symbol with no code or a tape marker raises
@@ -239,25 +221,23 @@ def init_tapes(input_tokens: Union[bytes, Sequence[str]], k: int) -> TapeSet:
     cells = encode(input_tokens)
     if CODE[BEGIN] in cells or CODE[BLANK] in cells:
         raise InvalidInput("input may not contain tape markers")
-    ts = TapeSet(k)
-    ts.tapes[0].cells += cells
-    return ts
+    return TapeSet(cells)
 
 
-def read_output(ts: TapeSet, sigma: Optional[Tuple[str, ...]] = None) -> bytes:
+def read_output(ts: TapeSet, sigma: Optional[bytes] = None) -> bytes:
     """Output of a halted program: the codes of the tape-1 prefix between the
     marker and the first blank.
 
     Content beyond the first blank is ignored.  Reading the output is free
     (it happens after the machine halts).  Given the machine's output
-    alphabet sigma, a symbol outside it raises OutputFault naming the first
-    such symbol.
+    alphabet sigma as tape codes, a symbol outside it raises OutputFault
+    naming the first such symbol.
     """
     cells = ts.tapes[0].cells
     end = cells.find(CODE[BLANK], 1)
     out = bytes(cells[1:end if end >= 0 else len(cells)])
     if sigma is not None:
-        bad = out.translate(None, codes_of(sigma))
+        bad = out.translate(None, sigma)
         if bad:
             raise OutputFault(f"symbol {SYMBOL[bad[0]]!r} outside the declared alphabet")
     return out
@@ -270,7 +250,7 @@ class Machine:
     group: str
     # text or codes to codes; raises NotInLanguage or InvalidInput off the language
     codes: Callable[[Union[str, bytes]], bytes]
-    sigma: Tuple[str, ...]
+    sigma: bytes  # the output alphabet's tape codes
     render: Callable[[bytes], str]
     programs: Dict[str, Callable[[TapeSet, str], Optional[Tuple[str, ...]]]]
 
@@ -286,7 +266,7 @@ class Machine:
             raise BadWord(f"unknown generator {gen!r} for {self.group}") from None
         try:
             codes = self.codes(nf)
-            ts = init_tapes(codes, 2)
+            ts = init_tapes(codes)
         except InvalidInput:  # a symbol with no tape code, or a tape marker
             cases = None
         else:

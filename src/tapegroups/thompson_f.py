@@ -856,20 +856,16 @@ def apply_x1(ts: TapeSet, gen: str) -> Optional[Tuple[str, ...]]:
 
 def compute_r(text: str) -> RResult:
     """Run the counter subroutine and read R off the second tape."""
-    ts = init_tapes(text, 2)
+    ts = init_tapes(text)
     case_flag = _compute_r(ts)
     return RResult(ts.tapes[1].cells.count(_B), case_flag)
 
 
 # Each generator is one run of the 2-tape machine, whose counted membership
 # scan is the only check of the input.  Its output codes are ASCII.
-MACHINE = Machine(GROUP, encode, F_SIGMA, bytes.decode,
+MACHINE = Machine(GROUP, encode, codes_of(F_SIGMA), bytes.decode,
                   {"x0": _program_x0, "x0-": _program_x0, "x1": apply_x1, "x1-": _program_x1_inv})
 
 
 def apply_gen_report(text: str, gen: str) -> Tuple[str, StepReport]:
     return MACHINE.apply(text, gen)
-
-
-def apply_gen(text: str, gen: str) -> str:
-    return apply_gen_report(text, gen)[0]

@@ -6,7 +6,8 @@ and `SYMBOL` maps each byte back.  BLANK is code 0, so `bytes(k)` is k blank
 cells, and BEGIN is code 1.  Every other one-character ASCII symbol is its
 own ordinal, so F's text and Z2 wr Z^2's bits encode with `str.encode`.  Each
 multi-character token and work symbol has a fixed code of 128 or more.
-External text uses the ASCII renderings below; the renderers also take codes.
+External text uses the ASCII renderings below; `render` takes codes and
+`render_z2f2` codes or a token list.
 The codes functions also take codes (bytes) and return them unchanged, after
 the same language check the text gets, so that a caller may keep a normal
 form in codes from one generator run to the next.
@@ -101,22 +102,23 @@ _Z2F2_SIGMA_CODES = encode(Z2F2_SIGMA)
 # three.  _CONTINUES: on D and E, the bits of the letters that continue their
 # token two cells on.  A cell's sum is its _CELL plus the _LETTER of a
 # starting letter before it and of a continuing one after it, which is a
-# token's on its digit; _Z2F2_CODES maps it to the code, any other to 0.
+# token's on its digit; _SUMS and _Z2F2_CODES map it to the code, any
+# other to 0.
 _CELL = bytes(b"()[]01".find(c) + 1 or 7 * (c not in _WHITESPACE + b"ABCDE") for c in range(256))
 _LETTER = bytes(8 << b"CABDE".find(c) if c in b"CABDE" else 0 for c in range(256))
 _CONTINUES = bytes({ord("D"): 8 | 16 | 32, ord("E"): 8}.get(c, 0) for c in range(256))
-_Z2F2_CODES = bytearray(256)
-# render_z2f2's lanes: each code's first, second and third character, 0 for
-# none, 0xFF (no ASCII) off the alphabet.  A token with no third character
-# has its class there: d, e for D0-D1, E0-E1 and a, c for A0-B1, C0-C1.  Munch
-# would join a d to an a or c after it, an e to a c: such a d or e becomes S.
-_FIRST, _SECOND, _THIRD = bytearray(b"\xff" * 256), bytearray(256), bytearray(256)
-for _tok in Z2F2_SIGMA:
-    _Z2F2_CODES[_CELL[ord(_tok[len(_tok) > 1])] + sum(_LETTER[ord(c)] for c in _tok)] = CODE[_tok]
-    for _lane, _char in zip((_FIRST, _SECOND, _THIRD), _tok.encode()):
-        _lane[CODE[_tok]] = _char
-    if len(_tok) == 2:
-        _THIRD[CODE[_tok]] = b"deaac"[b"DEABC".index(_tok[0].encode())]
+_SUMS = {_CELL[ord(tok[len(tok) > 1])] + sum(_LETTER[c] for c in tok.encode()): CODE[tok]
+         for tok in Z2F2_SIGMA}
+_Z2F2_CODES = bytes(_SUMS.get(s, 0) for s in range(256))
+# render_z2f2's lanes: each code's first, second and third character (a
+# token's in _LANES), 0 for none, 0xFF (no ASCII) off the alphabet.  A token
+# with no third character has its class there: d, e for D0-D1, E0-E1 and a, c
+# for A0-B1, C0-C1.  Munch would join a d to an a or c after it, an e to a c:
+# such a d or e becomes S.
+_LANES = {tok: (tok + "deaac"["DEABC".index(tok[0])] if len(tok) == 2 else tok).encode() + bytes(2)
+          for tok in Z2F2_SIGMA}
+_FIRST, _SECOND, _THIRD = (bytes(_LANES[sym][lane] if sym in _LANES else 0xFF * (lane == 0)
+                                 for sym in SYMBOL) for lane in range(3))
 _SPACE = bytes(32 if c == ord("S") else c * (c in b"ABC") for c in range(256))  # S: a space
 
 
@@ -204,9 +206,7 @@ def render_z2f2(tokens) -> str:
     return out.translate(None, b"\0").decode()
 
 
-def render(tokens) -> str:
-    """ASCII rendering of a token sequence, or of the codes as bytes of one
-    over Z2 wr Z^2's or F's alphabet (inverse of the codes functions)."""
-    if isinstance(tokens, bytes):
-        return tokens.replace(_C0, b"C0").replace(_C1, b"C1").decode("ascii")
-    return "".join(tokens)
+def render(codes: bytes) -> str:
+    """ASCII rendering of tape codes over Z2 wr Z^2's or F's alphabet
+    (inverse of the codes functions)."""
+    return codes.replace(_C0, b"C0").replace(_C1, b"C1").decode("ascii")

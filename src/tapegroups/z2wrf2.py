@@ -755,13 +755,9 @@ def _program_move(ts: TapeSet, gen: str) -> Tuple[()]:
     return ()
 
 
-MACHINE = Machine(GROUP, codes_z2f2, Z2F2_SIGMA, render_z2f2,
+MACHINE = Machine(GROUP, codes_z2f2, codes_of(Z2F2_SIGMA), render_z2f2,
                   {gen: _program_toggle if gen == "c" else _program_move for gen in GENERATORS})
 
 
 def apply_gen_report(text: str, gen: str) -> Tuple[str, StepReport]:
     return MACHINE.apply(text, gen)
-
-
-def apply_gen(text: str, gen: str) -> str:
-    return apply_gen_report(text, gen)[0]

@@ -38,7 +38,7 @@ from . import spiral
 from .errors import TapeFault
 from .oracle_groups import LampConfigZ2
 from .tapevm import Machine, StepReport, TapeSet
-from .tokens import BLANK, CODE, Z2Z2_NF, Z2Z2_SIGMA, codes_z2z2, render
+from .tokens import BLANK, CODE, Z2Z2_NF, Z2Z2_SIGMA, codes_of, codes_z2z2, render
 
 GROUP = "z2wrz2"
 GENERATORS = ("a", "a-", "b", "b-", "c")
@@ -79,18 +79,15 @@ _LIT = re.compile(b"[1%c]" % _C1).finditer  # the cells of lit lamps
 
 
 def encode(config: LampConfigZ2) -> str:
+    """The normal form of a configuration: a 0 per cell up to the last lit
+    lamp or the lamplighter, a 1 per lit lamp, the C-token on the lamplighter."""
+    lit = [spiral.spiral_index(p) for p in config.lit]
     r = spiral.spiral_index(config.pos)
-    lit_idx = {spiral.spiral_index(p) for p in config.lit}
-    m = max(lit_idx) if lit_idx else 0
-    length = max(m, r)
-    toks = []
-    for k in range(1, length + 1):
-        bit = "1" if k in lit_idx else "0"
-        if k == r:
-            toks.append("C" + bit)
-        else:
-            toks.append(bit)
-    return render(toks)
+    cells = bytearray(b"0" * max([r, *lit]))
+    for k in lit:
+        cells[k - 1] = 49  # "1" is coded by its ASCII byte
+    cells[r - 1] = _C1 if cells[r - 1] == 49 else _C0
+    return render(cells)
 
 
 def decode(text: str) -> LampConfigZ2:
@@ -261,13 +258,9 @@ def _program_move(ts: TapeSet, gen: str) -> Tuple[()]:
 
 # codes_z2z2 raises NotInLanguage on a non-member; the programs halt on any
 # token string
-MACHINE = Machine(GROUP, codes_z2z2, Z2Z2_SIGMA, render,
+MACHINE = Machine(GROUP, codes_z2z2, codes_of(Z2Z2_SIGMA), render,
                   {gen: _program_toggle if gen == "c" else _program_move for gen in GENERATORS})
 
 
 def apply_gen_report(text: str, gen: str) -> Tuple[str, StepReport]:
     return MACHINE.apply(text, gen)
-
-
-def apply_gen(text: str, gen: str) -> str:
-    return apply_gen_report(text, gen)[0]

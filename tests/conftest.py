@@ -3,10 +3,24 @@
 import dis
 import linecache
 import sys
+from importlib.machinery import SourceFileLoader
 
 import pytest
 
-from tapegroups import thompson_f
+SOURCES = {}  # file name -> the module's source lines as it was imported
+
+
+def _exec_module(self, module, exec_module=SourceFileLoader.exec_module):
+    """SourceFileLoader.exec_module, keeping the module's source first, so
+    that a gate names the lines of the code that runs even if the file is
+    edited during the test run."""
+    SOURCES[self.path] = self.get_source(self.name).splitlines()
+    exec_module(self, module)
+
+
+SourceFileLoader.exec_module = _exec_module
+
+from tapegroups import thompson_f  # noqa: E402  (after the snapshot hook)
 from tapegroups.errors import NoCaseMatched
 
 DELETED_CASE = "2.2.2b"
@@ -31,7 +45,8 @@ def f_case_deleted():
 
 def _unrun_lines(programs, run):
     """The lines of programs that run() does not reach under a line trace,
-    sorted, as (function name, stripped source line) pairs."""
+    sorted, as (function name, stripped source line) pairs.  The source is
+    the module's as it was imported (SOURCES), else the file's."""
     hit = {fn.__code__: set() for fn in programs}
 
     def trace(frame, event, arg):
@@ -53,9 +68,9 @@ def _unrun_lines(programs, run):
     unrun = []
     for fn in programs:
         code = fn.__code__
+        source = SOURCES.get(code.co_filename) or linecache.getlines(code.co_filename)
         lines = {line for _, line in dis.findlinestarts(code) if line is not None}
-        unrun += [(fn.__name__, linecache.getline(code.co_filename, line).strip())
-                  for line in lines - hit[code]]
+        unrun += [(fn.__name__, source[line - 1].strip()) for line in lines - hit[code]]
     return sorted(unrun)
 
 

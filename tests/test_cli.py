@@ -40,7 +40,7 @@ def test_mul_on_a_deeply_nested_form(capsys):
         cfg = wreath_mul_gen(cfg, gen)
     nf = z2wrf2.encode(cfg)
     assert run(["mul", "--group", "z2wrf2", "--nf", nf, "--gen", "b"]) == 0
-    assert capsys.readouterr().out.splitlines()[0] == z2wrf2.apply_gen(nf, "b")
+    assert capsys.readouterr().out.splitlines()[0] == z2wrf2.apply_gen_report(nf, "b")[0]
 
 
 def test_exit_codes(capsys):

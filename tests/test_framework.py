@@ -370,3 +370,16 @@ def test_fresh_imports_leave_one_copy_of_each_module():
     live = json.loads(proc.stdout)
     assert "tapegroups.z2wrf2" in live
     assert {name: 1 for name in live} == live
+
+
+def test_no_module_global_is_a_mutable_container():
+    # tables are bytes, tuples or dicts built once at import; no loop name
+    # leaks into a module's globals
+    import importlib
+    import pkgutil
+
+    import tapegroups
+    found = [(info.name, name) for info in pkgutil.iter_modules(tapegroups.__path__)
+             for name, value in vars(importlib.import_module(f"tapegroups.{info.name}")).items()
+             if isinstance(value, (bytearray, list, set))]
+    assert found == []

@@ -28,10 +28,10 @@ from pathlib import Path
 
 from tapegroups import framework as fw
 from tapegroups import z2wrf2, z2wrz2
-from tapegroups.errors import InvalidInput, NotInLanguage
+from tapegroups.errors import NotInLanguage
 from tapegroups.oracle_groups import LampConfigF2, LampConfigZ2
-from tapegroups.tapevm import TapeSet, read_output
-from tapegroups.tokens import BEGIN, BLANK, CODE, Z2F2_SIGMA, encode, render_z2f2, tokenize_z2f2
+from tapegroups.tapevm import init_tapes, read_output
+from tapegroups.tokens import Z2F2_SIGMA, render_z2f2, tokenize_z2f2
 
 LEDGER = Path(__file__).parent / "data" / "step_ledger.json"
 SIZES = (1 << 6, 1 << 10, 1 << 14)
@@ -39,9 +39,6 @@ SIZES = (1 << 6, 1 << 10, 1 << 14)
 R1 = ["x1", "x0-", "x0-", "x1-", "x0", "x0", "x1-", "x0-", "x1", "x0"]
 R2 = ["x1", "x0-", "x0-", "x0-", "x1-", "x0", "x0", "x0",
       "x1-", "x0-", "x0-", "x1", "x0", "x0"]
-
-
-START = encode([BEGIN])  # a fresh tape's cells
 
 # per group: (walks, steps per walk, random token strings, their max length)
 WALKS = {"z2wrz2": (40, 30, 1000, 30),
@@ -71,25 +68,14 @@ def _fixed_words(rep: fw.Representation):
     return words
 
 
-_RAW = TapeSet(2)  # the one 2-tape machine run_raw resets for each run
-
-
 def run_raw(tokens, machine, gen):
-    """Run machine's program of gen, which halts on any input, on a 2-tape
-    machine over its alphabet reset to hold `tokens` (a token list, a str of
-    one-character symbols, or their tape codes as bytes; a tape marker raises
+    """Run machine's program of gen, which halts on any input, on the machine
+    `init_tapes` loads with `tokens` (a token list, a str of one-character
+    symbols, or their tape codes as bytes; a tape marker raises
     InvalidInput): the output text, the steps and the program's return
     value.  Machine.apply raises NotInLanguage on a text its codes function
     or its program rejects; this runs the program and returns its verdict."""
-    cells = tokens if isinstance(tokens, bytes) else encode(tokens)
-    if CODE[BEGIN] in cells or CODE[BLANK] in cells:  # as init_tapes checks
-        raise InvalidInput("input may not contain tape markers")
-    ts = _RAW
-    first, second = ts.tapes
-    first.cells = bytearray(START)
-    first.cells += cells
-    second.cells = bytearray(START)
-    first.head = second.head = ts.steps = 0
+    ts = init_tapes(tokens)
     result = machine.programs[gen](ts, gen)
     return machine.render(read_output(ts, machine.sigma)), ts.steps, result
 
@@ -114,7 +100,7 @@ def _walk_entries(rep: fw.Representation, seed: int):
             # over a random part of the alphabet, so that long strings
             # without a marker or without brackets occur too
             pool = rng.sample(machine.sigma, rng.randint(1, len(machine.sigma)))
-            tokens = [rng.choice(pool) for _ in range(rng.randint(0, max_tokens))]
+            tokens = bytes(rng.choice(pool) for _ in range(rng.randint(0, max_tokens)))
             text = machine.render(tokens)
             for gen in rep.generators:
                 if rep.group_id == "z2wrz2":  # its front door raises on a non-member

@@ -4,11 +4,11 @@ Each sweep (`TapeSet.scan_right`, `TapeSet.scan_left`, the two suffix shifts,
 F's `_scan_valid`, rewind, counter walks and block flags, x1's erase, restore
 and compare sweeps, Z2 wr Z^2's region scan and mark move and Z2 wr F2's
 bracket-stack walk) must leave exactly the state its defining loop leaves.
-One runner, `run`, starts a sweep or a loop on a reused machine from given
+One runner, `run`, starts a sweep or a loop on a fresh machine from given
 tapes and returns its end state: the return value or the fault's type, the
-step count, and each tape's cells and head.  `check` runs a sweep and its
-loop from the same tapes, and `agree` asserts that the two end states are
-equal and counts the comparison; each test asserts how many it made.
+step count, and each given tape's cells and head.  `check` runs a sweep and
+its loop from the same tapes, and `agree` asserts that the two end states
+are equal and counts the comparison; each test asserts how many it made.
 Three comparisons differ, each stated once in `agree`: a loop that never
 halts is a fault before any step; x1's erase and restore agree with their
 loops up to trailing blanks; and Z2 wr Z^2's mark move refuses a move near
@@ -134,11 +134,10 @@ def loop_scan_valid(ts):
 
 # -- harness -----------------------------------------------------------------
 #
-# A run starts from one (codes, head) pair per tape, the start marker's code
-# first, and ends in a state (out, steps, (codes, head), ...).  Decoding is
-# one to one, so comparing codes compares the symbols.
+# A run starts from one (codes, head) pair per tape it uses, the start
+# marker's code first, and ends in a state (out, steps, (codes, head), ...).
+# Decoding is one to one, so comparing codes compares the symbols.
 
-MACHINES = {k: TapeSet(k) for k in (1, 2)}  # one reused machine per tape count
 CELLS_AND_HEAD = attrgetter("cells", "head")
 compared = 0  # the comparisons agree has made in the running test
 
@@ -150,19 +149,18 @@ def _count_comparisons():
 
 
 def run(fn, starts, *args):
-    """Reset the machine of len(starts) tapes to starts, run fn(machine,
-    *args) and return its end state, a fault as its type."""
-    ts = MACHINES[len(starts)]
+    """Set the first len(starts) tapes of a fresh machine to starts, run
+    fn(machine, *args) and return its end state on those tapes, a fault as
+    its type."""
+    ts = TapeSet()
     for tape, (cells, head) in zip(ts.tapes, starts):
         tape.cells = bytearray(cells)
         tape.head = head
-    ts.steps = 0
     try:
         out = fn(ts, *args)
     except TapeFault as exc:
         out = type(exc)
-    # the next reset gives every tape new cells, so these keep their codes
-    return out, ts.steps, *map(CELLS_AND_HEAD, ts.tapes)
+    return out, ts.steps, *map(CELLS_AND_HEAD, ts.tapes[:len(starts)])
 
 
 def trimmed(state):
@@ -277,7 +275,7 @@ def test_scan_left_off_the_start_marker_faults_after_the_loop_steps():
 
 
 def test_scans_charge_2d_plus_1():
-    ts = init_tapes("a" * 1000, 2)
+    ts = init_tapes("a" * 1000)
     assert ts.scan_right(0, (BLANK,)) == BLANK
     assert ts.steps == 2 * 1001 + 1 and ts.tapes[0].head == 1001
     assert ts.scan_left(0, (BEGIN,)) == BEGIN
@@ -320,7 +318,7 @@ def test_shifts_match_loops_on_z2wrf2_tapes():
 
 
 def test_shift_right_needs_a_cell_to_insert():
-    ts = TapeSet(1)
+    ts = TapeSet()
     ts.tapes[0].head = 1
     with pytest.raises(InvalidInput):
         shift_suffix_right(ts, 0, [])
@@ -1208,7 +1206,7 @@ def test_walk_host_time_does_not_grow_with_the_tape():
     # and the same on a stack 2^20 cells deep as on an empty one, where a
     # copy of the stack per walk would
     def best_of_5(n, fwd, depth=0):
-        ts = init_tapes([], 2)
+        ts = init_tapes([])
         tape, stack = ts.tapes
         if fwd:
             tape.cells += encode(["0", "C0"]) + b"0" * n
@@ -1241,7 +1239,7 @@ def test_walk_host_time_does_not_grow_with_the_depth():
     assert len(shallow) == len(deep) and shallow.count("(") == deep.count("(") + deep.count("[")
 
     def best_of_5(toks):
-        ts = init_tapes([], 2)
+        ts = init_tapes([])
         tape, stack = ts.tapes
         tape.cells = bytearray(codes(toks))
         times = []

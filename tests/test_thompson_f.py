@@ -13,6 +13,8 @@ from tapegroups.oracle_groups import PL_IDENTITY, pl_eval_normalform, pl_mul_gen
 from tapegroups.tapevm import TapeSet, init_tapes, read_output
 from test_step_ledger import _walk_entries, run_raw
 
+REP = representation_thompson_f()
+
 INV = {"x0": "x0-", "x0-": "x0", "x1": "x1-", "x1-": "x1"}
 
 
@@ -80,32 +82,32 @@ def _random_seq(rng, budget):
 
 
 def test_x0_examples():
-    assert tf.apply_gen("", "x0-") == "b"
-    assert tf.apply_gen("b", "x0") == ""
-    assert tf.apply_gen("", "x0") == "a"
-    assert tf.apply_gen("a##a", "x0-") == "#a"
-    assert tf.apply_gen("#a", "x0") == "a##a"
+    assert REP.apply("", "x0-") == "b"
+    assert REP.apply("b", "x0") == ""
+    assert REP.apply("", "x0") == "a"
+    assert REP.apply("a##a", "x0-") == "#a"
+    assert REP.apply("#a", "x0") == "a##a"
     # frozen after checking against the PL oracle
-    assert tf.apply_gen("a#a", "x0-") == "ab#a"
+    assert REP.apply("a#a", "x0-") == "ab#a"
 
 
 def test_x1_inv_examples():
-    assert tf.apply_gen("", "x1-") == "#b"
-    assert tf.apply_gen("a", "x1-") == "a#b"
-    assert tf.apply_gen("b", "x1-") == "b##b"
-    assert tf.apply_gen("b###b", "x1-") == "b##b#b"
+    assert REP.apply("", "x1-") == "#b"
+    assert REP.apply("a", "x1-") == "a#b"
+    assert REP.apply("b", "x1-") == "b##b"
+    assert REP.apply("b###b", "x1-") == "b##b#b"
 
 
 def test_x1_examples():
-    assert tf.apply_gen("#b", "x1") == ""
-    assert tf.apply_gen("a#b", "x1") == "a"
-    assert tf.apply_gen("b##b", "x1") == "b"
-    assert tf.apply_gen("#bbb", "x1") == "#bb"
+    assert REP.apply("#b", "x1") == ""
+    assert REP.apply("a#b", "x1") == "a"
+    assert REP.apply("b##b", "x1") == "b"
+    assert REP.apply("#bbb", "x1") == "#bb"
 
 
 def test_invalid_input_raises_but_machine_halts():
     with pytest.raises(NotInLanguage):
-        tf.apply_gen("ab", "x1-")
+        REP.apply("ab", "x1-")
     # the underlying machine itself is total: it halts without editing and
     # returns its verdict
     out, _, cases = run_raw("ab", tf.MACHINE, "x1-")
@@ -162,7 +164,7 @@ def test_x1_inv_labels_every_short_normal_form():
     for nf in forms:
         out, report = tf.apply_gen_report(nf, "x1-")
         assert len(report.cases) == 1, nf
-        assert tf.apply_gen(out, "x1") == nf
+        assert REP.apply(out, "x1") == nf
 
 
 def test_x1_accepts_the_round_trip_of_the_inverse_branch():
@@ -177,7 +179,7 @@ def test_x1_accepts_the_round_trip_of_the_inverse_branch():
             assert len(back.cases) == 1 and report.cases[-1] == back.cases[0], (nf, out)
             assert set(report.cases) <= set(tf.CASE_LABELS)
             checked += 1
-            nf = tf.apply_gen(out, rng.choice(tf.GENERATORS))
+            nf = REP.apply(out, rng.choice(tf.GENERATORS))
     assert checked > 400
 
 
@@ -206,7 +208,7 @@ def test_quasigeodesic_necessary_direction():
     for _ in range(6):
         nf = ""
         for k in range(1, 350):
-            nf = tf.apply_gen(nf, rng.choice(tf.GENERATORS))
+            nf = REP.apply(nf, rng.choice(tf.GENERATORS))
             worst = max(worst, len(nf) / (k + 1))
     assert worst < 6.0
 
@@ -252,10 +254,10 @@ def test_total_on_garbage():
             run_raw(text, tf.MACHINE, gen)
         if tf.validate(text):
             for gen in ("x0", "x0-", "x1-", "x1"):
-                assert tf.validate(tf.apply_gen(text, gen))
+                assert tf.validate(REP.apply(text, gen))
         else:
             with pytest.raises(NotInLanguage):
-                tf.apply_gen(text, "x0")
+                REP.apply(text, "x0")
 
 
 def _one_token_edits(text):
@@ -313,7 +315,7 @@ def test_each_call_matches_the_language_once(monkeypatch):
             host.clear()
             tape.clear()
             accepted[0] = 0
-            tf.apply_gen(nf, gen)
+            REP.apply(nf, gen)
             if gen == "x1":
                 # the accepting builder runs once more, to write the product
                 candidates = accepted[0] - 1
@@ -323,7 +325,7 @@ def test_each_call_matches_the_language_once(monkeypatch):
     for bad in non_members():
         for gen in tf.GENERATORS:
             with pytest.raises(NotInLanguage):
-                tf.apply_gen(bad, gen)
+                REP.apply(bad, gen)
         if not bad.strip("ab#"):  # the raw machines halt on any such text
             for gen in tf.GENERATORS:
                 run_raw(bad, tf.MACHINE, gen)
@@ -367,7 +369,7 @@ def test_walks_short_forms_and_garbage_run_every_line_but_the_guards(unrun_lines
             pass
         for nf in forms:
             for gen in tf.GENERATORS:
-                tf.apply_gen(nf, gen)
+                REP.apply(nf, gen)
         for text in garbage:
             for gen in tf.GENERATORS:
                 run_raw(text, tf.MACHINE, gen)
@@ -393,7 +395,7 @@ def test_primitive_calls_do_not_grow_with_the_input(family, monkeypatch):
 
     def primitive_calls(k, gen):
         calls.clear()
-        tf.apply_gen(FAMILIES[family](k), gen)
+        REP.apply(FAMILIES[family](k), gen)
         return sum(calls.values())
 
     for gen in tf.GENERATORS:
@@ -417,7 +419,7 @@ def ref_x1(text):
     x1^-1 on another fresh machine.  The product and the case labels."""
     cases = ()
     for builder in tf._X1_BUILDERS:
-        ts = init_tapes(text, 2)
+        ts = init_tapes(text)
         if not builder(ts):
             continue
         candidate = read_output(ts).decode()
@@ -448,7 +450,7 @@ def test_x1_restores_a_fresh_machine_and_matches_the_host_guess_and_check(monkey
         assert _tapes(ts) == fresh[0]
     monkeypatch.setattr(tf, "_restore", checked)
     for text in texts:
-        fresh[0] = _tapes(init_tapes(text, 2))
+        fresh[0] = _tapes(init_tapes(text))
         restores[0] = 0
         out, report = tf.apply_gen_report(text, "x1")
         assert (out, report.cases) == ref_x1(text), text
@@ -544,4 +546,4 @@ def test_validate_rejects_a_long_near_miss_without_backtracking():
     assert time.perf_counter() - t0 < 5
     with pytest.raises(NotInLanguage):
         ref_parse(bad)
-    assert tf._scan_valid(init_tapes(bad, 2)) is False
+    assert tf._scan_valid(init_tapes(bad)) is False

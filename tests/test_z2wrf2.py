@@ -9,6 +9,8 @@ from tapegroups.oracle_groups import IDENTITY_F2, LampConfigF2, f2_reduce, wreat
 from tapegroups.tokens import render_z2f2, tokenize_z2f2
 from test_step_ledger import SIZES, _walk_entries
 
+REP = representation_z2wrf2()
+
 INV = {"a": "a-", "a-": "a", "b": "b-", "b-": "b", "c": "c"}
 
 FIG3_ITERATIONS = [
@@ -92,28 +94,28 @@ def test_fig3_decode_and_iteration_replay():
 
 
 def test_apply_examples():
-    assert z.apply_gen("B0", "c") == "B1"
-    assert z.apply_gen("A0C0", "c") == "A0C1"
-    assert z.apply_gen("B0", "a") == "A0C0"
-    assert z.apply_gen("A0C0", "a-") == "B0"
-    assert z.apply_gen("B0", "b") == "(D0AC0)"
-    assert z.apply_gen("(D0AC0)", "b-") == "B0"
-    assert z.apply_gen("B0", "a-") == "C0A0"
-    assert z.apply_gen("C0A0", "a") == "B0"
+    assert REP.apply("B0", "c") == "B1"
+    assert REP.apply("A0C0", "c") == "A0C1"
+    assert REP.apply("B0", "a") == "A0C0"
+    assert REP.apply("A0C0", "a-") == "B0"
+    assert REP.apply("B0", "b") == "(D0AC0)"
+    assert REP.apply("(D0AC0)", "b-") == "B0"
+    assert REP.apply("B0", "a-") == "C0A0"
+    assert REP.apply("C0A0", "a") == "B0"
 
 
 def test_sprout_and_collapse_inverse():
     # a leaf sprouting a group and the reverse collapse are exact inverses
     nf = z.encode(LampConfigF2(frozenset(), "a"))      # A0C0
-    up = z.apply_gen(nf, "b")
+    up = REP.apply(nf, "b")
     assert z.decode(up) == LampConfigF2(frozenset(), "ab")
-    assert z.apply_gen(up, "b-") == nf
+    assert REP.apply(up, "b-") == nf
 
 
 def test_bracket_mutation_rejected():
     good = FIG3_ITERATIONS[-1]
     mutated = good.replace("(", "[", 1)
-    out = z.apply_gen(mutated, "a")
+    out = REP.apply(mutated, "a")
     assert not z.validate(out)  # halts without producing a member of L
 
 
@@ -125,7 +127,7 @@ def test_differential_walks():
         cfg = IDENTITY_F2
         for _ in range(rng.randint(1, 60)):
             gen = rng.choice(z.GENERATORS)
-            out = z.apply_gen(nf, gen)
+            out = REP.apply(nf, gen)
             cfg2 = wreath_mul_gen(cfg, gen)
             assert out == z.encode(cfg2), (trial, nf, gen)
             assert z.decode(out) == cfg2
@@ -140,7 +142,7 @@ def test_random_walk_closure_500():
     cfg = IDENTITY_F2
     for _ in range(500):
         gen = rng.choice(z.GENERATORS)
-        nf = z.apply_gen(nf, gen)
+        nf = REP.apply(nf, gen)
         cfg = wreath_mul_gen(cfg, gen)
         assert z.validate(nf)
         assert z.decode(nf) == cfg
@@ -151,8 +153,8 @@ def test_inverse_pairs():
     nf = "B0"
     for _ in range(300):
         gen = rng.choice(z.GENERATORS)
-        out = z.apply_gen(nf, gen)
-        assert z.apply_gen(out, INV[gen]) == nf, (nf, gen, out)
+        out = REP.apply(nf, gen)
+        assert REP.apply(out, INV[gen]) == nf, (nf, gen, out)
         nf = out
 
 
@@ -162,7 +164,7 @@ def test_quasigeodesic_necessary_direction():
     for _ in range(6):
         nf = "B0"
         for k in range(1, 400):
-            nf = z.apply_gen(nf, rng.choice(z.GENERATORS))
+            nf = REP.apply(nf, rng.choice(z.GENERATORS))
             worst = max(worst, len(tokenize_z2f2(nf)) / (k + 1))
     assert worst < 12.0  # a fixed constant bounds |nf| / (walk length + 1)
 
@@ -176,7 +178,7 @@ def test_total_on_invalid_inputs():
         toks = [rng.choice(Z2F2_SIGMA) for _ in range(rng.randint(0, 12))]
         text = render_z2f2(toks)
         for gen in z.GENERATORS:
-            z.apply_gen(text, gen)  # any output, no exception
+            REP.apply(text, gen)  # any output, no exception
 
 
 # -- the fixpoint encoder the construction tree replaced, kept as a reference --

@@ -13,6 +13,8 @@ from tapegroups.tokens import Z2Z2_SIGMA, codes_z2z2, encode, render
 from test_step_ledger import SIZES, WALKS, _walk_entries, run_raw
 from test_thompson_f import non_members
 
+REP = representation_z2wrz2()
+
 INV = {"a": "a-", "a-": "a", "b": "b-", "b-": "b", "c": "c"}
 
 LONG_VECTOR = "0100011000000100001000C1000101111000011000101100001"
@@ -22,7 +24,7 @@ def test_encode_identityish():
     assert z.encode(IDENTITY_Z2) == "C0"
     assert z.encode(LampConfigZ2(frozenset(), (1, 0))) == "0C0"
     # running the a-program on the identity gives the same string
-    assert z.apply_gen("C0", "a") == "0C0"
+    assert REP.apply("C0", "a") == "0C0"
 
 
 def test_decode_examples():
@@ -64,9 +66,9 @@ def test_long_vector_roundtrip():
 
 
 def test_apply_examples():
-    assert z.apply_gen("0C0", "a") == "0" * 10 + "C0"
-    assert z.apply_gen("C1", "c") == "C0"
-    assert z.apply_gen("C0", "c") == "C1"
+    assert REP.apply("0C0", "a") == "0" * 10 + "C0"
+    assert REP.apply("C1", "c") == "C0"
+    assert REP.apply("C0", "c") == "C1"
     out, rep = z.apply_gen_report("C0", "a")
     assert out == "0C0"
     assert rep.gen == "a" and rep.group == "z2wrz2" and rep.steps > 0
@@ -75,21 +77,21 @@ def test_apply_examples():
 def test_jump_displacements_realized():
     # region L1 with one turn: the mark moves exactly 8i+9 = 17 cells
     nf = "0" * 9 + "C0"                      # mark at index 10, region L1, i=1
-    out = z.apply_gen(nf, "a")
+    out = REP.apply(nf, "a")
     assert out == "0" * 26 + "C0"            # mark at index 27
     # region D3 at the origin ring: 8i+5 = 5 cells leftward
     nf = "0" * 5 + "C0"                      # mark at index 6 = (-1,0) in D3
-    assert z.apply_gen(nf, "a") == "C0"      # lands at the origin, tail erased
+    assert REP.apply(nf, "a") == "C0"      # lands at the origin, tail erased
 
 
 def test_scan_tracks_region_and_turns():
     # the first-iteration scan must stop with the turn counter i = turn_count(k)
     for k in list(range(1, 200)) + [677, 2500]:
         toks = ["0"] * (k - 1) + ["C0"]
-        ts = init_tapes(toks, 2)
+        ts = init_tapes(toks)
         region = z._scan_to_mark(ts)
         assert region == spiral.classify(spiral.spiral_point(k)), k
-        i = ts.tapes[1].symbols().count("T")
+        i = ts.tapes[1].cells.count(b"T")
         assert i == spiral.turn_count(k), (k, i)
 
 
@@ -97,7 +99,7 @@ def test_erase_rule_keeps_language():
     # trailing zeros freed by a leftward move are erased
     cfg = LampConfigZ2(frozenset({(0, 0)}), (0, 1))   # index 4, region D2
     nf = z.encode(cfg)
-    out = z.apply_gen(nf, "a")                        # to (1,1) = index 3
+    out = REP.apply(nf, "a")                        # to (1,1) = index 3
     assert out == z.encode(wreath_mul_gen(cfg, "a"))
     assert z.validate(out)
 
@@ -116,7 +118,7 @@ def test_differential_against_oracle():
         cfg = _random_config(rng, bound)
         nf = z.encode(cfg)
         gen = rng.choice(z.GENERATORS)
-        out = z.apply_gen(nf, gen)
+        out = REP.apply(nf, gen)
         cfg2 = wreath_mul_gen(cfg, gen)
         assert out == z.encode(cfg2), (cfg, gen)
         assert z.decode(out) == cfg2
@@ -128,9 +130,9 @@ def test_inverse_pairs_and_closure():
         cfg = _random_config(rng, 500)
         nf = z.encode(cfg)
         for gen in z.GENERATORS:
-            out = z.apply_gen(nf, gen)
+            out = REP.apply(nf, gen)
             assert z.validate(out)
-            assert z.apply_gen(out, INV[gen]) == nf, (nf, gen, out)
+            assert REP.apply(out, INV[gen]) == nf, (nf, gen, out)
 
 
 TOKEN_CODES = [encode((tok,)) for tok in Z2Z2_SIGMA]
@@ -184,8 +186,8 @@ def test_every_generator_raises_on_a_non_member():
              for e in _one_token_edits(codes_z2z2(nf))}
     token_strings = {text: codes for text, codes in edits.items() if not z.validate(text)}
     assert len(token_strings) == 125_004
-    token_strings.update((render(toks), encode(toks)) for toks in (
-        [], ["0"], ["C0", "C0"], ["C0", "0"], ["1", "C0", "1", "C0"]))
+    token_strings.update((render(codes), codes) for codes in map(encode, (
+        [], ["0"], ["C0", "C0"], ["C0", "0"], ["1", "C0", "1", "C0"])))
     texts = [*non_members(), "C2", *token_strings]
     raised = 0
     for text in texts:
@@ -270,6 +272,18 @@ def test_step_bound_is_tight_on_the_lamplighter_at_the_end():
             for gen in z.GENERATORS:
                 report = within_bound(text, gen)
                 assert report.steps >= z.STEP_BOUND[gen][0] / 2 * n, (n, gen)
+    # alpha is pinned: with the marker on cell p, near the end, and the lamp
+    # on cell n lit, some n-token form takes more than (alpha-1)*n + beta
+    # steps (at n = 1024 the best by 340 for a, 216 for a-, 497 for b, 464
+    # for b- and 1023 for c)
+    for n in (256, 1024):
+        forms = ["0" * (p - 1) + "C0" + ("0" * (n - p - 1) + "1" if p < n else "")
+                 for p in range(n - 40, n + 1)]
+        for gen in z.GENERATORS:
+            alpha, beta = z.STEP_BOUND[gen]
+            reports = [within_bound(text, gen) for text in forms]
+            assert {report.input_len for report in reports} == {n}
+            assert max(report.steps for report in reports) > (alpha - 1) * n + beta, (n, gen)
 
 
 TAPE_PROGRAMS = (z._scan_to_mark, z._wind, z._move_mark, z._pad_run, z._erase_run,
