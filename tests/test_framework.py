@@ -1,5 +1,7 @@
+import importlib
 import json
 import os
+import pkgutil
 import random
 import subprocess
 import sys
@@ -7,6 +9,7 @@ from pathlib import Path
 
 import pytest
 
+import tapegroups
 from tapegroups import framework as fw
 from tapegroups.errors import BadWord, NoCaseMatched, NotInLanguage
 from tapegroups.tapevm import StepReport
@@ -375,10 +378,6 @@ def test_fresh_imports_leave_one_copy_of_each_module():
 def test_no_module_global_is_a_mutable_container():
     # tables are bytes, tuples or dicts built once at import; no loop name
     # leaks into a module's globals
-    import importlib
-    import pkgutil
-
-    import tapegroups
     found = [(info.name, name) for info in pkgutil.iter_modules(tapegroups.__path__)
              for name, value in vars(importlib.import_module(f"tapegroups.{info.name}")).items()
              if isinstance(value, (bytearray, list, set))]

@@ -12,38 +12,33 @@ def load(tape, symbols):
     tape.cells = bytearray(encode(symbols))
 
 
-def symbols(tape):
-    """A tape's cells decoded, one symbol per cell."""
-    return decode(tape.cells)
-
-
 def test_init_layout():
     ts = init_tapes(["C0"])
     assert len(ts.tapes) == 2
-    assert symbols(ts.tapes[0]) == [BEGIN, "C0"]
-    assert symbols(ts.tapes[1]) == [BEGIN]
+    assert decode(ts.tapes[0].cells) == [BEGIN, "C0"]
+    assert decode(ts.tapes[1].cells) == [BEGIN]
     assert ts.tapes[0].head == 0 and ts.tapes[1].head == 0
     assert ts.steps == 0
 
 
 def test_init_empty_and_a_token_list():
     ts = init_tapes([])
-    assert symbols(ts.tapes[0]) == [BEGIN]
+    assert decode(ts.tapes[0].cells) == [BEGIN]
     ts = init_tapes(["a", "b", "#"])
-    assert symbols(ts.tapes[0]) == [BEGIN, "a", "b", "#"]
+    assert decode(ts.tapes[0].cells) == [BEGIN, "a", "b", "#"]
 
 
 def test_init_takes_a_str_of_one_character_tokens():
     ts = init_tapes("ab#")
-    assert symbols(ts.tapes[0]) == [BEGIN, "a", "b", "#"]
-    assert symbols(init_tapes("").tapes[0]) == [BEGIN]
+    assert decode(ts.tapes[0].cells) == [BEGIN, "a", "b", "#"]
+    assert decode(init_tapes("").tapes[0].cells) == [BEGIN]
 
 
 def test_a_fresh_machine_is_two_blank_tapes_or_holds_the_codes_given():
     for ts in (TapeSet(), TapeSet(b"")):
-        assert [symbols(t) for t in ts.tapes] == [[BEGIN], [BEGIN]]
+        assert [decode(t.cells) for t in ts.tapes] == [[BEGIN], [BEGIN]]
     ts = TapeSet(encode(["0", "C1"]))
-    assert [symbols(t) for t in ts.tapes] == [[BEGIN, "0", "C1"], [BEGIN]]
+    assert [decode(t.cells) for t in ts.tapes] == [[BEGIN, "0", "C1"], [BEGIN]]
     assert ts.steps == 0 and ts.tapes[0].head == ts.tapes[1].head == 0
 
 
@@ -99,7 +94,7 @@ def test_write_of_a_symbol_without_a_code_raises_before_its_step():
     ts.move_right(0)
     with pytest.raises(InvalidInput):
         ts.write(0, "Q7")
-    assert ts.steps == 1 and symbols(ts.tapes[0]) == [BEGIN]
+    assert ts.steps == 1 and decode(ts.tapes[0].cells) == [BEGIN]
 
 
 def test_boundary_faults():
@@ -121,13 +116,13 @@ def test_step_monotonicity_exact():
 
 def test_tape_isolation():
     ts = init_tapes(["0", "1"])
-    before = symbols(ts.tapes[0])
+    before = decode(ts.tapes[0].cells)
     ts.move_right(1)
     ts.write(1, "T")
-    assert symbols(ts.tapes[0]) == before
+    assert decode(ts.tapes[0].cells) == before
     ts.move_right(0)
     ts.write(0, "T")
-    assert symbols(ts.tapes[1]) == [BEGIN, "T"] and ts.tapes[1].head == 1
+    assert decode(ts.tapes[1].cells) == [BEGIN, "T"] and ts.tapes[1].head == 1
 
 
 def test_read_output_prefix_semantics():
