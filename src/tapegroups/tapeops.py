@@ -35,9 +35,7 @@ def shift_suffix_right(ts: TapeSet, t: int, insert: Sequence[str]) -> None:
     k = len(insert)
     if k == 0:
         raise InvalidInput("shift_suffix_right needs at least one cell to insert")
-    tape = ts.tapes[t]
-    cells = tape.cells
-    h = tape.head
+    cells, h = ts.cells[t], ts.heads[t]
     if h == 0:
         ts.steps += 1  # the read before the write
         raise TapeFault("attempt to overwrite the start marker")
@@ -49,7 +47,7 @@ def shift_suffix_right(ts: TapeSet, t: int, insert: Sequence[str]) -> None:
         cells.extend(bytes(h - len(cells)))
     cells[h:h + m] = seq[:m]
     ts.steps += 3 * m - 1
-    tape.head = h + m - 1
+    ts.heads[t] = h + m - 1
 
 
 def shift_suffix_left(ts: TapeSet, t: int, k: int) -> None:
@@ -67,12 +65,10 @@ def shift_suffix_left(ts: TapeSet, t: int, k: int) -> None:
     J iterations, the last one copying the first blank at or after the head,
     cost (J-1)(2k+3) + k+2 steps.
     """
-    tape = ts.tapes[t]
-    cells = tape.cells
-    h = tape.head
+    cells, h = ts.cells[t], ts.heads[t]
     if h <= k:  # the first iteration reaches the start marker
         ts.steps += 1 + h
-        tape.head = 0
+        ts.heads[t] = 0
         if h < k:
             raise TapeFault("attempt to move left of the start marker")
         raise TapeFault("attempt to overwrite the start marker")
@@ -88,4 +84,4 @@ def shift_suffix_left(ts: TapeSet, t: int, k: int) -> None:
         cells.extend(bytes(end - n))
     cells[h - k:end] = vals
     ts.steps += (J - 1) * (2 * k + 3) + k + 2
-    tape.head = pos - k
+    ts.heads[t] = pos - k

@@ -8,10 +8,12 @@ cell) costs exactly one step on the global counter.  Generator programs
 touch tapes only through these primitives and through counted sweeps, so the
 step counter is the cost model the linearity benchmarks certify.
 
-A tape is a `bytearray` of byte codes, not the tokens themselves
-(`tokens.CODE`); `read` and `write` still take symbols.  `init_tapes`
-(the constructor, after a check of the input) and `read_output` are the
-only ways in and out.
+It holds the machine's configuration and nothing more: the two tapes'
+cells, each a `bytearray` of byte codes, not the tokens themselves
+(`tokens.CODE`), their two heads and the step counter; `read` and `write`
+still take symbols.  `Machine.apply` loads the codes its codes function
+checked; `init_tapes` is that check and the load for direct callers.
+`read_output` is the one way out.
 
 A sweep is one machine state looping over a run of cells.  `scan_right` and
 `scan_left` are defined as the loop `while read(t) not in stop: move(t)`:
@@ -73,17 +75,6 @@ def _search(stop: Collection[str]):
     return None, False, re.compile(b"[%s]" % re.escape(codes) if codes else b"(?!)").search
 
 
-class Tape:
-    """One semi-infinite tape: growable byte-coded cells, the start marker
-    then the given codes, plus a head index on the marker."""
-
-    __slots__ = ("cells", "head")
-
-    def __init__(self, codes: bytes = b"") -> None:
-        self.cells = bytearray(_START + codes)
-        self.head = 0
-
-
 class StepReport(NamedTuple):
     """Evidence record for one generator-program run.
 
@@ -100,32 +91,35 @@ class StepReport(NamedTuple):
 
 
 class TapeSet:
-    """Two instrumented tapes sharing one step counter, tape 1 holding the
-    given codes unchecked (`init_tapes` checks them) and tape 2 blank.
+    """The machine's configuration: the cells of tape 1 and tape 2, each a
+    growable `bytearray` that starts with the start marker, their two head
+    indices, and the one step counter.  Tape 1 holds the given codes unchecked
+    (`input_codes` checks them), tape 2 is blank, and both heads are on the
+    marker.
 
     Single-threaded mutable value: may be handed between threads, never shared
     concurrently.
     """
 
-    __slots__ = ("tapes", "steps")
+    __slots__ = ("cells", "heads", "steps")
 
     def __init__(self, codes: bytes = b"") -> None:
-        self.tapes = (Tape(codes), Tape())
+        self.cells = (bytearray(_START + codes), bytearray(_START))
+        self.heads = [0, 0]
         self.steps = 0
 
     # -- primitive actions: each costs exactly one step --------------------
 
     def read(self, t: int) -> str:
-        tape = self.tapes[t]
+        cells, h = self.cells[t], self.heads[t]
         self.steps += 1
         try:
-            return SYMBOL[tape.cells[tape.head]]
+            return SYMBOL[cells[h]]
         except IndexError:  # past the last written cell; a head is never negative
             return BLANK
 
     def write(self, t: int, sym: str) -> None:
-        tape = self.tapes[t]
-        h = tape.head
+        h = self.heads[t]
         if h == 0:
             raise TapeFault("attempt to overwrite the start marker")
         try:
@@ -133,7 +127,7 @@ class TapeSet:
         except KeyError:
             raise InvalidInput(f"symbol {sym!r} has no tape code") from None
         self.steps += 1
-        cells = tape.cells
+        cells = self.cells[t]
         if h < len(cells):
             cells[h] = code
         else:
@@ -141,16 +135,14 @@ class TapeSet:
             cells.append(code)
 
     def move_left(self, t: int) -> None:
-        tape = self.tapes[t]
-        if tape.head == 0:
+        if self.heads[t] == 0:
             raise TapeFault("attempt to move left of the start marker")
         self.steps += 1
-        tape.head -= 1
+        self.heads[t] -= 1
 
     def move_right(self, t: int) -> None:
-        tape = self.tapes[t]
+        self.heads[t] += 1
         self.steps += 1
-        tape.head += 1
 
     # -- counted sweeps: each costs exactly the steps of its defining loop ----
 
@@ -160,9 +152,7 @@ class TapeSet:
         Charges 2d+1 steps for d moves.  A loop that would never halt (no stop
         symbol ahead and BLANK not in stop) raises TapeFault before any step.
         """
-        tape = self.tapes[t]
-        cells = tape.cells
-        h = tape.head
+        cells, h = self.cells[t], self.heads[t]
         n = len(cells)
         code, with_blank, search = _search(stop)
         if search is None:
@@ -178,7 +168,7 @@ class TapeSet:
                 raise TapeFault("rightward scan never reaches a stop symbol")
             pos = max(h, n)
         self.steps += 2 * (pos - h) + 1
-        tape.head = pos
+        self.heads[t] = pos
         return SYMBOL[cells[pos]] if pos < n else BLANK
 
     def scan_left(self, t: int, stop: Collection[str]) -> str:
@@ -188,9 +178,7 @@ class TapeSet:
         the head, the loop reads the start marker and faults moving off it:
         the 2h+1 steps before that are charged and TapeFault is raised.
         """
-        tape = self.tapes[t]
-        cells = tape.cells
-        h = tape.head
+        cells, h = self.cells[t], self.heads[t]
         n = len(cells)
         if h >= n and BLANK in stop:
             self.steps += 1
@@ -203,25 +191,31 @@ class TapeSet:
             pos = max([cells.rfind(c, 0, hi) for c in codes_of(stop)], default=-1)
         if pos < 0:
             self.steps += 2 * h + 1
-            tape.head = 0
+            self.heads[t] = 0
             raise TapeFault("attempt to move left of the start marker")
         self.steps += 2 * (h - pos) + 1
-        tape.head = pos
+        self.heads[t] = pos
         return SYMBOL[cells[pos]]
 
 
-def init_tapes(input_tokens: Union[bytes, Sequence[str]]) -> TapeSet:
-    """Fresh TapeSet with tape 1 holding the input and heads on the start marker.
-
-    The input is tape codes (`tokens.codes_z2f2`, ...), loaded unchanged, or
-    a str or sequence of tokens; a symbol with no code or a tape marker raises
-    InvalidInput.  Loading the input is free: step accounting starts at 0,
-    matching a machine whose input is part of the initial configuration.
-    """
+def input_codes(input_tokens: Union[bytes, Sequence[str]]) -> bytes:
+    """The tape codes of an input, checked: tape codes (`tokens.codes_z2f2`,
+    ...) pass unchanged, and a str or sequence of tokens is encoded.  A symbol
+    with no code or a tape marker raises InvalidInput."""
     cells = encode(input_tokens)
     if CODE[BEGIN] in cells or CODE[BLANK] in cells:
         raise InvalidInput("input may not contain tape markers")
-    return TapeSet(cells)
+    return cells
+
+
+def init_tapes(input_tokens: Union[bytes, Sequence[str]]) -> TapeSet:
+    """Fresh TapeSet with tape 1 holding the input, checked by `input_codes`,
+    and heads on the start marker.
+
+    Loading the input is free: step accounting starts at 0, matching a
+    machine whose input is part of the initial configuration.
+    """
+    return TapeSet(input_codes(input_tokens))
 
 
 def read_output(ts: TapeSet, sigma: Optional[bytes] = None) -> bytes:
@@ -233,7 +227,7 @@ def read_output(ts: TapeSet, sigma: Optional[bytes] = None) -> bytes:
     alphabet sigma as tape codes, a symbol outside it raises OutputFault
     naming the first such symbol.
     """
-    cells = ts.tapes[0].cells
+    cells = ts.cells[0]
     end = cells.find(CODE[BLANK], 1)
     out = bytes(cells[1:end if end >= 0 else len(cells)])
     if sigma is not None:
@@ -245,10 +239,12 @@ def read_output(ts: TapeSet, sigma: Optional[bytes] = None) -> bytes:
 
 @dataclass(frozen=True, slots=True)
 class Machine:
-    """A group's 2-tape machine (see the module docstring)."""
+    """A group's 2-tape machine (see the module docstring).  Its codes
+    function is a run's one input check: `apply` loads what it returns."""
 
     group: str
-    # text or codes to codes; raises NotInLanguage or InvalidInput off the language
+    # text or codes to codes; raises NotInLanguage or InvalidInput off the
+    # language, and so on every tape marker
     codes: Callable[[Union[str, bytes]], bytes]
     sigma: bytes  # the output alphabet's tape codes
     render: Callable[[bytes], str]
@@ -266,10 +262,10 @@ class Machine:
             raise BadWord(f"unknown generator {gen!r} for {self.group}") from None
         try:
             codes = self.codes(nf)
-            ts = init_tapes(codes)
         except InvalidInput:  # a symbol with no tape code, or a tape marker
             cases = None
         else:
+            ts = TapeSet(codes)
             cases = program(ts, gen)
         if cases is None:
             raise NotInLanguage(f"{nf!r} is not a normal form")

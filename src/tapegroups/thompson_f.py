@@ -30,8 +30,8 @@ from typing import Optional, Tuple
 
 from . import oracle_groups, tapeops
 from .errors import NoCaseMatched, NotInLanguage, TapeFault
-from .tapevm import Machine, StepReport, TapeSet, init_tapes
-from .tokens import BEGIN, BLANK, CODE, F_SIGMA, codes_of, encode
+from .tapevm import Machine, StepReport, TapeSet, init_tapes, input_codes
+from .tokens import BEGIN, BLANK, CODE, F_SIGMA, codes_of
 
 GROUP = "thompson-f"
 GENERATORS = ("x0", "x0-", "x1", "x1-")
@@ -160,9 +160,7 @@ def _scan_valid(ts: TapeSet) -> bool:
     other tape is tried with one full match of _NF: on a match the automaton
     reads up to the first blank and accepts, else it stops where _CLEAN ends.
     """
-    tape = ts.tapes[0]
-    cells = tape.cells
-    h = tape.head
+    cells, h = ts.cells[0], ts.heads[0]
     end = _first_blank(cells, h + 1)
     n = end - h - 1
     # a tape of fewer than _MASK_HASHES cells holds fewer # too, and one with
@@ -178,7 +176,7 @@ def _scan_valid(ts: TapeSet) -> bool:
         ok = _IS_NF_CODES(cells, h + 1, end) is not None
         p = end if ok else _CLEAN(cells, h + 1).end()
     ts.steps += 2 * (p - h)
-    tape.head = p
+    ts.heads[0] = p
     if ok:
         _rewind(ts, 0)
     return ok
@@ -211,9 +209,8 @@ def _first_rejected(seg: bytearray) -> int:
 def _rewind(ts: TapeSet, t: int) -> None:
     """`scan_left(t, (BEGIN,))`: the start marker is on cell 0 alone, so the
     loop stops there, 2h + 1 steps from cell h."""
-    tape = ts.tapes[t]
-    ts.steps += 2 * tape.head + 1
-    tape.head = 0
+    ts.steps += 2 * ts.heads[t] + 1
+    ts.heads[t] = 0
 
 
 def _to_blank(ts: TapeSet) -> None:
@@ -262,9 +259,9 @@ def _compute_r(ts: TapeSet) -> bool:
     scan to b or blank decides CASE.  The clear costs 3 steps per b and 1,
     and the copy back left 2 per cell, 2 more per b and 1.
     """
-    t1 = ts.tapes[0]
-    cells, n = t1.cells, len(t1.cells)
-    p = t1.head + 1
+    cells = ts.cells[0]
+    n = len(cells)
+    p = ts.heads[0] + 1
     g = 1  # the counter
     steps = 3
     while True:
@@ -278,17 +275,15 @@ def _compute_r(ts: TapeSet) -> bool:
         if g == 0 or j == 0:
             break
     ts.steps += steps + (2 if g else 1) + 3 * g + 1  # the walk's end, the clear
-    t1.head = p
+    ts.heads[0] = p
     case_flag = g > 0 or ts.scan_right(0, (BLANK, "b")) == BLANK
-    p = t1.head
+    p = ts.heads[0]
     # the b's written back: one per b of tape 1 up to p, and one for CASE;
     # at least one more than the walk pushed, so they cover every cell it wrote
     k = case_flag + cells.count(_B, 1, p + 1)
     ts.steps += 2 * k + 2 * p + 1
-    t1.head = 0
-    t2 = ts.tapes[1]
-    t2.cells[1:] = b"b" * k
-    t2.head = k
+    ts.cells[1][1:] = b"b" * k
+    ts.heads[:] = 0, k
     return case_flag
 
 
@@ -299,13 +294,13 @@ def _mark_hash_track(ts: TapeSet) -> None:
     cell, and tape 2 marks one cell per # passed, 3 steps more: b as b#,
     anything else as _#."""
     _rewind(ts, 1)
-    t1, t2 = ts.tapes
-    h = t1.head
-    e = _first_blank(t1.cells, h + 1)
-    k = t1.cells.count(_H, h + 1, e)
-    t2.cells[1:k + 1] = t2.cells[1:k + 1].ljust(k, b"\0").translate(_TRACK)
+    cells, counter = ts.cells
+    h = ts.heads[0]
+    e = _first_blank(cells, h + 1)
+    k = cells.count(_H, h + 1, e)
+    counter[1:k + 1] = counter[1:k + 1].ljust(k, b"\0").translate(_TRACK)
     ts.steps += 2 * (e - h) + 3 * k
-    t1.head, t2.head = e, k
+    ts.heads[:] = e, k
     _rewind(ts, 0)
     _rewind(ts, 1)
 
@@ -313,12 +308,11 @@ def _mark_hash_track(ts: TapeSet) -> None:
 def _compare_r_m(ts: TapeSet) -> str:
     """After _mark_hash_track: '>', '=', or '<' comparing R with M.  Tape 2
     moves right to its first cell that is not b#, 2 steps per cell read."""
-    tape = ts.tapes[1]
-    h = tape.head
-    q = _first(_NOT_BH, tape.cells, h + 1)
+    cells, h = ts.cells[1], ts.heads[1]
+    q = _first(_NOT_BH, cells, h + 1)
     ts.steps += 2 * (q - h)
-    tape.head = q
-    return _RELATION.get(_code(tape.cells, q), "=")
+    ts.heads[1] = q
+    return _RELATION.get(_code(cells, q), "=")
 
 
 # ---------------------------------------------------------------------------
@@ -328,13 +322,12 @@ def _x0_flags(ts: TapeSet) -> Tuple[bool, bool, bool, bool]:
     """One pass right to the first blank or second #, 2 steps per cell:
     whether block 0 has an a, anything else, whether it is the only block,
     and whether block 1 is empty with a # closing it."""
-    tape = ts.tapes[0]
-    cells, h = tape.cells, tape.head
+    cells, h = ts.cells[0], ts.heads[0]
     q1 = _block_end(cells, h + 1)  # where block 0 ends, then block 1
     q2 = _block_end(cells, q1 + 1)
     m_zero = _code(cells, q1) != _H
-    tape.head = q1 if m_zero else q2
-    ts.steps += 2 * (tape.head - h)
+    ts.heads[0] = q = q1 if m_zero else q2
+    ts.steps += 2 * (q - h)
     return (cells.find(_A, h + 1, q1) >= 0, cells.count(_A, h + 1, q1) < q1 - h - 1,
             m_zero, not m_zero and q2 == q1 + 1 and _code(cells, q2) == _H)
 
@@ -397,9 +390,8 @@ def _program_x1_inv(ts: TapeSet, gen: str) -> Optional[Tuple[str]]:
 def _x1_inv_flags(ts: TapeSet) -> Tuple[bool, bool]:
     """One pass right to the first # or blank, 2 steps per cell: whether
     block 0 has a b, and whether it is the only block."""
-    tape = ts.tapes[0]
-    cells, h = tape.cells, tape.head
-    tape.head = q1 = _block_end(cells, h + 1)
+    cells, h = ts.cells[0], ts.heads[0]
+    ts.heads[0] = q1 = _block_end(cells, h + 1)
     ts.steps += 2 * (q1 - h)
     return cells.find(_B, h + 1, q1) >= 0, _code(cells, q1) != _H
 
@@ -408,13 +400,12 @@ def _case1_flags(ts: TapeSet) -> Tuple[bool, bool, bool]:
     """One pass right to the first blank, third # or cell of block 2, 2 steps
     per cell: whether block 1 has an a, anything else, and whether block 2
     has a cell."""
-    tape = ts.tapes[0]
-    cells, h = tape.cells, tape.head
+    cells, h = ts.cells[0], ts.heads[0]
     q1 = _block_end(cells, h + 1)  # where block 0 ends, then block 1
     q2 = _block_end(cells, q1 + 1)
     in1, in2 = _code(cells, q1) == _H, _code(cells, q1) == _code(cells, q2) == _H
-    tape.head = q2 + 1 if in2 else q2 if in1 else q1
-    ts.steps += 2 * (tape.head - h)
+    ts.heads[0] = q = q2 + 1 if in2 else q2 if in1 else q1
+    ts.steps += 2 * (q - h)
     return (in1 and cells.find(_A, q1 + 1, q2) >= 0,
             in1 and cells.count(_A, q1 + 1, q2) < q2 - q1 - 1,
             in2 and _code(cells, q2 + 1) not in (_H, 0))
@@ -475,8 +466,7 @@ def _hash_walk(ts: TapeSet, k: Optional[int], per_hash: int, halts: bool) -> boo
     halts, a blank stops the walk first.  Without, a walk with fewer than k #
     ahead never halts: it raises TapeFault before any step.  True iff the
     walk stopped on the k-th #."""
-    tape = ts.tapes[0]
-    cells, h = tape.cells, tape.head
+    cells, h = ts.cells[0], ts.heads[0]
     m = next(islice(_HASHES(cells, h + 1), k - 1, None), None) if k else None
     pos = m.start() if m else max(h + 1, len(cells))
     if halts:  # the first blank, if one comes first
@@ -486,8 +476,8 @@ def _hash_walk(ts: TapeSet, k: Optional[int], per_hash: int, halts: bool) -> boo
         raise TapeFault("the walk never reaches its #")
     j = cells.count(_H, h + 1, pos + 1)
     ts.steps += 2 * (pos - h) + per_hash * j
-    tape.head = pos
-    ts.tapes[1].head += j
+    ts.heads[0] = pos
+    ts.heads[1] += j
     return j == k
 
 
@@ -495,10 +485,9 @@ def _walk_to_hash(ts: TapeSet, cell: str) -> bool:
     """Walk tape 1 right to the first # at which tape 2, moved one cell right
     per #, reads `cell`; False if tape 1 reaches a blank first.  2 steps per
     tape-1 cell and 2 more per #."""
-    track = ts.tapes[1]
-    g = track.head
-    i = (_first_blank(track.cells, g + 1) if cell == BLANK
-         else track.cells.find(CODE[cell], g + 1))
+    track, g = ts.cells[1], ts.heads[1]
+    i = (_first_blank(track, g + 1) if cell == BLANK
+         else track.find(CODE[cell], g + 1))
     return _hash_walk(ts, i - g if i > g else None, 2, True)
 
 
@@ -506,16 +495,16 @@ def _walk_to_rth_hash(ts: TapeSet) -> None:
     """Walk tape 1 right to the first # at which tape 2, moved one cell right
     per #, has a blank one cell further on: with tape 2 holding b^R from its
     head on, the R-th separator.  2 steps per tape-1 cell and 4 more per #."""
-    g = ts.tapes[1].head
-    _hash_walk(ts, _first_blank(ts.tapes[1].cells, g + 2) - g - 1, 4, False)
+    g = ts.heads[1]
+    _hash_walk(ts, _first_blank(ts.cells[1], g + 2) - g - 1, 4, False)
 
 
 def _walk_to_last_b(ts: TapeSet) -> bool:
     """Walk tape 1 right to the first # at which tape 2, moved one cell right
     per #, reads b with a blank one cell further on; False if tape 1 reaches a
     blank first.  2 steps per tape-1 cell and 5 more per #."""
-    g = ts.tapes[1].head
-    m = _LAST_B(ts.tapes[1].cells, g + 1)
+    g = ts.heads[1]
+    m = _LAST_B(ts.cells[1], g + 1)
     return _hash_walk(ts, m and m.start() - g, 5, True)
 
 
@@ -525,14 +514,14 @@ def _write_hash_per_b(ts: TapeSet, last: str) -> None:
     its first other cell, 2 steps per cell read, 2 more per # written, and 1
     for `last`."""
     _to_blank(ts)
-    t1, t2 = ts.tapes
-    g, p = t2.head, t1.head
-    q = _first(_NOT_B_OR_BH, t2.cells, g + 1)
-    nb = t2.cells.count(_B, g + 1, q)
-    t1.cells.extend(bytes(max(0, p - len(t1.cells))))
-    t1.cells[p:p + nb] = b"#" * nb
+    cells, counter = ts.cells
+    p, g = ts.heads
+    q = _first(_NOT_B_OR_BH, counter, g + 1)
+    nb = counter.count(_B, g + 1, q)
+    cells.extend(bytes(max(0, p - len(cells))))
+    cells[p:p + nb] = b"#" * nb
     ts.steps += 2 * (q - g) + 2 * nb
-    t1.head, t2.head = p + nb, q
+    ts.heads[:] = p + nb, q
     ts.write(0, last)
 
 
@@ -548,12 +537,11 @@ def _strip_tail(ts: TapeSet, last: str) -> bool:
     ts.move_left(0)
     if ts.read(0) != "#":
         return False
-    tape = ts.tapes[0]
-    h = tape.head
-    j = h + 1 - len(tape.cells[:h + 1].rstrip(b"#"))  # the run of #
-    tape.cells[h + 1 - j:h + 1] = bytes(j)
+    cells, h = ts.cells[0], ts.heads[0]
+    j = h + 1 - len(cells[:h + 1].rstrip(b"#"))  # the run of #
+    cells[h + 1 - j:h + 1] = bytes(j)
     ts.steps += 3 * j + 1
-    tape.head = h - j
+    ts.heads[0] = h - j
     return True
 
 
@@ -654,10 +642,9 @@ def _erase_counter(ts: TapeSet) -> None:
     + 1 steps with the head on cell h and the first blank on cell f.  The
     host drops the erased cells, since unwritten cells read blank.
     """
-    tape = ts.tapes[1]
-    ts.steps += 2 * tape.head + 5 * _first_blank(tape.cells, 1) + 1
-    del tape.cells[1:]
-    tape.head = 0
+    ts.steps += 2 * ts.heads[1] + 5 * _first_blank(ts.cells[1], 1) + 1
+    del ts.cells[1][1:]
+    ts.heads[1] = 0
 
 
 def _restore_input(ts: TapeSet, track: bytes) -> None:
@@ -682,17 +669,16 @@ def _restore_input(ts: TapeSet, track: bytes) -> None:
     candidate's own first blank and blanks only.  So no written cell lies
     past the first two blanks in a row after the input's end.
     """
-    tape = ts.tapes[0]
-    cells, n = tape.cells, len(track) - 1
+    cells, n = ts.cells[0], len(track) - 1
     e = cells.find(0, n + 1)
     while 0 <= e < len(cells) - 1 and cells[e + 1]:  # a blank, then a written cell
         e = cells.find(0, e + 2)
     if e < 0:  # the pair lies past the last written cell
         e = max(n + 1, len(cells))
     w = e - n - 1 - cells.count(0, n + 1, e)
-    ts.steps += 2 * tape.head + n + 4 * e + w + 6
+    ts.steps += 2 * ts.heads[0] + n + 4 * e + w + 6
     cells[:] = track
-    tape.head = 0
+    ts.heads[0] = 0
 
 
 def _restore(ts: TapeSet, track: bytes) -> None:
@@ -711,11 +697,10 @@ def _compare_input(ts: TapeSet, track: bytes) -> bool:
     c; it remembers whether a cell differed.  That is 2h + 2c + 1 steps with
     the head on cell h.
     """
-    tape = ts.tapes[0]
-    cells, n = tape.cells, len(track)
+    cells, n = ts.cells[0], len(track)
     c = _first_blank(cells, n)
-    ts.steps += 2 * (tape.head + c) + 1
-    tape.head = c
+    ts.steps += 2 * (ts.heads[0] + c) + 1
+    ts.heads[0] = c
     return c == n and cells.startswith(track)
 
 
@@ -830,7 +815,7 @@ def apply_x1(ts: TapeSet, gen: str) -> Optional[Tuple[str, ...]]:
     x1^-1 is injective, so any candidate that round-trips is the preimage,
     and an earlier builder may accept it first.
     """
-    track = bytes(ts.tapes[0].cells)
+    track = bytes(ts.cells[0])
     if not _scan_valid(ts):
         return None
     cases = ()
@@ -858,12 +843,14 @@ def compute_r(text: str) -> RResult:
     """Run the counter subroutine and read R off the second tape."""
     ts = init_tapes(text)
     case_flag = _compute_r(ts)
-    return RResult(ts.tapes[1].cells.count(_B), case_flag)
+    return RResult(ts.cells[1].count(_B), case_flag)
 
 
-# Each generator is one run of the 2-tape machine, whose counted membership
-# scan is the only check of the input.  Its output codes are ASCII.
-MACHINE = Machine(GROUP, encode, codes_of(F_SIGMA), bytes.decode,
+# input_codes, the codes function, refuses a symbol with no tape code and the
+# tape markers; past that, each generator is one run of the 2-tape machine,
+# whose counted membership scan is the only check of the language.  Its
+# output codes are ASCII.
+MACHINE = Machine(GROUP, input_codes, codes_of(F_SIGMA), bytes.decode,
                   {"x0": _program_x0, "x0-": _program_x0, "x1": apply_x1, "x1-": _program_x1_inv})
 
 

@@ -451,9 +451,8 @@ def _walk(ts: TapeSet, fwd: bool, stop) -> Tuple[str, Optional[str]]:
     Exit walks (stop empty) end on a mismatch by design, so they always
     run the loop.
     """
-    tape, stack = ts.tapes
-    cells, stack_cells = tape.cells, stack.cells
-    h0, t0 = tape.head, stack.head
+    cells, stack_cells = ts.cells
+    h0, t0 = ts.heads
     search = _stop_search(stop, fwd)
     if fwd:
         found = search(cells, h0 + 1)
@@ -500,8 +499,7 @@ def _walk(ts: TapeSet, fwd: bool, stop) -> Tuple[str, Optional[str]]:
     pops = moved - pushes
     # 2 per cell crossed, 2 per push, 1 per closing bracket read, 2 per pop
     ts.steps += 2 * abs(h - h0) + 2 * pushes + (pops + mismatch) + 2 * pops
-    tape.head = h
-    stack.head = t
+    ts.heads[:] = h, t
     return (SYMBOL[cells[h]] if h < len(cells) else BLANK), (SYMBOL[top] if mismatch else None)
 
 

@@ -117,7 +117,7 @@ def _scan_to_mark(ts: TapeSet) -> str | None:
     # tape 1's share of the walk: one move and one read per cell up to the stop
     ts.move_right(0)
     sym = ts.scan_right(0, _END)
-    p = ts.tapes[0].head
+    p = ts.heads[0]
     region = _FIRST_REGIONS[p - 1] if p < 10 else _wind(ts, p)
     if sym == BLANK:
         return None
@@ -138,16 +138,16 @@ def _wind(ts: TapeSet, p: int) -> str:
     ends the leftward part.  So a whole sweep charges 2 tape-2 steps per cell
     and a walk that stops partway into the leftward part one step less.
     """
-    t2 = ts.tapes[1]
+    heads = ts.heads
     ts.move_right(1)
     corner = 10
     while True:
         ts.write(1, "T")
-        i = t2.head  # the turn count: the head is on the counter's last T
+        i = heads[1]  # the turn count: the head is on the counter's last T
         if p < corner + 8 * i + 8:
             break
         ts.steps += 2 * (8 * i + 7)  # the four sweeps, ending on the blank
-        t2.head = i + 1
+        heads[1] = i + 1
         corner += 8 * i + 8
     d = p - corner  # cells walked since the corner
     if d == 0:
@@ -161,11 +161,11 @@ def _wind(ts: TapeSet, p: int) -> str:
     region, flip_to = _SWEEPS[k]
     if m <= h:  # met while tape 2 moves left
         ts.steps += 2 * m - 1
-        t2.head = h - m
+        heads[1] = h - m
         return region
     ts.steps += 2 * m
-    t2.head = m - h
-    return flip_to if t2.head == i + 1 and flip_to else region
+    heads[1] = m - h
+    return flip_to if heads[1] == i + 1 and flip_to else region
 
 
 def _move_mark(ts: TapeSet, c_const, fwd: bool) -> None:
@@ -183,9 +183,9 @@ def _move_mark(ts: TapeSet, c_const, fwd: bool) -> None:
     """
     run = 0
     if c_const is not None:
-        i = ts.tapes[1].head - 1  # the turn count: T^i lies left of the head
+        i = ts.heads[1] - 1  # the turn count: T^i lies left of the head
         run = 8 * i + c_const - 1
-    if not fwd and run >= ts.tapes[0].head:
+    if not fwd and run >= ts.heads[0]:
         raise TapeFault("attempt to move left of the start marker")
     old = ts.read(0)
     erase = False
@@ -215,10 +215,10 @@ def _pad_run(ts: TapeSet, run: int) -> None:
     Each cell costs a move and a read, and a blank a write: tape 1 holds no
     blank before its end, so the blanks are the cells past it.
     """
-    tape = ts.tapes[0]
-    tape.head += run
-    pad = max(0, tape.head + 1 - len(tape.cells))
-    tape.cells.extend(b"0" * pad)  # "0" is coded by its ASCII byte
+    ts.heads[0] += run
+    cells = ts.cells[0]
+    pad = max(0, ts.heads[0] + 1 - len(cells))
+    cells.extend(b"0" * pad)  # "0" is coded by its ASCII byte
     ts.steps += 2 * run + pad
 
 
@@ -229,14 +229,13 @@ def _erase_run(ts: TapeSet, run: int, erase: bool) -> None:
     Each cell costs a move and a read, and an erased 0 a write.  Left of the
     C-token tape 1 holds only 0 and 1.
     """
-    tape = ts.tapes[0]
-    h = tape.head
-    tape.head = h - run
+    cells, h = ts.cells[0], ts.heads[0]
+    ts.heads[0] = h - run
     ts.steps += 2 * run
     if erase:
-        one = tape.cells.rfind(b"1", h - run, h)  # "1" is coded by its ASCII byte
+        one = cells.rfind(b"1", h - run, h)  # "1" is coded by its ASCII byte
         zeros = h - 1 - one if one >= 0 else run
-        tape.cells[h - zeros:h] = bytes(zeros)
+        cells[h - zeros:h] = bytes(zeros)
         ts.steps += zeros
 
 

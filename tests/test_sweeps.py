@@ -22,7 +22,6 @@ import itertools
 import random
 import time
 from collections import Counter, deque
-from operator import attrgetter
 
 import pytest
 
@@ -57,7 +56,7 @@ def loop_scan_right(ts, t, stop):
         sym = ts.read(t)
         if sym in stop:
             return sym
-        if ts.tapes[t].head > len(ts.tapes[t].cells):
+        if ts.heads[t] > len(ts.cells[t]):
             return NEVER  # only blanks lie ahead, and blank is not a stop
         ts.move_right(t)
 
@@ -138,7 +137,6 @@ def loop_scan_valid(ts):
 # marker's code first, and ends in a state (out, steps, (codes, head), ...).
 # Decoding is one to one, so comparing codes compares the symbols.
 
-CELLS_AND_HEAD = attrgetter("cells", "head")
 compared = 0  # the comparisons agree has made in the running test
 
 
@@ -149,18 +147,19 @@ def _count_comparisons():
 
 
 def run(fn, starts, *args):
-    """Set the first len(starts) tapes of a fresh machine to starts, run
+    """Load starts into the first len(starts) tapes of a fresh machine, run
     fn(machine, *args) and return its end state on those tapes, a fault as
     its type."""
     ts = TapeSet()
-    for tape, (cells, head) in zip(ts.tapes, starts):
-        tape.cells = bytearray(cells)
-        tape.head = head
+    for t, (cells, head) in enumerate(starts):
+        ts.cells[t][:] = cells
+        ts.heads[t] = head
     try:
         out = fn(ts, *args)
     except TapeFault as exc:
         out = type(exc)
-    return out, ts.steps, *map(CELLS_AND_HEAD, ts.tapes[:len(starts)])
+    n = len(starts)
+    return out, ts.steps, *zip(ts.cells[:n], ts.heads[:n])
 
 
 def trimmed(state):
@@ -277,10 +276,9 @@ def test_scan_left_off_the_start_marker_faults_after_the_loop_steps():
 def test_scans_charge_2d_plus_1():
     ts = init_tapes("a" * 1000)
     assert ts.scan_right(0, (BLANK,)) == BLANK
-    assert ts.steps == 2 * 1001 + 1 and ts.tapes[0].head == 1001
+    assert ts.steps == 2 * 1001 + 1 and ts.heads[0] == 1001
     assert ts.scan_left(0, (BEGIN,)) == BEGIN
-    assert ts.steps == 2 * (2 * 1001 + 1) and ts.tapes[0].head == 0
-    assert ts.tapes[1].head == 0
+    assert ts.steps == 2 * (2 * 1001 + 1) and ts.heads == [0, 0]
 
 
 # -- suffix shifts -----------------------------------------------------------
@@ -319,7 +317,7 @@ def test_shifts_match_loops_on_z2wrf2_tapes():
 
 def test_shift_right_needs_a_cell_to_insert():
     ts = TapeSet()
-    ts.tapes[0].head = 1
+    ts.heads[0] = 1
     with pytest.raises(InvalidInput):
         shift_suffix_right(ts, 0, [])
     assert ts.steps == 0
@@ -525,7 +523,7 @@ def loop_walk_to_rth_hash(ts):
             ts.move_left(1)
             if nxt == BLANK:
                 return None  # this is the R-th separator
-        elif ts.tapes[0].head >= len(ts.tapes[0].cells):
+        elif ts.heads[0] >= len(ts.cells[0]):
             return NEVER  # only blanks lie ahead
 
 
@@ -640,7 +638,7 @@ def loop_erase_counter(ts):
 def track_symbol(ts, track):
     """The input track's symbol under tape 1's head: a read of tape 1 reads
     it with the work track's, in the same step."""
-    h = ts.tapes[0].head
+    h = ts.heads[0]
     return SYMBOL[track[h]] if h < len(track) else BLANK
 
 
@@ -799,11 +797,12 @@ def test_f_sweeps_match_loops_on_the_ledger_tapes(monkeypatch):
             # calls this one, so its state is put back after check resets it
             calls[fn.__name__] += 1
             before = ts.steps
-            starts = tuple((bytes(tape.cells), tape.head) for tape in ts.tapes)
+            starts = tuple(zip(map(bytes, ts.cells), ts.heads))
             out, steps, *tapes = check(fn, loop, starts, *args)
             assert not isinstance(out, type), (fn.__name__, out)  # no fault
-            for tape, (cells, head) in zip(ts.tapes, tapes):
-                tape.cells, tape.head = bytearray(cells), head
+            for t, (cells, head) in enumerate(tapes):
+                ts.cells[t][:] = cells
+                ts.heads[t] = head
             ts.steps = before + steps
             return out
         monkeypatch.setattr(tf, fn.__name__, checked)
@@ -1207,21 +1206,21 @@ def test_walk_host_time_does_not_grow_with_the_tape():
     # copy of the stack per walk would
     def best_of_5(n, fwd, depth=0):
         ts = init_tapes([])
-        tape, stack = ts.tapes
+        cells, stack = ts.cells
         if fwd:
-            tape.cells += encode(["0", "C0"]) + b"0" * n
+            cells += encode(["0", "C0"]) + b"0" * n
         else:
-            tape.cells += b"0" * n + encode(["C0", "0", "0"])
-        stack.cells += encode(["("]) * depth
-        head = 0 if fwd else len(tape.cells) - 1
+            cells += b"0" * n + encode(["C0", "0", "0"])
+        stack += encode(["("]) * depth
+        head = 0 if fwd else len(cells) - 1
         times = []
         for _ in range(5):
             t0 = time.perf_counter()
             for _ in range(200):
-                tape.head, stack.head = head, depth
+                ts.heads[:] = head, depth
                 z2wrf2._walk(ts, fwd, z2wrf2._STOP)
             times.append(time.perf_counter() - t0)
-        assert SYMBOL[tape.cells[tape.head]] == "C0"
+        assert SYMBOL[cells[ts.heads[0]]] == "C0"
         return min(times)
 
     for fwd in (True, False):
@@ -1239,17 +1238,15 @@ def test_walk_host_time_does_not_grow_with_the_depth():
     assert len(shallow) == len(deep) and shallow.count("(") == deep.count("(") + deep.count("[")
 
     def best_of_5(toks):
-        ts = init_tapes([])
-        tape, stack = ts.tapes
-        tape.cells = bytearray(codes(toks))
+        ts = TapeSet(encode(toks))
         times = []
         for _ in range(5):
             t0 = time.perf_counter()
             for _ in range(200):
-                tape.head, stack.head = 1, 0
+                ts.heads[:] = 1, 0
                 z2wrf2._walk(ts, True, z2wrf2._STOP)
             times.append(time.perf_counter() - t0)
-        assert tape.head == len(tape.cells) and stack.head == 0
+        assert ts.heads == [len(ts.cells[0]), 0]
         return min(times)
 
     assert best_of_5(deep) < 3 * best_of_5(shallow) + 0.005

@@ -433,7 +433,7 @@ def ref_x1(text):
 
 
 def _tapes(ts):
-    return [(tape.head, bytes(tape.cells)) for tape in ts.tapes]
+    return [(head, bytes(cells)) for head, cells in zip(ts.heads, ts.cells)]
 
 
 def test_x1_restores_a_fresh_machine_and_matches_the_host_guess_and_check(monkeypatch):

@@ -91,7 +91,7 @@ def test_scan_tracks_region_and_turns():
         ts = init_tapes(toks)
         region = z._scan_to_mark(ts)
         assert region == spiral.classify(spiral.spiral_point(k)), k
-        i = ts.tapes[1].cells.count(b"T")
+        i = ts.cells[1].count(b"T")
         assert i == spiral.turn_count(k), (k, i)
 
 
