@@ -33,7 +33,7 @@ for step in range(200):
     elem = pl_mul_gen(elem, gen)
     assert pl_eval_normalform(nf) == elem
 print(f"\n200-step walk ends at {nf!r}")
-print(f"PL map has {len(elem.breakpoints())} breakpoints; "
+print(f"PL map has {len(elem.pts)} breakpoints; "
       f"|nf| = {len(nf)} stays within a constant of the walk length")
 
 # The guess-and-check direction inverts exactly.

@@ -40,7 +40,7 @@ class Representation:
     inverse: Dict[str, str]
     identity_nf: str
     apply_report: ApplyFn
-    validate: Callable[[str], bool]
+    validate: Callable[[NF], bool]
     decode: Callable[[NF], object]  # raises NotInLanguage off the language
     oracle_identity: object
     oracle_mul: Callable[[object, str], object]

@@ -182,9 +182,6 @@ class DyadicPL:
     def inverse(self) -> "DyadicPL":
         return DyadicPL(tuple((y, x) for x, y in self.pts), _canonical=True)
 
-    def breakpoints(self):
-        return self.pts
-
 
 def _slope_exp(x1, y1, x2, y2) -> int:
     rise = dy_sub(y2, y1)

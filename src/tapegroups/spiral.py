@@ -23,7 +23,6 @@ from typing import Iterator, Tuple
 Point = Tuple[int, int]
 
 O, L1, L2, L3, L4, D1, D2, D3, D4 = "O", "L1", "L2", "L3", "L4", "D1", "D2", "D3", "D4"
-REGIONS = (O, L1, L2, L3, L4, D1, D2, D3, D4)
 
 DIRS = {"+a": (1, 0), "-a": (-1, 0), "+b": (0, 1), "-b": (0, -1)}
 

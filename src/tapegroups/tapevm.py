@@ -19,14 +19,18 @@ A sweep is one machine state looping over a run of cells.  `scan_right` and
 `scan_left` are defined as the loop `while read(t) not in stop: move(t)`:
 they charge exactly that loop's steps (2d+1 for d moves), fault exactly where
 it would, and leave the head where it would stop, but find the stop cell with
-a byte search in C instead of one method call per step.  Rightward: `find`
-for one symbol, two `find`s for one symbol and the blank, else a compiled
-byte class; a sweep that stops d cells away searches O(d) cells, and one
-for a symbol and the blank that stops on a blank searches on to that
-symbol, or to the last written cell.  Leftward: `rfind` for one symbol,
-else the nearest of one `rfind` per symbol, which may search every cell
-left of the head h, O(h) in C; the programs' one such stop set is x1's
-("b", BEGIN), and BEGIN is on cell 0 alone.
+a byte search in C instead of one method call per step.  One rule finds the
+stop cell in each direction.  Rightward, `first_stop` (which F's block
+flags call too) takes the nearest of one `find` per stop code, each bounded
+by the nearest cell found so far, and a blank in the set also stops on the
+first cell past the last written one.  A set of more than three codes (F's
+`_NOT_A`, Z2 wr F2's `_TOGGLE_STOP`) is one compiled byte-class search
+instead.  So a sweep that stops d cells away may search, in C, past its stop
+cell up to a later stop code or the last written cell.  Leftward, the
+nearest of one `rfind` per stop code, each bounded by the nearest cell found
+so far, may search every cell left of the head h, O(h) in C; the programs'
+one leftward set of two codes is x1's ("b", BEGIN), and BEGIN is on cell 0
+alone.
 
 The other counted sweeps live with the programs that run them, each charged
 at its defining loop's closed form and documented where it is defined.
@@ -64,15 +68,33 @@ _START = bytes((CODE[BEGIN],))  # a fresh tape's cells
 
 @functools.cache
 def _search(stop: Collection[str]):
-    """How to find a stop set's cells, as (code, with_blank, search): for one
-    symbol its code, which `find` and `rfind` take; for one symbol and the
-    blank that symbol's code and with_blank, so that a rightward sweep finds
-    the symbol, then a blank before it; else one compiled byte-class search."""
+    """How to find a stop set's cells, as (codes, search): the set's tape
+    codes, and for a set of more than three codes one compiled byte-class
+    search, else None.  `first_stop` takes the nearest of one `find` per
+    code, each bounded by the nearest cell found so far, so it may read past
+    the stop cell, in C, up to a later code or the last written cell."""
     codes = codes_of(stop)
-    rest = codes.replace(bytes((CODE[BLANK],)), b"")
-    if len(codes) == 1 or len(rest) == 1 and BLANK in stop:
-        return rest[0] if rest else codes[0], len(codes) > 1, None
-    return None, False, re.compile(b"[%s]" % re.escape(codes) if codes else b"(?!)").search
+    return codes, re.compile(b"[%s]" % re.escape(codes)).search if len(codes) > 3 else None
+
+
+def first_stop(cells: bytearray, p: int, stop: Collection[str]) -> int:
+    """The cell where `while read(t) not in stop: move_right(t)` stops from
+    cell p: the first cell at or after p that holds a stop code, or, if the
+    blank is a stop, the first cell past the last written one; -1 if there
+    is none, so that the loop never halts."""
+    codes, search = _search(stop)
+    end = len(cells)
+    pos = max(p, end) if BLANK in stop else -1
+    if search is None:
+        for c in codes:
+            i = cells.find(c, p, end)
+            if i >= 0:
+                pos = end = i
+    else:
+        m = search(cells, p)
+        if m:
+            pos = m.start()
+    return pos
 
 
 class StepReport(NamedTuple):
@@ -153,23 +175,12 @@ class TapeSet:
         symbol ahead and BLANK not in stop) raises TapeFault before any step.
         """
         cells, h = self.cells[t], self.heads[t]
-        n = len(cells)
-        code, with_blank, search = _search(stop)
-        if search is None:
-            pos = cells.find(code, h)
-            if with_blank:  # a blank before the symbol stops the sweep there
-                blank = cells.find(CODE[BLANK], h, n if pos < 0 else pos)
-                pos = pos if blank < 0 else blank
-        else:
-            m = search(cells, h)
-            pos = m.start() if m else -1
+        pos = first_stop(cells, h, stop)
         if pos < 0:
-            if BLANK not in stop:
-                raise TapeFault("rightward scan never reaches a stop symbol")
-            pos = max(h, n)
+            raise TapeFault("rightward scan never reaches a stop symbol")
         self.steps += 2 * (pos - h) + 1
         self.heads[t] = pos
-        return SYMBOL[cells[pos]] if pos < n else BLANK
+        return SYMBOL[cells[pos]] if pos < len(cells) else BLANK
 
     def scan_left(self, t: int, stop: Collection[str]) -> str:
         """`while read(t) not in stop: move_left(t)`; returns the stop symbol.
@@ -184,11 +195,11 @@ class TapeSet:
             self.steps += 1
             return BLANK
         hi = min(h + 1, n)  # cells at and beyond n read as blank
-        code, with_blank, _ = _search(stop)
-        if code is not None and not with_blank:  # rfind of one code runs leftward from hi
-            pos = cells.rfind(code, 0, hi)
-        else:  # the nearest of each code's last cell at or left of the head
-            pos = max([cells.rfind(c, 0, hi) for c in codes_of(stop)], default=-1)
+        pos = -1  # the nearest of one rfind per code, each bounded by it
+        for c in _search(stop)[0]:
+            i = cells.rfind(c, pos + 1, hi)
+            if i >= 0:
+                pos = i
         if pos < 0:
             self.steps += 2 * h + 1
             self.heads[t] = 0
@@ -218,22 +229,21 @@ def init_tapes(input_tokens: Union[bytes, Sequence[str]]) -> TapeSet:
     return TapeSet(input_codes(input_tokens))
 
 
-def read_output(ts: TapeSet, sigma: Optional[bytes] = None) -> bytes:
+def read_output(ts: TapeSet, sigma: bytes) -> bytes:
     """Output of a halted program: the codes of the tape-1 prefix between the
     marker and the first blank.
 
     Content beyond the first blank is ignored.  Reading the output is free
-    (it happens after the machine halts).  Given the machine's output
-    alphabet sigma as tape codes, a symbol outside it raises OutputFault
-    naming the first such symbol.
+    (it happens after the machine halts).  A symbol outside the output
+    alphabet sigma, given as tape codes, raises OutputFault naming the first
+    such symbol.
     """
     cells = ts.cells[0]
     end = cells.find(CODE[BLANK], 1)
     out = bytes(cells[1:end if end >= 0 else len(cells)])
-    if sigma is not None:
-        bad = out.translate(None, sigma)
-        if bad:
-            raise OutputFault(f"symbol {SYMBOL[bad[0]]!r} outside the declared alphabet")
+    bad = out.translate(None, sigma)
+    if bad:
+        raise OutputFault(f"symbol {SYMBOL[bad[0]]!r} outside the declared alphabet")
     return out
 
 

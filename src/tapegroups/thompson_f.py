@@ -30,7 +30,7 @@ from typing import Optional, Tuple
 
 from . import oracle_groups, tapeops
 from .errors import NoCaseMatched, NotInLanguage, TapeFault
-from .tapevm import Machine, StepReport, TapeSet, init_tapes, input_codes
+from .tapevm import Machine, StepReport, TapeSet, first_stop, init_tapes, input_codes
 from .tokens import BEGIN, BLANK, CODE, F_SIGMA, codes_of
 
 GROUP = "thompson-f"
@@ -101,6 +101,8 @@ _TRACK = bytes(CODE["b#"] if c == _B else CODE["_#"] for c in range(256))
 _RELATION = {_B: ">", CODE["_#"]: "<"}
 # scan_right with it passes an a-run, and the start marker before one
 _NOT_A = frozenset(CODE) - {"a", BEGIN}
+# where a block ends: the # after it, or the blank after the last block
+_BLOCK_END = ("#", BLANK)
 
 
 def serialize(seq: ExpSeq) -> str:
@@ -109,17 +111,16 @@ def serialize(seq: ExpSeq) -> str:
     return "#".join("a" * r + "b" * s for r, s in zip(seq.r, seq.s))
 
 
-def validate(text: str) -> bool:
-    return _IS_NF(text) is not None
+def validate(text: str | bytes) -> bool:
+    return (_IS_NF_CODES if isinstance(text, bytes) else _IS_NF)(text) is not None
 
 
 def decode(nf: str | bytes) -> oracle_groups.DyadicPL:
     """The PL map of a normal form, text or tape codes, after the membership
     check (NotInLanguage) that pl_eval_normalform does not make."""
-    text = nf.decode("latin-1") if isinstance(nf, bytes) else nf  # a code per character
-    if not validate(text):
+    if not validate(nf):
         raise NotInLanguage("not a normal form of thompson-f")
-    return oracle_groups.pl_eval_normalform(text)
+    return oracle_groups.pl_eval_normalform(nf.decode("ascii") if isinstance(nf, bytes) else nf)
 
 
 @dataclass(frozen=True)
@@ -229,16 +230,6 @@ def _first_blank(cells: bytearray, p: int) -> int:
     return i if i >= 0 else max(p, len(cells))
 
 
-def _block_end(cells: bytearray, p: int) -> int:
-    """The first # or blank at or after p: a find of #, then of a blank
-    before it."""
-    i = cells.find(_H, p)
-    if i < 0:
-        return _first_blank(cells, p)
-    j = cells.find(0, p, i)
-    return i if j < 0 else j
-
-
 def _code(cells: bytearray, i: int) -> int:
     return cells[i] if i < len(cells) else 0  # past the end: a blank
 
@@ -323,8 +314,8 @@ def _x0_flags(ts: TapeSet) -> Tuple[bool, bool, bool, bool]:
     whether block 0 has an a, anything else, whether it is the only block,
     and whether block 1 is empty with a # closing it."""
     cells, h = ts.cells[0], ts.heads[0]
-    q1 = _block_end(cells, h + 1)  # where block 0 ends, then block 1
-    q2 = _block_end(cells, q1 + 1)
+    q1 = first_stop(cells, h + 1, _BLOCK_END)  # where block 0 ends, then block 1
+    q2 = first_stop(cells, q1 + 1, _BLOCK_END)
     m_zero = _code(cells, q1) != _H
     ts.heads[0] = q = q1 if m_zero else q2
     ts.steps += 2 * (q - h)
@@ -391,7 +382,7 @@ def _x1_inv_flags(ts: TapeSet) -> Tuple[bool, bool]:
     """One pass right to the first # or blank, 2 steps per cell: whether
     block 0 has a b, and whether it is the only block."""
     cells, h = ts.cells[0], ts.heads[0]
-    ts.heads[0] = q1 = _block_end(cells, h + 1)
+    ts.heads[0] = q1 = first_stop(cells, h + 1, _BLOCK_END)
     ts.steps += 2 * (q1 - h)
     return cells.find(_B, h + 1, q1) >= 0, _code(cells, q1) != _H
 
@@ -401,8 +392,8 @@ def _case1_flags(ts: TapeSet) -> Tuple[bool, bool, bool]:
     per cell: whether block 1 has an a, anything else, and whether block 2
     has a cell."""
     cells, h = ts.cells[0], ts.heads[0]
-    q1 = _block_end(cells, h + 1)  # where block 0 ends, then block 1
-    q2 = _block_end(cells, q1 + 1)
+    q1 = first_stop(cells, h + 1, _BLOCK_END)  # where block 0 ends, then block 1
+    q2 = first_stop(cells, q1 + 1, _BLOCK_END)
     in1, in2 = _code(cells, q1) == _H, _code(cells, q1) == _code(cells, q2) == _H
     ts.heads[0] = q = q2 + 1 if in2 else q2 if in1 else q1
     ts.steps += 2 * (q - h)
@@ -455,7 +446,7 @@ def _to_hash(ts: TapeSet, n: int) -> bool:
     """Walk right from the current cell to the n-th # from here."""
     for _ in range(n):
         ts.move_right(0)
-        if ts.scan_right(0, ("#", BLANK)) == BLANK:
+        if ts.scan_right(0, _BLOCK_END) == BLANK:
             return False
     return True
 

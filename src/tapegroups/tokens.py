@@ -95,7 +95,7 @@ def encode(symbols: Iterable[str] | bytes) -> bytes:
 
 _C0, _C1 = encode(("C0",)), encode(("C1",))
 # Z2Z2_NF on tape codes, where the C-token is one cell
-_Z2Z2_NF_CODES = re.compile(rb"[01]*+[%s](?:[01]*1)?" % re.escape(_C0 + _C1))
+Z2Z2_NF_CODES = re.compile(rb"[01]*+[%s](?:[01]*1)?" % re.escape(_C0 + _C1))
 _Z2F2_SIGMA_CODES = encode(Z2F2_SIGMA)
 # codes_z2f2's tables.  _CELL: 1-6 for a bracket or digit, 0 for a letter or
 # whitespace, 7 for any other symbol.  _LETTER: a bit per letter above those
@@ -141,7 +141,7 @@ def codes_z2z2(text: str | bytes) -> bytes:
     other than one, or a trailing 0.  Codes must match the same language,
     with the C-token one cell, else NotInLanguage."""
     if isinstance(text, bytes):
-        if _Z2Z2_NF_CODES.fullmatch(text) is None:
+        if Z2Z2_NF_CODES.fullmatch(text) is None:
             raise NotInLanguage(f"{text!r} is not a normal form of Z2 wr Z^2")
         return text
     if Z2Z2_NF.fullmatch(text) is None:

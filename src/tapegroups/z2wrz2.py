@@ -38,7 +38,7 @@ from . import spiral
 from .errors import TapeFault
 from .oracle_groups import LampConfigZ2
 from .tapevm import Machine, StepReport, TapeSet
-from .tokens import BLANK, CODE, Z2Z2_NF, Z2Z2_SIGMA, codes_of, codes_z2z2, render
+from .tokens import BLANK, CODE, Z2Z2_NF, Z2Z2_NF_CODES, Z2Z2_SIGMA, codes_of, codes_z2z2, render
 
 GROUP = "z2wrz2"
 GENERATORS = ("a", "a-", "b", "b-", "c")
@@ -99,9 +99,10 @@ def decode(text: str) -> LampConfigZ2:
     return LampConfigZ2(lit, spiral.spiral_point(mark))
 
 
-def validate(text: str) -> bool:
-    """Whether text is a normal form: the one full match of codes_z2z2."""
-    return Z2Z2_NF.fullmatch(text) is not None
+def validate(text: str | bytes) -> bool:
+    """Whether text or tape codes are a normal form: the one full match of
+    codes_z2z2."""
+    return (Z2Z2_NF_CODES if isinstance(text, bytes) else Z2Z2_NF).fullmatch(text) is not None
 
 
 # ---------------------------------------------------------------------------

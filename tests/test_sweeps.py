@@ -1285,11 +1285,17 @@ COUNTED_SWEEPS = (
 def test_ledger_is_unchanged_under_the_defining_loops(monkeypatch):
     # the closed forms compose: whole programs built from the loops give the
     # same counts and outputs, and the ledger runs every one of the loops
+    # and every stop set the programs scan for is one the scan tests check
     calls = Counter()
+    stops = {"scan_right": set(), "scan_left": set()}
     for owner, name, loop in COUNTED_SWEEPS:
         def counted(*args, loop=loop, name=name):
             calls[name] += 1
+            if name in stops:
+                stops[name].add(frozenset(args[2]))
             return loop(*args)
         monkeypatch.setattr(owner, name, counted)
     assert render_ledger(build_ledger()) == LEDGER.read_text()
     assert set(calls) == {name for _, name, _ in COUNTED_SWEEPS}, calls
+    assert stops["scan_right"] <= set(map(frozenset, RIGHT_STOPS)), stops
+    assert stops["scan_left"] <= set(map(frozenset, LEFT_STOPS)), stops

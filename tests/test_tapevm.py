@@ -1,13 +1,16 @@
 import itertools
+from collections import Counter
 
 import pytest
 
 from tapegroups import thompson_f, z2wrf2, z2wrz2
 from tapegroups.errors import InvalidInput, NotInLanguage, OutputFault, TapeFault
+from tapegroups.framework import REPRESENTATIONS
 from tapegroups.tapevm import StepReport, TapeSet, init_tapes, input_codes, read_output
 from tapegroups.tapeops import shift_suffix_left, shift_suffix_right
 from tapegroups.tokens import (BEGIN, BLANK, CODE, SYMBOL, WORK_SYMBOLS, Z2F2_SIGMA,
                                Z2Z2_SIGMA, codes_of, decode, encode, render, render_z2f2)
+from test_step_ledger import WALKS, _walk_entries
 from test_tokens import F2_CHARS
 
 
@@ -133,6 +136,51 @@ def test_every_codes_function_refuses_the_tape_markers():
         thompson_f.MACHINE.apply(b"a\x00b", "x1")
 
 
+def one_token_edits(codes, sigma):
+    """The codes one substitution, deletion or insertion of a code of sigma
+    from codes."""
+    for i in range(len(codes) + 1):
+        for tok in sigma:
+            yield codes[:i] + bytes((tok,)) + codes[i:]
+            if i < len(codes):
+                yield codes[:i] + bytes((tok,)) + codes[i + 1:]
+        if i < len(codes):
+            yield codes[:i] + codes[i + 1:]
+
+
+# the walks whose forms test_validate_takes_what_the_codes_function_returns
+# edits: Z2 wr F2's validate is a full decode, about 15 us on a walk form,
+# and its codes function accepts every edit, so the edits of all 30 walks
+# would take some 15 s
+EDITED_WALKS = 3
+
+
+def test_validate_takes_what_the_codes_function_returns():
+    # on the ledger's walk forms, and the one-token edits of those of its
+    # first EDITED_WALKS walks that the codes function accepts, each group's
+    # validate gives the codes the verdict it gives the text
+    verdicts = {}
+    for machine in MACHINES:
+        rep = REPRESENTATIONS[machine.group]()
+        n_walks, length, _, _ = WALKS[machine.group]
+        per_walk = length * len(rep.generators)
+        forms = [machine.codes(nf) for nf, *_ in
+                 itertools.islice(_walk_entries(rep, 1), n_walks * per_walk)]
+        texts = {machine.render(e) for codes in forms[:EDITED_WALKS * per_walk]
+                 for e in one_token_edits(codes, machine.sigma)}
+        texts.update(map(machine.render, forms))
+        checked = Counter()
+        for text in texts:
+            codes = outcome(rep.codes, text)
+            if isinstance(codes, bytes):
+                verdict = rep.validate(text)
+                assert rep.validate(codes) == verdict, (machine.group, text)
+                checked[verdict] += 1
+        verdicts[machine.group] = checked[True], checked[False]
+    assert verdicts == {"z2wrz2": (9029, 0), "z2wrf2": (3280, 69_922),
+                        "thompson-f": (2213, 1083)}
+
+
 def test_code_table():
     assert CODE[BLANK] == 0 and CODE[BEGIN] == 1
     assert bytes(3) == encode([BLANK] * 3)
@@ -207,15 +255,15 @@ def test_tape_isolation():
 
 def test_read_output_prefix_semantics():
     ts = init_tapes(["0", "C0"])
-    assert decode(read_output(ts)) == ["0", "C0"]
+    assert decode(read_output(ts, encode(["0", "C0"]))) == ["0", "C0"]
     # content beyond the first blank is ignored
     load(ts, 0, [BEGIN, "a", "#", "b", BLANK, "a"])
-    assert decode(read_output(ts)) == ["a", "#", "b"]
+    assert decode(read_output(ts, encode("a#b"))) == ["a", "#", "b"]
     load(ts, 0, [BEGIN, BLANK, "1"])
-    assert decode(read_output(ts)) == []
+    assert decode(read_output(ts, b"")) == []
     # a tape with no blank is read to its end
     load(ts, 0, [BEGIN, "0", "1"])
-    assert decode(read_output(ts)) == ["0", "1"]
+    assert decode(read_output(ts, encode("01"))) == ["0", "1"]
 
 
 def test_read_output_alphabet_check():
@@ -249,14 +297,14 @@ def test_shift_right_matches_manual():
     ts = init_tapes(["a", "b", "#"])
     ts.move_right(0)
     shift_suffix_right(ts, 0, ["x"])
-    assert decode(read_output(ts)) == ["x", "a", "b", "#"]
+    assert decode(read_output(ts, encode("xab#"))) == ["x", "a", "b", "#"]
 
 
 def test_shift_right_at_blank_appends():
     ts = init_tapes([])
     ts.move_right(0)
     shift_suffix_right(ts, 0, ["y", "z"])
-    assert decode(read_output(ts)) == ["y", "z"]
+    assert decode(read_output(ts, encode("yz"))) == ["y", "z"]
 
 
 def test_shift_left_deletes():
@@ -265,7 +313,7 @@ def test_shift_left_deletes():
     ts.move_right(0)
     ts.move_right(0)  # head on '#'
     shift_suffix_left(ts, 0, 2)
-    assert decode(read_output(ts)) == ["#", "b"]
+    assert decode(read_output(ts, encode("#b"))) == ["#", "b"]
 
 
 def test_shift_costs_linear_in_suffix():

@@ -10,7 +10,7 @@ from tapegroups import thompson_f as tf
 from tapegroups.errors import NoCaseMatched, NotInLanguage
 from tapegroups.framework import PLATEAU_FACTOR, REPRESENTATIONS, representation_thompson_f
 from tapegroups.oracle_groups import PL_IDENTITY, pl_eval_normalform, pl_mul_gen
-from tapegroups.tapevm import TapeSet, init_tapes, read_output
+from tapegroups.tapevm import TapeSet, first_stop, init_tapes, read_output
 from test_step_ledger import _walk_entries, run_raw
 
 REP = representation_thompson_f()
@@ -332,7 +332,7 @@ def test_each_call_matches_the_language_once(monkeypatch):
 
 
 F_PROGRAMS = (tf._scan_valid, tf._first_rejected, tf._rewind, tf._to_blank, tf._first,
-              tf._first_blank, tf._block_end, tf._code, tf._compute_r, tf._mark_hash_track,
+              tf._first_blank, first_stop, tf._code, tf._compute_r, tf._mark_hash_track,
               tf._compare_r_m, tf._x0_flags, tf._program_x0, tf._program_x1_inv, tf._x1_inv_flags,
               tf._case1_flags, tf._x1_inv_case1, tf._x1_inv_case2, tf._to_hash, tf._hash_walk,
               tf._walk_to_hash, tf._walk_to_rth_hash, tf._walk_to_last_b,
@@ -422,7 +422,7 @@ def ref_x1(text):
         ts = init_tapes(text)
         if not builder(ts):
             continue
-        candidate = read_output(ts).decode()
+        candidate = read_output(ts, tf.MACHINE.sigma).decode()
         if not tf.validate(candidate):
             continue
         back, _, label = run_raw(candidate, tf.MACHINE, "x1-")
