@@ -20,17 +20,22 @@ A sweep is one machine state looping over a run of cells.  `scan_right` and
 they charge exactly that loop's steps (2d+1 for d moves), fault exactly where
 it would, and leave the head where it would stop, but find the stop cell with
 a byte search in C instead of one method call per step.  One rule finds the
-stop cell in each direction.  Rightward, `first_stop` (which F's block
-flags call too) takes the nearest of one `find` per stop code, each bounded
-by the nearest cell found so far, and a blank in the set also stops on the
-first cell past the last written one.  A set of more than three codes (F's
-`_NOT_A`, Z2 wr F2's `_TOGGLE_STOP`) is one compiled byte-class search
-instead.  So a sweep that stops d cells away may search, in C, past its stop
-cell up to a later stop code or the last written cell.  Leftward, the
-nearest of one `rfind` per stop code, each bounded by the nearest cell found
-so far, may search every cell left of the head h, O(h) in C; the programs'
-one leftward set of two codes is x1's ("b", BEGIN), and BEGIN is on cell 0
-alone.
+stop cell in each direction.  Rightward, `first_stop`, which `scan_right`,
+F's block flags and Z2 wr F2's forward walk share, runs the set's compiled
+byte-class search over the first `STOP_WINDOW` cells from the head, so one C
+call serves a short tape or a near stop.  Past that window a set of at most
+three codes takes the nearest of one `find` per code, each bounded by the
+nearest cell found so far, and a larger set (F's `_NOT_A`, Z2 wr F2's
+`_TOGGLE_STOP` and walk sets) `translate`s windows of the tape, each 8 times
+as wide as the last, to a 0/1 stop table and `find`s the first stop there.
+A blank in the set also stops on the first cell past the last written one.
+So a sweep that stops d cells away costs O(d) host time in C at any
+distance; a `find` may read past the stop cell up to a later stop code or
+the last written cell, and a `translate` window up to about 8d cells.
+Leftward, the nearest of one `rfind` per stop code, each bounded by the
+nearest cell found so far, may search every cell left of the head h, O(h)
+in C; the programs' one leftward set of two codes is x1's ("b", BEGIN), and
+BEGIN is on cell 0 alone.
 
 The other counted sweeps live with the programs that run them, each charged
 at its defining loop's closed form and documented where it is defined.
@@ -66,34 +71,66 @@ from .tokens import BEGIN, BLANK, CODE, SYMBOL, codes_of, encode
 _START = bytes((CODE[BEGIN],))  # a fresh tape's cells
 
 
+# The cells from the head that a rightward stop search reads with the set's
+# byte-class search before it turns to `find` or `translate`.  In
+# `first_stop` on tapes of 256 and 2^14 cells (Python 3.11.7, a shared
+# 2-core machine, timeit best of 7) that search costs about 0.36 us and 6 ns
+# a cell, and the path past a 16-cell window about 1.05 us more for a set of
+# three codes and 0.9 us for twelve, so the two cross at about 64-110 cells.
+# At the crossover no stop costs more than twice what the better of the two
+# alone would: a stop inside the window at most the path past it, one past
+# it at most the window's 0.75 us more.
+STOP_WINDOW = 64
+
+
 @functools.cache
-def _search(stop: Collection[str]):
-    """How to find a stop set's cells, as (codes, search): the set's tape
-    codes, and for a set of more than three codes one compiled byte-class
-    search, else None.  `first_stop` takes the nearest of one `find` per
-    code, each bounded by the nearest cell found so far, so it may read past
-    the stop cell, in C, up to a later code or the last written cell."""
+def stop_search(stop: Collection[str]):
+    """How to find a stop set's cells, as (window, codes, table): the set's
+    compiled byte-class search, which `first_stop` runs over the first
+    `STOP_WINDOW` cells and which never matches for an empty set; the set's
+    tape codes, which it finds one by one past that window in a set of at
+    most three; and, for a larger set, the `translate` table past it, 1 on
+    each stop code and 0 elsewhere, else None."""
     codes = codes_of(stop)
-    return codes, re.compile(b"[%s]" % re.escape(codes)).search if len(codes) > 3 else None
+    window = re.compile(b"[%s]" % re.escape(codes) if codes else b"(?!)").search
+    return window, codes, bytes(c in codes for c in range(256)) if len(codes) > 3 else None
 
 
 def first_stop(cells: bytearray, p: int, stop: Collection[str]) -> int:
     """The cell where `while read(t) not in stop: move_right(t)` stops from
     cell p: the first cell at or after p that holds a stop code, or, if the
     blank is a stop, the first cell past the last written one; -1 if there
-    is none, so that the loop never halts."""
-    codes, search = _search(stop)
+    is none, so that the loop never halts.
+
+    The set's byte-class search reads the first `STOP_WINDOW` cells.  Past
+    them a set of at most three codes takes the nearest of one `find` per
+    code, each bounded by the nearest cell found so far; a larger set
+    `translate`s windows to its 0/1 table, the first 8 times as wide as the
+    byte-class window and each next one 8 times as wide as the last, and
+    `find`s the first 1.  On a 2^14-cell tape one `translate` of the whole
+    rest costs about 7 us at any distance; the windows cost 1.4 us for a
+    stop 100 or 300 cells away and 8 us for one 16 000 away."""
+    window, codes, table = stop_search(stop)
+    found = window(cells, p, p + STOP_WINDOW)
+    if found:
+        return found.start()
     end = len(cells)
     pos = max(p, end) if BLANK in stop else -1
-    if search is None:
-        for c in codes:
-            i = cells.find(c, p, end)
-            if i >= 0:
-                pos = end = i
-    else:
-        m = search(cells, p)
-        if m:
-            pos = m.start()
+    q = p + STOP_WINDOW
+    if q < end:
+        if table is None:
+            for c in codes:
+                i = cells.find(c, q, end)
+                if i >= 0:
+                    pos = end = i
+        else:
+            width = 8 * STOP_WINDOW
+            while q < end:
+                i = cells[q:q + width].translate(table).find(1)
+                if i >= 0:
+                    return q + i
+                q += width
+                width *= 8
     return pos
 
 
@@ -196,7 +233,7 @@ class TapeSet:
             return BLANK
         hi = min(h + 1, n)  # cells at and beyond n read as blank
         pos = -1  # the nearest of one rfind per code, each bounded by it
-        for c in _search(stop)[0]:
+        for c in stop_search(stop)[1]:
             i = cells.rfind(c, pos + 1, hi)
             if i >= 0:
                 pos = i

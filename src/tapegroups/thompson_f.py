@@ -131,19 +131,6 @@ class RResult:
     case_flag: bool  # True iff R passed the whole tail (R > j_n)
 
 
-def r_by_definition(seq: ExpSeq) -> RResult:
-    """Host-arithmetic mirror of the tape subroutine, used as its oracle."""
-    if not seq.s or seq.s[0] == 0:
-        raise ValueError("R is defined only when s0 > 0")
-    js = [i for i, s in enumerate(seq.s) if s > 0]
-    R = 1
-    for t, j in enumerate(js):
-        R += seq.s[j]
-        if t + 1 < len(js) and R <= js[t + 1]:
-            return RResult(R, False)
-    return RResult(R, True)
-
-
 # ---------------------------------------------------------------------------
 # tape-level helpers
 
@@ -771,9 +758,10 @@ def _b_21c3(ts: TapeSet) -> bool:
 
 
 def _b_222a(ts: TapeSet) -> bool:
-    # Undoes 2.2.2a/b/c: their preimage has j_t < R <= j_(t+1) (r_by_definition)
-    # and the edit adds a b to block R alone (s_R + 1 if R = j_(t+1), else a new
-    # j = R), so R on the product stops at step t with the same value: drop that b.
+    # Undoes 2.2.2a/b/c: their preimage has j_t < R <= j_(t+1) (the test
+    # oracle r_by_definition in tests/test_thompson_f.py), and the edit adds a
+    # b to block R alone (s_R + 1 if R = j_(t+1), else a new j = R), so R on
+    # the product stops at step t with the same value: drop that b.
     _compute_r(ts)
     _rewind(ts, 1)
     return _walk_to_last_b(ts) and _drop_b_after_a_run(ts)  # the R-th separator

@@ -50,7 +50,7 @@ from typing import List, Optional, Tuple, TypeAlias
 from . import tapeops
 from .errors import NotInLanguage
 from .oracle_groups import LampConfigF2
-from .tapevm import Machine, StepReport, TapeSet
+from .tapevm import STOP_WINDOW, Machine, StepReport, TapeSet, first_stop, stop_search
 from .tokens import (BEGIN, BLANK, CODE, SYMBOL, Z2F2_SIGMA, codes_of, codes_z2f2,
                      render_z2f2, tokenize_z2f2)
 
@@ -435,12 +435,14 @@ def _walk(ts: TapeSet, fwd: bool, stop) -> Tuple[str, Optional[str]]:
     written cells, as every caller's do; a backward walk starts past the start
     marker, on a bracket or a pivot, and stops on the marker at the latest.
 
-    It finds the stop cell, of stop or the end marker, with one compiled
-    byte-class search: forward from the next cell, backward over windows of
-    doubling width leftward of the head, each matched to its last such cell.
-    So a walk that stops d cells away reads O(d) cells.  Brackets are never
-    in stop, so only a mismatch stops it sooner.  The cells it crosses are
-    `translate`d to their brackets alone (`_STACK_CODE`).  A run of at
+    It finds the stop cell, of stop or the end marker, forward by tapevm's
+    rightward rule from the next cell (`first_stop`; its byte-class window is
+    tried here first, so a short walk makes no further call), and backward
+    by one compiled byte-class match over windows of doubling width leftward
+    of the head, each matched to its last such cell.  So a walk that stops d
+    cells away reads O(d) cells.  Brackets are never in stop, so only a
+    mismatch stops it sooner.  The cells it crosses are `translate`d to
+    their brackets alone (`_STACK_CODE`).  A run of at
     least `_SETTLE_FLOOR` brackets, in a walk with a stop set, is first
     handed to `_settle`, which finds the stack it leaves in C-level passes
     when no close can mismatch; tape 2's cells from the top up to the run's
@@ -453,12 +455,13 @@ def _walk(ts: TapeSet, fwd: bool, stop) -> Tuple[str, Optional[str]]:
     """
     cells, stack_cells = ts.cells
     h0, t0 = ts.heads
-    search = _stop_search(stop, fwd)
     if fwd:
-        found = search(cells, h0 + 1)
-        h = found.start() if found else len(cells)  # else the blank past the end
+        ahead, window = _ahead(stop)
+        found = window(cells, h0 + 1, h0 + 1 + STOP_WINDOW)
+        h = found.start() if found else first_stop(cells, h0 + 1, ahead)
         crossed = cells[h0 + 1:h]
     else:
+        search = _behind(stop)
         hi, width = h0, _WINDOW
         while not (found := search(cells, max(hi - width, 0), hi)):
             hi -= width
@@ -541,12 +544,19 @@ def _settle(brackets: bytes) -> Optional[Tuple[int, bytes]]:
 
 
 @functools.cache
-def _stop_search(stop, fwd: bool):
-    """How a walk finds the cell it stops on, one of stop or its end marker:
-    forward, the first such cell from a position on; backward, the last
-    such cell in a window."""
-    codes = b"[%s]" % re.escape(codes_of(stop) + bytes((CODE[BLANK if fwd else BEGIN],)))
-    return re.compile(codes).search if fwd else re.compile(b"(?s:.*)" + codes).match
+def _ahead(stop):
+    """The cells a forward walk stops on, stop and its end, the blank, and
+    their byte-class search, which the walk runs over tapevm's window."""
+    ahead = frozenset((*stop, BLANK))
+    return ahead, stop_search(ahead)[0]
+
+
+@functools.cache
+def _behind(stop):
+    """How a backward walk finds the cell it stops on, one of stop or the
+    start marker: the last such cell in a window."""
+    codes = re.escape(codes_of(stop) + bytes((CODE[BEGIN],)))
+    return re.compile(b"(?s:.*)[%s]" % codes).match
 
 
 def _scan_to_marker(ts: TapeSet):

@@ -25,14 +25,14 @@ from collections import Counter, deque
 
 import pytest
 
-from tapegroups import spiral, tapeops
+from tapegroups import spiral, tapeops, tapevm
 from tapegroups import thompson_f as tf
 from tapegroups import z2wrf2
 from tapegroups import z2wrz2 as zz
 from tapegroups.errors import InvalidInput, TapeFault
 from tapegroups.framework import REPRESENTATIONS, word_to_nf
 from tapegroups.tapeops import shift_suffix_left, shift_suffix_right
-from tapegroups.tapevm import TapeSet, init_tapes
+from tapegroups.tapevm import TapeSet, first_stop, init_tapes
 from tapegroups.tokens import BEGIN, BLANK, CODE, SYMBOL, Z2F2_SIGMA, Z2Z2_SIGMA, encode
 from test_step_ledger import LEDGER, SIZES, _walk_entries, build_ledger, render_ledger
 from test_z2wrf2 import DEEP_FOLD, DEEP_ZIGZAG
@@ -266,6 +266,47 @@ def test_scan_right_that_never_halts_faults():
     assert run(TapeSet.scan_right, ((tape, 0),), 0, ("#",)) == (TapeFault, 0, (tape, 0))
     # past the end: only blanks ahead
     assert run(TapeSet.scan_right, ((tape, 7),), 0, ("a",))[0] is TapeFault
+
+
+def test_the_empty_stop_set_never_stops():
+    for tape in (codes("ab"), codes("a" * 3 * tapevm.STOP_WINDOW)):
+        assert run(TapeSet.scan_right, ((tape, 1),), 0, ()) == (TapeFault, 0, (tape, 1))
+        assert first_stop(bytearray(tape), 1, ()) == -1
+
+
+# distances from a rightward search's first cell to its stop, on either side
+# of the edge of the byte-class window and of the first two translate
+# windows past it (8 and 64 times as wide)
+W = tapevm.STOP_WINDOW
+EDGES = tuple(edge + k for edge in (W, 9 * W, 73 * W) for k in (-1, 0, 1))
+
+
+def edge_starts(stop, filler, first=1):
+    """Starts of a rightward search for stop over filler cells from the
+    cells first and first + 2: a stop code of the set, and a written blank
+    if the blank is one, at each edge distance, last on the tape or with
+    filler and a stop after it; filler alone, ending at each edge distance;
+    and heads on and past the first cell after a tape's last written one."""
+    members = sorted(s for s in stop if s != BLANK)[:1] + [BLANK] * (BLANK in stop)
+    for p in (first, first + 2):
+        for d in EDGES:
+            before = [filler] * (p - 1 + d)
+            for sym in members:
+                yield codes([*before, sym]), p
+                yield codes([*before, sym, filler, sym]), p
+            yield codes(before), p
+    for sym in members:
+        tape = codes([sym, filler])
+        for h in (len(tape), len(tape) + 1, len(tape) + W + 1):
+            yield tape, h
+
+
+def test_scans_match_loops_on_the_window_edges():
+    for stop in RIGHT_STOPS:
+        filler = "a" if "0" in stop else "0"
+        for start in edge_starts(stop, filler):
+            check(TapeSet.scan_right, loop_scan_right, (start,), 0, stop)
+    assert compared == 651
 
 
 def test_scan_left_off_the_start_marker_faults_after_the_loop_steps():
@@ -1073,6 +1114,16 @@ def short_token_strings(lengths=range(5)):
     a marker and a plain cell."""
     for n in lengths:
         yield from itertools.product(("(", ")", "[", "]", "D0", "C0", "0"), repeat=n)
+
+
+def test_forward_walks_match_loop_on_the_window_edges():
+    # every forward walk set, its stop or its end, the blank past the tape,
+    # on either side of the search's window edges; the walks start on the
+    # start marker and on cell 2, and on and past the last written cell
+    for stop in WALK_STOPS:
+        for start in edge_starts((*stop, BLANK), "0", first=0):
+            check(z2wrf2._walk, loop_walk, (start, FRESH), True, stop)
+    assert compared == 345
 
 
 def test_walk_matches_loop_on_every_short_token_string():

@@ -10,7 +10,7 @@ from tapegroups import thompson_f as tf
 from tapegroups.errors import NoCaseMatched, NotInLanguage
 from tapegroups.framework import PLATEAU_FACTOR, REPRESENTATIONS, representation_thompson_f
 from tapegroups.oracle_groups import PL_IDENTITY, pl_eval_normalform, pl_mul_gen
-from tapegroups.tapevm import TapeSet, first_stop, init_tapes, read_output
+from tapegroups.tapevm import STOP_WINDOW, TapeSet, first_stop, init_tapes, read_output
 from test_step_ledger import _walk_entries, run_raw
 
 REP = representation_thompson_f()
@@ -58,7 +58,7 @@ def test_compute_r_against_definition():
         if not seq.s or seq.s[0] == 0:
             continue
         got = tf.compute_r(nf)
-        want = tf.r_by_definition(seq)
+        want = r_by_definition(seq)
         assert got == want, (nf, got, want)
 
 
@@ -192,7 +192,7 @@ def test_r_lower_bound_when_tail_cases_fire():
         seq = ref_parse(nf)
         if not seq.s or seq.s[0] == 0:
             continue
-        res = tf.r_by_definition(seq)
+        res = r_by_definition(seq)
         if not res.case_flag:
             continue
         jn = max(i for i, s in enumerate(seq.s) if s > 0)
@@ -356,12 +356,15 @@ UNRUN_GUARDS = sorted([
 
 def test_walks_short_forms_and_garbage_run_every_line_but_the_guards(unrun_lines):
     # the ledger's walks, every generator on every normal form of at most 7
-    # symbols, on one whose membership scan takes the masks and on b^k, where
-    # the scan of x1's candidate counts the # of its whole tape, and the raw
-    # machines on garbage reach every line of F's tape programs but the guards
+    # symbols, on one whose membership scan takes the masks, on b^k, where
+    # the scan of x1's candidate counts the # of its whole tape, and on forms
+    # whose a-run and first # lie past the stop search's window and its first
+    # translate window, and the raw machines on garbage reach every line of
+    # F's tape programs but the guards
     long_nf = REPRESENTATIONS["thompson-f"]().sample_nf(random.Random(17), 1024)
     assert long_nf.count("#", 0, tf._MASK_WINDOW) >= tf._MASK_HASHES
-    forms = _short_forms(7) + [long_nf, "b" * (tf._MASK_WINDOW + 1)]
+    far = "a" * (9 * STOP_WINDOW + 1)
+    forms = _short_forms(7) + [long_nf, "b" * (tf._MASK_WINDOW + 1), far + "#b", far + "b#a"]
     garbage = _garbage()
 
     def corpus():
@@ -487,6 +490,20 @@ def ref_parse(text):
             raise NotInLanguage(f"block {i} has both signs but block {i+1} is empty")
     return tf.ExpSeq(tuple(rs), tuple(ss))
 
+
+
+def r_by_definition(seq):
+    """R and its case flag by host arithmetic on the exponent blocks, the
+    oracle of the tape subroutine `_compute_r`."""
+    if not seq.s or seq.s[0] == 0:
+        raise ValueError("R is defined only when s0 > 0")
+    js = [i for i, s in enumerate(seq.s) if s > 0]
+    R = 1
+    for t, j in enumerate(js):
+        R += seq.s[j]
+        if t + 1 < len(js) and R <= js[t + 1]:
+            return tf.RResult(R, False)
+    return tf.RResult(R, True)
 
 def _ref_validate(text):
     try:
