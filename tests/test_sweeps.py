@@ -281,23 +281,24 @@ W = tapevm.STOP_WINDOW
 EDGES = tuple(edge + k for edge in (W, 9 * W, 73 * W) for k in (-1, 0, 1))
 
 
-def edge_starts(stop, filler, first=1):
-    """Starts of a rightward search for stop over filler cells from the
-    cells first and first + 2: a stop code of the set, and a written blank
-    if the blank is one, at each edge distance, last on the tape or with
-    filler and a stop after it; filler alone, ending at each edge distance;
-    and heads on and past the first cell after a tape's last written one."""
+def edge_starts(stop, filler, ahead=0):
+    """Starts of a rightward search for stop over filler cells from heads 1
+    and 3, whose first cell searched lies `ahead` cells past the head: a
+    stop code of the set, and a written blank if the blank is one, at each
+    edge distance from that cell, last on the tape or with filler and a stop
+    after it; filler alone, ending at each edge distance; and heads on a
+    tape's last written cell and past it."""
     members = sorted(s for s in stop if s != BLANK)[:1] + [BLANK] * (BLANK in stop)
-    for p in (first, first + 2):
+    for h in (1, 3):
         for d in EDGES:
-            before = [filler] * (p - 1 + d)
+            before = [filler] * (h + ahead - 1 + d)
             for sym in members:
-                yield codes([*before, sym]), p
-                yield codes([*before, sym, filler, sym]), p
-            yield codes(before), p
+                yield codes([*before, sym]), h
+                yield codes([*before, sym, filler, sym]), h
+            yield codes(before), h
     for sym in members:
         tape = codes([sym, filler])
-        for h in (len(tape), len(tape) + 1, len(tape) + W + 1):
+        for h in (len(tape) - 1, len(tape), len(tape) + 1, len(tape) + W + 1):
             yield tape, h
 
 
@@ -306,7 +307,7 @@ def test_scans_match_loops_on_the_window_edges():
         filler = "a" if "0" in stop else "0"
         for start in edge_starts(stop, filler):
             check(TapeSet.scan_right, loop_scan_right, (start,), 0, stop)
-    assert compared == 651
+    assert compared == 664
 
 
 def test_scan_left_off_the_start_marker_faults_after_the_loop_steps():
@@ -1118,12 +1119,12 @@ def short_token_strings(lengths=range(5)):
 
 def test_forward_walks_match_loop_on_the_window_edges():
     # every forward walk set, its stop or its end, the blank past the tape,
-    # on either side of the search's window edges; the walks start on the
-    # start marker and on cell 2, and on and past the last written cell
+    # on either side of the search's window edges from the cell after the
+    # head, and from heads on and past the last written cell
     for stop in WALK_STOPS:
-        for start in edge_starts((*stop, BLANK), "0", first=0):
+        for start in edge_starts((*stop, BLANK), "0", ahead=1):
             check(z2wrf2._walk, loop_walk, (start, FRESH), True, stop)
-    assert compared == 345
+    assert compared == 352
 
 
 def test_walk_matches_loop_on_every_short_token_string():

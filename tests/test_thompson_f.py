@@ -491,7 +491,6 @@ def ref_parse(text):
     return tf.ExpSeq(tuple(rs), tuple(ss))
 
 
-
 def r_by_definition(seq):
     """R and its case flag by host arithmetic on the exponent blocks, the
     oracle of the tape subroutine `_compute_r`."""
